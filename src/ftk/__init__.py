@@ -31,18 +31,7 @@ from .fields import (
 from .series import (
     LaurentSeries,
     PartsDecomposition,
-    coeff_frobenius,
     default_prec,
-    idempotent_is_constant,
-    invert,
-    naive_ord,
-    nth_root_unit,
-    scale_substitute,
-    series_pth_power,
-    solve_positive,
-    split_parts,
-    torsion_unit_is_constant,
-    unit_ord,
 )
 from .artin_schreier import (
     ASCanonical,
@@ -86,9 +75,6 @@ from .groupoids import (
     colim_fiber_product_check,
     groupoid_fiber_product,
     groupoid_mass,
-    indpoint_canonical,
-    indpoint_eq,
-    indpoint_transition,
     level_count,
     rigidify,
 )

@@ -4,14 +4,17 @@ Verbs: as-canon, as-iso, kummer-canon, kummer-iso, count-as, count-kummer,
 semidirect-enum, mass, rigidify, check-colim, selftest.
 
 Exit codes: 0 success, 1 parse error, 2 domain violation, 3 brute-force
-oracle mismatch.  JSON output has sorted keys; CSV census columns are
-break, aut_order, multiplicity, class (in that order), rows sorted by
-(break, class id).  All output is newline-terminated UTF-8.
+oracle mismatch.  JSON output has sorted keys.  The census verbs (count-as,
+count-kummer, semidirect-enum) also take --format csv; CSV census columns
+are break, aut_order, multiplicity, class (in that order), rows sorted by
+(break, class id).  All output is newline-terminated UTF-8.  Each verb
+accepts only the flags it reads.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -50,7 +53,7 @@ def _field_from_args(args):
     return field(p, e or 1)
 
 
-def _emit(payload, fmt: str, census=None):
+def _emit(payload, fmt: str = "json", census=None):
     if fmt == "csv" and census is not None:
         print("break,aut_order,multiplicity,class")
         for row in census:
@@ -92,7 +95,7 @@ def _load_groupoid(path: str) -> FiniteGroupoid:
 def _cmd_as_canon(args):
     spec = _field_from_args(args)
     b = parse_series(args.series, spec, args.prec)
-    _emit(as_canonicalize(b).to_json(), args.format)
+    _emit(as_canonicalize(b).to_json())
     return 0
 
 
@@ -107,14 +110,14 @@ def _cmd_as_iso(args):
         "isomorphic": w is not None,
         "witness": None if w is None else render_series(w.u),
     }
-    _emit(payload, args.format)
+    _emit(payload)
     return 0
 
 
 def _cmd_kummer_canon(args):
     spec = _field_from_args(args)
     b = parse_series(args.series, spec, args.prec)
-    _emit(kummer_canonicalize(b, args.n).to_json(), args.format)
+    _emit(kummer_canonicalize(b, args.n).to_json())
     return 0
 
 
@@ -128,7 +131,7 @@ def _cmd_kummer_iso(args):
         "isomorphic": u is not None,
         "witness": None if u is None else render_series(u),
     }
-    _emit(payload, args.format)
+    _emit(payload)
     return 0
 
 
@@ -147,7 +150,7 @@ def _cmd_count_as(args):
         brute = oracles.as_bruteforce_class_count(spec, m)
         payload["brute_force"] = brute
         if brute != len(classes):
-            _emit(payload, "json")
+            _emit(payload)
             raise OracleMismatch(f"structured {len(classes)} != oracle {brute}")
     _emit(payload, args.format, census=_as_census(spec, classes))
     return 0
@@ -167,7 +170,7 @@ def _cmd_count_kummer(args):
         brute = oracles.kummer_bruteforce_class_count(spec, n)
         payload["brute_force"] = brute
         if brute != len(classes):
-            _emit(payload, "json")
+            _emit(payload)
             raise OracleMismatch(f"structured {len(classes)} != oracle {brute}")
     _emit(payload, args.format, census=_kummer_census(spec, n, classes))
     return 0
@@ -214,7 +217,7 @@ def _cmd_semidirect_enum(args):
         count, auts = oracles.semidirect_bruteforce(group2, frame, bound)
         payload["brute_force"] = {"count": count, "aut_orders": auts}
         if (count, auts) != (len(classes), sorted(c.aut_count for c in classes)):
-            _emit(payload, "json")
+            _emit(payload)
             raise OracleMismatch("semidirect enumeration disagrees with oracle")
     _emit(payload, args.format, census=rows)
     return 0
@@ -222,7 +225,7 @@ def _cmd_semidirect_enum(args):
 
 def _cmd_mass(args):
     g = _load_groupoid(args.groupoid)
-    _emit({"mass": str(groupoid_mass(g))}, args.format)
+    _emit({"mass": str(groupoid_mass(g))})
     return 0
 
 
@@ -231,7 +234,7 @@ def _cmd_rigidify(args):
     with open(args.subgroup, encoding="utf-8") as fh:
         sub_data = json.load(fh)
     sub = CentralAutSubgroup({x: frozenset(v) for x, v in sub_data.items()})
-    _emit(rigidify(g, sub).to_json(), args.format)
+    _emit(rigidify(g, sub).to_json())
     return 0
 
 
@@ -250,7 +253,7 @@ def _cmd_check_colim(args):
         "passed": sum(results),
         "all_passed": all(results),
     }
-    _emit(payload, args.format)
+    _emit(payload)
     return 0 if all(results) else 2
 
 
@@ -261,7 +264,7 @@ def _cmd_selftest(args):
         buf = io.StringIO()
         ok = run_all(out=buf)
         lines = buf.getvalue().strip().splitlines()
-        _emit({"passed": ok, "criteria": lines}, "json")
+        _emit({"passed": ok, "criteria": lines})
     else:
         ok = run_all()
     return 0 if ok else 2
@@ -274,13 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(sp, series=0, tame=False, group=False):
+    def common(sp, series=0, tame=False, group=False, prec=True, census=False):
         sp.add_argument("--p", type=int, help="characteristic")
         sp.add_argument("--e", type=int, help="extension degree (default 1)")
         sp.add_argument("--q", type=int, help="field size p^e (alternative to --e)")
-        sp.add_argument("--prec", type=int, help="precision window override")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
+        if prec:
+            sp.add_argument("--prec", type=int, help="precision window override")
+        if census:
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
         if series >= 1:
             sp.add_argument("--series", required=True, help="series literal")
         if series >= 2:
@@ -310,37 +314,34 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_kummer_iso)
 
     sp = sub.add_parser("count-as", help="census of Z/pZ-cover classes")
-    common(sp)
+    common(sp, prec=False, census=True)
     sp.add_argument("--max-break", type=int, required=True)
     sp.add_argument("--brute-force", action="store_true")
     sp.set_defaults(fn=_cmd_count_as)
 
     sp = sub.add_parser("count-kummer", help="census of mu_n-cover classes")
-    common(sp, tame=True)
+    common(sp, tame=True, prec=False, census=True)
     sp.add_argument("--brute-force", action="store_true")
     sp.set_defaults(fn=_cmd_count_kummer)
 
     sp = sub.add_parser("semidirect-enum", help="enumerate H x| C_n torsor classes")
-    common(sp, group=True)
+    common(sp, group=True, census=True)
     sp.add_argument("--max-break", "--break-bound", dest="max_break", type=int, required=True)
     sp.add_argument("--brute-force", action="store_true")
     sp.set_defaults(fn=_cmd_semidirect_enum)
 
     sp = sub.add_parser("mass", help="groupoid cardinality of a groupoid JSON file")
     sp.add_argument("--groupoid", required=True)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(fn=_cmd_mass)
 
     sp = sub.add_parser("rigidify", help="quotient hom-sets by a central subgroup")
     sp.add_argument("--groupoid", required=True)
     sp.add_argument("--subgroup", required=True)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(fn=_cmd_rigidify)
 
     sp = sub.add_parser("check-colim", help="colimit/fiber-product commutation harness")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=50)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(fn=_cmd_check_colim)
 
     sp = sub.add_parser("selftest", help="run the acceptance suite")
@@ -350,8 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses for every call in this process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -105,18 +105,6 @@ class IndPoint:
         }
 
 
-def indpoint_transition(a: IndPoint, M: int) -> IndPoint:
-    return a.transition(M)
-
-
-def indpoint_eq(a: IndPoint, b: IndPoint) -> bool:
-    return a.eq(b)
-
-
-def indpoint_canonical(a: IndPoint) -> IndPoint:
-    return a.canonical()
-
-
 def level_count(m: int, r: int, q: int, p: int = None) -> int:
     """q^(|S_m| * r) points at level m.  p defaults to the prime of q."""
     if p is None:

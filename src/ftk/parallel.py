@@ -1,28 +1,12 @@
-"""Worker-count plumbing: FTK_THREADS caps enumeration parallelism."""
+"""The map that enumeration runs its per-break work through.
 
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def worker_count() -> int:
-    try:
-        n = int(os.environ.get("FTK_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
+It is serial: the work is pure Python, so threads under the GIL bought no
+speed.  The module stays as the one named seam around that work, which the
+benchmark's tracer (`benchmark/spans.py`, imported by `benchmark/worker.py`)
+wraps to time and size it.
+"""
 
 
 def parallel_map(fn, items):
-    """Map preserving input order; thread-parallel when FTK_THREADS > 1.
-
-    The callers' merges are order-independent and re-sorted afterwards, so
-    scheduling cannot change any output.
-    """
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items], in input order."""
+    return [fn(x) for x in items]

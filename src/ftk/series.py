@@ -189,7 +189,6 @@ class LaurentSeries:
         head below it is stripped with at most m-1 correction rounds.
         """
         i = self.unit_ord()
-        rel = self.prec - self.val  # window length
         unit_part_coeffs = [self.coeff(e) for e in range(i, self.prec)]
         inv_unit = self._invert_unit_led(self.ring, unit_part_coeffs)
         inv = LaurentSeries.make(self.ring, -i, -i + len(inv_unit), inv_unit)
@@ -197,7 +196,6 @@ class LaurentSeries:
             return inv
         # nilpotent head: a = head + U; a^-1 = U^-1 * sum (-head U^-1)^k
         head_coeffs = [self.coeff(e) for e in range(self.val, i)]
-        head = LaurentSeries.make(self.ring, self.val, i, head_coeffs)
         # pad head window up to self.prec (known exactly there: zeros)
         head = LaurentSeries.make(
             self.ring, self.val, self.prec,
@@ -423,53 +421,6 @@ class PartsDecomposition:
     def reassemble(self) -> LaurentSeries:
         const = LaurentSeries.constant(self.constant, self.negative.prec)
         return self.negative + const + self.positive
-
-
-# -- module-level forms of the named operations ----------------------------
-
-
-def naive_ord(a: LaurentSeries):
-    return a.naive_ord()
-
-
-def unit_ord(a: LaurentSeries) -> int:
-    return a.unit_ord()
-
-
-def invert(a: LaurentSeries) -> LaurentSeries:
-    return a.invert()
-
-
-def split_parts(a: LaurentSeries) -> PartsDecomposition:
-    return a.split_parts()
-
-
-def solve_positive(b: LaurentSeries) -> LaurentSeries:
-    return b.solve_positive()
-
-
-def coeff_frobenius(a: LaurentSeries) -> LaurentSeries:
-    return a.coeff_frobenius()
-
-
-def series_pth_power(a: LaurentSeries) -> LaurentSeries:
-    return a.series_pth_power()
-
-
-def scale_substitute(a: LaurentSeries, xi) -> LaurentSeries:
-    return a.scale_substitute(xi)
-
-
-def nth_root_unit(a: LaurentSeries, n: int) -> LaurentSeries:
-    return a.nth_root_unit(n)
-
-
-def torsion_unit_is_constant(a: LaurentSeries, n: int) -> bool:
-    return a.torsion_unit_is_constant(n)
-
-
-def idempotent_is_constant(a: LaurentSeries) -> bool:
-    return a.idempotent_is_constant()
 
 
 def default_prec(break_bound: int) -> int:

@@ -1,9 +1,11 @@
+import argparse
 import json
 from importlib import resources
 
 import jsonschema
+import pytest
 
-from ftk.cli import main
+from ftk.cli import build_parser, main
 from ftk.groupoids import FinGroup, bg
 
 
@@ -191,3 +193,49 @@ def test_json_keys_sorted(capsys):
 def test_output_newline_terminated(capsys):
     _, out = run_cli(capsys, "as-canon", "--p", "2", "--series", "1")
     assert out.endswith("\n")
+
+
+FIELD = {"--p", "--e", "--q"}
+VERB_FLAGS = {
+    "as-canon": FIELD | {"--prec", "--series"},
+    "as-iso": FIELD | {"--prec", "--series", "--series2"},
+    "kummer-canon": FIELD | {"--prec", "--series", "--n"},
+    "kummer-iso": FIELD | {"--prec", "--series", "--series2", "--n"},
+    "count-as": FIELD | {"--format", "--max-break", "--brute-force"},
+    "count-kummer": FIELD | {"--format", "--n", "--brute-force"},
+    "semidirect-enum": FIELD | {
+        "--prec", "--format", "--r", "--n", "--psi", "--q-exp",
+        "--max-break", "--break-bound", "--brute-force",
+    },
+    "mass": {"--groupoid"},
+    "rigidify": {"--groupoid", "--subgroup"},
+    "check-colim": {"--seed", "--trials"},
+    "selftest": {"--format"},
+}
+
+
+def test_each_verb_accepts_only_the_flags_it_reads():
+    (verbs,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    found = {
+        verb: {
+            flag
+            for action in sp._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        for verb, sp in verbs.choices.items()
+    }
+    assert found == VERB_FLAGS
+
+
+@pytest.mark.parametrize(
+    "extra", [["--seed", "5"], ["--format", "csv"]], ids=["seed", "format"]
+)
+def test_retired_flag_is_refused(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["as-canon", "--p", "2", "--series", "t^-3", *extra])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ftk.errors import DomainError, NotInvertible
+from ftk.errors import DomainError, NotInvertible, PrecisionExhausted
 from ftk.fields import field
 from ftk.kummer import (
     enumerate_kummer_classes,
@@ -68,6 +68,26 @@ class TestCanonicalize:
         b = L.monomial(R.x(), -2, 60) + L.monomial(R.from_int(2), 7, 60)
         cls = kummer_canonicalize(b, 4)
         assert (cls.q_exp, cls.unit_class) == (3, 1)
+
+    def test_field_class_takes_no_root(self, monkeypatch):
+        # over a field the 1-unit factor always has an n-th root, so the
+        # class is read without extracting it
+        def refuse(self, n):
+            raise AssertionError("nth_root_unit called")
+
+        monkeypatch.setattr(L, "nth_root_unit", refuse)
+        b = L.from_dict(F5, {7: F5.from_int(2), 8: F5.one(), 9: F5.from_int(3)}, 40)
+        cls = kummer_canonicalize(b, 4)
+        assert (cls.q_exp, cls.unit_class) == (3, 1)
+
+    def test_testring_root_exhaustion_raises(self):
+        from ftk.fields import test_ring as local_test_ring
+
+        R = local_test_ring(5, 1, 2)
+        # 1 + x t^-1 mod t^1: the window is too short to root the 1-unit
+        b = L.from_dict(R, {-1: R.x(), 0: R.one()}, 1)
+        with pytest.raises(PrecisionExhausted):
+            kummer_canonicalize(b, 4)
 
 
 class TestWitness:

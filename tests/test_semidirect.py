@@ -246,9 +246,3 @@ class TestEnumeration:
         a = enumerate_g_torsors(S3_GROUP, S3_FRAME, 3)
         b = enumerate_g_torsors(S3_GROUP, S3_FRAME, 3)
         assert [c.class_id() for c in a] == [c.class_id() for c in b]
-
-    def test_worker_count_does_not_change_output(self, monkeypatch):
-        sequential = enumerate_g_torsors(S3_GROUP, S3_FRAME, 3)
-        monkeypatch.setenv("FTK_THREADS", "4")
-        threaded = enumerate_g_torsors(S3_GROUP, S3_FRAME, 3)
-        assert [c.class_id() for c in sequential] == [c.class_id() for c in threaded]
