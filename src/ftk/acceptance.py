@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import oracles
-from .artin_schreier import as_canonicalize, enumerate_as_classes
+from .artin_schreier import as_canonicalize, enumerate_as_classes, prime_to_p_support
 from .fields import field, test_ring
 from .groupoids import (
     CentralAutSubgroup,
@@ -179,8 +179,8 @@ def criterion_07_constancy_scans():
     prec = 48
     torsion_hits = idem_hits = 0
     for ring, window in rings:
-        size = ring.q if hasattr(ring, "q") else ring.base.q**ring.m
-        char = ring.char
+        size = len(ring.elements())
+        char = ring.p
         exps = list(window)
         one = LaurentSeries.constant(ring.one(), prec)
         for values in itertools.product(range(size), repeat=len(exps)):
@@ -337,7 +337,7 @@ def criterion_12_indpoints_and_colimits():
     for spec in [field(2), field(2, 2)]:
         points = []
         for level in range(1, 4):
-            slots = [n for n in range(1, level + 1) if n % spec.p]
+            slots = prime_to_p_support(spec.p, level)
             for values in itertools.product(range(spec.q), repeat=len(slots)):
                 points.append(
                     IndPoint(spec, 1, level, tuple(spec.from_index(v) for v in values))

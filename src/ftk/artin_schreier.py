@@ -88,7 +88,7 @@ class ASWitness:
         """The full solution set u + F_p."""
         ring = self.u.ring
         out = []
-        for k in range(ring.char):
+        for k in range(ring.p):
             shift = LaurentSeries.constant(ring.from_int(k), self.u.prec)
             out.append(self.u + shift)
         return out
@@ -212,12 +212,6 @@ def _check_vector(b_vec):
 def elemab_canonicalize(b_vec):
     _check_vector(b_vec)
     return tuple(as_canonicalize(b) for b in b_vec)
-
-
-def elemab_canonicalize_with_witness(b_vec):
-    _check_vector(b_vec)
-    pairs = [_canonicalize_with_witness(b) for b in b_vec]
-    return tuple(c for c, _ in pairs), tuple(u for _, u in pairs)
 
 
 def elemab_iso_witness(c_vec, d_vec):

@@ -53,37 +53,24 @@ def _field_from_args(args):
     return field(p, e or 1)
 
 
-def _emit(payload, fmt: str = "json", census=None):
-    if fmt == "csv" and census is not None:
-        print("break,aut_order,multiplicity,class")
-        for row in census:
-            cls = json.dumps(row["class"], sort_keys=True).replace('"', '""')
-            print(f"{row['break']},{row['aut_order']},{row['multiplicity']},\"{cls}\"")
-    else:
-        print(json.dumps(payload, sort_keys=True))
+def _emit(payload):
+    print(json.dumps(payload, sort_keys=True))
 
 
-def _as_census(spec, classes):
-    rows = [
-        {
-            "class": c.to_json(),
-            "break": c.break_ or 0,
-            "aut_order": spec.p,
-            "multiplicity": 1,
-        }
-        for c in classes
-    ]
-    rows.sort(key=lambda r: (r["break"], json.dumps(r["class"], sort_keys=True)))
-    return rows
+def _emit_csv(rows):
+    """The census as CSV, from _census_rows."""
+    print("break,aut_order,multiplicity,class")
+    for brk, text, aut, _ in rows:
+        cls = text.replace('"', '""')
+        print(f'{brk},{aut},1,"{cls}"')
 
 
-def _kummer_census(spec, n, classes):
-    aut = math.gcd(n, spec.q - 1)
-    rows = [
-        {"class": c.to_json(), "break": 0, "aut_order": aut, "multiplicity": 1}
-        for c in classes
-    ]
-    rows.sort(key=lambda r: (r["break"], json.dumps(r["class"], sort_keys=True)))
+def _census_rows(entries):
+    """Census rows (break, class JSON text, aut_order, class) from
+    (class, break, aut_order) entries, sorted by (break, class JSON text).
+    Every class has multiplicity 1."""
+    rows = [(brk, json.dumps(cls, sort_keys=True), aut, cls) for cls, brk, aut in entries]
+    rows.sort(key=lambda row: row[:2])
     return rows
 
 
@@ -152,7 +139,10 @@ def _cmd_count_as(args):
         if brute != len(classes):
             _emit(payload)
             raise OracleMismatch(f"structured {len(classes)} != oracle {brute}")
-    _emit(payload, args.format, census=_as_census(spec, classes))
+    if args.format == "csv":
+        _emit_csv(_census_rows((c.to_json(), c.break_ or 0, spec.p) for c in classes))
+    else:
+        _emit(payload)
     return 0
 
 
@@ -172,7 +162,11 @@ def _cmd_count_kummer(args):
         if brute != len(classes):
             _emit(payload)
             raise OracleMismatch(f"structured {len(classes)} != oracle {brute}")
-    _emit(payload, args.format, census=_kummer_census(spec, n, classes))
+    if args.format == "csv":
+        aut = math.gcd(n, spec.q - 1)
+        _emit_csv(_census_rows((c.to_json(), 0, aut) for c in classes))
+    else:
+        _emit(payload)
     return 0
 
 
@@ -194,23 +188,17 @@ def _cmd_semidirect_enum(args):
     frame = TameFrame(spec, n2, q2)
     bound = args.max_break
     classes = enumerate_g_torsors(group2, frame, bound, args.prec)
-    rows = [
-        {
-            "class": c.class_id(),
-            "break": c.break_,
-            "aut_order": c.aut_count,
-            "multiplicity": 1,
-        }
-        for c in classes
-    ]
-    rows.sort(key=lambda r: (r["break"], json.dumps(r["class"], sort_keys=True)))
+    rows = _census_rows((c.class_id(), c.break_, c.aut_count) for c in classes)
     payload = {
         "group": group.to_json(),
         "q_exp": args.q_exp,
         "reduced": {"n": n2, "q_exp": q2},
         "max_break": bound,
         "count": len(classes),
-        "classes": rows,
+        "classes": [
+            {"class": cls, "break": brk, "aut_order": aut, "multiplicity": 1}
+            for brk, _, aut, cls in rows
+        ],
         "brute_force": None,
     }
     if args.brute_force:
@@ -219,7 +207,10 @@ def _cmd_semidirect_enum(args):
         if (count, auts) != (len(classes), sorted(c.aut_count for c in classes)):
             _emit(payload)
             raise OracleMismatch("semidirect enumeration disagrees with oracle")
-    _emit(payload, args.format, census=rows)
+    if args.format == "csv":
+        _emit_csv(rows)
+    else:
+        _emit(payload)
     return 0
 
 

@@ -9,6 +9,20 @@ rest of the library relies on: the element list in enumeration order, the
 smallest primitive element, discrete logs, and the Artin-Schreier data
 (preimages of u^p - u and the lex-smallest coset transversal).
 
+This module is the only one that knows how the two ring kinds differ.  Both
+answer the same protocol, so the rest of the library never asks which kind
+it holds:
+
+- a spec (FieldSpec, TestRingSpec) has ``p``, ``base`` (its residue field
+  F_q; a field is its own), ``zero()``, ``one()``, ``from_int(n)``,
+  ``from_index(i)``, ``elements()`` and ``from_field(a)`` (the constant
+  lift of an element of ``base``; the identity on a field);
+- an element (FqElem, TestRingElem) has ``spec``, ``coords``, ``index``,
+  ``+``, ``-``, ``*`` (also by an int), ``scale(n)``, ``**``,
+  ``inverse()``, ``frobenius()``, ``is_zero()``, ``is_unit()``,
+  ``is_nilpotent()`` and ``residue()`` (its image in ``base``; the
+  identity on a field).
+
 All values are immutable; tables are computed once per spec and shared.
 """
 
@@ -136,8 +150,12 @@ class FieldSpec:
         return [self.from_index(i) for i in range(self.q)]
 
     @property
-    def char(self) -> int:
-        return self.p
+    def base(self) -> "FieldSpec":
+        """The residue field: a field is its own."""
+        return self
+
+    def from_field(self, a: "FqElem") -> "FqElem":
+        return a
 
     # -- cached structure tables ------------------------------------
 
@@ -207,8 +225,33 @@ def _field_tables(spec: FieldSpec):
     return generator, dlog, {k: tuple(v) for k, v in preimages.items()}, transversal
 
 
+class _RingElem:
+    """What FqElem and TestRingElem share, written once against the protocol."""
+
+    def is_unit(self) -> bool:
+        return not self.residue().is_zero()
+
+    def is_nilpotent(self) -> bool:
+        return self.residue().is_zero()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = self.spec.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def frobenius(self):
+        return self**self.spec.p
+
+
 @dataclass(frozen=True)
-class FqElem:
+class FqElem(_RingElem):
     spec: FieldSpec
     coords: tuple  # length e, entries in 0..p-1
 
@@ -226,11 +269,8 @@ class FqElem:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def is_unit(self) -> bool:
-        return not self.is_zero()
-
-    def is_nilpotent(self) -> bool:
-        return self.is_zero()
+    def residue(self) -> "FqElem":
+        return self
 
     def __add__(self, other):
         self._check(other)
@@ -260,25 +300,10 @@ class FqElem:
         p = self.spec.p
         return FqElem(self.spec, tuple((a * n) % p for a in self.coords))
 
-    def __pow__(self, n: int) -> "FqElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def inverse(self) -> "FqElem":
         if self.is_zero():
             raise NotInvertible("division by zero in a field")
         return self ** (self.spec.q - 2)
-
-    def frobenius(self) -> "FqElem":
-        return self**self.spec.p
 
     def pth_root(self) -> "FqElem":
         # inverse of Frobenius on a perfect field: x -> x^{p^{e-1}}
@@ -381,10 +406,6 @@ class TestRingSpec:
     def p(self) -> int:
         return self.base.p
 
-    @property
-    def char(self) -> int:
-        return self.base.p
-
     def zero(self) -> "TestRingElem":
         return TestRingElem(self, (self.base.zero(),) * self.m)
 
@@ -427,7 +448,7 @@ def test_ring(p: int, e: int = 1, m: int = 2) -> TestRingSpec:
 
 
 @dataclass(frozen=True)
-class TestRingElem:
+class TestRingElem(_RingElem):
     spec: TestRingSpec
     coords: tuple  # m field elements, x-adic, constant first
 
@@ -445,12 +466,6 @@ class TestRingElem:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
-
-    def is_unit(self) -> bool:
-        return not self.coords[0].is_zero()
-
-    def is_nilpotent(self) -> bool:
-        return self.coords[0].is_zero()
 
     def residue(self) -> FqElem:
         return self.coords[0]
@@ -486,18 +501,6 @@ class TestRingElem:
     def scale(self, n: int) -> "TestRingElem":
         return TestRingElem(self.spec, tuple(a.scale(n) for a in self.coords))
 
-    def __pow__(self, n: int) -> "TestRingElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def inverse(self) -> "TestRingElem":
         if not self.is_unit():
             raise NotInvertible(f"{self} is not a unit (residue 0)")
@@ -510,9 +513,6 @@ class TestRingElem:
             term = -(term * nu)
             acc = acc + term
         return acc * a0_inv
-
-    def frobenius(self) -> "TestRingElem":
-        return self**self.spec.p
 
     def __str__(self):
         parts = []

@@ -21,16 +21,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .artin_schreier import prime_to_p_support
 from .errors import DomainError
 from .fields import FieldSpec
 
 MAX_OBJECTS = 64
 MAX_ARROWS = 4096
 _ASSOC_BUDGET = 5_000_000  # composable triples checked exhaustively below this
-
-
-def _slots(p: int, m: int):
-    return [n for n in range(1, m + 1) if n % p]
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,7 @@ class IndPoint:
     def __post_init__(self):
         if self.level < 1:
             raise DomainError("levels start at 1")
-        expected = len(_slots(self.spec.p, self.level)) * self.r
+        expected = len(prime_to_p_support(self.spec.p, self.level)) * self.r
         if len(self.value) != expected:
             raise DomainError(
                 f"value length {len(self.value)} != |S_m| * r = {expected}"
@@ -56,8 +53,8 @@ class IndPoint:
         apply the coefficient Frobenius once per level step."""
         if M < self.level:
             raise DomainError("transitions only go up")
-        src = _slots(self.spec.p, self.level)
-        dst = _slots(self.spec.p, M)
+        src = prime_to_p_support(self.spec.p, self.level)
+        dst = prime_to_p_support(self.spec.p, M)
         steps = M - self.level
         by_slot = {s: self.value[i * self.r : (i + 1) * self.r] for i, s in enumerate(src)}
         zero_row = (self.spec.zero(),) * self.r
@@ -83,8 +80,8 @@ class IndPoint:
         pt = self
         while pt.level > 1:
             m = pt.level
-            src = _slots(pt.spec.p, m)
-            prev = _slots(pt.spec.p, m - 1)
+            src = prime_to_p_support(pt.spec.p, m)
+            prev = prime_to_p_support(pt.spec.p, m - 1)
             by_slot = {s: pt.value[i * pt.r : (i + 1) * pt.r] for i, s in enumerate(src)}
             new_slots = [s for s in src if s not in prev]
             if any(not c.is_zero() for s in new_slots for c in by_slot[s]):
@@ -109,7 +106,7 @@ def level_count(m: int, r: int, q: int, p: int = None) -> int:
     """q^(|S_m| * r) points at level m.  p defaults to the prime of q."""
     if p is None:
         p = _smallest_prime_factor(q)
-    return q ** (len(_slots(p, m)) * r)
+    return q ** (len(prime_to_p_support(p, m)) * r)
 
 
 def _smallest_prime_factor(q: int) -> int:
@@ -119,6 +116,32 @@ def _smallest_prime_factor(q: int) -> int:
             return d
         d += 1
     return q
+
+
+def _union_classes(keys, links):
+    """Classes of the equivalence on keys generated by the linked pairs, as
+    {representative: members in key order} (union-find)."""
+    parent = {k: k for k in keys}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    classes: dict = {}
+    for k in parent:
+        classes.setdefault(find(k), []).append(k)
+    return classes
+
+
+def _rep_of(classes) -> dict:
+    """member -> representative, for a {representative: members} dict."""
+    return {key: rep for rep, members in classes.items() for key in members}
 
 
 # -- finite groups ------------------------------------------------------
@@ -367,21 +390,8 @@ class FiniteGroupoid:
 
     def iso_classes(self):
         """Connected components: in a groupoid, isomorphism classes."""
-        parent = {x: x for x in self.objects}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for (x, y), fs in self.homs.items():
-            if fs:
-                parent[find(x)] = find(y)
-        classes: dict = {}
-        for x in self.objects:
-            classes.setdefault(find(x), []).append(x)
-        return list(classes.values())
+        links = (xy for xy, fs in self.homs.items() if fs)
+        return list(_union_classes(self.objects, links).values())
 
     def aut_order(self, x) -> int:
         return len(self.hom(x, x))
@@ -706,26 +716,9 @@ class SetSystem:
 
     def colim_classes(self):
         """Equivalence classes of the disjoint union under x ~ push(x)."""
-        parent = {}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i, lvl in enumerate(self.levels):
-            for x in lvl:
-                parent[(i, x)] = (i, x)
-        for i, m in enumerate(self.maps):
-            for x, y in m.items():
-                ra, rb = find((i, x)), find((i + 1, y))
-                if ra != rb:
-                    parent[ra] = rb
-        classes: dict = {}
-        for key in parent:
-            classes.setdefault(find(key), []).append(key)
-        return classes
+        keys = ((i, x) for i, lvl in enumerate(self.levels) for x in lvl)
+        links = (((i, x), (i + 1, y)) for i, m in enumerate(self.maps) for x, y in m.items())
+        return _union_classes(keys, links)
 
 
 @dataclass(frozen=True)
@@ -753,19 +746,11 @@ class SystemMap:
 
     def colim_map(self):
         """The induced map on colimit classes, as a dict of class reps."""
-        src_cls = self.src.colim_classes()
-        dst_cls = self.dst.colim_classes()
-
-        def dst_rep(key):
-            for rep, members in dst_cls.items():
-                if key in members:
-                    return rep
-            raise AssertionError
-
+        dst_rep = _rep_of(self.dst.colim_classes())
         out = {}
-        for rep, members in src_cls.items():
+        for rep, members in self.src.colim_classes().items():
             i, x = members[0]
-            out[rep] = dst_rep((i, self.components[i][x]))
+            out[rep] = dst_rep[(i, self.components[i][x])]
         return out
 
 
@@ -809,12 +794,7 @@ def colim_fiber_product_check(a: SystemMap, b: SystemMap) -> bool:
     a_map = a.colim_map()
     b_map = b.colim_map()
 
-    def rep_of(classes, key):
-        for rep, members in classes.items():
-            if key in members:
-                return rep
-        raise AssertionError
-
+    x_rep, z_rep = _rep_of(x_cls), _rep_of(z_cls)
     rhs = {
         (rx, rz)
         for rx in x_cls
@@ -825,8 +805,7 @@ def colim_fiber_product_check(a: SystemMap, b: SystemMap) -> bool:
     image = set()
     for rep, members in lhs.items():
         i, (x, z) = members[0]
-        image_key = (rep_of(x_cls, (i, x)), rep_of(z_cls, (i, z)))
-        image.add(image_key)
+        image.add((x_rep[(i, x)], z_rep[(i, z)]))
     if len(image) != len(lhs):
         return False  # not injective
     return image == rhs

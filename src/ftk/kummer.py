@@ -25,7 +25,7 @@ from .series import LaurentSeries
 def _check_tame(spec, n: int):
     if n < 1:
         raise DomainError("n must be >= 1")
-    if math.gcd(n, spec.p if hasattr(spec, "p") else spec.char) != 1:
+    if math.gcd(n, spec.p) != 1:
         raise DomainError(f"n = {n} is divisible by the characteristic")
 
 
@@ -54,9 +54,7 @@ def kummer_canonicalize(b: LaurentSeries, n: int) -> KummerClass:
     _check_tame(ring, n)
     i = b.unit_ord()
     lead = b.coeff(i)
-    residue = lead.residue() if hasattr(lead, "residue") else lead
-    spec = ring.base if hasattr(ring, "base") else ring
-    cls = KummerClass(spec, n, i % n, nth_power_class(residue, n))
+    cls = KummerClass(ring.base, n, i % n, nth_power_class(lead.residue(), n))
     if not isinstance(ring, FieldSpec):
         # over a field Hensel always roots the 1-unit factor; over a test
         # ring the nilpotent tail can exhaust the window, so certify it
@@ -87,16 +85,11 @@ def kummer_iso_witness(b: LaurentSeries, b2: LaurentSeries, n: int):
     if (i2 - i) % n:
         return None
     lead, lead2 = b.coeff(i), b2.coeff(i2)
-    res = lead.residue() if hasattr(lead, "residue") else lead
-    res2 = lead2.residue() if hasattr(lead2, "residue") else lead2
+    res, res2 = lead.residue(), lead2.residue()
     if nth_power_class(res, n) != nth_power_class(res2, n):
         return None
     k = (i2 - i) // n
-    const_root = canonical_nth_root(
-        res2 * res.inverse(), n
-    )
-    if hasattr(lead, "residue"):
-        const_root = b.ring.from_field(const_root)
+    const_root = b.ring.from_field(canonical_nth_root(res2 * res.inverse(), n))
     ratio = _strip_to_one_unit(b2, i2, lead2) * _strip_to_one_unit(b, i, lead).invert()
     root = ratio.nth_root_unit(n)
     u = root.scale(const_root).shift(k)

@@ -204,7 +204,7 @@ class AffineMap:
         from .semidirect import mat_identity
 
         r = len(self.matrix)
-        p = self.trans[0].ring.char if self.trans else None
+        p = self.trans[0].ring.p if self.trans else None
         if self.src != self.dst:
             return False
         if p is not None and self.matrix != mat_identity(r, p):

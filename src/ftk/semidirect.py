@@ -57,12 +57,12 @@ def mat_pow(a, n: int, p: int):
 
 
 def mat_vec_series(m, vec, p: int):
-    """Apply an F_p matrix to a vector of series (or of field elements)."""
+    """Apply an F_p matrix to a vector of series."""
     out = []
     for i in range(len(m)):
         acc = None
         for j, x in enumerate(vec):
-            term = x.scale_int(m[i][j]) if hasattr(x, "scale_int") else x.scale(m[i][j])
+            term = x.scale_int(m[i][j])
             acc = term if acc is None else acc + term
         out.append(acc)
     return tuple(out)

@@ -1,10 +1,13 @@
 import argparse
+import csv
+import io
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from ftk import cli
 from ftk.cli import build_parser, main
 from ftk.groupoids import FinGroup, bg
 
@@ -97,6 +100,39 @@ def test_count_as_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "break,aut_order,multiplicity,class"
     assert len(lines) == 5  # header + 4 classes
+
+
+def test_count_kummer_csv_rows_in_class_text_order(capsys):
+    code, out = run_cli(
+        capsys, "count-kummer", "--p", "2", "--e", "4", "--n", "15", "--format", "csv"
+    )
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["break", "aut_order", "multiplicity", "class"]
+    assert len(rows) == 225
+    assert all(row[:3] == ["0", "15", "1"] for row in rows)
+    texts = [row[3] for row in rows]
+    assert texts == sorted(texts)
+    q_exps = [json.loads(text)["q_exp"] for text in texts]
+    assert q_exps.index(10) < q_exps.index(2)  # JSON text order, not numeric
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["count-as", "--p", "2", "--max-break", "3"], 8),
+        (["count-kummer", "--p", "2", "--e", "4", "--n", "15"], 225),
+    ],
+    ids=["count-as", "count-kummer"],
+)
+def test_json_count_builds_no_census_rows(capsys, monkeypatch, argv, count):
+    def refuse(entries):
+        raise AssertionError("census rows built for JSON output")
+
+    monkeypatch.setattr(cli, "_census_rows", refuse)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["count"] == count
 
 
 def test_count_kummer(capsys):

@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import ftk
 from ftk.errors import DomainError, NotInvertible
 from ftk.fields import (
     as_residue_solve,
@@ -13,6 +16,31 @@ from ftk.fields import (
     pth_root,
     test_ring as local_test_ring,
 )
+
+
+def test_field_answers_the_ring_protocol():
+    F9 = field(3, 2)
+    R = local_test_ring(3, 2, 2)
+    g = F9.gen()
+    assert F9.base is F9 and R.base is F9
+    assert F9.p == R.p == 3
+    assert F9.from_field(g) is g
+    assert g.residue() is g
+    assert R.from_field(g).residue() == g
+    assert not g.is_nilpotent() and F9.zero().is_nilpotent()
+
+
+def test_no_module_asks_for_attributes_by_hasattr():
+    for path in sorted(Path(ftk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "hasattr"
+        ]
+        assert calls == [], f"{path.name} calls hasattr at lines {calls}"
 
 
 def test_modulus_choices_match_fixed_enumeration():

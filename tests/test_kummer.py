@@ -142,6 +142,17 @@ class TestWitness:
         b2 = L.monomial(F5.one(), 1, 20)
         assert kummer_iso_witness(b, b2, 4) is None
 
+    def test_testring_witness(self):
+        from ftk.fields import test_ring as local_test_ring
+
+        R = local_test_ring(5, 1, 2)
+        # the constant root is found in F_5 and lifted into the test ring
+        b = L.from_dict(R, {-1: R.from_int(2), 0: R.x(), 2: R.one()}, 30)
+        b2 = L.from_dict(R, {1: R.from_int(3), 2: R.x()}, 30) ** 4 * b
+        u = kummer_iso_witness(b, b2, 4)
+        assert u.ring == R
+        assert ((u**4) * b - b2).is_zero()
+
 
 class TestAutomorphisms:
     def test_examples(self):
