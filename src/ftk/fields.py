@@ -15,8 +15,13 @@ it holds:
 
 - a spec (FieldSpec, TestRingSpec) has ``p``, ``base`` (its residue field
   F_q; a field is its own), ``zero()``, ``one()``, ``from_int(n)``,
-  ``from_index(i)``, ``elements()`` and ``from_field(a)`` (the constant
-  lift of an element of ``base``; the identity on a field);
+  ``from_index(i)``, ``elements()``, ``from_field(a)`` (the constant
+  lift of an element of ``base``; the identity on a field) and
+  ``truncated_product(a, b, n)``: the first n coefficients of
+  (sum a_i t^i)(sum b_j t^j) for coefficient sequences a, b of its
+  elements, as a list of n elements.  Both kinds compute it with one
+  Kronecker substitution (``_kronecker_product``): a field is the m = 1
+  case of the F_q[x]/(x^m) digit layout;
 - an element (FqElem, TestRingElem) has ``spec``, ``coords``, ``index``,
   ``+``, ``-``, ``*`` (also by an int), ``scale(n)``, ``**``,
   ``inverse()``, ``frobenius()``, ``is_zero()``, ``is_unit()``,
@@ -29,6 +34,8 @@ All values are immutable; tables are computed once per spec and shared.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -112,6 +119,103 @@ def _smallest_irreducible(p: int, e: int):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+# -- truncated products by Kronecker substitution ---------------------
+
+# array typecode for each slot width in bytes that has one on this platform
+_SLOT_CODE = {array(code).itemsize: code for code in "BHILQ"}
+_SLOT_WIDTHS = sorted(_SLOT_CODE)
+
+
+@lru_cache(maxsize=None)
+def _high_powers_of_g(base: "FieldSpec"):
+    """Coordinates of g^d for d = e .. 2e-2: the reduction rows of a product."""
+    p, e = base.p, base.e
+    rows = []
+    for d in range(e, 2 * e - 1):
+        red = _poly_mod((0,) * d + (1,), base.modulus, p)
+        rows.append(red + (0,) * (e - len(red)))
+    return tuple(rows)
+
+
+def _kronecker_product(base: "FieldSpec", m: int, a, b, n: int):
+    """(shift, rows): the digit rows of a(t) b(t) over F_q[x]/(x^m), q = p^e
+    (m = 1: F_q), below t^n.  The rows are coefficients shift, shift+1, ...;
+    every other coefficient below t^n is zero.
+
+    A row holds one coefficient's m*e digits in F_p, x-major: the digit of
+    x^i g^j sits at i*e + j.  Each row becomes a block of (2m-1)(2e-1)
+    slots of one Python int, so the product of two blocks keeps every
+    x^i g^j (i <= 2m-2, j <= 2e-2) in a slot of its own.  A slot of the
+    product sums at most min(len) * m * e products of digits, each at
+    most (p-1)^2, and is sized to hold that bound, so no slot carries into
+    the next.  One big-int multiply then does the whole convolution; the
+    slots are read back, reduced mod p and the field modulus, and the
+    x-degrees >= m are dropped.  Each packed operand is trimmed to its
+    nonzero extent (zero rows on top vanish from the int, those at the
+    bottom are shifted out), so a monomial times a monomial is one block
+    by one, however long their windows.
+    """
+    p, e = base.p, base.e
+    a, b = a[:n], b[:n]
+    span = 2 * e - 1
+    block = (2 * m - 1) * span
+    bound = min(len(a), len(b)) * m * e * (p - 1) ** 2
+    width = (bound.bit_length() + 7) // 8
+    width = next((w for w in _SLOT_WIDTHS if w >= width), width)
+    digit_bytes = ((p - 1).bit_length() + 7) // 8
+    step = block * width
+
+    def pack(rows):
+        buf = bytearray(len(rows) * step)
+        for i in range(m):
+            for j in range(e):
+                digits = [r[i * e + j] for r in rows]
+                at = (i * span + j) * width
+                for k in range(digit_bytes):
+                    buf[at + k :: step] = bytes([d >> (8 * k) & 255 for d in digits])
+        return int.from_bytes(buf, "little")
+
+    bits = 8 * step
+    packed_a, packed_b = pack(a), pack(b)
+    if not packed_a or not packed_b:
+        return 0, []
+    low_a = ((packed_a & -packed_a).bit_length() - 1) // bits
+    low_b = ((packed_b & -packed_b).bit_length() - 1) // bits
+    shift = low_a + low_b
+    if shift >= n:
+        return 0, []
+    packed_a >>= bits * low_a
+    packed_b >>= bits * low_b
+    blocks_a = -(-packed_a.bit_length() // bits)
+    blocks_b = -(-packed_b.bit_length() // bits)
+    need = min(n - shift, blocks_a + blocks_b - 1)
+    raw = ((packed_a * packed_b) & ((1 << (bits * need)) - 1)).to_bytes(step * need, "little")
+    if width in _SLOT_CODE:
+        slots = array(_SLOT_CODE[width], raw)
+        if sys.byteorder == "big":
+            slots.byteswap()
+    else:
+        slots = [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+    if e == 1:
+        rows = [tuple(v % p for v in slots[k : k + m]) for k in range(0, len(slots), block)]
+    else:
+        high = _high_powers_of_g(base)
+        rows = []
+        for k in range(0, len(slots), block):
+            row = []
+            for i in range(m):
+                poly = slots[k + i * span : k + (i + 1) * span]
+                coords = [v % p for v in poly[:e]]
+                for c, g_d in zip(poly[e:], high):
+                    c %= p
+                    if c:
+                        for j in range(e):
+                            coords[j] += c * g_d[j]
+                row.extend(v % p for v in coords)
+            rows.append(tuple(row))
+    return shift, rows
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The field F_q, q = p^e, with its fixed modulus and cached tables."""
@@ -156,6 +260,12 @@ class FieldSpec:
 
     def from_field(self, a: "FqElem") -> "FqElem":
         return a
+
+    def truncated_product(self, a, b, n: int) -> list:
+        """The first n coefficients of (sum a_i t^i)(sum b_j t^j)."""
+        shift, rows = _kronecker_product(self, 1, [x.coords for x in a], [y.coords for y in b], n)
+        zero = self.zero()
+        return [zero] * shift + [FqElem(self, r) for r in rows] + [zero] * (n - shift - len(rows))
 
     # -- cached structure tables ------------------------------------
 
@@ -208,9 +318,11 @@ def _field_tables(spec: FieldSpec):
             generator = a
             break
     dlog = {}
+    powers = []
     x = one
     for k in range(spec.q - 1):
         dlog[x.coords] = k
+        powers.append(x)
         x = x * generator
     # Artin-Schreier operator u -> u^p - u at the residue level
     preimages: dict = {}
@@ -222,7 +334,7 @@ def _field_tables(spec: FieldSpec):
     for a in elems:
         rep = spec.from_index(min((a + w).index for w in image_elems))
         transversal[a.coords] = rep
-    return generator, dlog, {k: tuple(v) for k, v in preimages.items()}, transversal
+    return generator, dlog, {k: tuple(v) for k, v in preimages.items()}, transversal, powers
 
 
 class _RingElem:
@@ -368,14 +480,26 @@ def nth_power_class(c: FqElem, n: int) -> int:
 
 
 def canonical_nth_root(c: FqElem, n: int) -> FqElem:
-    """The smallest r (enumeration order) with r^n = c; DomainError if none."""
-    best = None
-    for r in c.spec.elements():
-        if r**n == c and (best is None or r.index < best.index):
-            best = r
-    if best is None:
+    """The smallest r (enumeration order) with r^n = c; DomainError if none.
+
+    With c = h^L for the fixed generator h, the roots are the h^k with
+    n k = L (mod q-1): none unless d = gcd(n, q-1) divides L, else the d
+    exponents k0 + j (q-1)/d.
+    """
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if c.is_zero():
+        return c
+    spec = c.spec
+    order = spec.q - 1
+    d = math.gcd(n, order)
+    log = spec.dlog(c)
+    if log % d:
         raise DomainError(f"{c} is not an n-th power for n = {n}")
-    return best
+    step = order // d
+    k0 = log // d * pow(n // d, -1, step)
+    powers = _field_tables(spec)[4]
+    return min((powers[(k0 + j * step) % order] for j in range(d)), key=lambda r: r.index)
 
 
 def nth_roots_of_unity(spec: FieldSpec, n: int):
@@ -429,6 +553,18 @@ class TestRingSpec:
     def elements(self):
         return [self.from_index(i) for i in range(self.base.q**self.m)]
 
+    def truncated_product(self, a, b, n: int) -> list:
+        """The first n coefficients of (sum a_i t^i)(sum b_j t^j)."""
+        base, e, m = self.base, self.base.e, self.m
+        digits = [_ring_digits(x) for x in a], [_ring_digits(y) for y in b]
+        shift, rows = _kronecker_product(base, m, *digits, n)
+        zero = self.zero()
+        out = [
+            TestRingElem(self, tuple(FqElem(base, r[i * e : (i + 1) * e]) for i in range(m)))
+            for r in rows
+        ]
+        return [zero] * shift + out + [zero] * (n - shift - len(out))
+
     def x(self) -> "TestRingElem":
         if self.m < 2:
             raise DomainError("x = 0 in a test ring with m = 1")
@@ -438,6 +574,11 @@ class TestRingSpec:
 
     def __repr__(self):
         return f"{self.base!r}[x]/(x^{self.m})"
+
+
+def _ring_digits(x: "TestRingElem") -> tuple:
+    """The m*e F_p digits of a test-ring element, x-major."""
+    return tuple(d for c in x.coords for d in c.coords)
 
 
 @lru_cache(maxsize=None)

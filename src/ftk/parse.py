@@ -59,7 +59,9 @@ class _Scanner:
 
 
 def _parse_g_monomial(sc: _Scanner, spec: FieldSpec) -> FqElem:
-    """[int] ['g' ['^' exp]]: one summand of a g-polynomial."""
+    """[int] ['g' ['^' exp]]: one summand of a g-polynomial, never empty."""
+    if not (sc.peek().isdigit() or sc.peek() == "g"):
+        raise ParseError("empty summand", sc.pos)
     c = 1
     if sc.peek().isdigit():
         c = sc.integer()

@@ -11,6 +11,26 @@ Normalisation: a nonzero series has a nonzero lowest stored coefficient
 (over a test ring that coefficient may be a nilpotent unit-less element,
 but never the ring zero).  The zero-to-precision series stores an empty
 coefficient tuple and val = 0, keeping equality of equal series syntactic.
+
+Products go through the ring's ``truncated_product``: the first n
+coefficients of the product of two coefficient windows, by Kronecker
+substitution.  Each coefficient's F_p digits are packed into slots of one
+Python int, a slot wide enough for the largest possible sum,
+min(len) * m * e * (p-1)^2 over F_q[x]/(x^m) with q = p^e (m = 1 over a
+field); one big-int multiply does the convolution, and unpacking reduces
+mod p and the field modulus and drops the x-degrees >= m.
+
+Inverses and Hensel roots of unit-led windows are Newton iterations that
+double the window: h <- h(2 - a h) and g <- g - (g^n - a)/(n g^(n-1)) turn
+an answer correct mod t^w into one correct mod t^2w, so the cost is a few
+products at the full window.  They return the same series as iterating on
+the full window: the inverse of a unit-led series is unique, and so is its
+n-th root with a given leading coefficient, mod t^prec, because n is
+invertible (if g^n = h^n with g/h = 1 + w, w in tR[[t]], then
+w (n + binom(n, 2) w + ...) = 0 and the second factor is a unit).  A
+test-ring series with a nilpotent head below t^0 loses precision in every
+product, so its root keeps full-window Newton steps, whose window is the
+one the result can certify.
 """
 
 from __future__ import annotations
@@ -130,18 +150,7 @@ class LaurentSeries:
         if self.is_zero() or other.is_zero():
             return LaurentSeries.zero(self.ring, prec)
         lo = self.val + other.val
-        zero = self.ring.zero()
-        out = [zero] * (prec - lo)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            ea = self.val + i
-            for j, b in enumerate(other.coeffs):
-                e = ea + other.val + j
-                if e >= prec:
-                    break
-                if not b.is_zero():
-                    out[e - lo] = out[e - lo] + a * b
+        out = self.ring.truncated_product(self.coeffs, other.coeffs, prec - lo)
         return LaurentSeries.make(self.ring, lo, prec, out)
 
     def scale(self, elem) -> "LaurentSeries":
@@ -213,16 +222,20 @@ class LaurentSeries:
 
     @staticmethod
     def _invert_unit_led(ring, coeffs):
-        """Inverse of sum coeffs[k] t^k with coeffs[0] a unit, same length."""
-        c0_inv = coeffs[0].inverse()
-        n = len(coeffs)
-        out = [c0_inv] + [ring.zero()] * (n - 1)
-        for k in range(1, n):
-            s = ring.zero()
-            for j in range(1, k + 1):
-                s = s + coeffs[j] * out[k - j]
-            out[k] = -(c0_inv * s)
-        return out
+        """Inverse of sum coeffs[k] t^k with coeffs[0] a unit, same length.
+
+        Newton h <- h(2 - a h), doubling the window: if a h = 1 + t^w E
+        mod t^2w, then h(1 - t^w E) is the inverse mod t^2w.
+        """
+        size = len(coeffs)
+        h = [coeffs[0].inverse()]
+        w = 1
+        while w < size:
+            top = min(2 * w, size)
+            err = ring.truncated_product(coeffs[:top], h, top)[w:]
+            h += [-c for c in ring.truncated_product(h, err, top - w)]
+            w = top
+        return h
 
     # -- order functions ------------------------------------------------
 
@@ -336,7 +349,9 @@ class LaurentSeries:
 
         The leading coefficient of g is the canonical (smallest) n-th root
         of the leading coefficient; the rest is Newton iteration, which
-        converges quadratically since n is invertible.
+        converges quadratically since n is invertible.  The result is
+        certified: PrecisionExhausted names the window and the first
+        exponent where g^n and self differ.
         """
         if math.gcd(n, self.ring.p) != 1:
             raise DomainError("n must be invertible: gcd(n, p) = 1")
@@ -351,15 +366,35 @@ class LaurentSeries:
                 r0 = r0 - (r0**n - lead) * (n_elem * r0 ** (n - 1)).inverse()
             if r0**n != lead:
                 raise DomainError("leading coefficient is not an n-th power")
+        if self.val == 0:
+            g = LaurentSeries.make(
+                self.ring, 0, self.prec, _root_unit_led(self.ring, self.coeffs, r0, n)
+            )
+        else:
+            g = self._newton_full_window(r0, n)
+        err = g**n - self
+        if not err.is_zero():
+            raise PrecisionExhausted(
+                f"{n}-th root not certified mod t^{self.prec}: "
+                f"g^{n} - self is nonzero at t^{err.val}"
+            )
+        return g
+
+    def _newton_full_window(self, r0, n: int) -> "LaurentSeries":
+        """Newton steps g <- g - (g^n - self)/(n g^(n-1)) on the whole window.
+
+        Only a test-ring series with a nilpotent head below t^0 gets here.
+        Every product with that head loses precision, so the window cannot
+        double; the steps keep the window their own products certify.
+        """
         g = LaurentSeries.constant(r0, self.prec)
         n_scalar = self.ring.from_int(n)
         for _ in range(self.prec.bit_length() + 3):
             err = g**n - self
             if err.is_zero():
-                return g
-            deriv = (g ** (n - 1)).scale(n_scalar)
-            g = g - err * deriv.invert()
-        raise PrecisionExhausted("Newton iteration failed to converge")
+                break
+            g = g - err * (g ** (n - 1)).scale(n_scalar).invert()
+        return g
 
     # -- constancy checks ------------------------------------------------
 
@@ -415,6 +450,39 @@ class PartsDecomposition:
     def reassemble(self) -> LaurentSeries:
         const = LaurentSeries.constant(self.constant, self.negative.prec)
         return self.negative + const + self.positive
+
+
+def _power(ring, g: list, k: int, size: int) -> list:
+    """g^k mod t^size for a coefficient list g (constant first), k >= 0."""
+    result = [ring.one()]
+    while k:
+        if k & 1:
+            result = ring.truncated_product(result, g, size)
+        k >>= 1
+        if k:
+            g = ring.truncated_product(g, g, size)
+    return result
+
+
+def _root_unit_led(ring, coeffs, r0, n: int) -> list:
+    """The g with g^n = sum coeffs[k] t^k and g_0 = r0, same length.
+
+    r0^n = coeffs[0] with r0 a unit.  Newton g <- g - (g^n - a)/(n g^(n-1)),
+    doubling the window: if g is the root mod t^w, then g^n - a = t^w E and
+    the step only needs (g^(n-1))^-1 mod t^w to make g the root mod t^2w.
+    """
+    size = len(coeffs)
+    minus_inv_n = -pow(n, -1, ring.p)
+    g = [r0]
+    w = 1
+    while w < size:
+        top = min(2 * w, size)
+        g_pow = _power(ring, g, n - 1, top)
+        err = [x - c for x, c in zip(ring.truncated_product(g_pow, g, top)[w:], coeffs[w:top])]
+        inv = LaurentSeries._invert_unit_led(ring, g_pow[: top - w])
+        g += [c.scale(minus_inv_n) for c in ring.truncated_product(err, inv, top - w)]
+        w = top
+    return g
 
 
 def default_prec(break_bound: int) -> int:

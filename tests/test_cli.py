@@ -195,6 +195,13 @@ def test_parse_error_exit_code(capsys):
     assert code == 1
 
 
+def test_dangling_sign_exit_code(capsys):
+    code = main(["as-canon", "--p", "2", "--series", "t^-3 +"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "empty summand (at offset 6)" in captured.err
+
+
 def test_coefficient_not_in_ring_exit_code(capsys):
     code, _ = run_cli(capsys, "as-canon", "--p", "5", "--series", "g*t")
     assert code == 1

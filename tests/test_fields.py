@@ -141,6 +141,25 @@ def test_canonical_nth_root():
         canonical_nth_root(F5.from_int(2), 4)  # 2 is not a 4th power
 
 
+@pytest.mark.parametrize(
+    "p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8)]
+)
+def test_canonical_nth_root_matches_the_scan(p, e):
+    # the discrete-log solve against the smallest r with r^n = c, found by
+    # raising every element to the n-th power
+    spec = field(p, e)
+    for n in range(1, 13):
+        smallest = {}
+        for r in spec.elements():
+            smallest.setdefault(r**n, r)
+        for c in spec.elements():
+            if c in smallest:
+                assert canonical_nth_root(c, n) == smallest[c]
+            else:
+                with pytest.raises(DomainError):
+                    canonical_nth_root(c, n)
+
+
 def test_roots_of_unity_counts():
     import math
 

@@ -56,6 +56,16 @@ def test_minus_signs():
     }
 
 
+@pytest.mark.parametrize(
+    "text, offset", [("t^-3 +", 6), ("2*t -", 5), ("t + -1", 4), ("(g+)*t", 3), ("(+g)*t", 1)]
+)
+def test_empty_summand_is_an_error(text, offset):
+    # a dangling sign leaves an empty summand, which is not the coefficient 1
+    with pytest.raises(ParseError) as exc:
+        parse_series(text, F4 if "g" in text else F5)
+    assert exc.value.offset == offset
+
+
 def test_repeated_exponent_accumulates():
     s = parse_series("t + t + t", F5)
     assert s.support() == {1: F5.from_int(3)}

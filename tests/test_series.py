@@ -281,6 +281,23 @@ class TestNthRootUnit:
         with pytest.raises(DomainError):
             a.nth_root_unit(3)
 
+    def test_uncertified_root_names_its_window(self, monkeypatch):
+        # a Newton root that is wrong at t^5 fails the g^n = self check
+        import ftk.series
+
+        real = ftk.series._root_unit_led
+
+        def spoiled(ring, coeffs, r0, n):
+            g = real(ring, coeffs, r0, n)
+            g[5] = g[5] + ring.one()
+            return g
+
+        monkeypatch.setattr(ftk.series, "_root_unit_led", spoiled)
+        a = L.constant(F5.one(), 20) + L.monomial(F5.one(), 1, 20)
+        with pytest.raises(PrecisionExhausted) as exc:
+            a.nth_root_unit(4)
+        assert str(exc.value) == "4-th root not certified mod t^20: g^4 - self is nonzero at t^5"
+
     def test_non_power_leading_coefficient_rejected(self):
         a = L.constant(F5.from_int(2), 6)  # 2 is not a 4th power mod 5
         with pytest.raises(DomainError):
