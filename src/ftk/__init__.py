@@ -23,9 +23,7 @@ from .fields import (
     TestRingSpec,
     as_residue_solve,
     field,
-    frobenius,
     nth_power_class,
-    pth_root,
     test_ring,
 )
 from .series import (
@@ -36,7 +34,6 @@ from .series import (
 from .artin_schreier import (
     ASCanonical,
     ASWitness,
-    as_break,
     as_canonicalize,
     as_iso_witness,
     as_moduli_point,
@@ -48,7 +45,6 @@ from .artin_schreier import (
 from .kummer import (
     KummerClass,
     enumerate_kummer_classes,
-    kummer_automorphisms,
     kummer_canonicalize,
     kummer_iso_witness,
 )

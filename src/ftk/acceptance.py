@@ -20,6 +20,7 @@ from .fields import field, test_ring
 from .groupoids import (
     CentralAutSubgroup,
     FinGroup,
+    FiniteGroupoid,
     IndPoint,
     SetSystem,
     SystemMap,
@@ -29,6 +30,7 @@ from .groupoids import (
     product_groupoid,
     quotient_functor,
     rigidify,
+    _table,
 )
 from .kummer import enumerate_kummer_classes, kummer_iso_witness
 from .semidirect import (
@@ -221,29 +223,20 @@ def _random_free_central_pair(rng):
     n_components = rng.randrange(1, 4)
     objects = []
     homs = {}
-    compose = {}
-    identities = {}
+    group_of = {}
     subgroups = {}
     for ci in range(n_components):
         grp, sub = component_pool[rng.randrange(len(component_pool))]
-        n_objs = rng.randrange(1, 3)
-        names = [f"c{ci}o{k}" for k in range(n_objs)]
+        names = [f"c{ci}o{k}" for k in range(rng.randrange(1, 3))]
         objects.extend(names)
         # connected component with hom(x, y) = group elements
         for x in names:
-            identities[x] = grp.identity
+            group_of[x] = grp
             subgroups[x] = frozenset(sub)
-            for y in names:
-                homs[(x, y)] = tuple(grp.elements)
-        for x in names:
-            for y in names:
-                for z in names:
-                    for f in grp.elements:
-                        for g in grp.elements:
-                            compose[(x, y, z, f, g)] = grp.mul(g, f)
-    from .groupoids import FiniteGroupoid
-
-    g = FiniteGroupoid.build(tuple(objects), homs, compose, identities, _trusted=True)
+            homs.update({(x, y): grp.elements for y in names})
+    compose = _table(homs, lambda x, y, z, f, g: group_of[x].mul(g, f))
+    identities = {x: group_of[x].identity for x in objects}
+    g = FiniteGroupoid.build(objects, homs, compose, identities)
     return g, CentralAutSubgroup(subgroups), h_order
 
 

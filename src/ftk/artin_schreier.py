@@ -156,10 +156,6 @@ def as_iso_witness(c: LaurentSeries, d: LaurentSeries):
     return ASWitness(u_c - u_d)
 
 
-def as_break(f: ASCanonical):
-    return f.break_
-
-
 def as_moduli_point(f: ASCanonical):
     """The point of the Frobenius-twisted colimit at the minimal level that
     shows the whole support.  The constant class is not part of the point."""

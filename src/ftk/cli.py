@@ -74,9 +74,13 @@ def _census_rows(entries):
     return rows
 
 
-def _load_groupoid(path: str) -> FiniteGroupoid:
+def _load_json(path: str):
+    """The JSON value a file holds; ParseError if its text is not JSON."""
     with open(path, encoding="utf-8") as fh:
-        return FiniteGroupoid.from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path} is not JSON: {exc}") from None
 
 
 def _cmd_as_canon(args):
@@ -215,15 +219,18 @@ def _cmd_semidirect_enum(args):
 
 
 def _cmd_mass(args):
-    g = _load_groupoid(args.groupoid)
+    g = FiniteGroupoid.from_json(_load_json(args.groupoid))
     _emit({"mass": str(groupoid_mass(g))})
     return 0
 
 
 def _cmd_rigidify(args):
-    g = _load_groupoid(args.groupoid)
-    with open(args.subgroup, encoding="utf-8") as fh:
-        sub_data = json.load(fh)
+    g = FiniteGroupoid.from_json(_load_json(args.groupoid))
+    sub_data = _load_json(args.subgroup)
+    if not isinstance(sub_data, dict) or not all(
+        isinstance(v, list) and all(isinstance(a, str) for a in v) for v in sub_data.values()
+    ):
+        raise DomainError("a subgroup file maps each object to a list of arrow labels")
     sub = CentralAutSubgroup({x: frozenset(v) for x, v in sub_data.items()})
     _emit(rigidify(g, sub).to_json())
     return 0
@@ -361,7 +368,7 @@ def main(argv=None) -> int:
     except FtkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -452,14 +452,6 @@ class FqElem(_RingElem):
 # -- spec-level operations ------------------------------------------
 
 
-def frobenius(a: FqElem) -> FqElem:
-    return a.frobenius()
-
-
-def pth_root(a: FqElem) -> FqElem:
-    return a.pth_root()
-
-
 def as_residue_solve(c: FqElem):
     """All u in F_q with u^p - u = c.  Empty or of size exactly p."""
     return c.spec.wp_preimages(c)
@@ -503,8 +495,12 @@ def canonical_nth_root(c: FqElem, n: int) -> FqElem:
 
 
 def nth_roots_of_unity(spec: FieldSpec, n: int):
-    """All xi in F_q with xi^n = 1; there are gcd(n, q-1) of them."""
-    return [a for a in spec.elements() if not a.is_zero() and a**n == spec.one()]
+    """All xi in F_q with xi^n = 1, in index order: the d = gcd(n, q-1)
+    powers h^(j (q-1)/d) of the fixed generator h."""
+    order = spec.q - 1
+    d = math.gcd(n, order)
+    powers = _field_tables(spec)[4]
+    return sorted((powers[j * (order // d)] for j in range(d)), key=lambda a: a.index)
 
 
 def canonical_wp_shift(c: FqElem):

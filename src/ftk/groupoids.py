@@ -10,9 +10,11 @@ level; the canonical representative is the level-minimal one, reachable
 because coefficient p-th roots exist over a perfect field.
 
 Groupoids are finite and explicit (objects, hom-sets of labelled arrows,
-a composition table); constructors validate the axioms.  Everything here
-is a verification harness, so constructors refuse inputs beyond 64
-objects or 4096 arrows.
+a composition table).  Composition tables are built from rules over the
+composable pairs of hom-sets (_composable, _table), and every constructor,
+FinGroup.from_table included, validates the axioms.  Everything here is a
+verification harness, so constructors refuse inputs beyond 64 objects,
+4096 arrows or 5,000,000 composable triples (groups of order 171 or more).
 """
 
 from __future__ import annotations
@@ -144,6 +146,29 @@ def _rep_of(classes) -> dict:
     return {key: rep for rep, members in classes.items() for key in members}
 
 
+def _composable(homs, after=None):
+    """(x, y, z, fs, gs) for every hom-set fs: x -> y of homs and gs: y -> z
+    of after (default homs), in the order of homs; after is indexed by
+    source once."""
+    out_of: dict = {}
+    for (y, z), gs in (homs if after is None else after).items():
+        out_of.setdefault(y, []).append((z, gs))
+    for (x, y), fs in homs.items():
+        for z, gs in out_of.get(y, ()):
+            yield x, y, z, fs, gs
+
+
+def _table(homs, rule) -> dict:
+    """The composition table {(x, y, z, f, g): rule(x, y, z, f, g)} over
+    every composable pair of arrows f: x -> y, g: y -> z."""
+    return {
+        (x, y, z, f, g): rule(x, y, z, f, g)
+        for x, y, z, fs, gs in _composable(homs)
+        for f in fs
+        for g in gs
+    }
+
+
 # -- finite groups ------------------------------------------------------
 
 
@@ -157,29 +182,17 @@ class FinGroup:
 
     @staticmethod
     def from_table(elements, mul, identity) -> "FinGroup":
-        elements = tuple(elements)
-        table = dict(mul)
-        g = FinGroup(elements, table, identity)
-        for a in elements:
-            if table[(identity, a)] != a or table[(a, identity)] != a:
-                raise DomainError("identity is not neutral")
-            if not any(table[(a, b)] == identity for b in elements):
-                raise DomainError("missing inverse")
-        for a in elements:
-            for b in elements:
-                for c in elements:
-                    if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
-                        raise DomainError("multiplication is not associative")
+        """The group laws are checked as the groupoid laws of B G, so a
+        group beyond the groupoid caps (order 171 or more) is refused."""
+        g = FinGroup(tuple(elements), dict(mul), identity)
+        bg(g)
         return g
 
     def mul(self, a, b):
         return self.table[(a, b)]
 
     def inv(self, a):
-        for b in self.elements:
-            if self.mul(a, b) == self.identity:
-                return b
-        raise DomainError("no inverse (not a group)")
+        return next(b for b in self.elements if self.mul(a, b) == self.identity)
 
     def order(self) -> int:
         return len(self.elements)
@@ -308,7 +321,7 @@ class FiniteGroupoid:
     identities: dict  # x -> label in homs[(x, x)]
 
     @staticmethod
-    def build(objects, homs, compose, identities, _trusted=False) -> "FiniteGroupoid":
+    def build(objects, homs, compose, identities) -> "FiniteGroupoid":
         objects = tuple(objects)
         homs = {k: tuple(v) for k, v in homs.items() if v}
         g = FiniteGroupoid(objects, homs, dict(compose), dict(identities))
@@ -317,8 +330,7 @@ class FiniteGroupoid:
         n_arrows = sum(len(v) for v in homs.values())
         if n_arrows > MAX_ARROWS:
             raise DomainError(f"more than {MAX_ARROWS} arrows")
-        if not _trusted:
-            g._validate()
+        g._validate()
         return g
 
     def hom(self, x, y):
@@ -328,63 +340,52 @@ class FiniteGroupoid:
         """g o f for f: x -> y, g: y -> z."""
         return self.compose[(x, y, z, f, g)]
 
+    def inverse(self, x, y, f):
+        """The two-sided inverse of f: x -> y."""
+        for h in self.hom(y, x):
+            if (
+                self.comp(x, y, x, f, h) == self.identities[x]
+                and self.comp(y, x, y, h, f) == self.identities[y]
+            ):
+                return h
+        raise DomainError("arrow without a two-sided inverse")
+
     def _validate(self):
+        objects = set(self.objects)
+        if any(x not in objects or y not in objects for x, y in self.homs):
+            raise DomainError("hom-set between objects that are not listed")
         for x in self.objects:
             if self.identities.get(x) not in self.hom(x, x):
                 raise DomainError(f"object {x!r} has no identity arrow")
-        # composition closed and defined everywhere
-        for (x, y), fs in self.homs.items():
-            for (y2, z), gs in self.homs.items():
-                if y != y2:
-                    continue
-                for f in fs:
-                    for g in gs:
-                        h = self.compose.get((x, y, z, f, g))
-                        if h is None or h not in self.hom(x, z):
-                            raise DomainError("composition table incomplete")
-        # identity neutral
+        # composition closed and defined everywhere; paths[(x, z)] lists
+        # the composable pairs (y, f, g, g o f)
+        paths: dict = {}
+        for x, y, z, fs, gs in _composable(self.homs):
+            row = paths.setdefault((x, z), [])
+            for f in fs:
+                for g in gs:
+                    h = self.compose.get((x, y, z, f, g))
+                    if h is None or h not in self.hom(x, z):
+                        raise DomainError("composition table incomplete")
+                    row.append((y, f, g, h))
+        # identities neutral, every arrow invertible
         for (x, y), fs in self.homs.items():
             for f in fs:
                 if self.comp(x, x, y, self.identities[x], f) != f:
                     raise DomainError("identity not right-neutral")
                 if self.comp(x, y, y, f, self.identities[y]) != f:
                     raise DomainError("identity not left-neutral")
-        # inverses
-        for (x, y), fs in self.homs.items():
-            for f in fs:
-                if not any(
-                    self.comp(x, y, x, f, g) == self.identities[x]
-                    and self.comp(y, x, y, g, f) == self.identities[y]
-                    for g in self.hom(y, x)
-                ):
-                    raise DomainError("arrow without a two-sided inverse")
-        # associativity, budgeted
-        triples = 0
-        for (w, x), fs in self.homs.items():
-            for (x2, y), gs in self.homs.items():
-                if x2 != x:
-                    continue
-                for (y2, z), hs in self.homs.items():
-                    if y2 != y:
-                        continue
-                    triples += len(fs) * len(gs) * len(hs)
-        if triples > _ASSOC_BUDGET:
+                self.inverse(x, y, f)
+        # associativity, budgeted: k o (g o f) = (k o g) o f
+        triples = list(_composable(paths, self.homs))
+        if sum(len(ps) * len(ks) for *_, ps, ks in triples) > _ASSOC_BUDGET:
             raise DomainError("groupoid too large to validate associativity")
-        for (w, x), fs in self.homs.items():
-            for (x2, y), gs in self.homs.items():
-                if x2 != x:
-                    continue
-                for (y2, z), hs in self.homs.items():
-                    if y2 != y:
-                        continue
-                    for f in fs:
-                        for g in gs:
-                            gf = self.comp(w, x, y, f, g)
-                            for h in hs:
-                                if self.comp(w, y, z, gf, h) != self.comp(
-                                    w, x, z, f, self.comp(x, y, z, g, h)
-                                ):
-                                    raise DomainError("composition not associative")
+        c = self.compose
+        for w, y, z, ps, ks in triples:
+            for x, f, g, gf in ps:
+                for k in ks:
+                    if c[(w, y, z, gf, k)] != c[(w, x, z, f, c[(x, y, z, g, k)])]:
+                        raise DomainError("composition not associative")
 
     # -- invariants -----------------------------------------------------
 
@@ -420,52 +421,53 @@ class FiniteGroupoid:
             "homs": {f"{s(x)}|{s(y)}": [s(f) for f in fs] for (x, y), fs in self.homs.items()},
             "compose": {
                 f"{s(x)}|{s(y)}|{s(z)}": {
-                    f"{s(f)}|{s(g)}": s(self.comp(x, y, z, f, g))
-                    for f in self.hom(x, y)
-                    for g in self.hom(y, z)
+                    f"{s(f)}|{s(g)}": s(self.comp(x, y, z, f, g)) for f in fs for g in gs
                 }
-                for x in self.objects
-                for y in self.objects
-                for z in self.objects
-                if self.hom(x, y) and self.hom(y, z)
+                for x, y, z, fs, gs in _composable(self.homs)
             },
         }
 
     @staticmethod
     def from_json(data: dict) -> "FiniteGroupoid":
-        objects = tuple(data["objects"])
-        if any("|" in str(x) for x in objects):
+        """The groupoid of a to_json record; DomainError for JSON of any
+        other shape."""
+
+        def split(key, n):
+            parts = key.split("|")
+            if len(parts) != n:
+                raise ValueError(f"{key!r} is not {n} names joined by '|'")
+            return tuple(parts)
+
+        try:
+            objects = tuple(data["objects"])
+            homs = {split(key, 2): tuple(labels) for key, labels in data["homs"].items()}
+            compose = {
+                split(key, 3) + split(fg, 2): h
+                for key, table in data.get("compose", {}).items()
+                for fg, h in table.items()
+            }
+            identities = dict(data["identities"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DomainError(f"not a groupoid record ({type(exc).__name__}: {exc})") from None
+        names = [*objects, *identities.values(), *compose.values(), *itertools.chain(*homs.values())]
+        if not all(isinstance(a, str) for a in names):
+            raise DomainError("groupoid objects and arrows must be strings")
+        if any("|" in x for x in objects):
             raise DomainError("object names must not contain '|'")
-        homs = {}
-        for key, labels in data["homs"].items():
-            x, y = key.split("|")
-            homs[(x, y)] = tuple(labels)
-        compose = {}
-        for key, table in data.get("compose", {}).items():
-            x, y, z = key.split("|")
-            for fg, h in table.items():
-                f, g = fg.split("|")
-                compose[(x, y, z, f, g)] = h
-        identities = dict(data["identities"])
         return FiniteGroupoid.build(objects, homs, compose, identities)
 
 
 def bg(group: FinGroup) -> FiniteGroupoid:
     """B G: one object whose automorphisms are G (composition g o f = gf)."""
-    obj = "*"
-    homs = {(obj, obj): tuple(group.elements)}
-    compose = {
-        (obj, obj, obj, f, g): group.mul(g, f)
-        for f in group.elements
-        for g in group.elements
-    }
-    return FiniteGroupoid.build((obj,), homs, compose, {obj: group.identity}, _trusted=True)
+    homs = {("*", "*"): group.elements}
+    compose = _table(homs, lambda x, y, z, f, g: group.table.get((g, f)))
+    return FiniteGroupoid.build(("*",), homs, compose, {"*": group.identity})
 
 
 def discrete_groupoid(k: int) -> FiniteGroupoid:
     objects = tuple(range(k))
     homs = {(x, x): ("id",) for x in objects}
-    compose = {(x, x, x, "id", "id"): "id" for x in objects}
+    compose = _table(homs, lambda *_: "id")
     return FiniteGroupoid.build(objects, homs, compose, {x: "id" for x in objects})
 
 
@@ -477,15 +479,7 @@ def action_groupoid(group: FinGroup, points, act) -> FiniteGroupoid:
         for g in group.elements:
             y = act(g, x)
             homs.setdefault((x, y), []).append(g)
-    homs = {k: tuple(v) for k, v in homs.items()}
-    compose = {}
-    for (x, y), fs in homs.items():
-        for (y2, z), gs in homs.items():
-            if y2 != y:
-                continue
-            for f in fs:
-                for g in gs:
-                    compose[(x, y, z, f, g)] = group.mul(g, f)
+    compose = _table(homs, lambda x, y, z, f, g: group.mul(g, f))
     identities = {x: group.identity for x in points}
     return FiniteGroupoid.build(points, homs, compose, identities)
 
@@ -521,10 +515,7 @@ class CentralAutSubgroup:
             hy = self.subgroups[y]
             hx = self.subgroups[x]
             for f in fs:
-                f_inv = next(
-                    h for h in g.hom(y, x)
-                    if g.comp(x, y, x, f, h) == g.identities[x]
-                )
+                f_inv = g.inverse(x, y, f)
                 for a in hx:
                     conj = g.comp(y, x, y, f_inv, g.comp(x, x, y, a, f))
                     if conj not in hy:
@@ -554,15 +545,9 @@ def rigidify(g: FiniteGroupoid, h: CentralAutSubgroup) -> FiniteGroupoid:
             if o not in labels:
                 labels.append(o)
         new_homs[(x, y)] = tuple(labels)
-    new_compose = {}
-    for (x, y), fs in new_homs.items():
-        for (y2, z), gs in new_homs.items():
-            if y2 != y:
-                continue
-            for fo in fs:
-                for go in gs:
-                    rep = g.comp(x, y, z, fo[0], go[0])
-                    new_compose[(x, y, z, fo, go)] = orbit_of[(x, z, rep)]
+    new_compose = _table(
+        new_homs, lambda x, y, z, fo, go: orbit_of[(x, z, g.comp(x, y, z, fo[0], go[0]))]
+    )
     new_ids = {x: orbit_of[(x, x, g.identities[x])] for x in g.objects}
     return FiniteGroupoid.build(g.objects, new_homs, new_compose, new_ids)
 
@@ -592,22 +577,16 @@ class GroupoidFunctor:
                 != self.dst.identities[self.obj_map[x]]
             ):
                 raise DomainError("functor does not preserve identities")
-        for (x, y), fs in self.src.homs.items():
-            for (y2, z), gs in self.src.homs.items():
-                if y2 != y:
-                    continue
-                for f in fs:
-                    for g in gs:
-                        lhs = self.arrow_map[(x, z, self.src.comp(x, y, z, f, g))]
-                        rhs = self.dst.comp(
-                            self.obj_map[x],
-                            self.obj_map[y],
-                            self.obj_map[z],
-                            self.arrow_map[(x, y, f)],
-                            self.arrow_map[(y, z, g)],
-                        )
-                        if lhs != rhs:
-                            raise DomainError("functor does not preserve composition")
+        for x, y, z, fs, gs in _composable(self.src.homs):
+            fx, fy, fz = self.obj_map[x], self.obj_map[y], self.obj_map[z]
+            for f in fs:
+                for g in gs:
+                    lhs = self.arrow_map[(x, z, self.src.comp(x, y, z, f, g))]
+                    rhs = self.dst.comp(
+                        fx, fy, fz, self.arrow_map[(x, y, f)], self.arrow_map[(y, z, g)]
+                    )
+                    if lhs != rhs:
+                        raise DomainError("functor does not preserve composition")
         return self
 
 
@@ -658,17 +637,10 @@ def groupoid_fiber_product(F: GroupoidFunctor, K: GroupoidFunctor) -> FiniteGrou
                         labels.append((f, g))
             if labels:
                 homs[((x, y, alpha), (x2, y2, alpha2))] = tuple(labels)
-    compose = {}
-    for (a, b), fs in homs.items():
-        for (b2, c), gs in homs.items():
-            if b2 != b:
-                continue
-            for (f1, g1) in fs:
-                for (f2, g2) in gs:
-                    compose[(a, b, c, (f1, g1), (f2, g2))] = (
-                        F.src.comp(a[0], b[0], c[0], f1, f2),
-                        K.src.comp(a[1], b[1], c[1], g1, g2),
-                    )
+    compose = _table(homs, lambda a, b, c, fg1, fg2: (
+        F.src.comp(a[0], b[0], c[0], fg1[0], fg2[0]),
+        K.src.comp(a[1], b[1], c[1], fg1[1], fg2[1]),
+    ))
     identities = {
         (x, y, alpha): (F.src.identities[x], K.src.identities[y])
         for (x, y, alpha) in objects
@@ -679,15 +651,12 @@ def groupoid_fiber_product(F: GroupoidFunctor, K: GroupoidFunctor) -> FiniteGrou
 def product_groupoid(a: FiniteGroupoid, b: FiniteGroupoid) -> FiniteGroupoid:
     """a x b, the fiber product over the point."""
     point = discrete_groupoid(1)
-    fa = GroupoidFunctor(
-        a, point, {x: 0 for x in a.objects},
-        {(x, y, f): "id" for (x, y), fs in a.homs.items() for f in fs},
-    ).validate()
-    fb = GroupoidFunctor(
-        b, point, {x: 0 for x in b.objects},
-        {(x, y, f): "id" for (x, y), fs in b.homs.items() for f in fs},
-    ).validate()
-    return groupoid_fiber_product(fa, fb)
+
+    def to_point(g):
+        arrows = {(x, y, f): "id" for (x, y), fs in g.homs.items() for f in fs}
+        return GroupoidFunctor(g, point, {x: 0 for x in g.objects}, arrows)
+
+    return groupoid_fiber_product(to_point(a), to_point(b))
 
 
 # -- direct systems of finite sets and the colimit commutation check ------

@@ -17,7 +17,6 @@ from .fields import (
     FieldSpec,
     canonical_nth_root,
     nth_power_class,
-    nth_roots_of_unity,
 )
 from .series import LaurentSeries
 
@@ -94,11 +93,6 @@ def kummer_iso_witness(b: LaurentSeries, b2: LaurentSeries, n: int):
     root = ratio.nth_root_unit(n)
     u = root.scale(const_root).shift(k)
     return u
-
-
-def kummer_automorphisms(spec: FieldSpec, n: int):
-    """mu_n(F_q): all xi with xi^n = 1; there are gcd(n, q-1)."""
-    return nth_roots_of_unity(spec, n)
 
 
 def enumerate_kummer_classes(spec: FieldSpec, n: int):

@@ -14,7 +14,7 @@ field literals may omit them).  Errors carry character offsets.
 from __future__ import annotations
 
 from .errors import ParseError
-from .fields import FieldSpec, FqElem, TestRingSpec
+from .fields import FieldSpec, FqElem
 from .series import LaurentSeries
 
 
@@ -65,7 +65,9 @@ def _parse_g_monomial(sc: _Scanner, spec: FieldSpec) -> FqElem:
     c = 1
     if sc.peek().isdigit():
         c = sc.integer()
-        sc.take("*")
+        mark = sc.pos
+        if sc.take("*") and sc.peek() != "g":
+            sc.pos = mark  # a '*' before anything but g is the term's
     if sc.peek() == "g":
         sc.pos += 1
         e = 1
@@ -167,30 +169,3 @@ def parse_series(text: str, spec: FieldSpec, prec: int = None) -> LaurentSeries:
 def render_series(s: LaurentSeries) -> str:
     """Inverse of parse_series on the support (precision not encoded)."""
     return str(s)
-
-
-def series_to_json(s: LaurentSeries) -> dict:
-    """JSON record of a series, with the precision window stored absolutely.
-
-    - ``ring``: ``{"p", "e"}`` of the base field, plus ``"m"`` when the
-      series lives over a TestRingSpec ``F_q[x]/(x^m)``.
-    - ``val``, ``prec``: the LaurentSeries fields as they are; ``prec`` is
-      the absolute, exclusive top of the known window (the series is known
-      mod ``t^prec``), not a count of stored terms.
-    - ``coeffs``: the coefficients at exponents ``val .. prec-1``, as
-      ``str`` renders them, so ``len(coeffs) == prec - val`` and
-      ``LaurentSeries.make(ring, val, prec, parsed_coeffs)`` rebuilds ``s``.
-    - The zero series keeps the class's normal form: ``val`` 0 and empty
-      ``coeffs``; the window rule does not apply to it, and
-      ``LaurentSeries.zero(ring, prec)`` rebuilds it.
-    """
-    ring = s.ring
-    out = {
-        "ring": {"p": ring.p, "e": ring.base.e},
-        "val": s.val,
-        "prec": s.prec,
-        "coeffs": [str(c) for c in s.coeffs],
-    }
-    if isinstance(ring, TestRingSpec):
-        out["ring"]["m"] = ring.m
-    return out

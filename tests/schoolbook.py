@@ -1,11 +1,13 @@
-"""Schoolbook reference for the series product, inverse and Hensel root.
+"""Schoolbook reference for the series product, inverse and Hensel root,
+and for the roots of unity of a field.
 
 These are the quadratic coefficient loops and the full-window Newton
 iteration that ``ftk.series`` used before it moved to Kronecker products
 and precision-doubling Newton.  They are kept here, written against the
 public LaurentSeries fields only, so the property tests can require the
 fast paths to return the same ``(val, prec, coeffs)`` and raise the same
-exceptions.
+exceptions.  ``nth_roots_of_unity`` is the scan over every element that
+``ftk.fields`` used before it read the roots from its power table.
 """
 
 from __future__ import annotations
@@ -14,6 +16,11 @@ import math
 
 from ftk.errors import DomainError, PrecisionExhausted
 from ftk.series import LaurentSeries
+
+
+def nth_roots_of_unity(spec, n: int):
+    """All xi in F_q with xi^n = 1, in index order, by raising every element."""
+    return [a for a in spec.elements() if not a.is_zero() and a**n == spec.one()]
 
 
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:

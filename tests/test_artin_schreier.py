@@ -6,7 +6,6 @@ import pytest
 from ftk.artin_schreier import (
     ASCanonical,
     _canonicalize_with_witness,
-    as_break,
     as_canonicalize,
     as_iso_witness,
     as_moduli_point,
@@ -128,9 +127,9 @@ class TestIsoWitness:
 class TestBreakAndModuli:
     def test_break_examples(self):
         c = as_canonicalize(L.from_dict(F2, {-3: F2.one(), -1: F2.one()}, 10))
-        assert as_break(c) == 3
+        assert c.break_ == 3
         empty = as_canonicalize(L.zero(F2, 10))
-        assert as_break(empty) is None
+        assert empty.break_ is None
 
     def test_moduli_point_example(self):
         c = as_canonicalize(L.from_dict(F2, {-3: F2.one(), -1: F2.one()}, 10))

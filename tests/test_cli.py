@@ -182,6 +182,75 @@ def test_rigidify(capsys, tmp_path):
     assert len(payload["homs"]["*|*"]) == 2
 
 
+RIGIDIFY_STDOUT = {
+    "Z/4 by {0, 2}": (FinGroup.cyclic(4), ["0", "2"], '{"compose": {"*|*|*": {"(\'0\', \'2\')|(\'0\', \'2\')": "(\'0\', \'2\')", "(\'0\', \'2\')|(\'1\', \'3\')": "(\'1\', \'3\')", "(\'1\', \'3\')|(\'0\', \'2\')": "(\'1\', \'3\')", "(\'1\', \'3\')|(\'1\', \'3\')": "(\'0\', \'2\')"}}, "homs": {"*|*": ["(\'0\', \'2\')", "(\'1\', \'3\')"]}, "identities": {"*": "(\'0\', \'2\')"}, "objects": ["*"]}\n'),
+    "Q8 by its centre": (FinGroup.quaternion(), ["1", "-1"], '{"compose": {"*|*|*": {"(\'-1\', \'1\')|(\'-1\', \'1\')": "(\'-1\', \'1\')", "(\'-1\', \'1\')|(\'-i\', \'i\')": "(\'-i\', \'i\')", "(\'-1\', \'1\')|(\'-j\', \'j\')": "(\'-j\', \'j\')", "(\'-1\', \'1\')|(\'-k\', \'k\')": "(\'-k\', \'k\')", "(\'-i\', \'i\')|(\'-1\', \'1\')": "(\'-i\', \'i\')", "(\'-i\', \'i\')|(\'-i\', \'i\')": "(\'-1\', \'1\')", "(\'-i\', \'i\')|(\'-j\', \'j\')": "(\'-k\', \'k\')", "(\'-i\', \'i\')|(\'-k\', \'k\')": "(\'-j\', \'j\')", "(\'-j\', \'j\')|(\'-1\', \'1\')": "(\'-j\', \'j\')", "(\'-j\', \'j\')|(\'-i\', \'i\')": "(\'-k\', \'k\')", "(\'-j\', \'j\')|(\'-j\', \'j\')": "(\'-1\', \'1\')", "(\'-j\', \'j\')|(\'-k\', \'k\')": "(\'-i\', \'i\')", "(\'-k\', \'k\')|(\'-1\', \'1\')": "(\'-k\', \'k\')", "(\'-k\', \'k\')|(\'-i\', \'i\')": "(\'-j\', \'j\')", "(\'-k\', \'k\')|(\'-j\', \'j\')": "(\'-i\', \'i\')", "(\'-k\', \'k\')|(\'-k\', \'k\')": "(\'-1\', \'1\')"}}, "homs": {"*|*": ["(\'-1\', \'1\')", "(\'-i\', \'i\')", "(\'-j\', \'j\')", "(\'-k\', \'k\')"]}, "identities": {"*": "(\'-1\', \'1\')"}, "objects": ["*"]}\n'),
+}
+
+
+@pytest.mark.parametrize("case", list(RIGIDIFY_STDOUT))
+def test_rigidify_stdout_is_pinned(capsys, tmp_path, case):
+    group, sub, want = RIGIDIFY_STDOUT[case]
+    gpath, spath = tmp_path / "g.json", tmp_path / "sub.json"
+    gpath.write_text(json.dumps(bg(group).to_json()))
+    spath.write_text(json.dumps({"*": sub}))
+    code, out = run_cli(capsys, "rigidify", "--groupoid", str(gpath), "--subgroup", str(spath))
+    assert code == 0 and out == want
+
+
+def _spoil(record, how):
+    """A B(Z/4) record spoiled one way, as file text."""
+    if how == "not JSON":
+        return "{not json"
+    if how == "no homs":
+        del record["homs"]
+    elif how == "hom key without |":
+        record["homs"] = {"*": record["homs"]["*|*"]}
+    elif how == "compose label without |":
+        table = record["compose"]["*|*|*"]
+        table["01"] = table.pop("0|1")
+    elif how == "hom to an unlisted object":
+        record["homs"]["*|ghost"] = ["0"]
+    return json.dumps(record)
+
+
+@pytest.mark.parametrize(
+    "verb, how, code",
+    [
+        ("mass", "not JSON", 1),
+        ("mass", "no homs", 2),
+        ("mass", "hom key without |", 2),
+        ("mass", "compose label without |", 2),
+        ("mass", "hom to an unlisted object", 2),
+        ("rigidify", "not JSON", 1),
+        ("rigidify", "no homs", 2),
+    ],
+)
+def test_malformed_groupoid_file(capsys, tmp_path, verb, how, code):
+    gpath, spath = tmp_path / "g.json", tmp_path / "sub.json"
+    gpath.write_text(_spoil(bg(FinGroup.cyclic(4)).to_json(), how))
+    spath.write_text(json.dumps({"*": ["0", "2"]}))
+    argv = [verb, "--groupoid", str(gpath)] + (["--subgroup", str(spath)] if verb == "rigidify" else [])
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [('["0", "2"]', 2), ('{"*": [0, 2]}', 2), ("*: 0, 2", 1)],
+    ids=["a list", "integer labels", "not JSON"],
+)
+def test_malformed_subgroup_file(capsys, tmp_path, text, code):
+    gpath, spath = tmp_path / "g.json", tmp_path / "sub.json"
+    gpath.write_text(json.dumps(bg(FinGroup.cyclic(4)).to_json()))
+    spath.write_text(text)
+    assert main(["rigidify", "--groupoid", str(gpath), "--subgroup", str(spath)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
 def test_check_colim(capsys):
     code, out = run_cli(capsys, "check-colim", "--seed", "3", "--trials", "8")
     assert code == 0
@@ -200,6 +269,14 @@ def test_dangling_sign_exit_code(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "empty summand (at offset 6)" in captured.err
+
+
+@pytest.mark.parametrize("series", ["3*", "t + 2*", "3*+t"])
+def test_dangling_star_exit_code(capsys, series):
+    code = main(["as-canon", "--p", "5", "--series", series])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "expected 't'" in captured.err
 
 
 def test_coefficient_not_in_ring_exit_code(capsys):

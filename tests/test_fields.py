@@ -5,15 +5,14 @@ from pathlib import Path
 import pytest
 
 import ftk
+import schoolbook
 from ftk.errors import DomainError, NotInvertible
 from ftk.fields import (
     as_residue_solve,
     canonical_nth_root,
     field,
-    frobenius,
     nth_power_class,
     nth_roots_of_unity,
-    pth_root,
     test_ring as local_test_ring,
 )
 
@@ -43,6 +42,50 @@ def test_no_module_asks_for_attributes_by_hasattr():
         assert calls == [], f"{path.name} calls hasattr at lines {calls}"
 
 
+def _loops_over_homs_inside_loops(node, depth=0):
+    """Line numbers of loops over ``homs.items()`` (or ``new_homs.items()``,
+    For or comprehension) that run inside another loop."""
+
+    def over_homs(it):
+        return (
+            isinstance(it, ast.Call)
+            and isinstance(it.func, ast.Attribute)
+            and it.func.attr == "items"
+            and str(getattr(it.func.value, "id", getattr(it.func.value, "attr", ""))).endswith("homs")
+        )
+
+    found = []
+    if isinstance(node, ast.For):
+        if depth and over_homs(node.iter):
+            found.append(node.lineno)
+        found += _loops_over_homs_inside_loops(node.iter, depth)
+        for child in node.body + node.orelse:
+            found += _loops_over_homs_inside_loops(child, depth + 1)
+    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        for gen in node.generators:
+            if depth and over_homs(gen.iter):
+                found.append(gen.iter.lineno)
+            found += _loops_over_homs_inside_loops(gen.iter, depth)
+            depth += 1
+            for cond in gen.ifs:
+                found += _loops_over_homs_inside_loops(cond, depth)
+        for part in ("elt", "key", "value"):
+            if getattr(node, part, None) is not None:
+                found += _loops_over_homs_inside_loops(getattr(node, part), depth)
+    else:
+        for child in ast.iter_child_nodes(node):
+            found += _loops_over_homs_inside_loops(child, depth)
+    return found
+
+
+def test_groupoids_pair_hom_sets_in_one_place():
+    # composable pairs of hom-sets come from groupoids._composable alone:
+    # no loop over homs.items() runs inside another loop
+    tree = ast.parse(Path(ftk.groupoids.__file__).read_text(encoding="utf-8"))
+    nested = _loops_over_homs_inside_loops(tree)
+    assert nested == [], f"groupoids.py nests a loop over homs.items() at lines {nested}"
+
+
 def test_modulus_choices_match_fixed_enumeration():
     # first irreducibles in base-p integer order
     assert field(2, 2).modulus == (1, 1, 1)  # g^2 + g + 1
@@ -51,29 +94,29 @@ def test_modulus_choices_match_fixed_enumeration():
 
 
 def test_frobenius_examples():
-    assert frobenius(field(2).one()) == field(2).one()
+    assert field(2).one().frobenius() == field(2).one()
     F9 = field(3, 2)
     g = F9.gen()
-    assert frobenius(g) == g.scale(2)  # g^3 = -g
+    assert g.frobenius() == g.scale(2)  # g^3 = -g
     F3 = field(3)
-    assert frobenius(F3.from_int(2)) == F3.from_int(2)
+    assert F3.from_int(2).frobenius() == F3.from_int(2)
 
 
 def test_pth_root_examples():
-    assert pth_root(field(2).one()) == field(2).one()
+    assert field(2).one().pth_root() == field(2).one()
     F4 = field(2, 2)
     g = F4.gen()
-    assert pth_root(g * g) == g
+    assert (g * g).pth_root() == g
     F5 = field(5)
-    assert pth_root(F5.from_int(3)) == F5.from_int(3)
+    assert F5.from_int(3).pth_root() == F5.from_int(3)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1), (2, 3)])
 def test_perfectness_roundtrip(p, e):
     spec = field(p, e)
     for a in spec.elements():
-        assert pth_root(frobenius(a)) == a
-        assert frobenius(pth_root(a)) == a
+        assert a.frobenius().pth_root() == a
+        assert a.pth_root().frobenius() == a
 
 
 def test_as_residue_solve_examples():
@@ -141,9 +184,10 @@ def test_canonical_nth_root():
         canonical_nth_root(F5.from_int(2), 4)  # 2 is not a 4th power
 
 
-@pytest.mark.parametrize(
-    "p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8)]
-)
+SCAN_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8)]
+
+
+@pytest.mark.parametrize("p, e", SCAN_FIELDS)
 def test_canonical_nth_root_matches_the_scan(p, e):
     # the discrete-log solve against the smallest r with r^n = c, found by
     # raising every element to the n-th power
@@ -158,6 +202,13 @@ def test_canonical_nth_root_matches_the_scan(p, e):
             else:
                 with pytest.raises(DomainError):
                     canonical_nth_root(c, n)
+
+
+@pytest.mark.parametrize("p, e", SCAN_FIELDS)
+def test_roots_of_unity_match_the_scan(p, e):
+    spec = field(p, e)
+    for n in range(1, 13):
+        assert nth_roots_of_unity(spec, n) == schoolbook.nth_roots_of_unity(spec, n)
 
 
 def test_roots_of_unity_counts():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ftk.errors import DomainError
 from ftk.fields import field
@@ -23,6 +24,7 @@ from ftk.groupoids import (
     product_groupoid,
     quotient_functor,
     rigidify,
+    _table,
 )
 
 
@@ -102,6 +104,12 @@ class TestIndPoint:
             IndPoint(F2, 1, 2, (F2.one(),)).transition(1)
 
 
+Z3 = {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}
+# the smallest loop that is not a group: every element is its own
+# inverse, yet (1 * 1) * 2 = 2 != 1 * (1 * 2) = 4
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
 class TestFinGroup:
     def test_cyclic(self):
         z6 = FinGroup.cyclic(6)
@@ -128,6 +136,26 @@ class TestFinGroup:
         q8 = FinGroup.quaternion()
         assert len(q8.subgroup_closure(["i"])) == 4
         assert len(q8.subgroup_closure(["-1"])) == 2
+
+    @pytest.mark.parametrize(
+        "elements, table, identity, message",
+        [
+            (range(3), Z3, 1, "neutral"),
+            (range(2), {(a, b): a | b for a in range(2) for b in range(2)}, 0, "inverse"),
+            (range(5), {(a, b): LOOP5[a][b] for a in range(5) for b in range(5)}, 0, "associative"),
+            (range(3), {**Z3, (0, 1): 7}, 0, "incomplete"),
+            (range(3), {k: v for k, v in Z3.items() if k != (2, 2)}, 0, "incomplete"),
+        ],
+        ids=["identity not neutral", "missing inverse", "not associative", "not closed", "missing entry"],
+    )
+    def test_law_failures_are_domain_errors(self, elements, table, identity, message):
+        with pytest.raises(DomainError, match=message):
+            FinGroup.from_table(elements, table, identity)
+
+    def test_order_past_the_associativity_budget_is_refused(self):
+        FinGroup.cyclic(12)
+        with pytest.raises(DomainError, match="too large"):
+            FinGroup.cyclic(171)  # 171^3 composable triples > 5,000,000
 
 
 class TestGroupoids:
@@ -158,6 +186,15 @@ class TestGroupoids:
                 {"x": "b"},
             )
 
+    def test_hom_to_an_unlisted_object_is_refused(self):
+        with pytest.raises(DomainError, match="not listed"):
+            FiniteGroupoid.build(
+                ("x",),
+                {("x", "x"): ("a",), ("x", "y"): ("b",)},
+                {("x", "x", "x", "a", "a"): "a", ("x", "x", "y", "a", "b"): "b"},
+                {"x": "a"},
+            )
+
     def test_json_roundtrip(self):
         g = bg(FinGroup.cyclic(4))
         data = g.to_json()
@@ -168,6 +205,47 @@ class TestGroupoids:
     def test_caps(self):
         with pytest.raises(DomainError):
             discrete_groupoid(65)
+
+
+GROUP_POOL = [
+    FinGroup.cyclic(1), FinGroup.cyclic(2), FinGroup.cyclic(3), FinGroup.cyclic(4),
+    FinGroup.direct_product(FinGroup.cyclic(2), FinGroup.cyclic(2)), FinGroup.quaternion(),
+]
+
+
+@st.composite
+def group_backed_groupoids(draw):
+    """Connected components, each with hom(x, y) = G for all its objects."""
+    homs, group_of = {}, {}
+    for ci, (gi, n_objs) in enumerate(
+        draw(st.lists(st.tuples(st.integers(0, len(GROUP_POOL) - 1), st.integers(1, 3)), min_size=1, max_size=3))
+    ):
+        names = [f"c{ci}o{k}" for k in range(n_objs)]
+        group_of.update({x: GROUP_POOL[gi] for x in names})
+        homs.update({(x, y): GROUP_POOL[gi].elements for x in names for y in names})
+    compose = _table(homs, lambda x, y, z, f, g: group_of[x].mul(g, f))
+    identities = {x: grp.identity for x, grp in group_of.items()}
+    return FiniteGroupoid.build(list(group_of), homs, compose, identities)
+
+
+class TestJsonRecord:
+    @given(group_backed_groupoids())
+    def test_roundtrip_keeps_the_invariants(self, g):
+        back = FiniteGroupoid.from_json(g.to_json())
+        assert back.objects == g.objects
+        assert sorted(map(sorted, back.iso_classes())) == sorted(map(sorted, g.iso_classes()))
+        assert [back.aut_order(x) for x in back.objects] == [g.aut_order(x) for x in g.objects]
+        assert back.class_aut_orders() == g.class_aut_orders()
+        assert back.mass() == g.mass()
+
+    @given(group_backed_groupoids(), st.data())
+    def test_missing_compose_entry_is_refused(self, g, data):
+        record = g.to_json()
+        entries = [(key, fg) for key, table in record["compose"].items() for fg in table]
+        key, fg = data.draw(st.sampled_from(entries))
+        del record["compose"][key][fg]
+        with pytest.raises(DomainError, match="incomplete"):
+            FiniteGroupoid.from_json(record)
 
 
 class TestRigidify:

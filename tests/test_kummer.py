@@ -4,10 +4,9 @@ import random
 import pytest
 
 from ftk.errors import DomainError, NotInvertible, PrecisionExhausted
-from ftk.fields import field
+from ftk.fields import field, nth_roots_of_unity
 from ftk.kummer import (
     enumerate_kummer_classes,
-    kummer_automorphisms,
     kummer_canonicalize,
     kummer_iso_witness,
 )
@@ -156,18 +155,18 @@ class TestWitness:
 
 class TestAutomorphisms:
     def test_examples(self):
-        assert sorted(x.index for x in kummer_automorphisms(F5, 4)) == [1, 2, 3, 4]
-        assert sorted(x.index for x in kummer_automorphisms(F7, 2)) == [1, 6]
-        assert [x.index for x in kummer_automorphisms(F4, 1)] == [1]
+        assert sorted(x.index for x in nth_roots_of_unity(F5, 4)) == [1, 2, 3, 4]
+        assert sorted(x.index for x in nth_roots_of_unity(F7, 2)) == [1, 6]
+        assert [x.index for x in nth_roots_of_unity(F4, 1)] == [1]
 
     @pytest.mark.parametrize("spec,n", [(F5, 4), (F7, 3), (F4, 3), (F5, 2)])
     def test_cardinality(self, spec, n):
-        assert len(kummer_automorphisms(spec, n)) == math.gcd(n, spec.q - 1)
+        assert len(nth_roots_of_unity(spec, n)) == math.gcd(n, spec.q - 1)
 
     def test_torsion_units_are_constant(self):
         # every root of unity, viewed as a series, passes the constancy check
         for spec, n in [(F5, 4), (F7, 3), (F4, 3)]:
-            for xi in kummer_automorphisms(spec, n):
+            for xi in nth_roots_of_unity(spec, n):
                 s = L.constant(xi, 10)
                 assert s.torsion_unit_is_constant(n)
 

@@ -57,10 +57,15 @@ def test_minus_signs():
 
 
 @pytest.mark.parametrize(
-    "text, offset", [("t^-3 +", 6), ("2*t -", 5), ("t + -1", 4), ("(g+)*t", 3), ("(+g)*t", 1)]
+    "text, offset",
+    [
+        ("t^-3 +", 6), ("2*t -", 5), ("t + -1", 4), ("(g+)*t", 3), ("(+g)*t", 1),
+        ("3*", 2), ("t + 2*", 6), ("3*+t", 2),
+    ],
 )
 def test_empty_summand_is_an_error(text, offset):
-    # a dangling sign leaves an empty summand, which is not the coefficient 1
+    # a dangling sign leaves an empty summand, which is not the coefficient 1;
+    # a dangling '*' leaves a term without its t
     with pytest.raises(ParseError) as exc:
         parse_series(text, F4 if "g" in text else F5)
     assert exc.value.offset == offset
@@ -96,25 +101,3 @@ def test_zero_renders_and_parses():
     s = L.zero(F5, 8)
     assert render_series(s) == "0"
     assert parse_series("0", F5, prec=8).is_zero()
-
-
-def test_series_json_record():
-    from ftk.parse import series_to_json
-
-    s = parse_series("t^-2 + 3", F5, prec=4)
-    data = series_to_json(s)
-    assert data == {
-        "ring": {"p": 5, "e": 1},
-        "val": -2,
-        "prec": 4,
-        "coeffs": ["1", "0", "3", "0", "0", "0"],
-    }
-    rebuilt = L.make(
-        F5, data["val"], data["prec"], [parse_field_elem(c, F5) for c in data["coeffs"]]
-    )
-    assert rebuilt == s
-    from ftk.fields import test_ring as local_test_ring
-
-    R = local_test_ring(2, 1, 2)
-    data2 = series_to_json(L.constant(R.one(), 2))
-    assert data2["ring"] == {"p": 2, "e": 1, "m": 2}
