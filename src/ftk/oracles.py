@@ -2,21 +2,37 @@
 
 Each oracle recomputes a count or a witness-existence fact by exhaustion
 over explicit finite windows, sharing only the elementary series
-arithmetic with the main path, never the canonicalisation logic:
+arithmetic with the main path, not the canonicalisation logic.  The one
+exception is the split-frame oracle, ``double_frame_bruteforce``: it
+takes its component covers from ``enumerate_as_classes`` and
+``as_canonicalize``, and solves its crossings with ``as_iso_witness``
+(through ``_solve_wp``), until an oracle for every non-coprime frame
+replaces it.
 
 * Artin-Schreier class counts: enumerate raw series over a window and
-  quotient by exhaustively searched coboundary witnesses.
+  quotient by exhaustively searched coboundary witnesses.  The window is
+  built once and ``u^p - u`` is computed once per witness u.
 * Kummer class counts: enumerate monomial covers and quotient by
   exhaustively searched monomial witnesses (valuation additivity makes
-  the monomial search complete for monomial covers); windowed all-
-  coefficient searches back the targeted non-existence checks.
+  the monomial search complete for monomial covers); ``u^n`` is computed
+  once per witness u.  Windowed all-coefficient searches back the
+  targeted non-existence checks.
 * Semidirect torsors: enumerate raw (cover, twist) pairs, realise twists
   as semilinear affine maps X -> M X + c composed symbolically, keep the
   pairs whose n-th power is the identity, and quotient by exhaustive
   conjugation.  The gcd-reduction check builds the non-coprime frame out
-  of its two field components and enumerates honestly there.
+  of its two field components and enumerates honestly there.  Within one
+  call, a substitution s -> lam s is computed at most once per series
+  (and not at all for lam = 1), and each conjugating morphism is built
+  once.
 
-Oracles refuse windows beyond desk scale instead of approximating.
+Every table an oracle keeps lives in that call: nothing persists between
+calls.  Oracles refuse work beyond desk scale instead of approximating:
+an oracle builds at most ``_MAX_ENUMERATION`` = 2^18 series (or series
+vectors) and tests at most 2^18 (object, witness) pairs.  The
+sizes are counted from the arguments before anything is built, and a
+refusal is a ``DomainError`` (CLI exit code 2).  Break bounds must be at
+least 0 and the Kummer degree n at least 1.
 """
 
 from __future__ import annotations
@@ -29,7 +45,30 @@ from .errors import DomainError
 from .fields import FieldSpec
 from .series import LaurentSeries
 
-_MAX_WINDOW_SLOTS = 12
+_MAX_ENUMERATION = 2**18
+
+
+def _capped_pow(base: int, exp: int) -> int:
+    """base**exp for base >= 2, or _MAX_ENUMERATION + 1 once it is larger,
+    so that a huge exponent costs nothing to refuse."""
+    out = 1
+    for _ in range(exp):
+        out *= base
+        if out > _MAX_ENUMERATION:
+            return _MAX_ENUMERATION + 1
+    return out
+
+
+def _check_scale(*sizes: int):
+    if max(sizes) > _MAX_ENUMERATION:
+        raise DomainError(
+            f"oracle scale exceeded: more than {_MAX_ENUMERATION} series or pairs"
+        )
+
+
+def _check_break(break_bound: int):
+    if break_bound < 0:
+        raise DomainError(f"break bound must be at least 0, got {break_bound}")
 
 
 def _series_key(s: LaurentSeries):
@@ -77,32 +116,31 @@ class _UnionFind:
 def as_bruteforce_class_count(spec: FieldSpec, m: int) -> int:
     """Orbit count of series with support in [-m, 0] under coboundaries,
     by exhaustive witness search over the same window."""
-    if m + 1 > _MAX_WINDOW_SLOTS:
-        raise DomainError("oracle scale exceeded")
+    _check_break(m)
+    n_window = _capped_pow(spec.q, m + 1)
+    _check_scale(n_window, n_window * n_window)
     prec = 4 * max(m, 1) + 8
-    exps = list(range(-m, 1))
-    objects = _window_series(spec, exps, prec)
-    candidates = _window_series(spec, exps, prec)
-    uf = _UnionFind([_series_key(b) for b in objects])
-    keys = {id(b): _series_key(b) for b in objects}
-    by_key = {_series_key(b): b for b in objects}
-    for b in objects:
-        for u in candidates:
-            image = u.wp() + b
-            k = _series_key(image)
+    window = _window_series(spec, list(range(-m, 1)), prec)
+    keys = [_series_key(b) for b in window]
+    uf = _UnionFind(keys)
+    by_key = set(keys)
+    coboundaries = [u.wp() for u in window]
+    for b, key in zip(window, keys):
+        for wu in coboundaries:
+            k = _series_key(wu + b)
             if k in by_key:
-                uf.union(_series_key(b), k)
+                uf.union(key, k)
     return uf.class_count()
 
 
 def as_window_witness_exists(c: LaurentSeries, d: LaurentSeries, lo: int, hi: int) -> bool:
     """Is there u supported on [lo, hi] with u^p - u + c = d?  Exhaustive."""
-    if hi - lo + 1 > _MAX_WINDOW_SLOTS:
-        raise DomainError("oracle scale exceeded")
     spec = c.ring
+    _check_scale(_capped_pow(spec.q, hi - lo + 1))
     prec = min(c.prec, d.prec)
+    target = d - c
     for u in _window_series(spec, list(range(lo, hi + 1)), prec):
-        if (u.wp() + c - d).is_zero():
+        if (u.wp() - target).is_zero():
             return True
     return False
 
@@ -122,25 +160,32 @@ def kummer_bruteforce_class_count(spec: FieldSpec, n: int) -> int:
     Monomial witnesses suffice for monomial covers because valuations add
     under multiplication over a field (checked separately in the tests).
     """
+    if n < 1:
+        raise DomainError(f"n must be at least 1, got {n}")
     if math.gcd(n, spec.p) != 1:
         raise DomainError("p divides n")
+    n_objects, n_witnesses = 2 * n * (spec.q - 1), (4 * n + 1) * (spec.q - 1)
+    _check_scale(n_objects, n_witnesses, n_objects * n_witnesses)
     prec = 4 * n + 8
     objects = [
         LaurentSeries.monomial(spec.from_index(c), i, prec)
         for i in range(2 * n)
         for c in range(1, spec.q)
     ]
-    uf = _UnionFind([_support_key(b) for b in objects])
-    by_key = {_support_key(b) for b in objects}
+    keys = [_support_key(b) for b in objects]
+    uf = _UnionFind(keys)
+    by_key = set(keys)
     units = [spec.from_index(c) for c in range(1, spec.q)]
-    for b in objects:
-        for k in range(-2 * n, 2 * n + 1):
-            for v in units:
-                u = LaurentSeries.monomial(v, k, prec)
-                image = (u**n) * b
-                key = _support_key(image)
-                if key in by_key:
-                    uf.union(_support_key(b), key)
+    multipliers = [
+        LaurentSeries.monomial(v, k, prec) ** n
+        for k in range(-2 * n, 2 * n + 1)
+        for v in units
+    ]
+    for b, b_key in zip(objects, keys):
+        for un in multipliers:
+            key = _support_key(un * b)
+            if key in by_key:
+                uf.union(b_key, key)
     return uf.class_count()
 
 
@@ -149,9 +194,8 @@ def kummer_window_witness_exists(
 ) -> bool:
     """Full-window search: any u with support in [lo, hi] (all coefficient
     combinations, u invertible) and u^n b = b2 to the available precision?"""
-    if hi - lo + 1 > _MAX_WINDOW_SLOTS:
-        raise DomainError("oracle scale exceeded")
     spec = b.ring
+    _check_scale(_capped_pow(spec.q, hi - lo + 1))
     prec = min(b.prec, b2.prec)
     for u in _window_series(spec, list(range(lo, hi + 1)), prec):
         if u.is_zero():
@@ -183,22 +227,10 @@ class AffineMap:
 
     def then(self, g: "AffineMap", p: int) -> "AffineMap":
         """g o self: apply self first, then g."""
-        if self.dst != g.src:
-            raise DomainError("component mismatch in composition")
-        from .semidirect import mat_mul, mat_vec_series
-
-        # (g o f)(X) = M_f (M_g X + c_g) + sigma_{lam_g}(c_f)
-        m = mat_mul(self.matrix, g.matrix, p)
-        mixed = mat_vec_series(self.matrix, g.trans, p)
-        subbed = tuple(c.scale_substitute(g.lam) for c in self.trans)
-        trans = tuple(a + b for a, b in zip(mixed, subbed))
-        return AffineMap(self.src, g.dst, m, trans, self.lam * g.lam)
+        return _Composition(p).then(self, g)
 
     def power(self, n: int, p: int) -> "AffineMap":
-        out = self
-        for _ in range(n - 1):
-            out = out.then(self, p)
-        return out
+        return _Composition(p).power(self, n)
 
     def is_identity(self) -> bool:
         from .semidirect import mat_identity
@@ -223,6 +255,49 @@ class AffineMap:
         )
 
 
+class _Composition:
+    """Composition of AffineMaps and SplitMaps over F_p within one oracle
+    call.  sigma_lam(a)(s) = a(lam s) is a itself for lam = 1 and is
+    otherwise computed at most once per (series, lam): the table lives as
+    long as this object, and an oracle builds one per call."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.table: dict = {}
+
+    def sigma(self, vec, lam) -> tuple:
+        if lam == lam.spec.one():
+            return tuple(vec)
+        out = []
+        for a in vec:
+            key = (a.prec, _series_key(a), lam.index)
+            s = self.table.get(key)
+            if s is None:
+                s = self.table[key] = a.scale_substitute(lam)
+            out.append(s)
+        return tuple(out)
+
+    def then(self, f, g):
+        """g o f: apply f first, then g (componentwise for SplitMaps)."""
+        if isinstance(f, SplitMap):
+            return SplitMap({a: self.then(h, g.parts[h.dst]) for a, h in f.parts.items()})
+        if f.dst != g.src:
+            raise DomainError("component mismatch in composition")
+        from .semidirect import mat_mul, mat_vec_series
+
+        # (g o f)(X) = M_f (M_g X + c_g) + sigma_{lam_g}(c_f)
+        m = mat_mul(f.matrix, g.matrix, self.p)
+        mixed = mat_vec_series(f.matrix, g.trans, self.p)
+        trans = tuple(a + b for a, b in zip(mixed, self.sigma(f.trans, g.lam)))
+        return AffineMap(f.src, g.dst, m, trans, f.lam * g.lam)
+
+    def power(self, f, n: int):
+        out = f
+        for _ in range(n - 1):
+            out = self.then(out, f)
+        return out
+
+
 # -- semidirect: raw pair enumeration ----------------------------------------
 
 
@@ -238,17 +313,21 @@ def semidirect_bruteforce(group, frame, break_bound: int):
     the same way.
     """
     r, p, n = group.r, group.p, frame.n
-    if (break_bound + 1) * r > _MAX_WINDOW_SLOTS:
-        raise DomainError("oracle scale exceeded")
+    spec = frame.spec
+    _check_break(break_bound)
+    n_window = _capped_pow(spec.q, break_bound + 1)
+    n_vectors = _capped_pow(n_window, r)
+    # each cover vector has at most p^r twists, each tested against every h
+    _check_scale(n_window, n_vectors, n_vectors * _capped_pow(p, r) * n_vectors)
     from .semidirect import mat_identity, mat_pow
 
-    spec = frame.spec
     prec = 3 * break_bound + 12
     exps = list(range(-break_bound, 1))
     window = _window_series(spec, exps, prec)
     psi_inv = mat_pow(group.psi, n - 1, p) if r else ()
     xi = frame.xi
     one = spec.one()
+    comp = _Composition(p)
 
     def vec_key(vec):
         return tuple(_series_key(v) for v in vec)
@@ -262,7 +341,7 @@ def semidirect_bruteforce(group, frame, break_bound: int):
     # collect valid pairs: c must satisfy c^p - c = sigma(b) - psi^{-1} b
     pairs = []
     for b_vec in itertools.product(window, repeat=r):
-        sigma_b = [s.scale_substitute(xi) for s in b_vec]
+        sigma_b = comp.sigma(b_vec, xi)
         per_component = []
         for i in range(r):
             rhs = sigma_b[i]
@@ -272,22 +351,27 @@ def semidirect_bruteforce(group, frame, break_bound: int):
             per_component.append(c_by_wp.get(_series_key(rhs), []))
         for c_vec in itertools.product(*per_component):
             gamma = AffineMap(0, 0, psi_inv, tuple(c_vec), xi)
-            if gamma.power(n, p).is_identity():
+            if comp.power(gamma, n).is_identity():
                 pairs.append((tuple(b_vec), gamma))
-    # quotient by conjugation with cover morphisms h over the same window
+    # quotient by conjugation with cover morphisms h over the same window:
+    # X -> X - h, its inverse, and the coboundary it adds to the cover
+    id_mat = mat_identity(r, p)
+    morphisms = [
+        (
+            AffineMap(0, 0, id_mat, h_vec, one),
+            AffineMap(0, 0, id_mat, tuple(x.scale_int(-1) for x in h_vec), one),
+            tuple(wp_of[_series_key(h)] for h in h_vec),
+        )
+        for h_vec in itertools.product(window, repeat=r)
+    ]
     keys = [(vec_key(b), g.key()) for b, g in pairs]
     uf = _UnionFind(keys)
     index = set(keys)
-    id_mat = mat_identity(r, p)
     aut_of = {k: 0 for k in keys}
     for (b_vec, gamma), key in zip(pairs, keys):
-        for h_vec in itertools.product(window, repeat=r):
-            m_h = AffineMap(0, 0, id_mat, tuple(x.scale_int(-1) for x in h_vec), one)
-            m_h_inv = AffineMap(0, 0, id_mat, tuple(h_vec), one)
-            conj = m_h_inv.then(gamma, p).then(m_h, p)
-            b2 = tuple(
-                x + wp_of[_series_key(h)] for x, h in zip(b_vec, h_vec)
-            )
+        for m_h_inv, m_h, wp_h in morphisms:
+            conj = comp.then(comp.then(m_h_inv, gamma), m_h)
+            b2 = tuple(x + w for x, w in zip(b_vec, wp_h))
             k2 = (vec_key(b2), conj.key())
             if k2 in index:
                 uf.union(key, k2)
@@ -307,17 +391,6 @@ class SplitMap:
 
     def __init__(self, parts):
         self.parts = dict(parts)  # src component -> AffineMap
-
-    def then(self, g: "SplitMap", p: int) -> "SplitMap":
-        return SplitMap(
-            {a: f.then(g.parts[f.dst], p) for a, f in self.parts.items()}
-        )
-
-    def power(self, n: int, p: int) -> "SplitMap":
-        out = self
-        for _ in range(n - 1):
-            out = out.then(self, p)
-        return out
 
     def is_identity(self) -> bool:
         return all(f.is_identity() for f in self.parts.values())
@@ -346,15 +419,21 @@ def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
     r, p = group.r, group.p
     if (spec.q - 1) % 4:
         raise DomainError("need the 4th roots of unity in the base field")
+    _check_break(break_bound)
+    # p q^|S_m| AS classes per component, |S_m| = m - floor(m/p); each
+    # cover vector has p^(2r) twists, each tested against p^(2r) morphisms
+    n_classes = p * _capped_pow(spec.q, break_bound - break_bound // p)
+    n_vectors = _capped_pow(n_classes, r)
+    n_twists = _capped_pow(p, 2 * r)
+    _check_scale(n_classes, n_vectors, n_vectors * n_twists * n_twists)
     if prec is None:
         prec = 3 * break_bound + 14
     zeta4 = spec.generator ** ((spec.q - 1) // 4)
     psi_inv = mat_pow(group.psi, group.n - 1, p)
     id_mat = mat_identity(r, p)
     one = spec.one()
-
-    def subst(vec, lam):
-        return tuple(v.scale_substitute(lam) for v in vec)
+    comp = _Composition(p)
+    consts = [LaurentSeries.constant(spec.from_int(k), prec) for k in range(p)]
 
     def minus_mat_vec(m, vec):
         return tuple(v.scale_int(-1) for v in mat_vec_series(m, vec, p))
@@ -362,7 +441,7 @@ def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
     def crossing_rhs(b_src, b_dst):
         """The series vector that p-Frobenius-minus-identity of the crossing
         translation must equal: tau(b_src) - psi^{-1} b_dst."""
-        tau = subst(b_src, zeta4)
+        tau = comp.sigma(b_src, zeta4)
         mixed = minus_mat_vec(psi_inv, b_dst)
         return tuple(a + b for a, b in zip(tau, mixed))
 
@@ -376,7 +455,7 @@ def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
         # the class of b2 is forced by solvability of the 1 -> 2 crossing
         target_cls = tuple(
             as_canonicalize(x)
-            for x in mat_vec_series(group.psi, subst(b1, zeta4), p)
+            for x in mat_vec_series(group.psi, comp.sigma(b1, zeta4), p)
         )
         if target_cls not in reps:
             continue
@@ -387,9 +466,6 @@ def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
         w21 = _solve_wp(rhs21)
         if w12 is None or w21 is None:
             continue
-        consts = [
-            LaurentSeries.constant(spec.from_int(k), prec) for k in range(p)
-        ]
         for shift12 in itertools.product(range(p), repeat=r):
             c12 = tuple(w + consts[k] for w, k in zip(w12, shift12))
             for shift21 in itertools.product(range(p), repeat=r):
@@ -400,40 +476,40 @@ def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
                         1: AffineMap(1, 0, psi_inv, c21, zeta4),
                     }
                 )
-                if gamma.power(4, p).is_identity():
+                if comp.power(gamma, 4).is_identity():
                     found.append(((v1, target_cls), (b1, b2), gamma))
     # quotient by componentwise morphisms with constant witnesses
     keys = [(cls, g.key()) for cls, _, g in found]
     uf = _UnionFind(keys)
     index = set(keys)
     aut_of = {k: 0 for k in keys}
-    const_vectors = list(
-        itertools.product(
-            [LaurentSeries.constant(spec.from_int(k), prec) for k in range(p)],
-            repeat=r,
+    const_vectors = list(itertools.product(consts, repeat=r))
+    morphisms = [
+        (
+            SplitMap(
+                {
+                    0: AffineMap(0, 0, id_mat, h1, one),
+                    1: AffineMap(1, 1, id_mat, h2, one),
+                }
+            ),
+            SplitMap(
+                {
+                    0: AffineMap(0, 0, id_mat, tuple(x.scale_int(-1) for x in h1), one),
+                    1: AffineMap(1, 1, id_mat, tuple(x.scale_int(-1) for x in h2), one),
+                }
+            ),
         )
-    )
+        for h1 in const_vectors
+        for h2 in const_vectors
+    ]
     for (cls, _, gamma), key in zip(found, keys):
-        for h1 in const_vectors:
-            for h2 in const_vectors:
-                m_h = SplitMap(
-                    {
-                        0: AffineMap(0, 0, id_mat, tuple(x.scale_int(-1) for x in h1), one),
-                        1: AffineMap(1, 1, id_mat, tuple(x.scale_int(-1) for x in h2), one),
-                    }
-                )
-                m_h_inv = SplitMap(
-                    {
-                        0: AffineMap(0, 0, id_mat, h1, one),
-                        1: AffineMap(1, 1, id_mat, h2, one),
-                    }
-                )
-                conj = m_h_inv.then(gamma, p).then(m_h, p)
-                k2 = (cls, conj.key())
-                if k2 in index:
-                    uf.union(key, k2)
-                    if k2 == key:
-                        aut_of[key] += 1
+        for m_h_inv, m_h in morphisms:
+            conj = comp.then(comp.then(m_h_inv, gamma), m_h)
+            k2 = (cls, conj.key())
+            if k2 in index:
+                uf.union(key, k2)
+                if k2 == key:
+                    aut_of[key] += 1
     classes = uf.classes()
     return len(classes), sorted(aut_of[cls[0]] for cls in classes)
 

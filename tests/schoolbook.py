@@ -1,5 +1,5 @@
 """Schoolbook reference for the series product, inverse and Hensel root,
-and for the roots of unity of a field.
+for the roots of unity of a field, and for the brute-force oracles.
 
 These are the quadratic coefficient loops and the full-window Newton
 iteration that ``ftk.series`` used before it moved to Kronecker products
@@ -8,13 +8,31 @@ public LaurentSeries fields only, so the property tests can require the
 fast paths to return the same ``(val, prec, coeffs)`` and raise the same
 exceptions.  ``nth_roots_of_unity`` is the scan over every element that
 ``ftk.fields`` used before it read the roots from its power table.
+
+The oracle references are the bodies ``ftk.oracles`` had before each
+oracle computed its loop invariants once per call: ``u.wp()`` and
+``u**n`` once per (object, witness) pair, ``scale_substitute`` on every
+composition (also by 1) and on every cover vector.  They share the
+window enumeration, the keys, the union-find and the crossing solver with
+``ftk.oracles`` and nothing else, so the differential tests can require
+equal ``(count, aut multiset)`` from both.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from ftk.errors import DomainError, PrecisionExhausted
+from ftk.oracles import (
+    AffineMap,
+    SplitMap,
+    _series_key,
+    _solve_wp,
+    _support_key,
+    _UnionFind,
+    _window_series,
+)
 from ftk.series import LaurentSeries
 
 
@@ -125,3 +143,238 @@ def nth_root_unit(a: LaurentSeries, n: int) -> LaurentSeries:
         g = g - mul(err, invert(deriv))
     raise PrecisionExhausted("Newton iteration failed to converge")
 
+
+
+# -- the brute-force oracles ----------------------------------------------------
+
+_MAX_WINDOW_SLOTS = 12
+
+
+def as_bruteforce_class_count(spec, m: int) -> int:
+    if m + 1 > _MAX_WINDOW_SLOTS:
+        raise DomainError("oracle scale exceeded")
+    prec = 4 * max(m, 1) + 8
+    exps = list(range(-m, 1))
+    objects = _window_series(spec, exps, prec)
+    candidates = _window_series(spec, exps, prec)
+    uf = _UnionFind([_series_key(b) for b in objects])
+    by_key = {_series_key(b): b for b in objects}
+    for b in objects:
+        for u in candidates:
+            image = u.wp() + b
+            k = _series_key(image)
+            if k in by_key:
+                uf.union(_series_key(b), k)
+    return uf.class_count()
+
+
+def as_window_witness_exists(c, d, lo: int, hi: int) -> bool:
+    if hi - lo + 1 > _MAX_WINDOW_SLOTS:
+        raise DomainError("oracle scale exceeded")
+    spec = c.ring
+    prec = min(c.prec, d.prec)
+    for u in _window_series(spec, list(range(lo, hi + 1)), prec):
+        if (u.wp() + c - d).is_zero():
+            return True
+    return False
+
+
+def kummer_bruteforce_class_count(spec, n: int) -> int:
+    if math.gcd(n, spec.p) != 1:
+        raise DomainError("p divides n")
+    prec = 4 * n + 8
+    objects = [
+        LaurentSeries.monomial(spec.from_index(c), i, prec)
+        for i in range(2 * n)
+        for c in range(1, spec.q)
+    ]
+    uf = _UnionFind([_support_key(b) for b in objects])
+    by_key = {_support_key(b) for b in objects}
+    units = [spec.from_index(c) for c in range(1, spec.q)]
+    for b in objects:
+        for k in range(-2 * n, 2 * n + 1):
+            for v in units:
+                u = LaurentSeries.monomial(v, k, prec)
+                image = (u**n) * b
+                key = _support_key(image)
+                if key in by_key:
+                    uf.union(_support_key(b), key)
+    return uf.class_count()
+
+
+def affine_then(f, g, p: int):
+    """g o f, substituting every translation series, also by 1."""
+    if f.dst != g.src:
+        raise DomainError("component mismatch in composition")
+    from ftk.semidirect import mat_mul, mat_vec_series
+
+    m = mat_mul(f.matrix, g.matrix, p)
+    mixed = mat_vec_series(f.matrix, g.trans, p)
+    subbed = tuple(c.scale_substitute(g.lam) for c in f.trans)
+    trans = tuple(a + b for a, b in zip(mixed, subbed))
+    return AffineMap(f.src, g.dst, m, trans, f.lam * g.lam)
+
+
+def split_then(f, g, p: int):
+    return SplitMap({a: affine_then(h, g.parts[h.dst], p) for a, h in f.parts.items()})
+
+
+def _power(f, n: int, p: int, then):
+    out = f
+    for _ in range(n - 1):
+        out = then(out, f, p)
+    return out
+
+
+def semidirect_bruteforce(group, frame, break_bound: int):
+    r, p, n = group.r, group.p, frame.n
+    if (break_bound + 1) * r > _MAX_WINDOW_SLOTS:
+        raise DomainError("oracle scale exceeded")
+    from ftk.semidirect import mat_identity, mat_pow
+
+    spec = frame.spec
+    prec = 3 * break_bound + 12
+    exps = list(range(-break_bound, 1))
+    window = _window_series(spec, exps, prec)
+    psi_inv = mat_pow(group.psi, n - 1, p) if r else ()
+    xi = frame.xi
+    one = spec.one()
+
+    def vec_key(vec):
+        return tuple(_series_key(v) for v in vec)
+
+    wp_of = {_series_key(w): w.wp() for w in window}
+    c_by_wp = {}
+    for w in window:
+        c_by_wp.setdefault(_series_key(wp_of[_series_key(w)]), []).append(w)
+
+    pairs = []
+    for b_vec in itertools.product(window, repeat=r):
+        sigma_b = [s.scale_substitute(xi) for s in b_vec]
+        per_component = []
+        for i in range(r):
+            rhs = sigma_b[i]
+            for j in range(r):
+                if psi_inv[i][j]:
+                    rhs = rhs - b_vec[j].scale_int(psi_inv[i][j])
+            per_component.append(c_by_wp.get(_series_key(rhs), []))
+        for c_vec in itertools.product(*per_component):
+            gamma = AffineMap(0, 0, psi_inv, tuple(c_vec), xi)
+            if _power(gamma, n, p, affine_then).is_identity():
+                pairs.append((tuple(b_vec), gamma))
+    keys = [(vec_key(b), g.key()) for b, g in pairs]
+    uf = _UnionFind(keys)
+    index = set(keys)
+    id_mat = mat_identity(r, p)
+    aut_of = {k: 0 for k in keys}
+    for (b_vec, gamma), key in zip(pairs, keys):
+        for h_vec in itertools.product(window, repeat=r):
+            m_h = AffineMap(0, 0, id_mat, tuple(x.scale_int(-1) for x in h_vec), one)
+            m_h_inv = AffineMap(0, 0, id_mat, tuple(h_vec), one)
+            conj = affine_then(affine_then(m_h_inv, gamma, p), m_h, p)
+            b2 = tuple(x + wp_of[_series_key(h)] for x, h in zip(b_vec, h_vec))
+            k2 = (vec_key(b2), conj.key())
+            if k2 in index:
+                uf.union(key, k2)
+                if k2 == key:
+                    aut_of[key] += 1
+    classes = uf.classes()
+    auts = sorted(aut_of[cls[0]] for cls in classes)
+    return len(classes), auts
+
+
+def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
+    from ftk.artin_schreier import as_canonicalize, enumerate_as_classes
+    from ftk.semidirect import mat_identity, mat_pow, mat_vec_series
+
+    if group.n != 4:
+        raise DomainError("split-frame oracle models n = 4, q_exp = 2 only")
+    r, p = group.r, group.p
+    if (spec.q - 1) % 4:
+        raise DomainError("need the 4th roots of unity in the base field")
+    if prec is None:
+        prec = 3 * break_bound + 14
+    zeta4 = spec.generator ** ((spec.q - 1) // 4)
+    psi_inv = mat_pow(group.psi, group.n - 1, p)
+    id_mat = mat_identity(r, p)
+    one = spec.one()
+
+    def subst(vec, lam):
+        return tuple(v.scale_substitute(lam) for v in vec)
+
+    def minus_mat_vec(m, vec):
+        return tuple(v.scale_int(-1) for v in mat_vec_series(m, vec, p))
+
+    def crossing_rhs(b_src, b_dst):
+        tau = subst(b_src, zeta4)
+        mixed = minus_mat_vec(psi_inv, b_dst)
+        return tuple(a + b for a, b in zip(tau, mixed))
+
+    singles = enumerate_as_classes(spec, break_bound)
+    vectors = [vec for vec in itertools.product(singles, repeat=r)]
+    reps = {vec: tuple(c.to_series(prec) for c in vec) for vec in vectors}
+
+    found = []
+    for v1 in vectors:
+        b1 = reps[v1]
+        target_cls = tuple(
+            as_canonicalize(x)
+            for x in mat_vec_series(group.psi, subst(b1, zeta4), p)
+        )
+        if target_cls not in reps:
+            continue
+        b2 = reps[target_cls]
+        rhs12 = crossing_rhs(b1, b2)
+        rhs21 = crossing_rhs(b2, b1)
+        w12 = _solve_wp(rhs12)
+        w21 = _solve_wp(rhs21)
+        if w12 is None or w21 is None:
+            continue
+        consts = [
+            LaurentSeries.constant(spec.from_int(k), prec) for k in range(p)
+        ]
+        for shift12 in itertools.product(range(p), repeat=r):
+            c12 = tuple(w + consts[k] for w, k in zip(w12, shift12))
+            for shift21 in itertools.product(range(p), repeat=r):
+                c21 = tuple(w + consts[k] for w, k in zip(w21, shift21))
+                gamma = SplitMap(
+                    {
+                        0: AffineMap(0, 1, psi_inv, c12, zeta4),
+                        1: AffineMap(1, 0, psi_inv, c21, zeta4),
+                    }
+                )
+                if _power(gamma, 4, p, split_then).is_identity():
+                    found.append(((v1, target_cls), (b1, b2), gamma))
+    keys = [(cls, g.key()) for cls, _, g in found]
+    uf = _UnionFind(keys)
+    index = set(keys)
+    aut_of = {k: 0 for k in keys}
+    const_vectors = list(
+        itertools.product(
+            [LaurentSeries.constant(spec.from_int(k), prec) for k in range(p)],
+            repeat=r,
+        )
+    )
+    for (cls, _, gamma), key in zip(found, keys):
+        for h1 in const_vectors:
+            for h2 in const_vectors:
+                m_h = SplitMap(
+                    {
+                        0: AffineMap(0, 0, id_mat, tuple(x.scale_int(-1) for x in h1), one),
+                        1: AffineMap(1, 1, id_mat, tuple(x.scale_int(-1) for x in h2), one),
+                    }
+                )
+                m_h_inv = SplitMap(
+                    {
+                        0: AffineMap(0, 0, id_mat, h1, one),
+                        1: AffineMap(1, 1, id_mat, h2, one),
+                    }
+                )
+                conj = split_then(split_then(m_h_inv, gamma, p), m_h, p)
+                k2 = (cls, conj.key())
+                if k2 in index:
+                    uf.union(key, k2)
+                    if k2 == key:
+                        aut_of[key] += 1
+    classes = uf.classes()
+    return len(classes), sorted(aut_of[cls[0]] for cls in classes)

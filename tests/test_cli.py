@@ -299,6 +299,22 @@ def test_oracle_mismatch_exit_code(capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count-kummer", "--p", "2", "--e", "8", "--n", "255", "--brute-force"),
+        ("count-as", "--p", "2", "--e", "8", "--max-break", "3", "--brute-force"),
+    ],
+    ids=["kummer F_256 n=255", "AS F_256 m=3"],
+)
+def test_oracle_beyond_its_bound_exit_code(capsys, argv):
+    # F_256 with m = 3 has 256^4 window series: refused, not ground through
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: oracle scale exceeded: more than 262144 series or pairs\n"
+
+
 def test_q_flag_consistency(capsys):
     code, _ = run_cli(capsys, "count-as", "--p", "2", "--q", "6", "--max-break", "1")
     assert code == 2

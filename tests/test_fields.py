@@ -42,6 +42,38 @@ def test_no_module_asks_for_attributes_by_hasattr():
         assert calls == [], f"{path.name} calls hasattr at lines {calls}"
 
 
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_oracles_keep_no_state_across_calls():
+    # a table that outlived its call would let a repeated oracle call read
+    # earlier answers: no dict, list or set at module or class level, and
+    # no memoising decorator
+    tree = ast.parse(Path(ftk.oracles.__file__).read_text(encoding="utf-8"))
+    literals = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    constructors = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+    bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    stores = [
+        node.lineno
+        for body in bodies
+        for node in body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and (
+            isinstance(node.value, literals)
+            or isinstance(node.value, ast.Call) and _name(node.value.func) in constructors
+        )
+    ]
+    assert stores == [], f"oracles.py keeps a container at module or class level, lines {stores}"
+    caches = [
+        node.lineno
+        for node in ast.walk(tree)
+        if _name(node) in {"cache", "lru_cache", "cached_property"}
+        or isinstance(node, ast.alias) and node.name in {"cache", "lru_cache", "cached_property"}
+    ]
+    assert caches == [], f"oracles.py memoises at lines {caches}"
+
+
 def _loops_over_homs_inside_loops(node, depth=0):
     """Line numbers of loops over ``homs.items()`` (or ``new_homs.items()``,
     For or comprehension) that run inside another loop."""

@@ -1,0 +1,169 @@
+"""The brute-force oracles against the reference bodies in ``schoolbook.py``,
+and the oracles' size bound.
+
+The reference computes every loop invariant once per (object, witness)
+pair; the oracles compute it once per call.  Both must give the same
+count and the same automorphism multiset.  Every refusal must come before
+anything is built: the tests make building a window or a monomial fail.
+"""
+
+import time
+
+import pytest
+from hypothesis import given, strategies as st
+
+import schoolbook
+from ftk import oracles
+from ftk.errors import DomainError, FtkError
+from ftk.fields import field
+from ftk.semidirect import SemidirectGroup, TameFrame
+from ftk.series import LaurentSeries as L
+
+F2, F3, F4, F5, F7, F9, F256 = (field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 8)))
+
+# (label, p, e, r, n, psi, q_exp)
+S3_F3 = ("S3/F3", 3, 1, 1, 2, [[-1]], 1)
+S3_F9 = ("S3/F9", 3, 2, 1, 2, [[-1]], 1)
+Z5C4_F5 = ("Z5xC4/F5", 5, 1, 1, 4, [[2]], 1)
+A4_F4 = ("A4/F4", 2, 2, 2, 3, [[0, 1], [1, 1]], 1)
+Z3C4 = SemidirectGroup.make(3, 1, 4, [[-1]])
+
+
+def system(label, p, e, r, n, psi, q_exp):
+    return SemidirectGroup.make(p, r, n, psi), TameFrame(field(p, e), n, q_exp)
+
+
+@pytest.mark.parametrize(
+    "spec, m",
+    [(F2, 0), (F2, 1), (F2, 2), (F2, 3), (F3, 0), (F3, 1), (F3, 2), (F4, 1)],
+    ids=lambda x: f"m{x}" if isinstance(x, int) else f"F{x.q}",
+)
+def test_as_count_matches_reference(spec, m):
+    assert oracles.as_bruteforce_class_count(spec, m) == schoolbook.as_bruteforce_class_count(spec, m)
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [(F3, 2), (F5, 2), (F5, 4), (F7, 3), (F4, 3)],
+    ids=lambda x: f"n{x}" if isinstance(x, int) else f"F{x.q}",
+)
+def test_kummer_count_matches_reference(spec, n):
+    assert oracles.kummer_bruteforce_class_count(spec, n) == schoolbook.kummer_bruteforce_class_count(spec, n)
+
+
+@pytest.mark.parametrize(
+    "case, m",
+    [(S3_F3, 0), (S3_F3, 1), (S3_F3, 2), (Z5C4_F5, 0), (Z5C4_F5, 1), (A4_F4, 0)],
+    ids=lambda x: x[0] if isinstance(x, tuple) else f"m{x}",
+)
+def test_semidirect_matches_reference(case, m):
+    group, frame = system(*case)
+    got = oracles.semidirect_bruteforce(group, frame, m)
+    assert got == schoolbook.semidirect_bruteforce(group, frame, m)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_split_frame_matches_reference(m):
+    got = oracles.double_frame_bruteforce(Z3C4, F9, m)
+    assert got == schoolbook.double_frame_bruteforce(Z3C4, F9, m)
+
+
+@st.composite
+def window_problems(draw):
+    """(c, d, lo, hi) over F_2, F_3 or F_4 with at most 27 window series;
+    half the time d = c + wp(u) for some u on a window near [lo, hi]."""
+    spec = draw(st.sampled_from([F2, F3, F4]))
+    lo = draw(st.integers(-3, 0))
+    hi = lo + draw(st.integers(0, {2: 3, 3: 2, 4: 1}[spec.q]))
+
+    def series(lo_s, hi_s, prec):
+        exps = range(lo_s, hi_s + 1)
+        digits = draw(st.lists(st.integers(0, spec.q - 1), min_size=len(exps), max_size=len(exps)))
+        return L.from_dict(spec, {e: spec.from_index(i) for e, i in zip(exps, digits) if i}, prec)
+
+    prec = draw(st.integers(2, 6))
+    c = series(draw(st.integers(-6, 1)), prec - 1, prec)
+    if draw(st.booleans()):
+        u_hi = min(hi + draw(st.integers(-1, 1)), prec - 1)
+        d = c + series(lo + draw(st.integers(-1, 1)), u_hi, prec).wp()
+    else:
+        d_prec = draw(st.integers(2, 6))
+        d = series(draw(st.integers(-6, 1)), d_prec - 1, d_prec)
+    return c, d, lo, hi
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FtkError as exc:
+        return type(exc)
+
+
+@given(window_problems())
+def test_as_window_witness_matches_reference(problem):
+    assert outcome(oracles.as_window_witness_exists, *problem) == outcome(
+        schoolbook.as_window_witness_exists, *problem
+    )
+
+
+# -- the size bound ---------------------------------------------------------------
+
+
+class Built(Exception):
+    pass
+
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Make building a window, a monomial or the AS class list raise."""
+
+    def refuse(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(oracles, "_window_series", refuse)
+    monkeypatch.setattr(L, "monomial", staticmethod(refuse))
+    monkeypatch.setattr("ftk.artin_schreier.enumerate_as_classes", refuse)
+
+
+REFUSED = [
+    ("AS F_256 m=3", lambda: oracles.as_bruteforce_class_count(F256, 3)),
+    ("AS F_2 m=9", lambda: oracles.as_bruteforce_class_count(F2, 9)),
+    ("AS F_2 m=10^9", lambda: oracles.as_bruteforce_class_count(F2, 10**9)),
+    ("AS m=-2", lambda: oracles.as_bruteforce_class_count(F2, -2)),
+    ("Kummer F_256 n=255", lambda: oracles.kummer_bruteforce_class_count(F256, 255)),
+    ("Kummer n=-1", lambda: oracles.kummer_bruteforce_class_count(F5, -1)),
+    ("Kummer n=0", lambda: oracles.kummer_bruteforce_class_count(F5, 0)),
+    ("S3/F3 m=5", lambda: oracles.semidirect_bruteforce(*system(*S3_F3), 5)),
+    ("A4/F4 m=2", lambda: oracles.semidirect_bruteforce(*system(*A4_F4), 2)),
+    ("S3/F3 m=-1", lambda: oracles.semidirect_bruteforce(*system(*S3_F3), -1)),
+    ("split F_9 m=6", lambda: oracles.double_frame_bruteforce(Z3C4, F9, 6)),
+    ("split F_9 m=-1", lambda: oracles.double_frame_bruteforce(Z3C4, F9, -1)),
+    ("AS window F_256 3 slots", lambda: oracles.as_window_witness_exists(L.zero(F256, 5), L.zero(F256, 5), -2, 0)),
+    ("Kummer window F_256 5 slots", lambda: oracles.kummer_window_witness_exists(L.zero(F256, 5), L.zero(F256, 5), 3)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in REFUSED], ids=[name for name, _ in REFUSED])
+def test_refusal_comes_before_anything_is_built(nothing_built, call):
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError):
+        call()
+    assert time.perf_counter() - t0 < 1
+
+
+# the largest sizes the library, the acceptance criteria and the benchmark run
+ADMITTED = [
+    ("AS F_2 m=5", lambda: oracles.as_bruteforce_class_count(F2, 5)),
+    ("AS F_2 m=8", lambda: oracles.as_bruteforce_class_count(F2, 8)),
+    ("Kummer F_7 n=3", lambda: oracles.kummer_bruteforce_class_count(F7, 3)),
+    ("S3/F3 m=4", lambda: oracles.semidirect_bruteforce(*system(*S3_F3), 4)),
+    ("S3/F9 m=1", lambda: oracles.semidirect_bruteforce(*system(*S3_F9), 1)),
+    ("A4/F4 m=1", lambda: oracles.semidirect_bruteforce(*system(*A4_F4), 1)),
+    ("split F_9 m=2", lambda: oracles.double_frame_bruteforce(Z3C4, F9, 2)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in ADMITTED], ids=[name for name, _ in ADMITTED])
+def test_bound_admits_the_desk_sizes(nothing_built, call):
+    with pytest.raises(Built):
+        call()
