@@ -8,7 +8,8 @@ oracle mismatch.  JSON output has sorted keys.  The census verbs (count-as,
 count-kummer, semidirect-enum) also take --format csv; CSV census columns
 are break, aut_order, multiplicity, class (in that order), rows sorted by
 (break, class id).  All output is newline-terminated UTF-8.  Each verb
-accepts only the flags it reads.
+accepts only the flags it reads.  With --brute-force a census verb runs the
+oracle before it enumerates, so a size the oracle refuses costs no census.
 """
 
 from __future__ import annotations
@@ -129,20 +130,18 @@ def _cmd_kummer_iso(args):
 def _cmd_count_as(args):
     spec = _field_from_args(args)
     m = args.max_break
+    brute = oracles.as_bruteforce_class_count(spec, m) if args.brute_force else None
     classes = enumerate_as_classes(spec, m)
     payload = {
         "p": spec.p,
         "q": spec.q,
         "max_break": m,
         "count": len(classes),
-        "brute_force": None,
+        "brute_force": brute,
     }
-    if args.brute_force:
-        brute = oracles.as_bruteforce_class_count(spec, m)
-        payload["brute_force"] = brute
-        if brute != len(classes):
-            _emit(payload)
-            raise OracleMismatch(f"structured {len(classes)} != oracle {brute}")
+    if args.brute_force and brute != len(classes):
+        _emit(payload)
+        raise OracleMismatch(f"structured {len(classes)} != oracle {brute}")
     if args.format == "csv":
         _emit_csv(_census_rows((c.to_json(), c.break_ or 0, spec.p) for c in classes))
     else:
@@ -153,19 +152,17 @@ def _cmd_count_as(args):
 def _cmd_count_kummer(args):
     spec = _field_from_args(args)
     n = args.n
+    brute = oracles.kummer_bruteforce_class_count(spec, n) if args.brute_force else None
     classes = enumerate_kummer_classes(spec, n)
     payload = {
         "q": spec.q,
         "n": n,
         "count": len(classes),
-        "brute_force": None,
+        "brute_force": brute,
     }
-    if args.brute_force:
-        brute = oracles.kummer_bruteforce_class_count(spec, n)
-        payload["brute_force"] = brute
-        if brute != len(classes):
-            _emit(payload)
-            raise OracleMismatch(f"structured {len(classes)} != oracle {brute}")
+    if args.brute_force and brute != len(classes):
+        _emit(payload)
+        raise OracleMismatch(f"structured {len(classes)} != oracle {brute}")
     if args.format == "csv":
         aut = math.gcd(n, spec.q - 1)
         _emit_csv(_census_rows((c.to_json(), 0, aut) for c in classes))
@@ -191,6 +188,7 @@ def _cmd_semidirect_enum(args):
     n2, q2, group2 = reduce_to_coprime(group, args.q_exp)
     frame = TameFrame(spec, n2, q2)
     bound = args.max_break
+    brute = oracles.semidirect_bruteforce(group2, frame, bound) if args.brute_force else None
     classes = enumerate_g_torsors(group2, frame, bound, args.prec)
     rows = _census_rows((c.class_id(), c.break_, c.aut_count) for c in classes)
     payload = {
@@ -206,7 +204,7 @@ def _cmd_semidirect_enum(args):
         "brute_force": None,
     }
     if args.brute_force:
-        count, auts = oracles.semidirect_bruteforce(group2, frame, bound)
+        count, auts = brute
         payload["brute_force"] = {"count": count, "aut_orders": auts}
         if (count, auts) != (len(classes), sorted(c.aut_count for c in classes)):
             _emit(payload)

@@ -283,11 +283,17 @@ class _Composition:
             return SplitMap({a: self.then(h, g.parts[h.dst]) for a, h in f.parts.items()})
         if f.dst != g.src:
             raise DomainError("component mismatch in composition")
-        from .semidirect import mat_mul, mat_vec_series
+        from .semidirect import mat_identity, mat_mul, mat_vec_series
 
         # (g o f)(X) = M_f (M_g X + c_g) + sigma_{lam_g}(c_f)
         m = mat_mul(f.matrix, g.matrix, self.p)
-        mixed = mat_vec_series(f.matrix, g.trans, self.p)
+        if f.matrix == mat_identity(len(f.matrix), self.p):
+            # M_f c_g is c_g, each series cut to the shortest window as the
+            # matrix product would
+            prec = min((t.prec for t in g.trans), default=0)
+            mixed = tuple(t if t.prec == prec else t.truncate(prec) for t in g.trans)
+        else:
+            mixed = mat_vec_series(f.matrix, g.trans, self.p)
         trans = tuple(a + b for a, b in zip(mixed, self.sigma(f.trans, g.lam)))
         return AffineMap(f.src, g.dst, m, trans, f.lam * g.lam)
 

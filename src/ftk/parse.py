@@ -77,7 +77,9 @@ def _parse_g_monomial(sc: _Scanner, spec: FieldSpec) -> FqElem:
                 raise ParseError("negative power of g", sc.pos)
         if spec.e == 1:
             raise ParseError("coefficient uses g but the field is prime", sc.pos)
-        return (spec.gen() ** e).scale(c)
+        # below the degree g^e is the coordinate vector of index p^e
+        power = spec.from_index(spec.p**e) if e < spec.e else spec.gen() ** e
+        return power.scale(c)
     return spec.from_int(c)
 
 

@@ -7,7 +7,11 @@ and precision-doubling Newton.  They are kept here, written against the
 public LaurentSeries fields only, so the property tests can require the
 fast paths to return the same ``(val, prec, coeffs)`` and raise the same
 exceptions.  ``nth_roots_of_unity`` is the scan over every element that
-``ftk.fields`` used before it read the roots from its power table.
+``ftk.fields`` used before it read the roots from its power table, and
+``field_tables`` is the O(q^2) build of a field's tables that
+``ftk.fields._field_tables`` replaced by one walk of the generator's
+powers: it walks each candidate generator's full order and scans the whole
+coset of every element for the transversal.
 
 The oracle references are the bodies ``ftk.oracles`` had before each
 oracle computed its loop invariants once per call: ``u.wp()`` and
@@ -34,6 +38,44 @@ from ftk.oracles import (
     _window_series,
 )
 from ftk.series import LaurentSeries
+
+
+def field_tables(spec):
+    """(generator, dlog, wp preimages, transversal, powers), as
+    ``ftk.fields._field_tables`` returns them."""
+    elems = spec.elements()
+    one = spec.one()
+    # smallest primitive element
+    generator = None
+    for a in elems:
+        if a.is_zero():
+            continue
+        order = 1
+        x = a
+        while x != one:
+            x = x * a
+            order += 1
+        if order == spec.q - 1:
+            generator = a
+            break
+    dlog = {}
+    powers = []
+    x = one
+    for k in range(spec.q - 1):
+        dlog[x.coords] = k
+        powers.append(x)
+        x = x * generator
+    # Artin-Schreier operator u -> u^p - u at the residue level
+    preimages: dict = {}
+    for u in elems:
+        preimages.setdefault((u**spec.p - u).coords, []).append(u)
+    image_elems = [a for a in elems if a.coords in preimages]
+    # transversal: lex-smallest element of each coset of the image subgroup
+    transversal = {}
+    for a in elems:
+        rep = spec.from_index(min((a + w).index for w in image_elems))
+        transversal[a.coords] = rep
+    return generator, dlog, {k: tuple(v) for k, v in preimages.items()}, transversal, powers
 
 
 def nth_roots_of_unity(spec, n: int):

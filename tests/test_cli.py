@@ -315,6 +315,39 @@ def test_oracle_beyond_its_bound_exit_code(capsys, argv):
     assert captured.err == "error: oracle scale exceeded: more than 262144 series or pairs\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count-as", "--p", "2", "--e", "8", "--max-break", "3", "--brute-force"),
+        ("count-kummer", "--p", "2", "--e", "8", "--n", "255", "--brute-force"),
+        ("semidirect-enum", "--p", "3", "--r", "1", "--n", "2", "--psi", "[-1]",
+         "--q-exp", "1", "--break-bound", "5", "--brute-force"),
+    ],
+    ids=["count-as", "count-kummer", "semidirect-enum"],
+)
+def test_oracle_refuses_before_the_census(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("census enumerated before the oracle ran")
+
+    for name in ("enumerate_as_classes", "enumerate_kummer_classes", "enumerate_g_torsors"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: oracle scale exceeded")
+
+
+def test_field_tables_bound_exit_code(capsys):
+    # F_32768 is past the table bound; count-kummer needs no tables
+    code = main(["as-canon", "--p", "2", "--e", "15", "--series", "t^-1 + 1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: field tables are limited to q <= 16384, got q = 32768\n"
+    code, out = run_cli(capsys, "count-kummer", "--p", "2", "--e", "15", "--n", "7")
+    assert code == 0
+    assert json.loads(out)["count"] == 49
+
+
 def test_q_flag_consistency(capsys):
     code, _ = run_cli(capsys, "count-as", "--p", "2", "--q", "6", "--max-break", "1")
     assert code == 2

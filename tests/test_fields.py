@@ -1,5 +1,6 @@
 import ast
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,11 @@ import ftk
 import schoolbook
 from ftk.errors import DomainError, NotInvertible
 from ftk.fields import (
+    MAX_TABLE_Q,
+    FieldSpec,
+    FqElem,
+    _field_tables,
+    _is_prime,
     as_residue_solve,
     canonical_nth_root,
     field,
@@ -249,6 +255,58 @@ def test_roots_of_unity_counts():
     for p, e, n in [(5, 1, 4), (7, 1, 2), (2, 2, 3), (3, 1, 2)]:
         spec = field(p, e)
         assert len(nth_roots_of_unity(spec, n)) == math.gcd(n, spec.q - 1)
+
+
+def _prime_powers(limit):
+    return [(p, e) for p in range(2, limit + 1) if _is_prime(p) for e in range(1, 10) if p**e <= limit]
+
+
+@pytest.mark.parametrize("p, e", _prime_powers(512))
+def test_tables_match_the_schoolbook_build(p, e):
+    # generator, dlog, wp preimages, transversal and powers, all equal
+    spec = field(p, e)
+    assert _field_tables(spec) == schoolbook.field_tables(spec)
+
+
+@pytest.mark.parametrize("p, e", [(2, 8), (3, 5), (2, 10)], ids=["F256", "F243", "F1024"])
+def test_table_build_is_linear_in_q(monkeypatch, p, e):
+    # the schoolbook build spends about q^2/p additions on the transversal
+    spec = field(p, e)
+    counts = {"mul": 0, "add": 0}
+
+    def counted(name, op):
+        def wrapper(a, b):
+            counts[name] += 1
+            return op(a, b)
+
+        return wrapper
+
+    mul = counted("mul", FqElem.__mul__)
+    monkeypatch.setattr(FqElem, "__mul__", mul)
+    monkeypatch.setattr(FqElem, "__rmul__", mul)
+    monkeypatch.setattr(FqElem, "__add__", counted("add", FqElem.__add__))
+    monkeypatch.setattr(FqElem, "__sub__", counted("add", FqElem.__sub__))
+    _field_tables.__wrapped__(spec)
+    assert counts["mul"] <= 2 * spec.q
+    assert counts["add"] <= e * spec.q
+
+
+def test_tables_refuse_big_fields_before_building(monkeypatch):
+    spec = field(2, 15)
+
+    def refuse(*args):
+        raise AssertionError("an element was built")
+
+    for name in ("one", "zero", "from_int", "from_index", "elements"):
+        monkeypatch.setattr(FieldSpec, name, refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"q <= {MAX_TABLE_Q}, got q = 32768"):
+            spec.generator
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_field_division():

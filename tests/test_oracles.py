@@ -16,7 +16,7 @@ import schoolbook
 from ftk import oracles
 from ftk.errors import DomainError, FtkError
 from ftk.fields import field
-from ftk.semidirect import SemidirectGroup, TameFrame
+from ftk.semidirect import SemidirectGroup, TameFrame, mat_identity
 from ftk.series import LaurentSeries as L
 
 F2, F3, F4, F5, F7, F9, F256 = (field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 8)))
@@ -104,6 +104,42 @@ def test_as_window_witness_matches_reference(problem):
     assert outcome(oracles.as_window_witness_exists, *problem) == outcome(
         schoolbook.as_window_witness_exists, *problem
     )
+
+
+@st.composite
+def composable_maps(draw):
+    """(p, f, g): two AffineMaps over F_3, F_4 or F_9 of rank 1 or 2, f's
+    matrix the identity half the time, translations of differing precision."""
+    spec = draw(st.sampled_from([F3, F4, F9]))
+    p, r = spec.p, draw(st.integers(1, 2))
+
+    def series():
+        prec = draw(st.integers(1, 5))
+        lo = draw(st.integers(-3, prec - 1))
+        digits = draw(st.lists(st.integers(0, spec.q - 1), min_size=prec - lo, max_size=prec - lo))
+        return L.from_dict(spec, {lo + i: spec.from_index(d) for i, d in enumerate(digits) if d}, prec)
+
+    def matrix():
+        row = st.lists(st.integers(0, p - 1), min_size=r, max_size=r).map(tuple)
+        return tuple(draw(st.lists(row, min_size=r, max_size=r)))
+
+    def affine(m):
+        lam = spec.from_index(draw(st.integers(1, spec.q - 1)))
+        return oracles.AffineMap(0, 0, m, tuple(series() for _ in range(r)), lam)
+
+    f = affine(mat_identity(r, p) if draw(st.booleans()) else matrix())
+    return p, f, affine(matrix())
+
+
+@given(composable_maps())
+def test_composition_matches_reference(maps):
+    # the identity-matrix shortcut must give what the matrix product gives
+    p, f, g = maps
+
+    def fields(h):
+        return h.matrix, h.lam, [(t.val, t.prec, t.coeffs) for t in h.trans]
+
+    assert fields(oracles._Composition(p).then(f, g)) == fields(schoolbook.affine_then(f, g, p))
 
 
 # -- the size bound ---------------------------------------------------------------

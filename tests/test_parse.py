@@ -84,6 +84,15 @@ def test_field_literal():
         parse_field_elem("", F5)
 
 
+@pytest.mark.parametrize("p, e", [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4), (3, 3), (2, 8)])
+def test_g_power_literal_equals_the_power(p, e):
+    # below the degree the parser reads g^k as a coordinate vector
+    spec = field(p, e)
+    for k in range(2 * e):
+        assert parse_field_elem(f"g^{k}", spec) == spec.gen() ** k
+        assert parse_field_elem(f"2g^{k}", spec) == (spec.gen() ** k).scale(2)
+
+
 def test_roundtrip_random():
     rng = random.Random(77)
     for _ in range(100):
