@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DomainError, PrecisionExhausted
+from .errors import DomainError, PrecisionExhausted, check_break_bound
 from .fields import FieldSpec, FqElem, canonical_wp_shift
 from .series import LaurentSeries
 
@@ -169,14 +169,24 @@ def as_moduli_point(f: ASCanonical):
     return IndPoint(f.spec, 1, level, value)
 
 
+def as_class_count(spec: FieldSpec, m: int) -> int:
+    """p * q^|S_m|, the number of classes enumerate_as_classes lists, in
+    closed form.  Refused when q^|S_m| could pass 2^4096, so that a huge
+    break bound costs nothing."""
+    check_break_bound(m)
+    slots = m - m // spec.p
+    if slots * (spec.q - 1).bit_length() > 4096:
+        raise DomainError("class count exceeds 2^4096")
+    return spec.p * spec.q**slots
+
+
 def enumerate_as_classes(spec: FieldSpec, m: int):
     """Every canonical form with support in S_m, in deterministic order.
 
     There are p * q^|S_m| of them: q choices per slot times the p
     transversal classes.
     """
-    if m < 0:
-        raise DomainError("break bound must be >= 0")
+    check_break_bound(m)
     slots = prime_to_p_support(spec.p, m)
     transversal = sorted(
         {spec.wp_transversal_rep(c).coords for c in spec.elements()}

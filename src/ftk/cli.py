@@ -10,6 +10,10 @@ are break, aut_order, multiplicity, class (in that order), rows sorted by
 (break, class id).  All output is newline-terminated UTF-8.  Each verb
 accepts only the flags it reads.  With --brute-force a census verb runs the
 oracle before it enumerates, so a size the oracle refuses costs no census.
+The JSON forms of count-as and count-kummer print the closed-form count
+and enumerate nothing (unless --brute-force asks for the check).  Every
+other census walks at most MAX_CENSUS classes (canonical vectors, for
+semidirect-enum), and a larger one is refused with exit 2 before it starts.
 """
 
 from __future__ import annotations
@@ -23,13 +27,22 @@ import sys
 
 from . import oracles
 from .acceptance import run_all
-from .artin_schreier import as_canonicalize, as_iso_witness, enumerate_as_classes
+from .artin_schreier import as_canonicalize, as_class_count, as_iso_witness, enumerate_as_classes
 from .errors import DomainError, FtkError, OracleMismatch, ParseError
 from .fields import field
 from .groupoids import CentralAutSubgroup, FiniteGroupoid, groupoid_mass, rigidify
-from .kummer import enumerate_kummer_classes, kummer_canonicalize, kummer_iso_witness
+from .kummer import (
+    enumerate_kummer_classes,
+    kummer_canonicalize,
+    kummer_class_count,
+    kummer_iso_witness,
+)
 from .parse import parse_series, render_series
 from .semidirect import SemidirectGroup, TameFrame, enumerate_g_torsors, reduce_to_coprime
+
+# the largest census walk a verb starts: count-kummer F_256, n = 255, with
+# 65025 classes, is the largest one the tests and the benchmark run
+MAX_CENSUS = 2**16
 
 
 def _field_from_args(args):
@@ -51,7 +64,7 @@ def _field_from_args(args):
         e = ee
     if p is None:
         raise DomainError("--p is required")
-    return field(p, e or 1)
+    return field(p, 1 if e is None else e)
 
 
 def _emit(payload):
@@ -64,6 +77,11 @@ def _emit_csv(rows):
     for brk, text, aut, _ in rows:
         cls = text.replace('"', '""')
         print(f'{brk},{aut},1,"{cls}"')
+
+
+def _check_census(size: int):
+    if size > MAX_CENSUS:
+        raise DomainError(f"census scale exceeded: more than {MAX_CENSUS} classes to walk")
 
 
 def _census_rows(entries):
@@ -127,57 +145,62 @@ def _cmd_kummer_iso(args):
     return 0
 
 
+def _count_verb(args, payload, brute, count, enumerate_classes, row):
+    """Finish count-as or count-kummer: the closed-form count as JSON, or
+    the census as CSV.  With --brute-force the census is enumerated and its
+    size must equal the oracle's count."""
+    if args.format == "csv" or args.brute_force:
+        _check_census(count)
+        classes = enumerate_classes()
+        count = len(classes)
+    payload.update(count=count, brute_force=brute)
+    if args.brute_force and brute != count:
+        _emit(payload)
+        raise OracleMismatch(f"structured {count} != oracle {brute}")
+    if args.format == "csv":
+        _emit_csv(_census_rows(row(c) for c in classes))
+    else:
+        _emit(payload)
+    return 0
+
+
 def _cmd_count_as(args):
     spec = _field_from_args(args)
     m = args.max_break
     brute = oracles.as_bruteforce_class_count(spec, m) if args.brute_force else None
-    classes = enumerate_as_classes(spec, m)
-    payload = {
-        "p": spec.p,
-        "q": spec.q,
-        "max_break": m,
-        "count": len(classes),
-        "brute_force": brute,
-    }
-    if args.brute_force and brute != len(classes):
-        _emit(payload)
-        raise OracleMismatch(f"structured {len(classes)} != oracle {brute}")
-    if args.format == "csv":
-        _emit_csv(_census_rows((c.to_json(), c.break_ or 0, spec.p) for c in classes))
-    else:
-        _emit(payload)
-    return 0
+    payload = {"p": spec.p, "q": spec.q, "max_break": m}
+    return _count_verb(
+        args, payload, brute, as_class_count(spec, m),
+        lambda: enumerate_as_classes(spec, m),
+        lambda c: (c.to_json(), c.break_ or 0, spec.p),
+    )
 
 
 def _cmd_count_kummer(args):
     spec = _field_from_args(args)
     n = args.n
     brute = oracles.kummer_bruteforce_class_count(spec, n) if args.brute_force else None
-    classes = enumerate_kummer_classes(spec, n)
-    payload = {
-        "q": spec.q,
-        "n": n,
-        "count": len(classes),
-        "brute_force": brute,
-    }
-    if args.brute_force and brute != len(classes):
-        _emit(payload)
-        raise OracleMismatch(f"structured {len(classes)} != oracle {brute}")
-    if args.format == "csv":
-        aut = math.gcd(n, spec.q - 1)
-        _emit_csv(_census_rows((c.to_json(), 0, aut) for c in classes))
-    else:
-        _emit(payload)
-    return 0
+    aut = math.gcd(n, spec.q - 1)
+    return _count_verb(
+        args, {"q": spec.q, "n": n}, brute, kummer_class_count(spec, n),
+        lambda: enumerate_kummer_classes(spec, n),
+        lambda c: (c.to_json(), 0, aut),
+    )
 
 
 def _parse_psi(text: str, r: int):
+    """The action matrix, a JSON list of integer rows; rank 1 also takes
+    one flat row such as [-1]."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"--psi is not valid JSON: {exc}", exc.pos)
-    if r >= 1 and data and not isinstance(data[0], list):
-        data = [data] if r == 1 else data
+    if r == 1 and isinstance(data, list) and data and not isinstance(data[0], list):
+        data = [data]
+    if not isinstance(data, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in data
+    ):
+        raise DomainError("--psi must be a JSON matrix of integers")
     return data
 
 
@@ -189,6 +212,7 @@ def _cmd_semidirect_enum(args):
     frame = TameFrame(spec, n2, q2)
     bound = args.max_break
     brute = oracles.semidirect_bruteforce(group2, frame, bound) if args.brute_force else None
+    _check_census(as_class_count(spec, bound) ** group2.r)
     classes = enumerate_g_torsors(group2, frame, bound, args.prec)
     rows = _census_rows((c.class_id(), c.break_, c.aut_count) for c in classes)
     payload = {

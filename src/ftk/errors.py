@@ -2,7 +2,9 @@
 
 CLI exit codes map onto these: ParseError -> 1, DomainError -> 2,
 OracleMismatch -> 3.  PrecisionExhausted signals that a truncated series
-window is too small to certify the requested computation.
+window is too small to certify the requested computation.  The argument
+checks below are shared by the structured paths and the oracles, so a bad
+argument gets one message whichever path meets it first.
 """
 
 
@@ -32,3 +34,15 @@ class PrecisionExhausted(FtkError):
 
 class OracleMismatch(FtkError):
     pass
+
+
+def check_break_bound(m: int):
+    if m < 0:
+        raise DomainError("break bound must be >= 0")
+
+
+def check_tame_order(p: int, n: int):
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if n % p == 0:
+        raise DomainError(f"n = {n} is divisible by the characteristic")

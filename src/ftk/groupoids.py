@@ -20,7 +20,7 @@ verification harness, so constructors refuse inputs beyond 64 objects,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .artin_schreier import prime_to_p_support
@@ -179,6 +179,7 @@ class FinGroup:
     elements: tuple
     table: dict  # (a, b) -> ab, as a frozen mapping via tuple of items
     identity: object
+    _bg: object = field(default=None, compare=False, repr=False)  # see bg
 
     @staticmethod
     def from_table(elements, mul, identity) -> "FinGroup":
@@ -458,10 +459,14 @@ class FiniteGroupoid:
 
 
 def bg(group: FinGroup) -> FiniteGroupoid:
-    """B G: one object whose automorphisms are G (composition g o f = gf)."""
-    homs = {("*", "*"): group.elements}
-    compose = _table(homs, lambda x, y, z, f, g: group.table.get((g, f)))
-    return FiniteGroupoid.build(("*",), homs, compose, {"*": group.identity})
+    """B G: one object whose automorphisms are G (composition g o f = gf).
+    It is built and validated once per group, which keeps it."""
+    if group._bg is None:
+        homs = {("*", "*"): group.elements}
+        compose = _table(homs, lambda x, y, z, f, g: group.table.get((g, f)))
+        built = FiniteGroupoid.build(("*",), homs, compose, {"*": group.identity})
+        object.__setattr__(group, "_bg", built)
+    return group._bg
 
 
 def discrete_groupoid(k: int) -> FiniteGroupoid:

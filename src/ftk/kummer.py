@@ -12,20 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_tame_order
 from .fields import (
     FieldSpec,
     canonical_nth_root,
     nth_power_class,
 )
 from .series import LaurentSeries
-
-
-def _check_tame(spec, n: int):
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if math.gcd(n, spec.p) != 1:
-        raise DomainError(f"n = {n} is divisible by the characteristic")
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,7 @@ class KummerClass:
 
 def kummer_canonicalize(b: LaurentSeries, n: int) -> KummerClass:
     ring = b.ring
-    _check_tame(ring, n)
+    check_tame_order(ring.p, n)
     i = b.unit_ord()
     lead = b.coeff(i)
     cls = KummerClass(ring.base, n, i % n, nth_power_class(lead.residue(), n))
@@ -79,7 +72,7 @@ def kummer_iso_witness(b: LaurentSeries, b2: LaurentSeries, n: int):
     """
     if b.ring != b2.ring:
         raise DomainError("covers over different rings")
-    _check_tame(b.ring, n)
+    check_tame_order(b.ring.p, n)
     i, i2 = b.unit_ord(), b2.unit_ord()
     if (i2 - i) % n:
         return None
@@ -95,9 +88,16 @@ def kummer_iso_witness(b: LaurentSeries, b2: LaurentSeries, n: int):
     return u
 
 
+def kummer_class_count(spec: FieldSpec, n: int) -> int:
+    """n * gcd(n, q-1), the number of classes enumerate_kummer_classes
+    lists, in closed form."""
+    check_tame_order(spec.p, n)
+    return n * math.gcd(n, spec.q - 1)
+
+
 def enumerate_kummer_classes(spec: FieldSpec, n: int):
     """All n * gcd(n, q-1) classes, ordered by (q_exp, unit_class)."""
-    _check_tame(spec, n)
+    check_tame_order(spec.p, n)
     d = math.gcd(n, spec.q - 1)
     return [
         KummerClass(spec, n, q_exp, uc)

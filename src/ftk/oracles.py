@@ -1,8 +1,13 @@
 """Independent brute-force oracles for the classification paths.
 
-Each oracle recomputes a count or a witness-existence fact by exhaustion
-over explicit finite windows, sharing only the elementary series
-arithmetic with the main path, not the canonicalisation logic.  The one
+Over F_q the paper's stack of torsors is counted as a groupoid: its
+classes and their automorphism groups.  Each oracle computes exactly that
+as an orbit quotient, ``_quotient``: its objects are raw data over an
+explicit finite window, its moves are exhaustively searched witnesses,
+and a class's automorphism count is the number of moves that fix its
+first object.  The oracles share with the main path only the elementary
+series arithmetic and the library's one union-find
+(``groupoids._union_classes``), not the canonicalisation logic.  The one
 exception is the split-frame oracle, ``double_frame_bruteforce``: it
 takes its component covers from ``enumerate_as_classes`` and
 ``as_canonicalize``, and solves its crossings with ``as_iso_witness``
@@ -18,31 +23,33 @@ replaces it.
   once per witness u.  Windowed all-coefficient searches back the
   targeted non-existence checks.
 * Semidirect torsors: enumerate raw (cover, twist) pairs, realise twists
-  as semilinear affine maps X -> M X + c composed symbolically, keep the
-  pairs whose n-th power is the identity, and quotient by exhaustive
-  conjugation.  The gcd-reduction check builds the non-coprime frame out
-  of its two field components and enumerates honestly there.  Within one
-  call, a substitution s -> lam s is computed at most once per series
-  (and not at all for lam = 1), and each conjugating morphism is built
-  once.
+  as frame maps composed symbolically, keep the pairs whose n-th power is
+  the identity, and quotient by exhaustive conjugation.  A frame map is a
+  tuple of semilinear affine maps X -> M X + c, one per source component
+  of the frame (a connected frame's maps are 1-tuples).  The
+  gcd-reduction check builds the non-coprime frame out of its two field
+  components and enumerates honestly there.  Within one call, a
+  substitution s -> lam s is computed at most once per series (and not
+  at all for lam = 1), and each conjugating morphism is built once.
 
 Every table an oracle keeps lives in that call: nothing persists between
 calls.  Oracles refuse work beyond desk scale instead of approximating:
 an oracle builds at most ``_MAX_ENUMERATION`` = 2^18 series (or series
 vectors) and tests at most 2^18 (object, witness) pairs.  The
 sizes are counted from the arguments before anything is built, and a
-refusal is a ``DomainError`` (CLI exit code 2).  Break bounds must be at
-least 0 and the Kummer degree n at least 1.
+refusal is a ``DomainError`` (CLI exit code 2).  Break bounds and the
+Kummer degree n are checked by the same functions as the structured
+paths check them, so both refuse with one message.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_break_bound, check_tame_order
 from .fields import FieldSpec
+from .groupoids import _union_classes
 from .series import LaurentSeries
 
 _MAX_ENUMERATION = 2**18
@@ -66,11 +73,6 @@ def _check_scale(*sizes: int):
         )
 
 
-def _check_break(break_bound: int):
-    if break_bound < 0:
-        raise DomainError(f"break bound must be at least 0, got {break_bound}")
-
-
 def _series_key(s: LaurentSeries):
     return (s.val, tuple(c.index for c in s.coeffs))
 
@@ -84,30 +86,22 @@ def _window_series(spec, exponents, prec):
     return out
 
 
-class _UnionFind:
-    def __init__(self, keys):
-        self.parent = {k: k for k in keys}
+def _quotient(keys, images):
+    """(class count, sorted aut counts) of the orbits of keys under moves.
 
-    def find(self, a):
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def class_count(self):
-        return len({self.find(k) for k in self.parent})
-
-    def classes(self):
-        out: dict = {}
-        for k in self.parent:
-            out.setdefault(self.find(k), []).append(k)
-        return list(out.values())
+    images yields, for each key in order, its images under every move; an
+    image outside keys is dropped.  A class's aut count is the number of
+    moves that fix its first key."""
+    index = set(keys)
+    links, fixed = [], dict.fromkeys(keys, 0)
+    for key, moved in zip(keys, images):
+        for image in moved:
+            if image == key:
+                fixed[key] += 1
+            elif image in index:
+                links.append((key, image))
+    classes = _union_classes(keys, links).values()
+    return len(classes), sorted(fixed[members[0]] for members in classes)
 
 
 # -- Artin-Schreier ---------------------------------------------------------
@@ -116,21 +110,14 @@ class _UnionFind:
 def as_bruteforce_class_count(spec: FieldSpec, m: int) -> int:
     """Orbit count of series with support in [-m, 0] under coboundaries,
     by exhaustive witness search over the same window."""
-    _check_break(m)
+    check_break_bound(m)
     n_window = _capped_pow(spec.q, m + 1)
     _check_scale(n_window, n_window * n_window)
     prec = 4 * max(m, 1) + 8
     window = _window_series(spec, list(range(-m, 1)), prec)
-    keys = [_series_key(b) for b in window]
-    uf = _UnionFind(keys)
-    by_key = set(keys)
     coboundaries = [u.wp() for u in window]
-    for b, key in zip(window, keys):
-        for wu in coboundaries:
-            k = _series_key(wu + b)
-            if k in by_key:
-                uf.union(key, k)
-    return uf.class_count()
+    images = ([_series_key(wu + b) for wu in coboundaries] for b in window)
+    return _quotient([_series_key(b) for b in window], images)[0]
 
 
 def as_window_witness_exists(c: LaurentSeries, d: LaurentSeries, lo: int, hi: int) -> bool:
@@ -160,10 +147,7 @@ def kummer_bruteforce_class_count(spec: FieldSpec, n: int) -> int:
     Monomial witnesses suffice for monomial covers because valuations add
     under multiplication over a field (checked separately in the tests).
     """
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
-    if math.gcd(n, spec.p) != 1:
-        raise DomainError("p divides n")
+    check_tame_order(spec.p, n)
     n_objects, n_witnesses = 2 * n * (spec.q - 1), (4 * n + 1) * (spec.q - 1)
     _check_scale(n_objects, n_witnesses, n_objects * n_witnesses)
     prec = 4 * n + 8
@@ -172,21 +156,14 @@ def kummer_bruteforce_class_count(spec: FieldSpec, n: int) -> int:
         for i in range(2 * n)
         for c in range(1, spec.q)
     ]
-    keys = [_support_key(b) for b in objects]
-    uf = _UnionFind(keys)
-    by_key = set(keys)
     units = [spec.from_index(c) for c in range(1, spec.q)]
     multipliers = [
         LaurentSeries.monomial(v, k, prec) ** n
         for k in range(-2 * n, 2 * n + 1)
         for v in units
     ]
-    for b, b_key in zip(objects, keys):
-        for un in multipliers:
-            key = _support_key(un * b)
-            if key in by_key:
-                uf.union(b_key, key)
-    return uf.class_count()
+    images = ([_support_key(un * b) for un in multipliers] for b in objects)
+    return _quotient([_support_key(b) for b in objects], images)[0]
 
 
 def kummer_window_witness_exists(
@@ -205,7 +182,7 @@ def kummer_window_witness_exists(
     return False
 
 
-# -- semilinear affine maps --------------------------------------------------
+# -- frame maps: one semilinear affine map per source component ---------------
 
 
 @dataclass(frozen=True)
@@ -216,7 +193,8 @@ class AffineMap:
     f sends the coordinate vector X of the source presentation to
     M X + c in the target, and a scalar series a(s) to a(lam * s);
     src/dst label the frame components being crossed (both 0 when the
-    frame is connected).
+    frame is connected).  A frame map is a tuple of these, the i-th with
+    src = i.
     """
 
     src: int
@@ -224,13 +202,6 @@ class AffineMap:
     matrix: tuple  # r x r over F_p
     trans: tuple  # r series over the target component's field
     lam: object  # FqElem substitution factor
-
-    def then(self, g: "AffineMap", p: int) -> "AffineMap":
-        """g o self: apply self first, then g."""
-        return _Composition(p).then(self, g)
-
-    def power(self, n: int, p: int) -> "AffineMap":
-        return _Composition(p).power(self, n)
 
     def is_identity(self) -> bool:
         from .semidirect import mat_identity
@@ -255,11 +226,36 @@ class AffineMap:
         )
 
 
+def _map_key(f) -> tuple:
+    return tuple(part.key() for part in f)
+
+
+def _is_identity(f) -> bool:
+    return all(part.is_identity() for part in f)
+
+
+def _shifts(translations, r: int, p: int, one):
+    """(X -> X + h, X -> X - h) for each h in translations, a tuple with
+    one translation vector per frame component: the conjugating
+    morphisms of both semidirect oracles."""
+    from .semidirect import mat_identity
+
+    id_mat = mat_identity(r, p)
+
+    def shift(hs):
+        return tuple(AffineMap(i, i, id_mat, h, one) for i, h in enumerate(hs))
+
+    return [
+        (shift(hs), shift(tuple(tuple(x.scale_int(-1) for x in h) for h in hs)))
+        for hs in translations
+    ]
+
+
 class _Composition:
-    """Composition of AffineMaps and SplitMaps over F_p within one oracle
-    call.  sigma_lam(a)(s) = a(lam s) is a itself for lam = 1 and is
-    otherwise computed at most once per (series, lam): the table lives as
-    long as this object, and an oracle builds one per call."""
+    """Composition of frame maps over F_p within one oracle call.
+    sigma_lam(a)(s) = a(lam s) is a itself for lam = 1 and is otherwise
+    computed at most once per (series, lam): the table lives as long as
+    this object, and an oracle builds one per call."""
 
     def __init__(self, p: int):
         self.p = p
@@ -277,12 +273,12 @@ class _Composition:
             out.append(s)
         return tuple(out)
 
-    def then(self, f, g):
-        """g o f: apply f first, then g (componentwise for SplitMaps)."""
-        if isinstance(f, SplitMap):
-            return SplitMap({a: self.then(h, g.parts[h.dst]) for a, h in f.parts.items()})
-        if f.dst != g.src:
-            raise DomainError("component mismatch in composition")
+    def then(self, f, g) -> tuple:
+        """g o f: apply f first, then g; each part of f is followed by the
+        part of g that leaves the component it lands on."""
+        return tuple(self._affine_then(h, g[h.dst]) for h in f)
+
+    def _affine_then(self, f: AffineMap, g: AffineMap) -> AffineMap:
         from .semidirect import mat_identity, mat_mul, mat_vec_series
 
         # (g o f)(X) = M_f (M_g X + c_g) + sigma_{lam_g}(c_f)
@@ -297,11 +293,16 @@ class _Composition:
         trans = tuple(a + b for a, b in zip(mixed, self.sigma(f.trans, g.lam)))
         return AffineMap(f.src, g.dst, m, trans, f.lam * g.lam)
 
-    def power(self, f, n: int):
+    def power(self, f, n: int) -> tuple:
         out = f
         for _ in range(n - 1):
             out = self.then(out, f)
         return out
+
+    def conjugate(self, gamma, shift) -> tuple:
+        """h^-1 o gamma o h for shift = (X -> X + h, X -> X - h)."""
+        plus, minus = shift
+        return self.then(self.then(plus, gamma), minus)
 
 
 # -- semidirect: raw pair enumeration ----------------------------------------
@@ -320,19 +321,18 @@ def semidirect_bruteforce(group, frame, break_bound: int):
     """
     r, p, n = group.r, group.p, frame.n
     spec = frame.spec
-    _check_break(break_bound)
+    check_break_bound(break_bound)
     n_window = _capped_pow(spec.q, break_bound + 1)
     n_vectors = _capped_pow(n_window, r)
     # each cover vector has at most p^r twists, each tested against every h
     _check_scale(n_window, n_vectors, n_vectors * _capped_pow(p, r) * n_vectors)
-    from .semidirect import mat_identity, mat_pow
+    from .semidirect import mat_pow
 
     prec = 3 * break_bound + 12
     exps = list(range(-break_bound, 1))
     window = _window_series(spec, exps, prec)
     psi_inv = mat_pow(group.psi, n - 1, p) if r else ()
     xi = frame.xi
-    one = spec.one()
     comp = _Composition(p)
 
     def vec_key(vec):
@@ -356,56 +356,28 @@ def semidirect_bruteforce(group, frame, break_bound: int):
                     rhs = rhs - b_vec[j].scale_int(psi_inv[i][j])
             per_component.append(c_by_wp.get(_series_key(rhs), []))
         for c_vec in itertools.product(*per_component):
-            gamma = AffineMap(0, 0, psi_inv, tuple(c_vec), xi)
-            if comp.power(gamma, n).is_identity():
-                pairs.append((tuple(b_vec), gamma))
-    # quotient by conjugation with cover morphisms h over the same window:
-    # X -> X - h, its inverse, and the coboundary it adds to the cover
-    id_mat = mat_identity(r, p)
-    morphisms = [
-        (
-            AffineMap(0, 0, id_mat, h_vec, one),
-            AffineMap(0, 0, id_mat, tuple(x.scale_int(-1) for x in h_vec), one),
-            tuple(wp_of[_series_key(h)] for h in h_vec),
-        )
-        for h_vec in itertools.product(window, repeat=r)
-    ]
-    keys = [(vec_key(b), g.key()) for b, g in pairs]
-    uf = _UnionFind(keys)
-    index = set(keys)
-    aut_of = {k: 0 for k in keys}
-    for (b_vec, gamma), key in zip(pairs, keys):
-        for m_h_inv, m_h, wp_h in morphisms:
-            conj = comp.then(comp.then(m_h_inv, gamma), m_h)
+            gamma = (AffineMap(0, 0, psi_inv, tuple(c_vec), xi),)
+            if _is_identity(comp.power(gamma, n)):
+                pairs.append((b_vec, gamma))
+    # quotient by conjugation with cover morphisms h over the same window,
+    # each with the coboundary it adds to the cover
+    h_vecs = list(itertools.product(window, repeat=r))
+    shifts = _shifts([(h_vec,) for h_vec in h_vecs], r, p, spec.one())
+    wp_hs = [tuple(wp_of[_series_key(h)] for h in h_vec) for h_vec in h_vecs]
+
+    def conjugates(b_vec, gamma):
+        for shift, wp_h in zip(shifts, wp_hs):
             b2 = tuple(x + w for x, w in zip(b_vec, wp_h))
-            k2 = (vec_key(b2), conj.key())
-            if k2 in index:
-                uf.union(key, k2)
-                if k2 == key:
-                    aut_of[key] += 1
-    classes = uf.classes()
-    auts = sorted(aut_of[cls[0]] for cls in classes)
-    return len(classes), auts
+            yield vec_key(b2), _map_key(comp.conjugate(gamma, shift))
+
+    keys = [(vec_key(b), _map_key(g)) for b, g in pairs]
+    return _quotient(keys, (conjugates(b, g) for b, g in pairs))
 
 
 # -- the non-coprime frame (n, q_exp) = (2d, d): split components -------------
 
 
-class SplitMap:
-    """A G-algebra map of a cover over the two-component frame
-    B((t))[X]/(X^(2d) - t^d): one AffineMap per source component."""
-
-    def __init__(self, parts):
-        self.parts = dict(parts)  # src component -> AffineMap
-
-    def is_identity(self) -> bool:
-        return all(f.is_identity() for f in self.parts.values())
-
-    def key(self):
-        return tuple(sorted((a, f.key()) for a, f in self.parts.items()))
-
-
-def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
+def double_frame_bruteforce(group, spec, break_bound: int):
     """(class count, sorted aut multiset) for G = H x| C_4 torsors marked
     with the split frame X^4 = t^2 over F_q((t)), enumerated from the
     frame's own two-component structure (no gcd reduction).
@@ -418,26 +390,23 @@ def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
     automorphism search is exhaustive over componentwise cover morphisms.
     """
     from .artin_schreier import as_canonicalize, enumerate_as_classes
-    from .semidirect import mat_identity, mat_pow, mat_vec_series
+    from .semidirect import mat_pow, mat_vec_series
 
     if group.n != 4:
         raise DomainError("split-frame oracle models n = 4, q_exp = 2 only")
     r, p = group.r, group.p
     if (spec.q - 1) % 4:
         raise DomainError("need the 4th roots of unity in the base field")
-    _check_break(break_bound)
+    check_break_bound(break_bound)
     # p q^|S_m| AS classes per component, |S_m| = m - floor(m/p); each
     # cover vector has p^(2r) twists, each tested against p^(2r) morphisms
     n_classes = p * _capped_pow(spec.q, break_bound - break_bound // p)
     n_vectors = _capped_pow(n_classes, r)
     n_twists = _capped_pow(p, 2 * r)
     _check_scale(n_classes, n_vectors, n_vectors * n_twists * n_twists)
-    if prec is None:
-        prec = 3 * break_bound + 14
+    prec = 3 * break_bound + 14
     zeta4 = spec.generator ** ((spec.q - 1) // 4)
     psi_inv = mat_pow(group.psi, group.n - 1, p)
-    id_mat = mat_identity(r, p)
-    one = spec.one()
     comp = _Composition(p)
     consts = [LaurentSeries.constant(spec.from_int(k), prec) for k in range(p)]
 
@@ -466,58 +435,23 @@ def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
         if target_cls not in reps:
             continue
         b2 = reps[target_cls]
-        rhs12 = crossing_rhs(b1, b2)
-        rhs21 = crossing_rhs(b2, b1)
-        w12 = _solve_wp(rhs12)
-        w21 = _solve_wp(rhs21)
+        w12 = _solve_wp(crossing_rhs(b1, b2))
+        w21 = _solve_wp(crossing_rhs(b2, b1))
         if w12 is None or w21 is None:
             continue
         for shift12 in itertools.product(range(p), repeat=r):
             c12 = tuple(w + consts[k] for w, k in zip(w12, shift12))
             for shift21 in itertools.product(range(p), repeat=r):
                 c21 = tuple(w + consts[k] for w, k in zip(w21, shift21))
-                gamma = SplitMap(
-                    {
-                        0: AffineMap(0, 1, psi_inv, c12, zeta4),
-                        1: AffineMap(1, 0, psi_inv, c21, zeta4),
-                    }
-                )
-                if comp.power(gamma, 4).is_identity():
-                    found.append(((v1, target_cls), (b1, b2), gamma))
+                gamma = (AffineMap(0, 1, psi_inv, c12, zeta4), AffineMap(1, 0, psi_inv, c21, zeta4))
+                if _is_identity(comp.power(gamma, 4)):
+                    found.append(((v1, target_cls), gamma))
     # quotient by componentwise morphisms with constant witnesses
-    keys = [(cls, g.key()) for cls, _, g in found]
-    uf = _UnionFind(keys)
-    index = set(keys)
-    aut_of = {k: 0 for k in keys}
     const_vectors = list(itertools.product(consts, repeat=r))
-    morphisms = [
-        (
-            SplitMap(
-                {
-                    0: AffineMap(0, 0, id_mat, h1, one),
-                    1: AffineMap(1, 1, id_mat, h2, one),
-                }
-            ),
-            SplitMap(
-                {
-                    0: AffineMap(0, 0, id_mat, tuple(x.scale_int(-1) for x in h1), one),
-                    1: AffineMap(1, 1, id_mat, tuple(x.scale_int(-1) for x in h2), one),
-                }
-            ),
-        )
-        for h1 in const_vectors
-        for h2 in const_vectors
-    ]
-    for (cls, _, gamma), key in zip(found, keys):
-        for m_h_inv, m_h in morphisms:
-            conj = comp.then(comp.then(m_h_inv, gamma), m_h)
-            k2 = (cls, conj.key())
-            if k2 in index:
-                uf.union(key, k2)
-                if k2 == key:
-                    aut_of[key] += 1
-    classes = uf.classes()
-    return len(classes), sorted(aut_of[cls[0]] for cls in classes)
+    shifts = _shifts(itertools.product(const_vectors, repeat=2), r, p, spec.one())
+    keys = [(cls, _map_key(g)) for cls, g in found]
+    images = ([(cls, _map_key(comp.conjugate(g, shift))) for shift in shifts] for cls, g in found)
+    return _quotient(keys, images)
 
 
 def _solve_wp(rhs_vec):

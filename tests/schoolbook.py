@@ -16,10 +16,14 @@ coset of every element for the transversal.
 The oracle references are the bodies ``ftk.oracles`` had before each
 oracle computed its loop invariants once per call: ``u.wp()`` and
 ``u**n`` once per (object, witness) pair, ``scale_substitute`` on every
-composition (also by 1) and on every cover vector.  They share the
-window enumeration, the keys, the union-find and the crossing solver with
-``ftk.oracles`` and nothing else, so the differential tests can require
-equal ``(count, aut multiset)`` from both.
+composition (also by 1) and on every cover vector.  They keep their own
+copies of the union-find class ``_UnionFind`` and of ``SplitMap``, the
+two-component frame map, both as ``ftk.oracles`` had them before every
+oracle quotiented through ``_quotient`` and every frame map became a
+tuple of ``AffineMap`` parts.  They share the window enumeration, the keys,
+``AffineMap`` and the crossing solver with ``ftk.oracles`` and nothing
+else, so the differential tests can require equal ``(count, aut
+multiset)`` from both.
 """
 
 from __future__ import annotations
@@ -30,14 +34,52 @@ import math
 from ftk.errors import DomainError, PrecisionExhausted
 from ftk.oracles import (
     AffineMap,
-    SplitMap,
     _series_key,
     _solve_wp,
     _support_key,
-    _UnionFind,
     _window_series,
 )
 from ftk.series import LaurentSeries
+
+
+class _UnionFind:
+    def __init__(self, keys):
+        self.parent = {k: k for k in keys}
+
+    def find(self, a):
+        p = self.parent
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def class_count(self):
+        return len({self.find(k) for k in self.parent})
+
+    def classes(self):
+        out: dict = {}
+        for k in self.parent:
+            out.setdefault(self.find(k), []).append(k)
+        return list(out.values())
+
+
+class SplitMap:
+    """A G-algebra map of a cover over the two-component frame
+    B((t))[X]/(X^(2d) - t^d): one AffineMap per source component."""
+
+    def __init__(self, parts):
+        self.parts = dict(parts)  # src component -> AffineMap
+
+    def is_identity(self) -> bool:
+        return all(f.is_identity() for f in self.parts.values())
+
+    def key(self):
+        return tuple(sorted((a, f.key()) for a, f in self.parts.items()))
 
 
 def field_tables(spec):
@@ -190,6 +232,22 @@ def nth_root_unit(a: LaurentSeries, n: int) -> LaurentSeries:
 # -- the brute-force oracles ----------------------------------------------------
 
 _MAX_WINDOW_SLOTS = 12
+
+
+def quotient(keys, images):
+    """The quotient loop of the oracle bodies below, on explicit key
+    graphs: images[i] lists the images of keys[i] under every move."""
+    uf = _UnionFind(keys)
+    index = set(keys)
+    aut_of = {k: 0 for k in keys}
+    for key, moved in zip(keys, images):
+        for k2 in moved:
+            if k2 in index:
+                uf.union(key, k2)
+                if k2 == key:
+                    aut_of[key] += 1
+    classes = uf.classes()
+    return len(classes), sorted(aut_of[cls[0]] for cls in classes)
 
 
 def as_bruteforce_class_count(spec, m: int) -> int:

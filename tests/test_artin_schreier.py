@@ -12,6 +12,7 @@ from ftk.artin_schreier import (
     elemab_canonicalize,
     elemab_enumerate,
     elemab_iso_witness,
+    as_class_count,
     enumerate_as_classes,
     prime_to_p_support,
 )
@@ -171,12 +172,12 @@ class TestBreakAndModuli:
 class TestEnumeration:
     @pytest.mark.parametrize(
         "p,e,m,expected",
-        [(2, 1, 1, 4), (2, 1, 3, 8), (3, 1, 2, 27), (2, 1, 0, 2), (2, 2, 1, 8)],
+        [(2, 1, 1, 4), (2, 1, 3, 8), (3, 1, 2, 27), (2, 1, 0, 2), (2, 2, 1, 8), (5, 1, 3, 625), (3, 2, 1, 27)],
     )
     def test_count_law(self, p, e, m, expected):
         spec = field(p, e)
         classes = enumerate_as_classes(spec, m)
-        assert len(classes) == expected
+        assert len(classes) == expected == as_class_count(spec, m)
         assert len(set(classes)) == expected
         assert len(classes) == p * spec.q ** len(prime_to_p_support(p, m))
 
@@ -184,6 +185,12 @@ class TestEnumeration:
     def test_counts_match_bruteforce(self, p, e, m):
         spec = field(p, e)
         assert len(enumerate_as_classes(spec, m)) == as_bruteforce_class_count(spec, m)
+
+    def test_closed_form_count_refuses_at_once(self):
+        assert as_class_count(F2, 8192) == 2**4097
+        for m in (8193, 10**18, -1):
+            with pytest.raises(DomainError):
+                as_class_count(F2, m)
 
     def test_deterministic_order(self):
         a = enumerate_as_classes(F3, 2)

@@ -315,6 +315,21 @@ def test_oracle_beyond_its_bound_exit_code(capsys, argv):
     assert captured.err == "error: oracle scale exceeded: more than 262144 series or pairs\n"
 
 
+class Enumerated(Exception):
+    pass
+
+
+@pytest.fixture
+def no_census(monkeypatch):
+    """Make every census enumerator raise Enumerated."""
+
+    def refuse(*args):
+        raise Enumerated
+
+    for name in ("enumerate_as_classes", "enumerate_kummer_classes", "enumerate_g_torsors"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -325,16 +340,105 @@ def test_oracle_beyond_its_bound_exit_code(capsys, argv):
     ],
     ids=["count-as", "count-kummer", "semidirect-enum"],
 )
-def test_oracle_refuses_before_the_census(capsys, monkeypatch, argv):
-    def refuse(*args):
-        raise AssertionError("census enumerated before the oracle ran")
-
-    for name in ("enumerate_as_classes", "enumerate_kummer_classes", "enumerate_g_torsors"):
-        monkeypatch.setattr(cli, name, refuse)
+def test_oracle_refuses_before_the_census(capsys, no_census, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: oracle scale exceeded")
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (("count-as", "--p", "2", "--e", "8", "--max-break", "3"),
+         '{"brute_force": null, "count": 131072, "max_break": 3, "p": 2, "q": 256}\n'),
+        (("count-as", "--p", "3", "--max-break", "40"),
+         '{"brute_force": null, "count": %d, "max_break": 40, "p": 3, "q": 3}\n' % 3**28),
+        (("count-kummer", "--p", "2", "--e", "8", "--n", "255"),
+         '{"brute_force": null, "count": 65025, "n": 255, "q": 256}\n'),
+    ],
+    ids=["count-as F_256 m=3", "count-as F_3 m=40", "count-kummer F_256 n=255"],
+)
+def test_json_count_is_the_closed_form(capsys, no_census, argv, stdout):
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == stdout
+
+
+CENSUS_REFUSED = [
+    ("count-as", "--p", "2", "--e", "8", "--max-break", "3", "--format", "csv"),
+    ("count-kummer", "--p", "2", "--e", "9", "--n", "511", "--format", "csv"),
+    ("semidirect-enum", "--p", "3", "--r", "1", "--n", "2", "--psi", "[-1]",
+     "--q-exp", "1", "--max-break", "14"),
+    ("semidirect-enum", "--p", "2", "--e", "2", "--r", "2", "--n", "3", "--psi",
+     "[[0,1],[1,1]]", "--q-exp", "1", "--max-break", "10", "--format", "csv"),
+]
+
+
+@pytest.mark.parametrize("argv", CENSUS_REFUSED, ids=lambda argv: " ".join(argv[:7]))
+def test_census_past_its_bound_is_refused_before_the_walk(capsys, no_census, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: census scale exceeded: more than 65536 classes to walk\n"
+
+
+# the largest census walks of the tests and the benchmark
+CENSUS_ADMITTED = [
+    ("count-kummer", "--p", "2", "--e", "8", "--n", "255", "--format", "csv"),
+    ("count-as", "--p", "2", "--e", "2", "--max-break", "8", "--format", "csv"),
+    ("semidirect-enum", "--p", "3", "--r", "1", "--n", "2", "--psi", "[-1]",
+     "--q-exp", "1", "--max-break", "7"),
+    ("semidirect-enum", "--p", "5", "--r", "1", "--n", "4", "--psi", "[2]",
+     "--q-exp", "1", "--max-break", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", CENSUS_ADMITTED, ids=lambda argv: " ".join(argv[:7]))
+def test_census_bound_admits_the_largest_walks(no_census, argv):
+    with pytest.raises(Enumerated):
+        main(list(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count-as", "--p", "2", "--max-break", "-1"),
+        ("count-kummer", "--p", "5", "--n", "5"),
+        ("count-kummer", "--p", "5", "--n", "0"),
+        ("semidirect-enum", "--p", "3", "--r", "1", "--n", "2", "--psi", "[-1]",
+         "--q-exp", "1", "--max-break", "-1"),
+        ("semidirect-enum", "--p", "3", "--r", "0", "--n", "2", "--psi", "[]",
+         "--q-exp", "1", "--max-break", "-1"),
+    ],
+    ids=["negative break", "wild n", "n = 0", "semidirect negative break", "rank 0 negative break"],
+)
+def test_bad_argument_has_one_message_with_and_without_the_oracle(capsys, argv):
+    assert main(list(argv)) == 2
+    plain = capsys.readouterr()
+    assert main([*argv, "--brute-force"]) == 2
+    checked = capsys.readouterr()
+    assert plain.out == checked.out == ""
+    assert plain.err == checked.err and plain.err.count("\n") == 1
+
+
+SEMIDIRECT = ("semidirect-enum", "--p", "3", "--r", "1", "--n", "2", "--q-exp", "1", "--max-break", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (SEMIDIRECT + ("--psi", psi), "--psi must be a JSON matrix of integers")
+        for psi in ("5", '{"a":1}', '["x"]', "null", "[[1.5]]")
+    ]
+    + [(("count-as", "--p", "2", "--e", "0", "--max-break", "1"), "extension degree must be >= 1")],
+    ids=["5", "object", "string row", "null", "float", "e = 0"],
+)
+def test_malformed_argument_is_one_error_line(capsys, argv, message):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.err
 
 
 def test_field_tables_bound_exit_code(capsys):

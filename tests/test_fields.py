@@ -48,6 +48,44 @@ def test_no_module_asks_for_attributes_by_hasattr():
         assert calls == [], f"{path.name} calls hasattr at lines {calls}"
 
 
+def _functions_named(tree, name, scope=()):
+    """The scopes (enclosing function names) of every function called name."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name == name:
+                found.append(scope)
+            inner = scope + (node.name,)
+        found += _functions_named(node, name, inner)
+    return found
+
+
+def test_one_union_find_and_one_map_type():
+    # the union-find is groupoids._union_classes alone, and the oracles'
+    # frame maps are tuples of AffineMap, with no second map class
+    finds = [
+        (path.name, scope)
+        for path in sorted(Path(ftk.__file__).parent.glob("*.py"))
+        for scope in _functions_named(ast.parse(path.read_text(encoding="utf-8")), "find")
+    ]
+    assert finds == [("groupoids.py", ("_union_classes",))], f"union-find code at {finds}"
+    tree = ast.parse(Path(ftk.oracles.__file__).read_text(encoding="utf-8"))
+    map_classes = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and (
+            node.name.endswith("Map")
+            or any(
+                isinstance(item, ast.FunctionDef) and item.name in {"key", "is_identity"}
+                for item in node.body
+            )
+        )
+    ]
+    assert map_classes == ["AffineMap"], f"oracles.py defines map classes {map_classes}"
+
+
 def _name(node):
     return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
 

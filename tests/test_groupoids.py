@@ -152,6 +152,16 @@ class TestFinGroup:
         with pytest.raises(DomainError, match=message):
             FinGroup.from_table(elements, table, identity)
 
+    def test_group_laws_are_validated_once(self, monkeypatch):
+        # from_table validates B G, and bg hands out that same groupoid
+        calls = []
+        validate = FiniteGroupoid._validate
+        monkeypatch.setattr(FiniteGroupoid, "_validate", lambda g: calls.append(g) or validate(g))
+        z6 = FinGroup.from_table(range(6), {(a, b): (a + b) % 6 for a in range(6) for b in range(6)}, 0)
+        first, second = bg(z6), bg(z6)
+        assert len(calls) == 1 and first is second is calls[0]
+        assert first.mass() == Fraction(1, 6)
+
     def test_order_past_the_associativity_budget_is_refused(self):
         FinGroup.cyclic(12)
         with pytest.raises(DomainError, match="too large"):

@@ -8,6 +8,7 @@ from ftk.fields import field, nth_roots_of_unity
 from ftk.kummer import (
     enumerate_kummer_classes,
     kummer_canonicalize,
+    kummer_class_count,
     kummer_iso_witness,
 )
 from ftk.oracles import kummer_bruteforce_class_count, kummer_window_witness_exists
@@ -173,11 +174,12 @@ class TestAutomorphisms:
 
 class TestEnumeration:
     @pytest.mark.parametrize(
-        "spec,n,expected", [(F5, 4, 16), (F7, 3, 9), (F4, 3, 9), (F5, 1, 1)]
+        "spec,n,expected",
+        [(F5, 4, 16), (F7, 3, 9), (F4, 3, 9), (F5, 1, 1), (F5, 3, 3), (F7, 6, 36), (field(2, 4), 15, 225)],
     )
     def test_counts(self, spec, n, expected):
         classes = enumerate_kummer_classes(spec, n)
-        assert len(classes) == expected
+        assert len(classes) == expected == kummer_class_count(spec, n)
         assert len(set((c.q_exp, c.unit_class) for c in classes)) == expected
 
     @pytest.mark.parametrize("spec,n", [(F5, 4), (F7, 3), (F4, 3)])

@@ -69,6 +69,22 @@ def test_split_frame_matches_reference(m):
 
 
 @st.composite
+def key_graphs(draw):
+    """(keys, images): up to 12 distinct keys, each with up to 6 images
+    drawn from the keys (itself included) and from integers outside them."""
+    keys = draw(st.lists(st.integers(0, 20), unique=True, max_size=12))
+    image = st.integers(-5, 25) if not keys else st.one_of(st.sampled_from(keys), st.integers(-5, 25))
+    images = [draw(st.lists(st.one_of(image, st.just(key)), max_size=6)) for key in keys]
+    return keys, images
+
+
+@given(key_graphs())
+def test_quotient_matches_the_union_find_loop(graph):
+    keys, images = graph
+    assert oracles._quotient(keys, images) == schoolbook.quotient(keys, images)
+
+
+@st.composite
 def window_problems(draw):
     """(c, d, lo, hi) over F_2, F_3 or F_4 with at most 27 window series;
     half the time d = c + wp(u) for some u on a window near [lo, hi]."""
@@ -139,7 +155,8 @@ def test_composition_matches_reference(maps):
     def fields(h):
         return h.matrix, h.lam, [(t.val, t.prec, t.coeffs) for t in h.trans]
 
-    assert fields(oracles._Composition(p).then(f, g)) == fields(schoolbook.affine_then(f, g, p))
+    (got,) = oracles._Composition(p).then((f,), (g,))
+    assert fields(got) == fields(schoolbook.affine_then(f, g, p))
 
 
 # -- the size bound ---------------------------------------------------------------
