@@ -3,11 +3,13 @@ F_q[x]/(x^m).
 
 Every F_{p^e} is presented as F_p[g]/(modulus) where the modulus is the
 first monic irreducible of degree e in the fixed enumeration (coefficient
-vectors read as base-p integers, constant digit least significant).  For
-e = 1 nothing depends on the modulus.  A FieldSpec caches the tables the
-rest of the library relies on, built in O(q) field operations by
-``_field_tables`` for q <= MAX_TABLE_Q = 2^14 (larger fields raise
-DomainError before anything is allocated):
+vectors read as base-p integers, constant digit least significant),
+found by testing each candidate in turn with Ben-Or's irreducibility
+test.  For e = 1 nothing depends on the modulus.  A degree above
+MAX_DEGREE = 64 raises DomainError before the search starts.  A
+FieldSpec caches the tables the rest of the library relies on, built in
+O(q) field operations by ``_field_tables`` for q <= MAX_TABLE_Q = 2^14
+(larger fields raise DomainError before anything is allocated):
 
 - the generator h: the first element in enumeration order with
   h^((q-1)/l) != 1 for every prime l dividing q-1, i.e. the smallest
@@ -59,6 +61,9 @@ from .errors import DomainError, NotInvertible
 # largest field whose tables are built: q = 2^14 takes about 0.6 s and 13 MB
 # on a 2-core x86-64 host under CPython 3.11
 MAX_TABLE_Q = 2**14
+# largest extension degree: the modulus search for F_{2^64} takes about
+# 0.04 s and for F_{11^64} about 1 s on the same host
+MAX_DEGREE = 64
 
 
 def _is_prime(n: int) -> bool:
@@ -115,18 +120,50 @@ def _monic_poly_from_index(idx: int, deg: int, p: int):
     return tuple(coeffs) + (1,)
 
 
+def _poly_sub(a, b, p):
+    n = max(len(a), len(b))
+    a, b = tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b))
+    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _poly_monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return tuple(c * inv % p for c in a)
+
+
+def _poly_gcd(a, b, p):
+    """The monic gcd of a and b over F_p."""
+    while b:
+        b = _poly_monic(b, p)
+        a, b = b, _poly_mod(a, b, p)
+    return _poly_monic(a, p)
+
+
+def _poly_powmod(a, n: int, f, p):
+    """a^n mod f for monic f, by square and multiply."""
+    result, base = (1,), _poly_mod(a, f, p)
+    while n:
+        if n & 1:
+            result = _poly_mod(_poly_mul(result, base, p), f, p)
+        base = _poly_mod(_poly_mul(base, base, p), f, p)
+        n >>= 1
+    return result
+
+
 def _poly_is_irreducible(f, p: int) -> bool:
+    """Ben-Or's test for monic f of degree d: f is irreducible exactly when
+    gcd(f, x^(p^i) - x) = 1 for i = 1 .. d/2, since x^(p^i) - x is the
+    product of the monic irreducibles whose degree divides i (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 14)."""
     deg = len(f) - 1
     if deg <= 0:
         return False
-    if deg == 1:
-        return True
-    # trial division by every monic polynomial of degree 1..deg//2
-    for d in range(1, deg // 2 + 1):
-        for idx in range(p**d):
-            g = _monic_poly_from_index(idx, d, p)
-            if not _poly_mod(f, g, p):
-                return False
+    x = (0, 1)
+    h = x
+    for _ in range(deg // 2):
+        h = _poly_powmod(h, p, f, p)  # x^(p^i) mod f
+        if _poly_gcd(f, _poly_sub(h, x, p), p) != (1,):
+            return False
     return True
 
 
@@ -316,6 +353,8 @@ def field(p: int, e: int = 1) -> FieldSpec:
         raise DomainError(f"p = {p} is not prime")
     if e < 1:
         raise DomainError("extension degree must be >= 1")
+    if e > MAX_DEGREE:
+        raise DomainError(f"extension degree is limited to e <= {MAX_DEGREE}, got e = {e}")
     return FieldSpec(p, e, _smallest_irreducible(p, e))
 
 

@@ -5,23 +5,35 @@ classes and their automorphism groups.  Each oracle computes exactly that
 as an orbit quotient, ``_quotient``: its objects are raw data over an
 explicit finite window, its moves are exhaustively searched witnesses,
 and a class's automorphism count is the number of moves that fix its
-first object.  The oracles share with the main path only the elementary
-series arithmetic and the library's one union-find
-(``groupoids._union_classes``), not the canonicalisation logic.  The one
-exception is the split-frame oracle, ``double_frame_bruteforce``: it
-takes its component covers from ``enumerate_as_classes`` and
-``as_canonicalize``, and solves its crossings with ``as_iso_witness``
-(through ``_solve_wp``), until an oracle for every non-coprime frame
-replaces it.
+first object.  The oracles share with the main path only the field (its
+elements, their arithmetic and its generator) and the library's one
+union-find (``groupoids._union_classes``), not the series arithmetic and
+not the canonicalisation logic.  The one exception is the split-frame
+oracle, ``double_frame_bruteforce``: it takes its component covers from
+``enumerate_as_classes`` and ``as_canonicalize``, and solves its
+crossings with ``as_iso_witness`` (through ``_solve_wp``), until an
+oracle for every non-coprime frame replaces it.
+
+The four count oracles work on index-coded windows, ``_WindowCodec``: a
+series with support >= lo, known mod t^prec, is the tuple of the F_q
+indices of its coefficients at lo .. prec - 1, and the tuple is its key.
+Sums, negatives, F_p multiples, u^p - u and s -> lam s read index tables
+that the codec builds from the field when an oracle builds it, once per
+call; the split-frame oracle decodes to ``LaurentSeries`` only around its
+main-path calls.
 
 * Artin-Schreier class counts: enumerate raw series over a window and
   quotient by exhaustively searched coboundary witnesses.  The window is
   built once and ``u^p - u`` is computed once per witness u.
 * Kummer class counts: enumerate monomial covers and quotient by
   exhaustively searched monomial witnesses (valuation additivity makes
-  the monomial search complete for monomial covers); ``u^n`` is computed
-  once per witness u.  Windowed all-coefficient searches back the
-  targeted non-existence checks.
+  the monomial search complete for monomial covers).  A monomial is an
+  (exponent, index) pair and products are symbolic,
+  (i, c) (v t^k)^n = (i + nk, v^n c); they are exact because the
+  exponents i <= 2n - 1 and k <= 2n are below the window 4n + 8 that a
+  series product would keep, so no product truncates.  Windowed
+  all-coefficient searches over ``LaurentSeries`` back the targeted
+  non-existence checks.
 * Semidirect torsors: enumerate raw (cover, twist) pairs, realise twists
   as frame maps composed symbolically, keep the pairs whose n-th power is
   the identity, and quotient by exhaustive conjugation.  A frame map is a
@@ -35,8 +47,9 @@ replaces it.
 Every table an oracle keeps lives in that call: nothing persists between
 calls.  Oracles refuse work beyond desk scale instead of approximating:
 an oracle builds at most ``_MAX_ENUMERATION`` = 2^18 series (or series
-vectors) and tests at most 2^18 (object, witness) pairs.  The
-sizes are counted from the arguments before anything is built, and a
+vectors), tests at most 2^18 (object, witness) pairs, and builds no
+codec table larger than its q^2 sums, with q^2 <= 2^18 too.  The sizes
+are counted from the arguments before anything is built, and a
 refusal is a ``DomainError`` (CLI exit code 2).  Break bounds and the
 Kummer degree n are checked by the same functions as the structured
 paths check them, so both refuse with one message.
@@ -73,10 +86,6 @@ def _check_scale(*sizes: int):
         )
 
 
-def _series_key(s: LaurentSeries):
-    return (s.val, tuple(c.index for c in s.coeffs))
-
-
 def _window_series(spec, exponents, prec):
     """Every series supported on the given exponents, exact to prec."""
     out = []
@@ -84,6 +93,117 @@ def _window_series(spec, exponents, prec):
         d = {e: spec.from_index(v) for e, v in zip(exponents, values) if v}
         out.append(LaurentSeries.from_dict(spec, d, prec))
     return out
+
+
+class _WindowCodec:
+    """Series over F_q with support >= lo, coded as tuples of F_q indices.
+
+    A series known mod t^prec (prec >= 1) is the tuple of the indices of
+    its coefficients at lo, lo + 1, ..., prec - 1, and that tuple is its
+    key.  A shorter tuple is a shorter window, so a sum, which zips its
+    operands, is known to min(prec), as ``LaurentSeries.__add__`` is.
+    Addition, negation, scaling by F_p, u -> u^p - u and the substitution
+    s -> lam s read index tables built from the field's own arithmetic
+    when the codec is built: q^2 sums, p*q multiples by F_p and the q - 1
+    powers of the field's generator.  An oracle builds one codec per call,
+    after its size check.
+    """
+
+    def __init__(self, spec, lo: int):
+        p, q = spec.p, spec.q
+        elems = spec.elements()
+        self.spec, self.lo, self.p, self.elems = spec, lo, p, elems
+        self.sums = [[(a + b).index for b in elems] for a in elems]
+        self.multiples = [[a.scale(k).index for a in elems] for k in range(p)]
+        self.antilog, x = [], spec.one()
+        for _ in range(q - 1):
+            self.antilog.append(x.index)
+            x = x * spec.generator
+        self.log = [0] * q
+        for k, i in enumerate(self.antilog):
+            self.log[i] = k
+        self.frobenius = [0] + [self.antilog[p * self.log[i] % (q - 1)] for i in range(1, q)]
+
+    def encode(self, s: LaurentSeries) -> tuple:
+        if s.prec < 1 or s.coeffs and s.val < self.lo:
+            raise DomainError(f"series outside the codec's windows: val >= {self.lo}, prec >= 1")
+        if not s.coeffs:
+            return (0,) * (s.prec - self.lo)
+        return (0,) * (s.val - self.lo) + tuple(c.index for c in s.coeffs)
+
+    def decode(self, v: tuple) -> LaurentSeries:
+        return LaurentSeries.make(self.spec, self.lo, self.lo + len(v), [self.elems[i] for i in v])
+
+    def window(self, exponents, prec: int) -> list:
+        """Every vector supported on exponents, known mod t^prec, in the
+        order of ``_window_series``."""
+        slots = [e - self.lo for e in exponents]
+        out = []
+        for values in itertools.product(range(self.spec.q), repeat=len(slots)):
+            v = [0] * (prec - self.lo)
+            for j, x in zip(slots, values):
+                v[j] = x
+            out.append(tuple(v))
+        return out
+
+    def constant(self, k: int, prec: int) -> tuple:
+        """The constant k in F_p, known mod t^prec."""
+        v = [0] * (prec - self.lo)
+        v[-self.lo] = k % self.p
+        return tuple(v)
+
+    def add(self, a: tuple, b: tuple) -> tuple:
+        sums = self.sums
+        return tuple([sums[x][y] for x, y in zip(a, b)])
+
+    def scale(self, a: tuple, k: int) -> tuple:
+        """k a for an integer k, read in F_p."""
+        return tuple(map(self.multiples[k % self.p].__getitem__, a))
+
+    def neg(self, a: tuple) -> tuple:
+        return self.scale(a, -1)
+
+    def sub(self, a: tuple, b: tuple) -> tuple:
+        return self.add(a, self.neg(b))
+
+    def wp(self, u: tuple) -> tuple:
+        """u^p - u.  The coefficient at e moves to pe, which must stay at or
+        above lo: an oracle takes lo = p * (lowest exponent of u)."""
+        lo, p = self.lo, self.p
+        out = list(self.neg(u))
+        for j, x in enumerate(u):
+            if x:
+                k = p * (lo + j) - lo
+                if k < 0:
+                    raise DomainError(f"u^p reaches below the codec's window at {lo}")
+                if k < len(out):
+                    out[k] = self.sums[out[k]][self.frobenius[x]]
+        return tuple(out)
+
+    def substitute(self, a: tuple, lam: int) -> tuple:
+        """a(lam s) for lam a nonzero index: the coefficient at e picks up lam^e."""
+        log, antilog, lo = self.log, self.antilog, self.lo
+        order, step = len(antilog), log[lam]
+        return tuple([antilog[(log[x] + step * (lo + j)) % order] if x else 0 for j, x in enumerate(a)])
+
+    def mul(self, x: int, y: int) -> int:
+        """x y for nonzero indices x, y."""
+        return self.antilog[(self.log[x] + self.log[y]) % len(self.antilog)]
+
+    def power(self, x: int, n: int) -> int:
+        """x^n for a nonzero index x."""
+        return self.antilog[self.log[x] * n % len(self.antilog)]
+
+    def mat_vec(self, m, vec) -> tuple:
+        """An F_p matrix applied to a vector of coded series."""
+        out = []
+        for row in m:
+            acc = None
+            for k, x in zip(row, vec):
+                term = self.scale(x, k)
+                acc = term if acc is None else self.add(acc, term)
+            out.append(acc)
+        return tuple(out)
 
 
 def _quotient(keys, images):
@@ -113,11 +233,12 @@ def as_bruteforce_class_count(spec: FieldSpec, m: int) -> int:
     check_break_bound(m)
     n_window = _capped_pow(spec.q, m + 1)
     _check_scale(n_window, n_window * n_window)
-    prec = 4 * max(m, 1) + 8
-    window = _window_series(spec, list(range(-m, 1)), prec)
-    coboundaries = [u.wp() for u in window]
-    images = ([_series_key(wu + b) for wu in coboundaries] for b in window)
-    return _quotient([_series_key(b) for b in window], images)[0]
+    # a window series has support >= -m, its u^p - u support >= -pm
+    codec = _WindowCodec(spec, -spec.p * m)
+    window = codec.window(range(-m, 1), 4 * max(m, 1) + 8)
+    coboundaries = [codec.wp(u) for u in window]
+    images = ([codec.add(wu, b) for wu in coboundaries] for b in window)
+    return _quotient(window, images)[0]
 
 
 def as_window_witness_exists(c: LaurentSeries, d: LaurentSeries, lo: int, hi: int) -> bool:
@@ -135,35 +256,28 @@ def as_window_witness_exists(c: LaurentSeries, d: LaurentSeries, lo: int, hi: in
 # -- Kummer -----------------------------------------------------------------
 
 
-def _support_key(s: LaurentSeries):
-    """Support-only key: valid for comparing exact polynomial windows."""
-    return tuple(sorted((e, c.index) for e, c in s.support().items()))
-
-
 def kummer_bruteforce_class_count(spec: FieldSpec, n: int) -> int:
     """Orbit count of the monomial covers c t^i (i in 0..2n-1) under
-    u^n-multiplication, searching monomial witnesses exhaustively.
+    multiplication by u^n, searching the monomial witnesses u = v t^k,
+    |k| <= 2n, exhaustively.
 
     Monomial witnesses suffice for monomial covers because valuations add
     under multiplication over a field (checked separately in the tests).
+    A monomial is the pair (exponent, F_q index), multiplied symbolically:
+    (i, c) (v t^k)^n = (i + nk, v^n c).  This is exact: over the window
+    prec = 4n + 8 the series product is known mod
+    t^(nk + prec + min(0, i - k)), which lies above its one term, at i + nk,
+    because i <= 2n - 1 and k <= 2n are both below prec.
     """
     check_tame_order(spec.p, n)
     n_objects, n_witnesses = 2 * n * (spec.q - 1), (4 * n + 1) * (spec.q - 1)
     _check_scale(n_objects, n_witnesses, n_objects * n_witnesses)
-    prec = 4 * n + 8
-    objects = [
-        LaurentSeries.monomial(spec.from_index(c), i, prec)
-        for i in range(2 * n)
-        for c in range(1, spec.q)
-    ]
-    units = [spec.from_index(c) for c in range(1, spec.q)]
-    multipliers = [
-        LaurentSeries.monomial(v, k, prec) ** n
-        for k in range(-2 * n, 2 * n + 1)
-        for v in units
-    ]
-    images = ([_support_key(un * b) for un in multipliers] for b in objects)
-    return _quotient([_support_key(b) for b in objects], images)[0]
+    codec = _WindowCodec(spec, 0)
+    objects = [(i, c) for i in range(2 * n) for c in range(1, spec.q)]
+    powers = [codec.power(v, n) for v in range(1, spec.q)]
+    shifts = [n * k for k in range(-2 * n, 2 * n + 1)]
+    images = ([(i + nk, codec.mul(vn, c)) for nk in shifts for vn in powers] for i, c in objects)
+    return _quotient(objects, images)[0]
 
 
 def kummer_window_witness_exists(
@@ -194,82 +308,66 @@ class AffineMap:
     M X + c in the target, and a scalar series a(s) to a(lam * s);
     src/dst label the frame components being crossed (both 0 when the
     frame is connected).  A frame map is a tuple of these, the i-th with
-    src = i.
+    src = i; it is its own key.
     """
 
     src: int
     dst: int
     matrix: tuple  # r x r over F_p
-    trans: tuple  # r series over the target component's field
-    lam: object  # FqElem substitution factor
+    trans: tuple  # r series over the target component's field, codec vectors
+    lam: int  # F_q index of the substitution factor
 
     def is_identity(self) -> bool:
         from .semidirect import mat_identity
 
-        r = len(self.matrix)
-        p = self.trans[0].ring.p if self.trans else None
-        if self.src != self.dst:
-            return False
-        if p is not None and self.matrix != mat_identity(r, p):
-            return False
-        if not all(t.is_zero() for t in self.trans):
-            return False
-        return self.lam == self.lam.spec.one()
-
-    def key(self):
+        # the identity matrix does not depend on p; index 0 is zero, 1 is one
         return (
-            self.src,
-            self.dst,
-            self.matrix,
-            tuple(_series_key(t) for t in self.trans),
-            self.lam.index,
+            self.src == self.dst
+            and self.lam == 1
+            and self.matrix == mat_identity(len(self.matrix), None)
+            and not any(map(any, self.trans))
         )
-
-
-def _map_key(f) -> tuple:
-    return tuple(part.key() for part in f)
 
 
 def _is_identity(f) -> bool:
     return all(part.is_identity() for part in f)
 
 
-def _shifts(translations, r: int, p: int, one):
+def _shifts(codec, translations, identity):
     """(X -> X + h, X -> X - h) for each h in translations, a tuple with
     one translation vector per frame component: the conjugating
     morphisms of both semidirect oracles."""
-    from .semidirect import mat_identity
-
-    id_mat = mat_identity(r, p)
 
     def shift(hs):
-        return tuple(AffineMap(i, i, id_mat, h, one) for i, h in enumerate(hs))
+        return tuple(AffineMap(i, i, identity, h, 1) for i, h in enumerate(hs))
 
     return [
-        (shift(hs), shift(tuple(tuple(x.scale_int(-1) for x in h) for h in hs)))
+        (shift(hs), shift(tuple(tuple(map(codec.neg, h)) for h in hs)))
         for hs in translations
     ]
 
 
 class _Composition:
-    """Composition of frame maps over F_p within one oracle call.
-    sigma_lam(a)(s) = a(lam s) is a itself for lam = 1 and is otherwise
-    computed at most once per (series, lam): the table lives as long as
-    this object, and an oracle builds one per call."""
+    """Composition of frame maps of rank r over one codec, within one
+    oracle call.  sigma_lam(a)(s) = a(lam s) is a itself for lam = 1 and
+    is otherwise computed at most once per (series, lam): the table lives
+    as long as this object, and an oracle builds one per call."""
 
-    def __init__(self, p: int):
-        self.p = p
+    def __init__(self, codec, r: int):
+        from .semidirect import mat_identity
+
+        self.codec = codec
+        self.identity = mat_identity(r, codec.p)
         self.table: dict = {}
 
-    def sigma(self, vec, lam) -> tuple:
-        if lam == lam.spec.one():
+    def sigma(self, vec, lam: int) -> tuple:
+        if lam == 1:
             return tuple(vec)
         out = []
         for a in vec:
-            key = (a.prec, _series_key(a), lam.index)
-            s = self.table.get(key)
+            s = self.table.get((a, lam))
             if s is None:
-                s = self.table[key] = a.scale_substitute(lam)
+                s = self.table[a, lam] = self.codec.substitute(a, lam)
             out.append(s)
         return tuple(out)
 
@@ -279,19 +377,21 @@ class _Composition:
         return tuple(self._affine_then(h, g[h.dst]) for h in f)
 
     def _affine_then(self, f: AffineMap, g: AffineMap) -> AffineMap:
-        from .semidirect import mat_identity, mat_mul, mat_vec_series
+        from .semidirect import mat_mul
 
+        codec = self.codec
         # (g o f)(X) = M_f (M_g X + c_g) + sigma_{lam_g}(c_f)
-        m = mat_mul(f.matrix, g.matrix, self.p)
-        if f.matrix == mat_identity(len(f.matrix), self.p):
-            # M_f c_g is c_g, each series cut to the shortest window as the
-            # matrix product would
-            prec = min((t.prec for t in g.trans), default=0)
-            mixed = tuple(t if t.prec == prec else t.truncate(prec) for t in g.trans)
+        if f.matrix == self.identity:
+            # M_f M_g is M_g, and M_f c_g is c_g, each series cut to the
+            # shortest window as the matrix product would
+            m = g.matrix
+            size = min(map(len, g.trans), default=0)
+            mixed = tuple(t[:size] for t in g.trans)
         else:
-            mixed = mat_vec_series(f.matrix, g.trans, self.p)
-        trans = tuple(a + b for a, b in zip(mixed, self.sigma(f.trans, g.lam)))
-        return AffineMap(f.src, g.dst, m, trans, f.lam * g.lam)
+            m = mat_mul(f.matrix, g.matrix, codec.p)
+            mixed = codec.mat_vec(f.matrix, g.trans)
+        trans = tuple(map(codec.add, mixed, self.sigma(f.trans, g.lam)))
+        return AffineMap(f.src, g.dst, m, trans, codec.mul(f.lam, g.lam))
 
     def power(self, f, n: int) -> tuple:
         out = f
@@ -325,24 +425,21 @@ def semidirect_bruteforce(group, frame, break_bound: int):
     n_window = _capped_pow(spec.q, break_bound + 1)
     n_vectors = _capped_pow(n_window, r)
     # each cover vector has at most p^r twists, each tested against every h
-    _check_scale(n_window, n_vectors, n_vectors * _capped_pow(p, r) * n_vectors)
+    _check_scale(n_window, n_vectors, n_vectors * _capped_pow(p, r) * n_vectors, spec.q**2)
     from .semidirect import mat_pow
 
-    prec = 3 * break_bound + 12
-    exps = list(range(-break_bound, 1))
-    window = _window_series(spec, exps, prec)
+    # a window series has support >= -m, its u^p - u support >= -pm
+    codec = _WindowCodec(spec, -p * break_bound)
+    window = codec.window(range(-break_bound, 1), 3 * break_bound + 12)
     psi_inv = mat_pow(group.psi, n - 1, p) if r else ()
-    xi = frame.xi
-    comp = _Composition(p)
-
-    def vec_key(vec):
-        return tuple(_series_key(v) for v in vec)
+    xi = frame.xi.index
+    comp = _Composition(codec, r)
 
     # precomputed tables over the window
-    wp_of = {_series_key(w): w.wp() for w in window}
+    wp_of = {w: codec.wp(w) for w in window}
     c_by_wp = {}
-    for w in window:
-        c_by_wp.setdefault(_series_key(wp_of[_series_key(w)]), []).append(w)
+    for w, wp in wp_of.items():
+        c_by_wp.setdefault(wp, []).append(w)
 
     # collect valid pairs: c must satisfy c^p - c = sigma(b) - psi^{-1} b
     pairs = []
@@ -353,25 +450,23 @@ def semidirect_bruteforce(group, frame, break_bound: int):
             rhs = sigma_b[i]
             for j in range(r):
                 if psi_inv[i][j]:
-                    rhs = rhs - b_vec[j].scale_int(psi_inv[i][j])
-            per_component.append(c_by_wp.get(_series_key(rhs), []))
+                    rhs = codec.add(rhs, codec.scale(b_vec[j], -psi_inv[i][j]))
+            per_component.append(c_by_wp.get(rhs, []))
         for c_vec in itertools.product(*per_component):
-            gamma = (AffineMap(0, 0, psi_inv, tuple(c_vec), xi),)
+            gamma = (AffineMap(0, 0, psi_inv, c_vec, xi),)
             if _is_identity(comp.power(gamma, n)):
                 pairs.append((b_vec, gamma))
     # quotient by conjugation with cover morphisms h over the same window,
     # each with the coboundary it adds to the cover
     h_vecs = list(itertools.product(window, repeat=r))
-    shifts = _shifts([(h_vec,) for h_vec in h_vecs], r, p, spec.one())
-    wp_hs = [tuple(wp_of[_series_key(h)] for h in h_vec) for h_vec in h_vecs]
+    shifts = _shifts(codec, [(h_vec,) for h_vec in h_vecs], comp.identity)
+    wp_hs = [tuple(map(wp_of.__getitem__, h_vec)) for h_vec in h_vecs]
 
     def conjugates(b_vec, gamma):
         for shift, wp_h in zip(shifts, wp_hs):
-            b2 = tuple(x + w for x, w in zip(b_vec, wp_h))
-            yield vec_key(b2), _map_key(comp.conjugate(gamma, shift))
+            yield tuple(map(codec.add, b_vec, wp_h)), comp.conjugate(gamma, shift)
 
-    keys = [(vec_key(b), _map_key(g)) for b, g in pairs]
-    return _quotient(keys, (conjugates(b, g) for b, g in pairs))
+    return _quotient(pairs, (conjugates(b, g) for b, g in pairs))
 
 
 # -- the non-coprime frame (n, q_exp) = (2d, d): split components -------------
@@ -388,9 +483,11 @@ def double_frame_bruteforce(group, spec, break_bound: int):
     (b1, b2) with crossing twists gamma12, gamma21 such that the full
     symbolic composite gamma^4 is the identity; isomorphism and
     automorphism search is exhaustive over componentwise cover morphisms.
+    Series are codec vectors, decoded only for the main-path calls
+    (``as_canonicalize`` and the crossing solver ``_solve_wp``).
     """
     from .artin_schreier import as_canonicalize, enumerate_as_classes
-    from .semidirect import mat_pow, mat_vec_series
+    from .semidirect import mat_pow
 
     if group.n != 4:
         raise DomainError("split-frame oracle models n = 4, q_exp = 2 only")
@@ -403,55 +500,53 @@ def double_frame_bruteforce(group, spec, break_bound: int):
     n_classes = p * _capped_pow(spec.q, break_bound - break_bound // p)
     n_vectors = _capped_pow(n_classes, r)
     n_twists = _capped_pow(p, 2 * r)
-    _check_scale(n_classes, n_vectors, n_vectors * n_twists * n_twists)
+    _check_scale(n_classes, n_vectors, n_vectors * n_twists * n_twists, spec.q**2)
     prec = 3 * break_bound + 14
-    zeta4 = spec.generator ** ((spec.q - 1) // 4)
+    # covers and crossing solutions have support >= -m
+    codec = _WindowCodec(spec, -break_bound)
+    zeta4 = (spec.generator ** ((spec.q - 1) // 4)).index
     psi_inv = mat_pow(group.psi, group.n - 1, p)
-    comp = _Composition(p)
-    consts = [LaurentSeries.constant(spec.from_int(k), prec) for k in range(p)]
+    comp = _Composition(codec, r)
+    consts = [codec.constant(k, prec) for k in range(p)]
 
-    def minus_mat_vec(m, vec):
-        return tuple(v.scale_int(-1) for v in mat_vec_series(m, vec, p))
-
-    def crossing_rhs(b_src, b_dst):
-        """The series vector that p-Frobenius-minus-identity of the crossing
-        translation must equal: tau(b_src) - psi^{-1} b_dst."""
-        tau = comp.sigma(b_src, zeta4)
-        mixed = minus_mat_vec(psi_inv, b_dst)
-        return tuple(a + b for a, b in zip(tau, mixed))
+    def crossing(b_src, b_dst):
+        """The u with u^p - u = tau(b_src) - psi^{-1} b_dst componentwise,
+        or None: the crossing translation up to constants."""
+        rhs = map(codec.sub, comp.sigma(b_src, zeta4), codec.mat_vec(psi_inv, b_dst))
+        w = _solve_wp(tuple(map(codec.decode, rhs)))
+        return None if w is None else tuple(map(codec.encode, w))
 
     singles = enumerate_as_classes(spec, break_bound)
     vectors = [vec for vec in itertools.product(singles, repeat=r)]
-    reps = {vec: tuple(c.to_series(prec) for c in vec) for vec in vectors}
+    reps = {vec: tuple(codec.encode(c.to_series(prec)) for c in vec) for vec in vectors}
 
     found = []
     for v1 in vectors:
         b1 = reps[v1]
         # the class of b2 is forced by solvability of the 1 -> 2 crossing
         target_cls = tuple(
-            as_canonicalize(x)
-            for x in mat_vec_series(group.psi, comp.sigma(b1, zeta4), p)
+            as_canonicalize(codec.decode(x))
+            for x in codec.mat_vec(group.psi, comp.sigma(b1, zeta4))
         )
         if target_cls not in reps:
             continue
         b2 = reps[target_cls]
-        w12 = _solve_wp(crossing_rhs(b1, b2))
-        w21 = _solve_wp(crossing_rhs(b2, b1))
+        w12 = crossing(b1, b2)
+        w21 = crossing(b2, b1)
         if w12 is None or w21 is None:
             continue
         for shift12 in itertools.product(range(p), repeat=r):
-            c12 = tuple(w + consts[k] for w, k in zip(w12, shift12))
+            c12 = tuple(codec.add(w, consts[k]) for w, k in zip(w12, shift12))
             for shift21 in itertools.product(range(p), repeat=r):
-                c21 = tuple(w + consts[k] for w, k in zip(w21, shift21))
+                c21 = tuple(codec.add(w, consts[k]) for w, k in zip(w21, shift21))
                 gamma = (AffineMap(0, 1, psi_inv, c12, zeta4), AffineMap(1, 0, psi_inv, c21, zeta4))
                 if _is_identity(comp.power(gamma, 4)):
                     found.append(((v1, target_cls), gamma))
     # quotient by componentwise morphisms with constant witnesses
     const_vectors = list(itertools.product(consts, repeat=r))
-    shifts = _shifts(itertools.product(const_vectors, repeat=2), r, p, spec.one())
-    keys = [(cls, _map_key(g)) for cls, g in found]
-    images = ([(cls, _map_key(comp.conjugate(g, shift))) for shift in shifts] for cls, g in found)
-    return _quotient(keys, images)
+    shifts = _shifts(codec, itertools.product(const_vectors, repeat=2), comp.identity)
+    images = ([(cls, comp.conjugate(g, shift)) for shift in shifts] for cls, g in found)
+    return _quotient(found, images)
 
 
 def _solve_wp(rhs_vec):

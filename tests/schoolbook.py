@@ -11,7 +11,10 @@ exceptions.  ``nth_roots_of_unity`` is the scan over every element that
 ``field_tables`` is the O(q^2) build of a field's tables that
 ``ftk.fields._field_tables`` replaced by one walk of the generator's
 powers: it walks each candidate generator's full order and scans the whole
-coset of every element for the transversal.
+coset of every element for the transversal.  ``smallest_irreducible``
+is the modulus search ``ftk.fields`` ran before it tested irreducibility
+by Ben-Or's test: the same enumeration, with trial division by every
+monic polynomial of degree at most e/2.
 
 The oracle references are the bodies ``ftk.oracles`` had before each
 oracle computed its loop invariants once per call: ``u.wp()`` and
@@ -20,25 +23,22 @@ composition (also by 1) and on every cover vector.  They keep their own
 copies of the union-find class ``_UnionFind`` and of ``SplitMap``, the
 two-component frame map, both as ``ftk.oracles`` had them before every
 oracle quotiented through ``_quotient`` and every frame map became a
-tuple of ``AffineMap`` parts.  They share the window enumeration, the keys,
-``AffineMap`` and the crossing solver with ``ftk.oracles`` and nothing
-else, so the differential tests can require equal ``(count, aut
-multiset)`` from both.
+tuple of ``AffineMap`` parts.  They also keep the LaurentSeries window
+enumeration ``_window_series``, the keys ``_series_key`` and
+``_support_key``, the series-valued ``AffineMap`` and the crossing solver
+``_solve_wp``, as ``ftk.oracles`` had them before its count oracles moved
+to index-coded windows.  They share nothing with ``ftk.oracles``, so the
+differential tests can require equal ``(count, aut multiset)`` from both.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 from ftk.errors import DomainError, PrecisionExhausted
-from ftk.oracles import (
-    AffineMap,
-    _series_key,
-    _solve_wp,
-    _support_key,
-    _window_series,
-)
+from ftk.fields import _monic_poly_from_index, _poly_mod
 from ftk.series import LaurentSeries
 
 
@@ -118,6 +118,31 @@ def field_tables(spec):
         rep = spec.from_index(min((a + w).index for w in image_elems))
         transversal[a.coords] = rep
     return generator, dlog, {k: tuple(v) for k, v in preimages.items()}, transversal, powers
+
+
+def poly_is_irreducible(f, p: int) -> bool:
+    """Irreducibility of a monic f over F_p by trial division, as
+    ``ftk.fields`` tested it before it moved to Ben-Or's test."""
+    deg = len(f) - 1
+    if deg <= 0:
+        return False
+    if deg == 1:
+        return True
+    # trial division by every monic polynomial of degree 1..deg//2
+    for d in range(1, deg // 2 + 1):
+        for idx in range(p**d):
+            g = _monic_poly_from_index(idx, d, p)
+            if not _poly_mod(f, g, p):
+                return False
+    return True
+
+
+def smallest_irreducible(p: int, e: int):
+    for idx in range(p**e):
+        f = _monic_poly_from_index(idx, e, p)
+        if poly_is_irreducible(f, p):
+            return f
+    raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
 def nth_roots_of_unity(spec, n: int):
@@ -232,6 +257,80 @@ def nth_root_unit(a: LaurentSeries, n: int) -> LaurentSeries:
 # -- the brute-force oracles ----------------------------------------------------
 
 _MAX_WINDOW_SLOTS = 12
+
+
+def _series_key(s: LaurentSeries):
+    return (s.val, tuple(c.index for c in s.coeffs))
+
+
+def _window_series(spec, exponents, prec):
+    """Every series supported on the given exponents, exact to prec."""
+    out = []
+    for values in itertools.product(range(spec.q), repeat=len(exponents)):
+        d = {e: spec.from_index(v) for e, v in zip(exponents, values) if v}
+        out.append(LaurentSeries.from_dict(spec, d, prec))
+    return out
+
+
+def _support_key(s: LaurentSeries):
+    """Support-only key: valid for comparing exact polynomial windows."""
+    return tuple(sorted((e, c.index) for e, c in s.support().items()))
+
+
+@dataclass(frozen=True)
+class AffineMap:
+    """A semilinear algebra map between elementary-abelian cover
+    presentations over (components of) a tame frame.
+
+    f sends the coordinate vector X of the source presentation to
+    M X + c in the target, and a scalar series a(s) to a(lam * s);
+    src/dst label the frame components being crossed (both 0 when the
+    frame is connected).  A frame map is a tuple of these, the i-th with
+    src = i.
+    """
+
+    src: int
+    dst: int
+    matrix: tuple  # r x r over F_p
+    trans: tuple  # r series over the target component's field
+    lam: object  # FqElem substitution factor
+
+    def is_identity(self) -> bool:
+        from ftk.semidirect import mat_identity
+
+        r = len(self.matrix)
+        p = self.trans[0].ring.p if self.trans else None
+        if self.src != self.dst:
+            return False
+        if p is not None and self.matrix != mat_identity(r, p):
+            return False
+        if not all(t.is_zero() for t in self.trans):
+            return False
+        return self.lam == self.lam.spec.one()
+
+    def key(self):
+        return (
+            self.src,
+            self.dst,
+            self.matrix,
+            tuple(_series_key(t) for t in self.trans),
+            self.lam.index,
+        )
+
+
+def _solve_wp(rhs_vec):
+    """Componentwise u with u^p - u = rhs, via the canonicalisation
+    witnesses; None when some component is not a coboundary."""
+    from ftk.artin_schreier import as_iso_witness
+
+    out = []
+    for rhs in rhs_vec:
+        zero = LaurentSeries.zero(rhs.ring, rhs.prec)
+        w = as_iso_witness(zero, rhs)
+        if w is None:
+            return None
+        out.append(w.u)
+    return tuple(out)
 
 
 def quotient(keys, images):

@@ -452,6 +452,22 @@ def test_field_tables_bound_exit_code(capsys):
     assert json.loads(out)["count"] == 49
 
 
+def test_field_degree_bound_exit_code(capsys, monkeypatch):
+    # F_{2^60} is found at once; a degree past the bound is refused before
+    # the modulus search, which is patched to fail here
+    code, out = run_cli(capsys, "count-kummer", "--p", "2", "--e", "60", "--n", "3")
+    assert code == 0 and json.loads(out)["count"] == 9
+
+    def refuse(*args):
+        raise AssertionError("the modulus search ran")
+
+    monkeypatch.setattr("ftk.fields._smallest_irreducible", refuse)
+    code = main(["count-kummer", "--p", "2", "--e", "65", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: extension degree is limited to e <= 64, got e = 65\n"
+
+
 def test_q_flag_consistency(capsys):
     code, _ = run_cli(capsys, "count-as", "--p", "2", "--q", "6", "--max-break", "1")
     assert code == 2

@@ -1,14 +1,18 @@
 import ast
 import random
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import ftk
+import ftk.oracles
 import schoolbook
 from ftk.errors import DomainError, NotInvertible
+from ftk import fields as fields_mod
 from ftk.fields import (
+    MAX_DEGREE,
     MAX_TABLE_Q,
     FieldSpec,
     FqElem,
@@ -345,6 +349,43 @@ def test_tables_refuse_big_fields_before_building(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def _prime_powers(bound):
+    for q in range(2, bound + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        e = 0
+        while q % p == 0:
+            q //= p
+            e += 1
+        if q == 1:
+            yield p, e
+
+
+def test_modulus_search_matches_trial_division():
+    # Ben-Or's test picks the same modulus as trial division for every
+    # prime power q <= 2^14
+    cases = list(_prime_powers(2**14))
+    assert len(cases) == 1961
+    for p, e in cases:
+        assert fields_mod._smallest_irreducible(p, e) == schoolbook.smallest_irreducible(p, e), (p, e)
+
+
+def test_degree_bound_refused_before_the_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the modulus search ran")
+
+    monkeypatch.setattr(fields_mod, "_smallest_irreducible", refuse)
+    for e in (MAX_DEGREE + 1, 10**9):
+        with pytest.raises(DomainError, match=f"e <= {MAX_DEGREE}, got e = {e}"):
+            field.__wrapped__(2, e)
+
+
+def test_largest_degree_is_found_at_once():
+    t0 = time.perf_counter()
+    spec = field(2, MAX_DEGREE)
+    assert time.perf_counter() - t0 < 1
+    assert len(spec.modulus) == MAX_DEGREE + 1 and fields_mod._poly_is_irreducible(spec.modulus, 2)
 
 
 def test_field_division():

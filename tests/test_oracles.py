@@ -1,10 +1,12 @@
 """The brute-force oracles against the reference bodies in ``schoolbook.py``,
-and the oracles' size bound.
+their index-coded windows against ``LaurentSeries``, and the oracles'
+size bound.
 
 The reference computes every loop invariant once per (object, witness)
-pair; the oracles compute it once per call.  Both must give the same
-count and the same automorphism multiset.  Every refusal must come before
-anything is built: the tests make building a window or a monomial fail.
+pair, on ``LaurentSeries``; the oracles compute it once per call, on
+index-coded windows.  Both must give the same count and the same
+automorphism multiset.  Every refusal must come before anything is built:
+the tests make building a codec, a window or a monomial fail.
 """
 
 import time
@@ -26,6 +28,7 @@ S3_F3 = ("S3/F3", 3, 1, 1, 2, [[-1]], 1)
 S3_F9 = ("S3/F9", 3, 2, 1, 2, [[-1]], 1)
 Z5C4_F5 = ("Z5xC4/F5", 5, 1, 1, 4, [[2]], 1)
 A4_F4 = ("A4/F4", 2, 2, 2, 3, [[0, 1], [1, 1]], 1)
+Z7C3_F7 = ("Z7xC3/F7", 7, 1, 1, 3, [[2]], 1)
 Z3C4 = SemidirectGroup.make(3, 1, 4, [[-1]])
 
 
@@ -53,7 +56,7 @@ def test_kummer_count_matches_reference(spec, n):
 
 @pytest.mark.parametrize(
     "case, m",
-    [(S3_F3, 0), (S3_F3, 1), (S3_F3, 2), (Z5C4_F5, 0), (Z5C4_F5, 1), (A4_F4, 0)],
+    [(S3_F3, 0), (S3_F3, 1), (S3_F3, 2), (Z5C4_F5, 0), (Z5C4_F5, 1), (A4_F4, 0), (S3_F9, 1), (Z7C3_F7, 1)],
     ids=lambda x: x[0] if isinstance(x, tuple) else f"m{x}",
 )
 def test_semidirect_matches_reference(case, m):
@@ -124,8 +127,9 @@ def test_as_window_witness_matches_reference(problem):
 
 @st.composite
 def composable_maps(draw):
-    """(p, f, g): two AffineMaps over F_3, F_4 or F_9 of rank 1 or 2, f's
-    matrix the identity half the time, translations of differing precision."""
+    """(p, f, g): two series-valued reference AffineMaps over F_3, F_4 or
+    F_9 of rank 1 or 2, f's matrix the identity half the time, translations
+    of differing precision with support >= -3."""
     spec = draw(st.sampled_from([F3, F4, F9]))
     p, r = spec.p, draw(st.integers(1, 2))
 
@@ -141,7 +145,7 @@ def composable_maps(draw):
 
     def affine(m):
         lam = spec.from_index(draw(st.integers(1, spec.q - 1)))
-        return oracles.AffineMap(0, 0, m, tuple(series() for _ in range(r)), lam)
+        return schoolbook.AffineMap(0, 0, m, tuple(series() for _ in range(r)), lam)
 
     f = affine(mat_identity(r, p) if draw(st.booleans()) else matrix())
     return p, f, affine(matrix())
@@ -149,14 +153,106 @@ def composable_maps(draw):
 
 @given(composable_maps())
 def test_composition_matches_reference(maps):
-    # the identity-matrix shortcut must give what the matrix product gives
+    # the identity-matrix shortcut must give what the matrix product gives;
+    # the maps are encoded for the oracles' composition and its result decoded
     p, f, g = maps
+    codec = oracles._WindowCodec(f.lam.spec, -3)
+
+    def encode(h):
+        return oracles.AffineMap(h.src, h.dst, h.matrix, tuple(map(codec.encode, h.trans)), h.lam.index)
+
+    def decode(h):
+        return schoolbook.AffineMap(h.src, h.dst, h.matrix, tuple(map(codec.decode, h.trans)), codec.elems[h.lam])
 
     def fields(h):
         return h.matrix, h.lam, [(t.val, t.prec, t.coeffs) for t in h.trans]
 
-    (got,) = oracles._Composition(p).then((f,), (g,))
-    assert fields(got) == fields(schoolbook.affine_then(f, g, p))
+    (got,) = oracles._Composition(codec, len(f.matrix)).then((encode(f),), (encode(g),))
+    assert fields(decode(got)) == fields(schoolbook.affine_then(f, g, p))
+
+
+# -- the index-coded windows --------------------------------------------------
+
+CODEC_LO = -16
+CODEC_FIELDS = [F2, F3, F4, F5, F9, F256]
+
+
+@pytest.fixture(scope="module")
+def codecs():
+    """One codec per field, windows from t^-16: built once, since the F_256
+    sums table has 65536 entries."""
+    return {spec.q: oracles._WindowCodec(spec, CODEC_LO) for spec in CODEC_FIELDS}
+
+
+@st.composite
+def coded_series(draw, spec):
+    """A series over spec with support >= -3 (so u^p - u stays above
+    CODEC_LO for p <= 5), known mod t^prec for prec in 1..8; zero a fifth
+    of the time."""
+    prec = draw(st.integers(1, 8))
+    if draw(st.integers(0, 4)) == 0:
+        return L.zero(spec, prec)
+    lo = draw(st.integers(-3, prec - 1))
+    digits = draw(st.lists(st.integers(0, spec.q - 1), min_size=prec - lo, max_size=prec - lo))
+    return L.from_dict(spec, {lo + i: spec.from_index(d) for i, d in enumerate(digits) if d}, prec)
+
+
+@st.composite
+def codec_problems(draw):
+    spec = draw(st.sampled_from(CODEC_FIELDS))
+    op = draw(st.sampled_from(["add", "sub", "scale", "wp", "substitute"]))
+    a, b = draw(coded_series(spec)), draw(coded_series(spec))
+    k = draw(st.integers(-spec.p, 2 * spec.p))
+    lam = spec.from_index(draw(st.integers(1, spec.q - 1)))
+    return spec, op, a, b, k, lam
+
+
+@given(codec_problems())
+def test_codec_matches_series_arithmetic(codecs, problem):
+    spec, op, a, b, k, lam = problem
+    codec = codecs[spec.q]
+    x, y = codec.encode(a), codec.encode(b)
+    got, want = {
+        "add": (lambda: codec.add(x, y), lambda: a + b),
+        "sub": (lambda: codec.sub(x, y), lambda: a - b),
+        "scale": (lambda: codec.scale(x, k), lambda: a.scale_int(k)),
+        "wp": (lambda: codec.wp(x), lambda: a.wp()),
+        "substitute": (lambda: codec.substitute(x, lam.index), lambda: a.scale_substitute(lam)),
+    }[op]
+    out, ref = codec.decode(got()), want()
+    assert (out.val, out.prec, out.coeffs) == (ref.val, ref.prec, ref.coeffs)
+    assert codec.decode(x) == a and codec.encode(out) == got()
+
+
+def test_codec_refuses_what_it_cannot_hold(codecs):
+    codec = codecs[3]
+    with pytest.raises(DomainError):
+        codec.encode(L.monomial(F3.one(), CODEC_LO - 1, 2))
+    with pytest.raises(DomainError):
+        codec.encode(L.monomial(F3.one(), -3, 0))
+    with pytest.raises(DomainError):
+        codec.wp(codec.encode(L.monomial(F3.one(), -6, 2)))
+
+
+def test_oracles_run_without_series_arithmetic(monkeypatch):
+    # the reference answers first, then the oracles with every series
+    # operation of their loops made to raise
+    cases = [
+        (oracles.as_bruteforce_class_count, schoolbook.as_bruteforce_class_count, (F3, 2)),
+        (oracles.as_bruteforce_class_count, schoolbook.as_bruteforce_class_count, (F4, 1)),
+        (oracles.kummer_bruteforce_class_count, schoolbook.kummer_bruteforce_class_count, (F7, 3)),
+        (oracles.semidirect_bruteforce, schoolbook.semidirect_bruteforce, system(*S3_F3) + (2,)),
+        (oracles.semidirect_bruteforce, schoolbook.semidirect_bruteforce, system(*A4_F4) + (0,)),
+        (oracles.semidirect_bruteforce, schoolbook.semidirect_bruteforce, system(*Z5C4_F5) + (1,)),
+    ]
+    expected = [reference(*args) for _, reference, args in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("series arithmetic inside an oracle")
+
+    for name in ("__add__", "__mul__", "scale", "scale_substitute", "wp"):
+        monkeypatch.setattr(L, name, refuse)
+    assert [oracle(*args) for oracle, _, args in cases] == expected
 
 
 # -- the size bound ---------------------------------------------------------------
@@ -168,11 +264,12 @@ class Built(Exception):
 
 @pytest.fixture
 def nothing_built(monkeypatch):
-    """Make building a window, a monomial or the AS class list raise."""
+    """Make building a codec, a window, a monomial or the AS class list raise."""
 
     def refuse(*args, **kwargs):
         raise Built
 
+    monkeypatch.setattr(oracles, "_WindowCodec", refuse)
     monkeypatch.setattr(oracles, "_window_series", refuse)
     monkeypatch.setattr(L, "monomial", staticmethod(refuse))
     monkeypatch.setattr("ftk.artin_schreier.enumerate_as_classes", refuse)

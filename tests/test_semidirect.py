@@ -5,7 +5,7 @@ import pytest
 from ftk.artin_schreier import elemab_canonicalize
 from ftk.errors import DomainError, FtkError
 from ftk.fields import field
-from ftk.oracles import AffineMap, _Composition, semidirect_bruteforce
+from ftk.oracles import AffineMap, _Composition, _WindowCodec, semidirect_bruteforce
 from ftk.semidirect import (
     SemidirectGroup,
     TameFrame,
@@ -152,7 +152,8 @@ class TestVnCheck:
 
     def test_matches_symbolic_composition(self):
         # gamma = (psi^{-1} X + psi^{-1} u, s -> xi s); gamma^n trivial
-        # exactly when vn_check vanishes
+        # exactly when vn_check vanishes.  The oracles compose on codec
+        # vectors: the translations are encoded, the power's decoded.
         rng = random.Random(9)
         cases = [
             (S3_GROUP, S3_FRAME),
@@ -166,6 +167,7 @@ class TestVnCheck:
             spec = frame.spec
             p, r = group.p, group.r
             psi_inv = mat_pow(group.psi, group.n - 1, p)
+            codec = _WindowCodec(spec, -3)
             for _ in range(40):
                 d = {
                     e: spec.from_index(rng.randrange(spec.q)) for e in range(-3, 1)
@@ -183,9 +185,15 @@ class TestVnCheck:
                         v == 0 for v in vn_check(group, frame, obj)
                     )
                     c_vec = mat_vec_series(psi_inv, u_vec, p)
-                    gamma = AffineMap(0, 0, psi_inv, c_vec, frame.xi)
-                    (power,) = _Composition(p).power((gamma,), frame.n)
+                    gamma = AffineMap(0, 0, psi_inv, tuple(map(codec.encode, c_vec)), frame.xi.index)
+                    (power,) = _Composition(codec, r).power((gamma,), frame.n)
                     symbolic = power.is_identity()
+                    # the same verdict, read from the decoded translations
+                    assert symbolic == (
+                        power.matrix == mat_pow(group.psi, 0, p)
+                        and codec.elems[power.lam] == spec.one()
+                        and all(codec.decode(t).is_zero() for t in power.trans)
+                    )
                     assert structured == symbolic
 
     def test_nonconstant_sum_raises(self):
