@@ -290,7 +290,7 @@ def criterion_09_central_fiber_products():
 
 
 def criterion_10_semidirect_desk_enumeration():
-    """The S_3 model matches the independent raw-pair quotient."""
+    """The S_3 model matches the independent frame oracle."""
     t0 = time.monotonic()
     spec = field(3)
     group = SemidirectGroup.make(3, 1, 2, [[-1]])
@@ -310,7 +310,12 @@ def criterion_10_semidirect_desk_enumeration():
 
 
 def criterion_11_gcd_reduction():
-    """(n, q_exp) = (4, 2) split-frame enumeration equals the reduced (2, 1)."""
+    """(n, q_exp) = (4, 2) split-frame enumeration equals the reduced (2, 1).
+
+    The left side is the split-frame oracle: torsors over the frame's two
+    components, enumerated without the gcd reduction and without the
+    Artin-Schreier path.  The right side is the census of the reduced
+    system."""
     spec = field(3, 2)
     group4 = SemidirectGroup.make(3, 1, 4, [[-1]])
     lhs = oracles.double_frame_bruteforce(group4, spec, 2)

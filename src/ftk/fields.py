@@ -168,7 +168,11 @@ def _poly_is_irreducible(f, p: int) -> bool:
 
 
 def _smallest_irreducible(p: int, e: int):
-    for idx in range(p**e):
+    # the first p indices are the binomials x^e + c; when 4 | e and
+    # p = 3 mod 4 none of them is irreducible (Lidl and Niederreiter,
+    # Finite Fields, Thm 3.75), so the search starts after them
+    start = p if e % 4 == 0 and p % 4 == 3 else 0
+    for idx in range(start, p**e):
         f = _monic_poly_from_index(idx, e, p)
         if _poly_is_irreducible(f, p):
             return f

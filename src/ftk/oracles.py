@@ -2,29 +2,27 @@
 
 Over F_q the paper's stack of torsors is counted as a groupoid: its
 classes and their automorphism groups.  Each oracle computes exactly that
-as an orbit quotient, ``_quotient``: its objects are raw data over an
+as an orbit quotient, ``_quotient`` (``_cover_orbits`` for cover windows,
+which need no automorphism counts): its objects are raw data over an
 explicit finite window, its moves are exhaustively searched witnesses,
 and a class's automorphism count is the number of moves that fix its
 first object.  The oracles share with the main path only the field (its
-elements, their arithmetic and its generator) and the library's one
-union-find (``groupoids._union_classes``), not the series arithmetic and
-not the canonicalisation logic.  The one exception is the split-frame
-oracle, ``double_frame_bruteforce``: it takes its component covers from
-``enumerate_as_classes`` and ``as_canonicalize``, and solves its
-crossings with ``as_iso_witness`` (through ``_solve_wp``), until an
-oracle for every non-coprime frame replaces it.
+elements, their arithmetic and its generator), the F_p matrix helpers of
+``semidirect`` and the library's one union-find
+(``groupoids._union_classes``), not the series arithmetic and not the
+canonicalisation logic.
 
-The four count oracles work on index-coded windows, ``_WindowCodec``: a
+The count oracles work on index-coded windows, ``_WindowCodec``: a
 series with support >= lo, known mod t^prec, is the tuple of the F_q
 indices of its coefficients at lo .. prec - 1, and the tuple is its key.
 Sums, negatives, F_p multiples, u^p - u and s -> lam s read index tables
 that the codec builds from the field when an oracle builds it, once per
-call; the split-frame oracle decodes to ``LaurentSeries`` only around its
-main-path calls.
+call.
 
-* Artin-Schreier class counts: enumerate raw series over a window and
-  quotient by exhaustively searched coboundary witnesses.  The window is
-  built once and ``u^p - u`` is computed once per witness u.
+* Artin-Schreier class counts: the orbits of the window of series with
+  support in [-m, 0] under adding coboundaries u^p - u, ``_cover_orbits``.
+  The witnesses u searched are those that keep the window, with support
+  in [-floor(m/p), 0]: a pole of u at -k puts u_k^p at -pk.
 * Kummer class counts: enumerate monomial covers and quotient by
   exhaustively searched monomial witnesses (valuation additivity makes
   the monomial search complete for monomial covers).  A monomial is an
@@ -34,15 +32,28 @@ main-path calls.
   series product would keep, so no product truncates.  Windowed
   all-coefficient searches over ``LaurentSeries`` back the targeted
   non-existence checks.
-* Semidirect torsors: enumerate raw (cover, twist) pairs, realise twists
-  as frame maps composed symbolically, keep the pairs whose n-th power is
-  the identity, and quotient by exhaustive conjugation.  A frame map is a
-  tuple of semilinear affine maps X -> M X + c, one per source component
-  of the frame (a connected frame's maps are 1-tuples).  The
-  gcd-reduction check builds the non-coprime frame out of its two field
-  components and enumerates honestly there.  Within one call, a
-  substitution s -> lam s is computed at most once per series (and not
-  at all for lam = 1), and each conjugating morphism is built once.
+* Semidirect torsors, ``_frame_torsors``: a frame of d components
+  F_q((s)), in which the C_n generator crosses component i to i + 1
+  (mod d) through s -> lam s.  A torsor is a chain of cover vectors
+  b_0 .. b_{d-1} with crossings X -> psi^{-1} X + c_i over s -> lam s,
+  c_i^p - c_i = sigma_lam(b_i) - psi^{-1} b_{i+1}, whose composite gamma^n
+  is the identity.  A frame map is a tuple of semilinear affine maps
+  X -> M X + c, one per source component of the frame, composed
+  symbolically.  The connected frame s^n = t has d = 1 and lam = xi
+  (``semidirect_bruteforce``); the split frame X^4 = t^2 has d = 2 and
+  lam = zeta_4 (``double_frame_bruteforce``), enumerated from its own two
+  components, with no gcd reduction.
+
+  The objects are the chains of orbit representatives, with every
+  crossing read from the coboundary table, and the moves are the
+  componentwise constant shifts X -> X + h.  The answer is that of all
+  chains of window vectors under all window shifts, for two reasons.
+  Every torsor is isomorphic to one on representatives: shift each
+  component by the witness that takes it to its representative.  So the
+  torsors on representatives form a full subgroupoid that meets every
+  class.  And a morphism between two of them takes a representative to a
+  representative, so its witness has h^p - h = 0: constants are the only
+  such h.
 
 Every table an oracle keeps lives in that call: nothing persists between
 calls.  Oracles refuse work beyond desk scale instead of approximating:
@@ -62,7 +73,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, check_break_bound, check_tame_order
 from .fields import FieldSpec
-from .groupoids import _union_classes
+from .groupoids import _rep_of, _union_classes
+from .semidirect import mat_identity, mat_mul, mat_pow
 from .series import LaurentSeries
 
 _MAX_ENUMERATION = 2**18
@@ -106,7 +118,8 @@ class _WindowCodec:
     s -> lam s read index tables built from the field's own arithmetic
     when the codec is built: q^2 sums, p*q multiples by F_p and the q - 1
     powers of the field's generator.  An oracle builds one codec per call,
-    after its size check.
+    after its size check.  ``encode`` and ``decode`` convert from and to
+    ``LaurentSeries``; no oracle calls them, the tests do.
     """
 
     def __init__(self, spec, lo: int):
@@ -227,18 +240,34 @@ def _quotient(keys, images):
 # -- Artin-Schreier ---------------------------------------------------------
 
 
+def _cover_orbits(codec, m: int, prec: int):
+    """(coboundaries, orbits) for the covers with support in [-m, 0], known
+    mod t^prec, on a codec with lo = -m.
+
+    coboundaries maps each u^p - u to its witnesses u, over the witnesses
+    that keep the window (support in [-floor(m/p), 0]); orbits are the
+    window's classes under adding coboundaries, {representative: members}.
+    The caller checks that window x witnesses is within the bound."""
+    window = codec.window(range(-m, 1), prec)
+    coboundaries: dict = {}
+    for u in codec.window(range(-(m // codec.p), 1), prec):
+        coboundaries.setdefault(codec.wp(u), []).append(u)
+    links = ((b, codec.add(b, w)) for b in window for w in coboundaries)
+    return coboundaries, _union_classes(window, links)
+
+
+def _cover_pairs(spec, m: int) -> int:
+    """window series x witnesses for covers with support in [-m, 0]: the
+    pairs ``_cover_orbits`` tests, and at least q^2, the codec's sums."""
+    return _capped_pow(spec.q, m + 1) * _capped_pow(spec.q, m // spec.p + 1)
+
+
 def as_bruteforce_class_count(spec: FieldSpec, m: int) -> int:
     """Orbit count of series with support in [-m, 0] under coboundaries,
-    by exhaustive witness search over the same window."""
+    by exhaustive search over the witnesses that keep the window."""
     check_break_bound(m)
-    n_window = _capped_pow(spec.q, m + 1)
-    _check_scale(n_window, n_window * n_window)
-    # a window series has support >= -m, its u^p - u support >= -pm
-    codec = _WindowCodec(spec, -spec.p * m)
-    window = codec.window(range(-m, 1), 4 * max(m, 1) + 8)
-    coboundaries = [codec.wp(u) for u in window]
-    images = ([codec.add(wu, b) for wu in coboundaries] for b in window)
-    return _quotient(window, images)[0]
+    _check_scale(_cover_pairs(spec, m))
+    return len(_cover_orbits(_WindowCodec(spec, -m), m, 4 * max(m, 1) + 8)[1])
 
 
 def as_window_witness_exists(c: LaurentSeries, d: LaurentSeries, lo: int, hi: int) -> bool:
@@ -318,13 +347,11 @@ class AffineMap:
     lam: int  # F_q index of the substitution factor
 
     def is_identity(self) -> bool:
-        from .semidirect import mat_identity
-
-        # the identity matrix does not depend on p; index 0 is zero, 1 is one
+        # index 0 is zero, 1 is one
         return (
             self.src == self.dst
             and self.lam == 1
-            and self.matrix == mat_identity(len(self.matrix), None)
+            and self.matrix == mat_identity(len(self.matrix))
             and not any(map(any, self.trans))
         )
 
@@ -336,7 +363,7 @@ def _is_identity(f) -> bool:
 def _shifts(codec, translations, identity):
     """(X -> X + h, X -> X - h) for each h in translations, a tuple with
     one translation vector per frame component: the conjugating
-    morphisms of both semidirect oracles."""
+    morphisms of ``_frame_torsors``."""
 
     def shift(hs):
         return tuple(AffineMap(i, i, identity, h, 1) for i, h in enumerate(hs))
@@ -354,10 +381,8 @@ class _Composition:
     as long as this object, and an oracle builds one per call."""
 
     def __init__(self, codec, r: int):
-        from .semidirect import mat_identity
-
         self.codec = codec
-        self.identity = mat_identity(r, codec.p)
+        self.identity = mat_identity(r)
         self.table: dict = {}
 
     def sigma(self, vec, lam: int) -> tuple:
@@ -377,8 +402,6 @@ class _Composition:
         return tuple(self._affine_then(h, g[h.dst]) for h in f)
 
     def _affine_then(self, f: AffineMap, g: AffineMap) -> AffineMap:
-        from .semidirect import mat_mul
-
         codec = self.codec
         # (g o f)(X) = M_f (M_g X + c_g) + sigma_{lam_g}(c_f)
         if f.matrix == self.identity:
@@ -405,160 +428,74 @@ class _Composition:
         return self.then(self.then(plus, gamma), minus)
 
 
-# -- semidirect: raw pair enumeration ----------------------------------------
+# -- semidirect: torsors over a frame of d components -------------------------
+
+
+def _frame_torsors(group, spec, n: int, d: int, lam_log: int, m: int):
+    """(class count, sorted aut multiset) of the G-torsors with breaks <= m
+    over a frame of d components, the C_n generator crossing component i
+    to i + 1 (mod d) through s -> lam s, lam = g^lam_log for the field's
+    generator g: the chains of orbit representatives under constant
+    shifts (module docstring).  lam is read from the codec's powers of g,
+    so nothing is built before the size check."""
+    r, p = group.r, group.p
+    check_break_bound(m)
+    # an orbit has q^(floor(m/p)+1) / p members, so there are p q^|S_m|
+    # representatives, |S_m| = m - floor(m/p); a chain is fixed by its
+    # first vector up to coboundaries, and has at most p^(rd) crossings,
+    # each tested against p^(rd) shifts
+    n_chains = _capped_pow(p * _capped_pow(spec.q, m - m // p), r)
+    n_twists = _capped_pow(p, r * d)
+    _check_scale(_cover_pairs(spec, m), n_chains * n_twists * n_twists)
+    prec = 3 * m + 12
+    codec = _WindowCodec(spec, -m)
+    coboundaries, orbits = _cover_orbits(codec, m, prec)
+    lam = codec.antilog[lam_log % (spec.q - 1)]
+    rep_of = _rep_of(orbits)
+    psi, psi_inv = (group.psi, mat_pow(group.psi, n - 1, p)) if r else ((), ())
+    comp = _Composition(codec, r)
+
+    def crossings(b, b_next):
+        """Every c with c^p - c = sigma_lam(b) - psi^{-1} b_next."""
+        rhs = map(codec.sub, comp.sigma(b, lam), codec.mat_vec(psi_inv, b_next))
+        return itertools.product(*[coboundaries.get(x, ()) for x in rhs])
+
+    objects = []
+    for b in itertools.product(orbits, repeat=r):
+        chain = [b]
+        for _ in range(d - 1):
+            # the crossing out of b_i is solvable only into the orbit of
+            # psi sigma_lam(b_i)
+            chain.append(tuple(map(rep_of.__getitem__, codec.mat_vec(psi, comp.sigma(chain[-1], lam)))))
+        steps = [crossings(chain[i], chain[(i + 1) % d]) for i in range(d)]
+        for cs in itertools.product(*steps):
+            gamma = tuple(AffineMap(i, (i + 1) % d, psi_inv, c, lam) for i, c in enumerate(cs))
+            if _is_identity(comp.power(gamma, n)):
+                objects.append((tuple(chain), gamma))
+    consts = [codec.constant(k, prec) for k in range(p)]
+    shifts = _shifts(codec, itertools.product(itertools.product(consts, repeat=r), repeat=d), comp.identity)
+    images = ([(chain, comp.conjugate(gamma, s)) for s in shifts] for chain, gamma in objects)
+    return _quotient(objects, images)
 
 
 def semidirect_bruteforce(group, frame, break_bound: int):
     """(class count, sorted aut multiset) for G-torsors marked with the
-    frame, by raw enumeration.
-
-    A torsor is a pair (b, gamma) with b a cover vector over a window and
-    gamma: X -> psi^{-1} X + c over s -> xi s a compatible twist
-    (p-th-power condition checked directly); it counts when gamma^n is the
-    identity map.  Pairs are identified through exhaustively searched
-    conjugations by cover morphisms X -> X - h, and automorphisms counted
-    the same way.
-    """
-    r, p, n = group.r, group.p, frame.n
+    connected frame F_q((s)), s^n = t, whose generator acts as s -> xi s:
+    ``_frame_torsors`` with d = 1 and lam = xi = g^((q-1)/n beta)."""
     spec = frame.spec
-    check_break_bound(break_bound)
-    n_window = _capped_pow(spec.q, break_bound + 1)
-    n_vectors = _capped_pow(n_window, r)
-    # each cover vector has at most p^r twists, each tested against every h
-    _check_scale(n_window, n_vectors, n_vectors * _capped_pow(p, r) * n_vectors, spec.q**2)
-    from .semidirect import mat_pow
-
-    # a window series has support >= -m, its u^p - u support >= -pm
-    codec = _WindowCodec(spec, -p * break_bound)
-    window = codec.window(range(-break_bound, 1), 3 * break_bound + 12)
-    psi_inv = mat_pow(group.psi, n - 1, p) if r else ()
-    xi = frame.xi.index
-    comp = _Composition(codec, r)
-
-    # precomputed tables over the window
-    wp_of = {w: codec.wp(w) for w in window}
-    c_by_wp = {}
-    for w, wp in wp_of.items():
-        c_by_wp.setdefault(wp, []).append(w)
-
-    # collect valid pairs: c must satisfy c^p - c = sigma(b) - psi^{-1} b
-    pairs = []
-    for b_vec in itertools.product(window, repeat=r):
-        sigma_b = comp.sigma(b_vec, xi)
-        per_component = []
-        for i in range(r):
-            rhs = sigma_b[i]
-            for j in range(r):
-                if psi_inv[i][j]:
-                    rhs = codec.add(rhs, codec.scale(b_vec[j], -psi_inv[i][j]))
-            per_component.append(c_by_wp.get(rhs, []))
-        for c_vec in itertools.product(*per_component):
-            gamma = (AffineMap(0, 0, psi_inv, c_vec, xi),)
-            if _is_identity(comp.power(gamma, n)):
-                pairs.append((b_vec, gamma))
-    # quotient by conjugation with cover morphisms h over the same window,
-    # each with the coboundary it adds to the cover
-    h_vecs = list(itertools.product(window, repeat=r))
-    shifts = _shifts(codec, [(h_vec,) for h_vec in h_vecs], comp.identity)
-    wp_hs = [tuple(map(wp_of.__getitem__, h_vec)) for h_vec in h_vecs]
-
-    def conjugates(b_vec, gamma):
-        for shift, wp_h in zip(shifts, wp_hs):
-            yield tuple(map(codec.add, b_vec, wp_h)), comp.conjugate(gamma, shift)
-
-    return _quotient(pairs, (conjugates(b, g) for b, g in pairs))
-
-
-# -- the non-coprime frame (n, q_exp) = (2d, d): split components -------------
+    return _frame_torsors(group, spec, frame.n, 1, (spec.q - 1) // frame.n * frame.beta, break_bound)
 
 
 def double_frame_bruteforce(group, spec, break_bound: int):
     """(class count, sorted aut multiset) for G = H x| C_4 torsors marked
-    with the split frame X^4 = t^2 over F_q((t)), enumerated from the
-    frame's own two-component structure (no gcd reduction).
-
-    The frame algebra splits as F_q((s1)) x F_q((s2)) with s1^2 = t,
-    s2^2 = -t, and the C_4 generator crosses the components with the
-    substitution s -> zeta4 * s.  Objects are component cover vectors
-    (b1, b2) with crossing twists gamma12, gamma21 such that the full
-    symbolic composite gamma^4 is the identity; isomorphism and
-    automorphism search is exhaustive over componentwise cover morphisms.
-    Series are codec vectors, decoded only for the main-path calls
-    (``as_canonicalize`` and the crossing solver ``_solve_wp``).
+    with the split frame X^4 = t^2 over F_q((t)): the frame algebra splits
+    as F_q((s1)) x F_q((s2)) with s1^2 = t, s2^2 = -t, and the C_4
+    generator crosses the components through s -> zeta_4 s.  So this is
+    ``_frame_torsors`` with d = 2 and lam = zeta_4 = g^((q-1)/4), with no
+    gcd reduction.
     """
-    from .artin_schreier import as_canonicalize, enumerate_as_classes
-    from .semidirect import mat_pow
-
     if group.n != 4:
         raise DomainError("split-frame oracle models n = 4, q_exp = 2 only")
-    r, p = group.r, group.p
     if (spec.q - 1) % 4:
         raise DomainError("need the 4th roots of unity in the base field")
-    check_break_bound(break_bound)
-    # p q^|S_m| AS classes per component, |S_m| = m - floor(m/p); each
-    # cover vector has p^(2r) twists, each tested against p^(2r) morphisms
-    n_classes = p * _capped_pow(spec.q, break_bound - break_bound // p)
-    n_vectors = _capped_pow(n_classes, r)
-    n_twists = _capped_pow(p, 2 * r)
-    _check_scale(n_classes, n_vectors, n_vectors * n_twists * n_twists, spec.q**2)
-    prec = 3 * break_bound + 14
-    # covers and crossing solutions have support >= -m
-    codec = _WindowCodec(spec, -break_bound)
-    zeta4 = (spec.generator ** ((spec.q - 1) // 4)).index
-    psi_inv = mat_pow(group.psi, group.n - 1, p)
-    comp = _Composition(codec, r)
-    consts = [codec.constant(k, prec) for k in range(p)]
-
-    def crossing(b_src, b_dst):
-        """The u with u^p - u = tau(b_src) - psi^{-1} b_dst componentwise,
-        or None: the crossing translation up to constants."""
-        rhs = map(codec.sub, comp.sigma(b_src, zeta4), codec.mat_vec(psi_inv, b_dst))
-        w = _solve_wp(tuple(map(codec.decode, rhs)))
-        return None if w is None else tuple(map(codec.encode, w))
-
-    singles = enumerate_as_classes(spec, break_bound)
-    vectors = [vec for vec in itertools.product(singles, repeat=r)]
-    reps = {vec: tuple(codec.encode(c.to_series(prec)) for c in vec) for vec in vectors}
-
-    found = []
-    for v1 in vectors:
-        b1 = reps[v1]
-        # the class of b2 is forced by solvability of the 1 -> 2 crossing
-        target_cls = tuple(
-            as_canonicalize(codec.decode(x))
-            for x in codec.mat_vec(group.psi, comp.sigma(b1, zeta4))
-        )
-        if target_cls not in reps:
-            continue
-        b2 = reps[target_cls]
-        w12 = crossing(b1, b2)
-        w21 = crossing(b2, b1)
-        if w12 is None or w21 is None:
-            continue
-        for shift12 in itertools.product(range(p), repeat=r):
-            c12 = tuple(codec.add(w, consts[k]) for w, k in zip(w12, shift12))
-            for shift21 in itertools.product(range(p), repeat=r):
-                c21 = tuple(codec.add(w, consts[k]) for w, k in zip(w21, shift21))
-                gamma = (AffineMap(0, 1, psi_inv, c12, zeta4), AffineMap(1, 0, psi_inv, c21, zeta4))
-                if _is_identity(comp.power(gamma, 4)):
-                    found.append(((v1, target_cls), gamma))
-    # quotient by componentwise morphisms with constant witnesses
-    const_vectors = list(itertools.product(consts, repeat=r))
-    shifts = _shifts(codec, itertools.product(const_vectors, repeat=2), comp.identity)
-    images = ([(cls, comp.conjugate(g, shift)) for shift in shifts] for cls, g in found)
-    return _quotient(found, images)
-
-
-def _solve_wp(rhs_vec):
-    """Componentwise u with u^p - u = rhs, via the canonicalisation
-    witnesses; None when some component is not a coboundary."""
-    from .artin_schreier import as_iso_witness
-
-    out = []
-    for rhs in rhs_vec:
-        zero = LaurentSeries.zero(rhs.ring, rhs.prec)
-        w = as_iso_witness(zero, rhs)
-        if w is None:
-            return None
-        out.append(w.u)
-    return tuple(out)
+    return _frame_torsors(group, spec, 4, 2, (spec.q - 1) // 4, break_bound)

@@ -33,7 +33,7 @@ from .series import LaurentSeries, default_prec
 # -- tiny F_p linear algebra ----------------------------------------------
 
 
-def mat_identity(r: int, p: int):
+def mat_identity(r: int):
     return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
 
 
@@ -46,7 +46,7 @@ def mat_mul(a, b, p: int):
 
 
 def mat_pow(a, n: int, p: int):
-    result = mat_identity(len(a), p)
+    result = mat_identity(len(a))
     base = a
     while n:
         if n & 1:
@@ -110,7 +110,7 @@ class SemidirectGroup:
         psi = tuple(tuple(x % p for x in row) for row in psi)
         if r and (len(psi) != r or any(len(row) != r for row in psi)):
             raise DomainError("psi must be r x r")
-        if r and mat_pow(psi, n, p) != mat_identity(r, p):
+        if r and mat_pow(psi, n, p) != mat_identity(r):
             raise DomainError("psi^n must be the identity")
         return SemidirectGroup(p, r, n, psi)
 

@@ -302,7 +302,7 @@ class AffineMap:
         p = self.trans[0].ring.p if self.trans else None
         if self.src != self.dst:
             return False
-        if p is not None and self.matrix != mat_identity(r, p):
+        if p is not None and self.matrix != mat_identity(r):
             return False
         if not all(t.is_zero() for t in self.trans):
             return False
@@ -464,7 +464,7 @@ def semidirect_bruteforce(group, frame, break_bound: int):
     keys = [(vec_key(b), g.key()) for b, g in pairs]
     uf = _UnionFind(keys)
     index = set(keys)
-    id_mat = mat_identity(r, p)
+    id_mat = mat_identity(r)
     aut_of = {k: 0 for k in keys}
     for (b_vec, gamma), key in zip(pairs, keys):
         for h_vec in itertools.product(window, repeat=r):
@@ -495,7 +495,7 @@ def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
         prec = 3 * break_bound + 14
     zeta4 = spec.generator ** ((spec.q - 1) // 4)
     psi_inv = mat_pow(group.psi, group.n - 1, p)
-    id_mat = mat_identity(r, p)
+    id_mat = mat_identity(r)
     one = spec.one()
 
     def subst(vec, lam):

@@ -336,7 +336,7 @@ def no_census(monkeypatch):
         ("count-as", "--p", "2", "--e", "8", "--max-break", "3", "--brute-force"),
         ("count-kummer", "--p", "2", "--e", "8", "--n", "255", "--brute-force"),
         ("semidirect-enum", "--p", "3", "--r", "1", "--n", "2", "--psi", "[-1]",
-         "--q-exp", "1", "--break-bound", "5", "--brute-force"),
+         "--q-exp", "1", "--break-bound", "8", "--brute-force"),
     ],
     ids=["count-as", "count-kummer", "semidirect-enum"],
 )

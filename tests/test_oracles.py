@@ -1,6 +1,6 @@
-"""The brute-force oracles against the reference bodies in ``schoolbook.py``,
-their index-coded windows against ``LaurentSeries``, and the oracles'
-size bound.
+"""The brute-force oracles against the reference bodies in ``schoolbook.py``
+and, past the references' reach, against the semidirect census; their
+index-coded windows against ``LaurentSeries``; and the oracles' size bound.
 
 The reference computes every loop invariant once per (object, witness)
 pair, on ``LaurentSeries``; the oracles compute it once per call, on
@@ -9,16 +9,25 @@ automorphism multiset.  Every refusal must come before anything is built:
 the tests make building a codec, a window or a monomial fail.
 """
 
+import itertools
+import math
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import schoolbook
 from ftk import oracles
 from ftk.errors import DomainError, FtkError
 from ftk.fields import field
-from ftk.semidirect import SemidirectGroup, TameFrame, mat_identity
+from ftk.semidirect import (
+    SemidirectGroup,
+    TameFrame,
+    enumerate_g_torsors,
+    mat_identity,
+    mat_pow,
+    reduce_to_coprime,
+)
 from ftk.series import LaurentSeries as L
 
 F2, F3, F4, F5, F7, F9, F256 = (field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 8)))
@@ -29,6 +38,7 @@ S3_F9 = ("S3/F9", 3, 2, 1, 2, [[-1]], 1)
 Z5C4_F5 = ("Z5xC4/F5", 5, 1, 1, 4, [[2]], 1)
 A4_F4 = ("A4/F4", 2, 2, 2, 3, [[0, 1], [1, 1]], 1)
 Z7C3_F7 = ("Z7xC3/F7", 7, 1, 1, 3, [[2]], 1)
+Z3SQ_F3 = ("(Z3)^2xC2/F3", 3, 1, 2, 2, [[-1, 0], [0, -1]], 1)
 Z3C4 = SemidirectGroup.make(3, 1, 4, [[-1]])
 
 
@@ -69,6 +79,61 @@ def test_semidirect_matches_reference(case, m):
 def test_split_frame_matches_reference(m):
     got = oracles.double_frame_bruteforce(Z3C4, F9, m)
     assert got == schoolbook.double_frame_bruteforce(Z3C4, F9, m)
+
+
+def test_split_frame_matches_the_reduced_census():
+    # Z/5 x| C_4 over F_5 at m = 2, as criterion 11 checks Z/3 x| C_4 over
+    # F_9: psi = 2 has order 4, so psi and psi^-1 differ
+    group = SemidirectGroup.make(5, 1, 4, [[2]])
+    n2, q2, group2 = reduce_to_coprime(group, 2)
+    classes = enumerate_g_torsors(group2, TameFrame(F5, n2, q2), 2)
+    census = (len(classes), sorted(c.aut_count for c in classes))
+    assert oracles.double_frame_bruteforce(group, F5, 2) == census
+
+
+# (field, rank, break bound) whose reference cost, q^(2r(m+1)) pairs of
+# window vectors, is at most 256: about half a second a system
+SMALL_SHAPES = [
+    (spec, r, m)
+    for spec in (F2, F3, F4, F5, F7, F9)
+    for r in (1, 2)
+    for m in range(3)
+    if spec.q ** (2 * r * (m + 1)) <= 256
+]
+
+
+@st.composite
+def small_systems(draw):
+    """(group, frame, m): rank 1 or 2, n | q - 1, q_exp a unit mod n, and
+    psi drawn from the r x r matrices over F_p with psi^n = 1."""
+    spec, r, m = draw(st.sampled_from(SMALL_SHAPES))
+    p = spec.p
+    n = draw(st.sampled_from([k for k in range(1, spec.q) if (spec.q - 1) % k == 0]))
+    q_exp = draw(st.sampled_from([k for k in range(1, n + 1) if math.gcd(k, n) == 1]))
+    rows = list(itertools.product(range(p), repeat=r))
+    psis = [psi for psi in itertools.product(rows, repeat=r) if mat_pow(psi, n, p) == mat_identity(r)]
+    group = SemidirectGroup.make(p, r, n, draw(st.sampled_from(psis)))
+    return group, TameFrame(spec, n, q_exp), m
+
+
+@settings(max_examples=10)
+@given(small_systems())
+# q_exp = 3 makes xi = zeta^3 here, which changes the answer
+@example((SemidirectGroup.make(5, 1, 4, [[2]]), TameFrame(F5, 4, 3), 1))
+def test_semidirect_matches_reference_on_random_systems(case):
+    assert oracles.semidirect_bruteforce(*case) == schoolbook.semidirect_bruteforce(*case)
+
+
+# sizes the raw-pair oracle refused; the census side takes most of the time
+PAST_THE_OLD_BOUND = [(S3_F9, 2), (A4_F4, 2), (Z7C3_F7, 2)]
+
+
+@pytest.mark.parametrize("case, m", PAST_THE_OLD_BOUND, ids=lambda x: x[0] if isinstance(x, tuple) else f"m{x}")
+def test_semidirect_matches_the_census(case, m):
+    group, frame = system(*case)
+    classes = enumerate_g_torsors(group, frame, m)
+    census = (len(classes), sorted(c.aut_count for c in classes))
+    assert oracles.semidirect_bruteforce(group, frame, m) == census
 
 
 @st.composite
@@ -147,7 +212,7 @@ def composable_maps(draw):
         lam = spec.from_index(draw(st.integers(1, spec.q - 1)))
         return schoolbook.AffineMap(0, 0, m, tuple(series() for _ in range(r)), lam)
 
-    f = affine(mat_identity(r, p) if draw(st.booleans()) else matrix())
+    f = affine(mat_identity(r) if draw(st.booleans()) else matrix())
     return p, f, affine(matrix())
 
 
@@ -264,7 +329,7 @@ class Built(Exception):
 
 @pytest.fixture
 def nothing_built(monkeypatch):
-    """Make building a codec, a window, a monomial or the AS class list raise."""
+    """Make building a codec, a window or a monomial raise."""
 
     def refuse(*args, **kwargs):
         raise Built
@@ -272,20 +337,21 @@ def nothing_built(monkeypatch):
     monkeypatch.setattr(oracles, "_WindowCodec", refuse)
     monkeypatch.setattr(oracles, "_window_series", refuse)
     monkeypatch.setattr(L, "monomial", staticmethod(refuse))
-    monkeypatch.setattr("ftk.artin_schreier.enumerate_as_classes", refuse)
 
 
 REFUSED = [
     ("AS F_256 m=3", lambda: oracles.as_bruteforce_class_count(F256, 3)),
-    ("AS F_2 m=9", lambda: oracles.as_bruteforce_class_count(F2, 9)),
+    ("AS F_2 m=12", lambda: oracles.as_bruteforce_class_count(F2, 12)),
     ("AS F_2 m=10^9", lambda: oracles.as_bruteforce_class_count(F2, 10**9)),
     ("AS m=-2", lambda: oracles.as_bruteforce_class_count(F2, -2)),
     ("Kummer F_256 n=255", lambda: oracles.kummer_bruteforce_class_count(F256, 255)),
     ("Kummer n=-1", lambda: oracles.kummer_bruteforce_class_count(F5, -1)),
     ("Kummer n=0", lambda: oracles.kummer_bruteforce_class_count(F5, 0)),
-    ("S3/F3 m=5", lambda: oracles.semidirect_bruteforce(*system(*S3_F3), 5)),
-    ("A4/F4 m=2", lambda: oracles.semidirect_bruteforce(*system(*A4_F4), 2)),
+    ("S3/F3 m=8", lambda: oracles.semidirect_bruteforce(*system(*S3_F3), 8)),
+    ("A4/F4 m=6", lambda: oracles.semidirect_bruteforce(*system(*A4_F4), 6)),
     ("S3/F3 m=-1", lambda: oracles.semidirect_bruteforce(*system(*S3_F3), -1)),
+    # the window fits, the 3^8 chains x 9 crossings x 9 shifts do not
+    ("(Z3)^2xC2/F3 m=4", lambda: oracles.semidirect_bruteforce(*system(*Z3SQ_F3), 4)),
     ("split F_9 m=6", lambda: oracles.double_frame_bruteforce(Z3C4, F9, 6)),
     ("split F_9 m=-1", lambda: oracles.double_frame_bruteforce(Z3C4, F9, -1)),
     ("AS window F_256 3 slots", lambda: oracles.as_window_witness_exists(L.zero(F256, 5), L.zero(F256, 5), -2, 0)),
@@ -301,14 +367,25 @@ def test_refusal_comes_before_anything_is_built(nothing_built, call):
     assert time.perf_counter() - t0 < 1
 
 
-# the largest sizes the library, the acceptance criteria and the benchmark run
+# the largest sizes the library, the acceptance criteria, the benchmark and the
+# census comparisons run, and the sizes the pins above moved past
 ADMITTED = [
     ("AS F_2 m=5", lambda: oracles.as_bruteforce_class_count(F2, 5)),
     ("AS F_2 m=8", lambda: oracles.as_bruteforce_class_count(F2, 8)),
+    ("AS F_2 m=9", lambda: oracles.as_bruteforce_class_count(F2, 9)),
+    ("AS F_2 m=11", lambda: oracles.as_bruteforce_class_count(F2, 11)),
     ("Kummer F_7 n=3", lambda: oracles.kummer_bruteforce_class_count(F7, 3)),
     ("S3/F3 m=4", lambda: oracles.semidirect_bruteforce(*system(*S3_F3), 4)),
+    ("S3/F3 m=5", lambda: oracles.semidirect_bruteforce(*system(*S3_F3), 5)),
+    ("S3/F3 m=7", lambda: oracles.semidirect_bruteforce(*system(*S3_F3), 7)),
     ("S3/F9 m=1", lambda: oracles.semidirect_bruteforce(*system(*S3_F9), 1)),
+    ("S3/F9 m=2", lambda: oracles.semidirect_bruteforce(*system(*S3_F9), 2)),
     ("A4/F4 m=1", lambda: oracles.semidirect_bruteforce(*system(*A4_F4), 1)),
+    ("A4/F4 m=2", lambda: oracles.semidirect_bruteforce(*system(*A4_F4), 2)),
+    ("A4/F4 m=5", lambda: oracles.semidirect_bruteforce(*system(*A4_F4), 5)),
+    ("(Z3)^2xC2/F3 m=3", lambda: oracles.semidirect_bruteforce(*system(*Z3SQ_F3), 3)),
+    ("Z5xC4/F5 m=3", lambda: oracles.semidirect_bruteforce(*system(*Z5C4_F5), 3)),
+    ("Z7xC3/F7 m=2", lambda: oracles.semidirect_bruteforce(*system(*Z7C3_F7), 2)),
     ("split F_9 m=2", lambda: oracles.double_frame_bruteforce(Z3C4, F9, 2)),
 ]
 
