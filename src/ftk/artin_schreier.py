@@ -114,17 +114,14 @@ def _canonicalize_with_witness(b: LaurentSeries):
         while j % p == 0:
             j //= p
             a += 1
+        # chain witness: moving c t^{-p^a s} to root = c^{p^-a} at t^{-s}
+        # costs -(root^{p^k} t^{-p^k s}) at every intermediate level k < a;
+        # root^{p^k} = c^{p^(k-a)} is one more p-th root per level down
         root = c
-        for _ in range(a):
+        for k in reversed(range(a)):
             root = root.pth_root()
-        # chain witness: moving c t^{-p^a s} to root t^{-s} costs
-        # -(root^{p^k} t^{-p^k s}) at every intermediate level k < a
-        for k in range(a):
-            ck = root
-            for _ in range(k):
-                ck = ck.frobenius()
             e = -(p**k) * j
-            witness_terms[e] = witness_terms.get(e, spec.zero()) - ck
+            witness_terms[e] = witness_terms.get(e, spec.zero()) - root
         slots[j] = slots.get(j, spec.zero()) + root
     if witness_terms:
         u_total = u_total + LaurentSeries.from_dict(spec, witness_terms, b.prec)

@@ -26,6 +26,14 @@ O(q) field operations by ``_field_tables`` for q <= MAX_TABLE_Q = 2^14
   of c's fibre is the lex-smallest element of c's coset.  Tr is F_p-linear,
   so it is read per element from the traces of the basis g^0 .. g^(e-1).
 
+Frobenius, p-th roots and inverses need no table, so they work in every
+field that ``field`` accepts.  Frobenius x -> x^p is F_p-linear:
+``frobenius`` applies its e x e matrix over F_p (row i holds the
+coordinates of (g^i)^p), and ``pth_root`` applies the matrix of its
+inverse x -> x^(p^(e-1)); both matrices are built once per spec, and both
+maps are the identity for e = 1.  ``inverse`` is pow(a, -1, p) for e = 1
+and extended Euclid against the modulus otherwise.
+
 This module is the only one that knows how the two ring kinds differ.  Both
 answer the same protocol, so the rest of the library never asks which kind
 it holds:
@@ -139,6 +147,34 @@ def _poly_gcd(a, b, p):
     return _poly_monic(a, p)
 
 
+def _poly_divmod(a, b, p):
+    """(quotient, remainder) of a by a nonzero b over F_p."""
+    a = list(a)
+    db = len(b) - 1
+    lead_inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(a) - db, 0)
+    for k in reversed(range(len(quot))):
+        c = a[k + db] * lead_inv % p
+        quot[k] = c
+        if c:
+            for i in range(db + 1):
+                a[k + i] = (a[k + i] - c * b[i]) % p
+    return _poly_trim(quot), _poly_trim(a[:db])
+
+
+def _poly_inverse_mod(a, f, p):
+    """a^-1 mod f for a nonzero a coprime to f, by extended Euclid: each
+    step keeps s_i a = r_i (mod f) and ends on a nonzero constant r."""
+    r0, r1 = f, _poly_trim(a)
+    s0, s1 = (), (1,)
+    while len(r1) > 1:
+        quot, rem = _poly_divmod(r0, r1, p)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(quot, s1, p), p)
+    inv = pow(r1[0], -1, p)
+    return tuple(c * inv % p for c in s1)
+
+
 def _poly_powmod(a, n: int, f, p):
     """a^n mod f for monic f, by square and multiply."""
     result, base = (1,), _poly_mod(a, f, p)
@@ -195,6 +231,29 @@ def _high_powers_of_g(base: "FieldSpec"):
         red = _poly_mod((0,) * d + (1,), base.modulus, p)
         rows.append(red + (0,) * (e - len(red)))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _frobenius_rows(base: "FieldSpec", k: int):
+    """The F_p-linear map x -> x^(p^k) of F_q: row i holds the coordinates
+    of (g^i)^(p^k), i = 0 .. e-1."""
+    p, e, f = base.p, base.e, base.modulus
+    image = _poly_powmod((0, 1), p**k, f, p)  # g^(p^k)
+    rows, row = [], (1,)
+    for _ in range(e):
+        rows.append(row + (0,) * (e - len(row)))
+        row = _poly_mod(_poly_mul(row, image, p), f, p)
+    return tuple(rows)
+
+
+def _apply_rows(rows, coords, p):
+    """The coordinates of sum_i coords[i] * rows[i], mod p."""
+    out = [0] * len(coords)
+    for c, row in zip(coords, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return tuple(v % p for v in out)
 
 
 def _kronecker_product(base: "FieldSpec", m: int, a, b, n: int):
@@ -497,11 +556,25 @@ class FqElem(_RingElem):
     def inverse(self) -> "FqElem":
         if self.is_zero():
             raise NotInvertible("division by zero in a field")
-        return self ** (self.spec.q - 2)
+        spec = self.spec
+        if spec.e == 1:
+            return FqElem(spec, (pow(self.coords[0], -1, spec.p),))
+        inv = _poly_inverse_mod(self.coords, spec.modulus, spec.p)
+        return FqElem(spec, inv + (0,) * (spec.e - len(inv)))
+
+    def _frobenius_power(self, k: int) -> "FqElem":
+        """x -> x^(p^k) through its cached matrix; the identity when e = 1."""
+        spec = self.spec
+        if spec.e == 1:
+            return self
+        return FqElem(spec, _apply_rows(_frobenius_rows(spec, k), self.coords, spec.p))
+
+    def frobenius(self) -> "FqElem":
+        return self._frobenius_power(1)
 
     def pth_root(self) -> "FqElem":
         # inverse of Frobenius on a perfect field: x -> x^{p^{e-1}}
-        return self ** (self.spec.p ** (self.spec.e - 1))
+        return self._frobenius_power(self.spec.e - 1)
 
     def in_prime_field(self) -> bool:
         return all(c == 0 for c in self.coords[1:])

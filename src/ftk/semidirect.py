@@ -108,7 +108,7 @@ class SemidirectGroup:
         if r < 0 or n < 1:
             raise DomainError("bad rank or order")
         psi = tuple(tuple(x % p for x in row) for row in psi)
-        if r and (len(psi) != r or any(len(row) != r for row in psi)):
+        if len(psi) != r or any(len(row) != r for row in psi):
             raise DomainError("psi must be r x r")
         if r and mat_pow(psi, n, p) != mat_identity(r):
             raise DomainError("psi^n must be the identity")

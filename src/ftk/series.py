@@ -318,28 +318,33 @@ class LaurentSeries:
         """The unique u with support >= 1 and u^p - u = self (mod t^prec).
 
         Coefficientwise: u_s = -(b_s + b_{s/p}^p + b_{s/p^2}^{p^2} + ...),
-        the sum stopping as soon as s/p^n leaves the integers.
+        the sum stopping as soon as s/p^n leaves the integers.  It is
+        computed by the recurrence
+
+            u_s = (u_{s/p})^p - b_s,   with u_{s/p} = 0 when p does not divide s,
+
+        one Frobenius per p-divisible exponent.  Proof: when p | s the sum
+        is b_s + (b_{s/p} + b_{s/p^2}^p + ...)^p, because Frobenius is
+        additive; the bracket is -u_{s/p}, and (-x)^p = -(x^p), again by
+        additivity.  When p does not divide s the sum is b_s alone.  Below
+        ``val`` every b_s vanishes, so every u_s does too: the loop starts
+        at ``val``, and a zero window returns at once.
         """
         if not self.is_zero() and self.val < 1:
             raise DomainError("solve_positive needs support in exponents >= 1")
         if self.prec < 1:
             raise PrecisionExhausted("empty positive window")
+        if self.is_zero():
+            return self
         p = self.ring.p
         zero = self.ring.zero()
         out = [zero] * (self.prec - 1)  # exponents 1 .. prec-1
-        for s in range(1, self.prec):
-            total = zero
-            m, n = s, 0
-            while True:
-                c = self.coeff(m) if m >= self.val else zero
-                for _ in range(n):
-                    c = c.frobenius()
-                total = total + c
-                if m % p:
-                    break
-                m //= p
-                n += 1
-            out[s - 1] = -total
+        for s, b in enumerate(self.coeffs, self.val):
+            prev = zero if s % p else out[s // p - 1]
+            if not prev.is_zero():
+                out[s - 1] = prev.frobenius() - b
+            elif not b.is_zero():
+                out[s - 1] = -b
         return LaurentSeries.make(self.ring, 1, self.prec, out)
 
     # -- Hensel n-th roots ---------------------------------------------------

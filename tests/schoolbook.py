@@ -16,6 +16,14 @@ is the modulus search ``ftk.fields`` ran before it tested irreducibility
 by Ben-Or's test: the same enumeration, with trial division by every
 monic polynomial of degree at most e/2.
 
+``fq_inverse``, ``fq_frobenius`` and ``fq_pth_root`` are the powers
+a^(q-2), a^p and a^(p^(e-1)) that ``FqElem`` computed by square and
+multiply before it applied the F_p-linear Frobenius and ran extended
+Euclid.  ``solve_positive`` is the loop ``LaurentSeries.solve_positive``
+ran before its one-pass recurrence: each term of the nested sum is raised
+by repeated p-th powers, spelled ``c**p`` (what ``frobenius()`` computed
+then) so that it shares no code with the element maps it is checked with.
+
 The oracle references are the bodies ``ftk.oracles`` had before each
 oracle computed its loop invariants once per call: ``u.wp()`` and
 ``u**n`` once per (object, witness) pair, ``scale_substitute`` on every
@@ -251,6 +259,49 @@ def nth_root_unit(a: LaurentSeries, n: int) -> LaurentSeries:
         deriv = power(g, n - 1).scale(n_scalar)
         g = g - mul(err, invert(deriv))
     raise PrecisionExhausted("Newton iteration failed to converge")
+
+
+# -- element maps and the positive-part solver by powering ---------------------
+
+
+def fq_inverse(a):
+    """a^-1 = a^(q-2) in F_q^*."""
+    return a ** (a.spec.q - 2)
+
+
+def fq_frobenius(a):
+    return a**a.spec.p
+
+
+def fq_pth_root(a):
+    """The inverse of Frobenius on F_q: a^(p^(e-1))."""
+    return a ** (a.spec.p ** (a.spec.e - 1))
+
+
+def solve_positive(b: LaurentSeries) -> LaurentSeries:
+    """u_s = -(b_s + b_{s/p}^p + b_{s/p^2}^{p^2} + ...), each term raised by
+    repeated p-th powers and every exponent of the window walked."""
+    if not b.is_zero() and b.val < 1:
+        raise DomainError("solve_positive needs support in exponents >= 1")
+    if b.prec < 1:
+        raise PrecisionExhausted("empty positive window")
+    p = b.ring.p
+    zero = b.ring.zero()
+    out = [zero] * (b.prec - 1)  # exponents 1 .. prec-1
+    for s in range(1, b.prec):
+        total = zero
+        m, n = s, 0
+        while True:
+            c = b.coeff(m) if m >= b.val else zero
+            for _ in range(n):
+                c = c**p
+            total = total + c
+            if m % p:
+                break
+            m //= p
+            n += 1
+        out[s - 1] = -total
+    return LaurentSeries.make(b.ring, 1, b.prec, out)
 
 
 

@@ -9,6 +9,7 @@ import pytest
 import ftk
 import ftk.oracles
 import schoolbook
+from ftk.artin_schreier import as_canonicalize
 from ftk.errors import DomainError, NotInvertible
 from ftk import fields as fields_mod
 from ftk.fields import (
@@ -16,6 +17,7 @@ from ftk.fields import (
     MAX_TABLE_Q,
     FieldSpec,
     FqElem,
+    _RingElem,
     _field_tables,
     _is_prime,
     as_residue_solve,
@@ -25,6 +27,7 @@ from ftk.fields import (
     nth_roots_of_unity,
     test_ring as local_test_ring,
 )
+from ftk.series import LaurentSeries
 
 
 def test_field_answers_the_ring_protocol():
@@ -367,6 +370,80 @@ def test_tables_refuse_big_fields_before_building(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("p, e", _prime_powers(512))
+def test_element_maps_match_powering(p, e):
+    spec = field(p, e)
+    for a in spec.elements():
+        assert a.frobenius() == schoolbook.fq_frobenius(a)
+        assert a.pth_root() == schoolbook.fq_pth_root(a)
+        if not a.is_zero():
+            assert a.inverse() == schoolbook.fq_inverse(a)
+
+
+@pytest.mark.parametrize("p, e", [(2**31 - 1, 1), (2, 20), (3, 13)], ids=["Fp31", "F2^20", "F3^13"])
+def test_element_maps_match_powering_without_tables(p, e):
+    # fields too large for tables: the maps must neither refuse nor differ
+    spec = field(p, e)
+    rng = random.Random(p + e)
+    for idx in [1, 2, min(p, spec.q - 1), spec.q - 1] + [rng.randrange(1, spec.q) for _ in range(60)]:
+        a = spec.from_index(idx)
+        assert a.frobenius() == schoolbook.fq_frobenius(a)
+        assert a.pth_root() == schoolbook.fq_pth_root(a)
+        assert a.inverse() == schoolbook.fq_inverse(a)
+
+
+def _count_pow(monkeypatch):
+    """Patch _RingElem.__pow__ to record its exponents; returns the record."""
+    calls = []
+    power = _RingElem.__pow__
+
+    def counted(a, n):
+        calls.append(n)
+        return power(a, n)
+
+    monkeypatch.setattr(_RingElem, "__pow__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, e", [(2, 8), (3, 5), (2**31 - 1, 1)], ids=["F256", "F243", "Fp31"])
+def test_element_maps_make_no_pow_calls(monkeypatch, p, e):
+    spec = field(p, e)
+    elems = [spec.from_index(i) for i in (1, 2, p - 1, spec.q - 1, spec.q // 3)]
+
+    def apply_maps():
+        for a in elems:
+            for f in (FqElem.inverse, FqElem.frobenius, FqElem.pth_root):
+                f(a)
+
+    apply_maps()  # warm-up: the cached Frobenius matrices exist after it
+    calls = _count_pow(monkeypatch)
+    apply_maps()
+    assert calls == []
+
+
+def test_as_canonicalize_makes_no_pow_calls(monkeypatch):
+    F256 = field(2, 8)
+    coeffs = {-24: F256.from_index(0x53), -8: F256.from_index(0xCA), 0: F256.from_index(7)}
+    coeffs.update({s: F256.from_index((37 * s + 11) % 256) for s in range(1, 41)})
+    b = LaurentSeries.from_dict(F256, coeffs, 41)
+    expected = as_canonicalize(b)  # warm-up: field tables and matrices
+    calls = _count_pow(monkeypatch)
+    assert as_canonicalize(b) == expected
+    assert calls == []
+
+
+def test_solve_positive_on_a_zero_window_does_no_field_operation(monkeypatch):
+    F256 = field(2, 8)
+    b = LaurentSeries.zero(F256, 64)
+
+    def refuse(*args):
+        raise AssertionError("a field operation ran")
+
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__pow__", "frobenius", "inverse"):
+        monkeypatch.setattr(FqElem, name, refuse)
+    assert b.solve_positive() == b
 
 
 def _prime_powers(bound):

@@ -33,6 +33,12 @@ class TestGroupAndFrame:
         with pytest.raises(DomainError):
             SemidirectGroup.make(2, 1, 2, [[1]])  # gcd(n, p) != 1
 
+    def test_rank_zero_refuses_a_nonempty_psi(self):
+        for psi in ([[1, 2, 5]], [[1]], [[]]):
+            with pytest.raises(DomainError, match="psi must be r x r"):
+                SemidirectGroup.make(3, 0, 2, psi)
+        assert SemidirectGroup.make(3, 0, 2, []).to_json()["psi"] == []
+
     def test_frame_requires_roots_of_unity(self):
         with pytest.raises(DomainError):
             TameFrame(F3, 4, 1)  # 4 does not divide q - 1 = 2

@@ -113,3 +113,30 @@ def test_invert_matches_schoolbook(a):
 @example(L.from_dict(R52, {-9: R52.x().scale(3), 0: R52.one()}, 53), 4)
 def test_nth_root_unit_matches_schoolbook(a, n):
     assert outcome(lambda: a.nth_root_unit(n)) == outcome(lambda: schoolbook.nth_root_unit(a, n))
+
+
+@st.composite
+def positive_windows(draw):
+    """Windows with val >= 1, long enough to reach exponents divisible by p^3,
+    dense, zero-heavy, monomial or zero."""
+    ring = draw(st.sampled_from(RINGS))
+    prec = draw(st.integers(1, 40))
+    val = draw(st.integers(1, prec))
+    shape = draw(st.sampled_from(["dense", "zero-heavy", "monomial", "zero"]))
+    size = _size(ring)
+    coeffs = []
+    for k in range(prec - val):
+        if shape == "dense" or (shape == "zero-heavy" and draw(st.integers(0, 5)) == 0):
+            coeffs.append(ring.from_index(draw(st.integers(0, size - 1))))
+        elif shape == "monomial" and k == 0:
+            coeffs.append(ring.from_index(draw(st.integers(1, size - 1))))
+        else:
+            coeffs.append(ring.zero())
+    return L.make(ring, val, prec, coeffs)
+
+
+@given(positive_windows())
+def test_solve_positive_matches_schoolbook(b):
+    u = b.solve_positive()
+    assert outcome(lambda: u) == outcome(lambda: schoolbook.solve_positive(b))
+    assert u.wp() == b
