@@ -95,7 +95,12 @@ class ASWitness:
 
 
 def _canonicalize_with_witness(b: LaurentSeries):
-    """(canonical form, u) with u^p - u + b = canonical (mod t^prec)."""
+    """(canonical form, u) with u^p - u + b = canonical (mod t^prec).
+
+    u is assembled in one coefficient list over [lo, prec), lo the lowest
+    pole of b (or 0): the negated positive-part solution, the chain terms
+    at negative exponents and the constant shift at t^0 sit at disjoint
+    exponents, so one ``make`` gives the sum of the three series."""
     if not isinstance(b.ring, FieldSpec):
         raise DomainError("canonical forms are defined over fields only")
     spec = b.ring
@@ -103,11 +108,14 @@ def _canonicalize_with_witness(b: LaurentSeries):
     if b.prec < 1:
         raise PrecisionExhausted("cannot certify the positive-part discard")
     parts = b.split_parts()
+    lo = min(parts.negative.eff_val, 0)
+    acc = [spec.zero()] * (b.prec - lo)
     # positive part: u_+^p - u_+ = positive, so adding -(that) kills it
-    u_total = -parts.positive.solve_positive()
+    positive = parts.positive.solve_positive()
+    for i, c in enumerate(positive.coeffs, positive.val - lo):
+        acc[i] = -c
     # negative terms: pole order j = p^a s walks down to slot s by p-th roots
     slots: dict = {}
-    witness_terms: dict = {}
     for j, c in sorted(parts.negative.support().items()):  # most negative first
         j = -j
         a = 0
@@ -120,21 +128,18 @@ def _canonicalize_with_witness(b: LaurentSeries):
         root = c
         for k in reversed(range(a)):
             root = root.pth_root()
-            e = -(p**k) * j
-            witness_terms[e] = witness_terms.get(e, spec.zero()) - root
+            e = -(p**k) * j - lo
+            acc[e] = acc[e] - root
         slots[j] = slots.get(j, spec.zero()) + root
-    if witness_terms:
-        u_total = u_total + LaurentSeries.from_dict(spec, witness_terms, b.prec)
     # constant to its transversal representative
     rep, w = canonical_wp_shift(parts.constant)
-    if not w.is_zero():
-        u_total = u_total + LaurentSeries.constant(w, b.prec)
+    acc[-lo] = w
     canon = ASCanonical(
         spec,
         tuple(sorted((s, c) for s, c in slots.items() if not c.is_zero())),
         rep,
     )
-    return canon, u_total
+    return canon, LaurentSeries.make(spec, lo, b.prec, acc)
 
 
 def as_canonicalize(b: LaurentSeries) -> ASCanonical:

@@ -32,7 +32,18 @@ field that ``field`` accepts.  Frobenius x -> x^p is F_p-linear:
 coordinates of (g^i)^p), and ``pth_root`` applies the matrix of its
 inverse x -> x^(p^(e-1)); both matrices are built once per spec, and both
 maps are the identity for e = 1.  ``inverse`` is pow(a, -1, p) for e = 1
-and extended Euclid against the modulus otherwise.
+and extended Euclid against the modulus otherwise.  A test-ring
+element's Frobenius is (sum a_i x^i)^p = sum a_i^p x^(ip), below x^m, with
+each a_i^p from the field's matrix.
+
+Zeros are shared and skipped.  Each spec builds its zero once, so
+``zero()`` returns the same element every time.  ``is_zero`` is
+``not any(coords)`` on a field element.  ``+``, ``-`` and unary ``-``
+return an operand that is already there when one side is zero: a + 0 and
+a - 0 are a, 0 + b is b, 0 - b is -b, and -0 is 0; in characteristic 2
+-a is a.  The values are those of the coordinatewise sums, so no output
+depends on it; a series sum whose windows hold mostly zeros builds no new
+element for them.
 
 This module is the only one that knows how the two ring kinds differ.  Both
 answer the same protocol, so the rest of the library never asks which kind
@@ -343,12 +354,15 @@ class FieldSpec:
     e: int
     modulus: tuple  # monic, length e+1, constant coefficient first
 
+    def __post_init__(self):
+        object.__setattr__(self, "_zero", FqElem(self, (0,) * self.e))
+
     @property
     def q(self) -> int:
         return self.p**self.e
 
     def zero(self) -> "FqElem":
-        return FqElem(self, (0,) * self.e)
+        return self._zero
 
     def one(self) -> "FqElem":
         return self.from_int(1)
@@ -499,9 +513,6 @@ class _RingElem:
             n >>= 1
         return result
 
-    def frobenius(self):
-        return self**self.spec.p
-
 
 @dataclass(frozen=True)
 class FqElem(_RingElem):
@@ -520,23 +531,33 @@ class FqElem(_RingElem):
         return idx
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def residue(self) -> "FqElem":
         return self
 
     def __add__(self, other):
         self._check(other)
+        if not any(other.coords):
+            return self
+        if not any(self.coords):
+            return other
         p = self.spec.p
         return FqElem(self.spec, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         self._check(other)
+        if not any(other.coords):
+            return self
+        if not any(self.coords):
+            return -other
         p = self.spec.p
         return FqElem(self.spec, tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
         p = self.spec.p
+        if p == 2 or not any(self.coords):
+            return self
         return FqElem(self.spec, tuple((-a) % p for a in self.coords))
 
     def __mul__(self, other):
@@ -677,12 +698,15 @@ class TestRingSpec:
     base: FieldSpec
     m: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "_zero", TestRingElem(self, (self.base.zero(),) * self.m))
+
     @property
     def p(self) -> int:
         return self.base.p
 
     def zero(self) -> "TestRingElem":
-        return TestRingElem(self, (self.base.zero(),) * self.m)
+        return self._zero
 
     def one(self) -> "TestRingElem":
         return self.from_field(self.base.one())
@@ -757,20 +781,30 @@ class TestRingElem(_RingElem):
         return idx
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not any(any(c.coords) for c in self.coords)
 
     def residue(self) -> FqElem:
         return self.coords[0]
 
     def __add__(self, other):
         self._check(other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return TestRingElem(self.spec, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         self._check(other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return -other
         return TestRingElem(self.spec, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
+        if self.spec.p == 2 or self.is_zero():
+            return self
         return TestRingElem(self.spec, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
@@ -792,6 +826,15 @@ class TestRingElem(_RingElem):
 
     def scale(self, n: int) -> "TestRingElem":
         return TestRingElem(self.spec, tuple(a.scale(n) for a in self.coords))
+
+    def frobenius(self) -> "TestRingElem":
+        """(sum a_i x^i)^p = sum a_i^p x^(ip) in characteristic p, below x^m."""
+        spec = self.spec
+        p, m = spec.p, spec.m
+        out = [spec.base.zero()] * m
+        for i, a in enumerate(self.coords[: (m - 1) // p + 1]):
+            out[i * p] = a.frobenius()
+        return TestRingElem(spec, tuple(out))
 
     def inverse(self) -> "TestRingElem":
         if not self.is_unit():

@@ -9,161 +9,205 @@ Prime-field coefficients are integers mod p.  Extension-field coefficients
 are polynomials in ``g``; a bare monomial like ``2g^2`` needs no parens,
 a sum like ``g^2+2g+1`` must be parenthesised inside a series (standalone
 field literals may omit them).  Errors carry character offsets.
+
+A text is read in two steps.  One pass of a compiled regex splits it into
+tokens, each a run of digits or one other non-space character, and keeps
+each with the whitespace before it.  A recursive descent then walks the
+token list.  Offsets are preserved: an error reports the offset of the
+next token (the length of the text at the end), or, after a sign or an
+exponent, the character right after what was read, which is what a scan
+character by character, skipping whitespace before each look, reports.
+An offset is a sum of token and spacing lengths, computed only when an
+error is raised.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
 from .fields import FieldSpec, FqElem
-from .series import LaurentSeries
+from .series import LaurentSeries, default_prec
+
+# one match per token: the whitespace before it, then the token, a run of
+# digits or one other non-space character
+_TOKEN = re.compile(r"(\s*)(\d+|\S)")
 
 
-class _Scanner:
+def _tokens(text: str) -> list:
+    """The (spacing, token) pairs of text, then the end marker: the trailing
+    whitespace and the empty token."""
+    pattern = _TOKEN
+    if not text.isascii():
+        # str.isdigit also holds for a few non-decimal digits such as '²':
+        # they join a run of digits, which int() then refuses
+        odd = {c for c in text if c.isdigit() and not c.isdecimal()}
+        if odd:
+            pattern = re.compile(r"(\s*)([\d%s]+|\S)" % re.escape("".join(sorted(odd))))
+    toks = pattern.findall(text)
+    toks.append((text[len(text.rstrip()) :], ""))
+    return toks
+
+
+class _Cursor:
+    """The descent's place in the token list.  Offsets are summed from the
+    token lengths only when an error needs one."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self.toks = _tokens(text)
+        self.i = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def peek(self) -> str:
+        """The next token; "" at the end."""
+        return self.toks[self.i][1]
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def offset(self, i: int = None) -> int:
+        """Where token i starts (default: the next); the text's length at the end."""
+        i = self.i if i is None else i
+        return sum(len(space) + len(tok) for space, tok in self.toks[:i]) + len(self.toks[i][0])
 
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+    def end_of_last(self) -> int:
+        """Where the last token read ends."""
+        return self.offset(self.i - 1) + len(self.toks[self.i - 1][1])
+
+    def take(self, tok: str) -> bool:
+        if self.toks[self.i][1] == tok:
+            self.i += 1
             return True
         return False
 
-    def expect(self, ch: str):
-        if not self.take(ch):
-            raise ParseError(f"expected '{ch}'", self.pos)
+    def expect(self, tok: str):
+        if not self.take(tok):
+            raise ParseError(f"expected '{tok}'", self.offset())
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            raise ParseError("expected an integer", self.pos)
-        return int(self.text[start : self.pos])
+        """Digits, with a sign right before them if there is one."""
+        start = self.i
+        sign = self.peek()
+        if sign == "+" or sign == "-":
+            self.i += 1
+            space, tok = self.toks[self.i]
+            if space:
+                tok = ""
+        else:
+            sign, tok = "", sign
+        if not tok.isdigit():
+            raise ParseError("expected an integer", self.offset(start) + len(sign))
+        self.i += 1
+        return int(sign + tok)
 
     def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        return not self.toks[self.i][1]
 
 
-def _parse_g_monomial(sc: _Scanner, spec: FieldSpec) -> FqElem:
+def _parse_g_monomial(cur: _Cursor, spec: FieldSpec) -> FqElem:
     """[int] ['g' ['^' exp]]: one summand of a g-polynomial, never empty."""
-    if not (sc.peek().isdigit() or sc.peek() == "g"):
-        raise ParseError("empty summand", sc.pos)
+    tok = cur.peek()
+    if not (tok.isdigit() or tok == "g"):
+        raise ParseError("empty summand", cur.offset())
     c = 1
-    if sc.peek().isdigit():
-        c = sc.integer()
-        mark = sc.pos
-        if sc.take("*") and sc.peek() != "g":
-            sc.pos = mark  # a '*' before anything but g is the term's
-    if sc.peek() == "g":
-        sc.pos += 1
-        e = 1
-        if sc.take("^"):
-            e = sc.integer()
-            if e < 0:
-                raise ParseError("negative power of g", sc.pos)
-        if spec.e == 1:
-            raise ParseError("coefficient uses g but the field is prime", sc.pos)
-        # below the degree g^e is the coordinate vector of index p^e
-        power = spec.from_index(spec.p**e) if e < spec.e else spec.gen() ** e
-        return power.scale(c)
-    return spec.from_int(c)
+    if tok.isdigit():
+        c = int(tok)
+        cur.i += 1
+        if cur.peek() == "*" and cur.toks[cur.i + 1][1] == "g":
+            cur.i += 1  # a '*' before anything but g is the term's
+    if cur.peek() != "g":
+        return spec.from_int(c)
+    cur.i += 1
+    e = 1
+    caret = cur.take("^")
+    if caret:
+        e = cur.integer()
+        if e < 0:
+            raise ParseError("negative power of g", cur.end_of_last())
+    if spec.e == 1:
+        at = cur.end_of_last() if caret else cur.offset()
+        raise ParseError("coefficient uses g but the field is prime", at)
+    if e < spec.e:
+        # below the degree c g^e is the coordinate vector with c mod p at e
+        coords = [0] * spec.e
+        coords[e] = c % spec.p
+        return FqElem(spec, tuple(coords))
+    return (spec.gen() ** e).scale(c)
 
 
-def _parse_g_poly(sc: _Scanner, spec: FieldSpec) -> FqElem:
-    total = _parse_g_monomial(sc, spec)
+def _parse_g_poly(cur: _Cursor, spec: FieldSpec) -> FqElem:
+    total = _parse_g_monomial(cur, spec)
     while True:
-        if sc.take("+"):
-            total = total + _parse_g_monomial(sc, spec)
-        elif sc.peek() == "-":
-            sc.pos += 1
-            total = total - _parse_g_monomial(sc, spec)
+        if cur.take("+"):
+            total = total + _parse_g_monomial(cur, spec)
+        elif cur.take("-"):
+            total = total - _parse_g_monomial(cur, spec)
         else:
             return total
 
 
 def parse_field_elem(text: str, spec: FieldSpec) -> FqElem:
     """A standalone field literal: integer mod p, or a polynomial in g."""
-    sc = _Scanner(text)
-    if sc.at_end():
+    cur = _Cursor(text)
+    if cur.at_end():
         raise ParseError("empty coefficient", 0)
-    value = _parse_g_poly(sc, spec)
-    if not sc.at_end():
-        raise ParseError("trailing input after coefficient", sc.pos)
+    value = _parse_g_poly(cur, spec)
+    if not cur.at_end():
+        raise ParseError("trailing input after coefficient", cur.offset())
     return value
 
 
-def _parse_coeff(sc: _Scanner, spec: FieldSpec) -> FqElem:
-    if sc.take("("):
-        value = _parse_g_poly(sc, spec)
-        sc.expect(")")
+def _parse_coeff(cur: _Cursor, spec: FieldSpec) -> FqElem:
+    if cur.take("("):
+        value = _parse_g_poly(cur, spec)
+        cur.expect(")")
         return value
-    return _parse_g_monomial(sc, spec)
+    return _parse_g_monomial(cur, spec)
 
 
-def _parse_term(sc: _Scanner, spec: FieldSpec):
+def _parse_term(cur: _Cursor, spec: FieldSpec):
     """Returns (exponent, coefficient)."""
-    if sc.peek() == "t":
+    if cur.peek() == "t":
         coeff = spec.one()
     else:
-        coeff = _parse_coeff(sc, spec)
-        if not sc.take("*"):
+        coeff = _parse_coeff(cur, spec)
+        if not cur.take("*"):
             # bare coefficient term
-            if sc.peek() != "t":
+            if cur.peek() != "t":
                 return 0, coeff
-    if sc.peek() != "t":
-        raise ParseError("expected 't'", sc.pos)
-    sc.pos += 1
+    if not cur.take("t"):
+        raise ParseError("expected 't'", cur.offset())
     exp = 1
-    if sc.take("^"):
-        exp = sc.integer()
+    if cur.take("^"):
+        exp = cur.integer()
     return exp, coeff
 
 
 def parse_series(text: str, spec: FieldSpec, prec: int = None) -> LaurentSeries:
     """Parse per the series grammar; exact, with explicit precision window."""
-    sc = _Scanner(text)
-    if sc.at_end():
+    cur = _Cursor(text)
+    if cur.at_end():
         raise ParseError("empty series", 0)
     support: dict = {}
     sign = 1
-    if sc.take("-"):
+    if cur.take("-"):
         sign = -1
     while True:
-        exp, coeff = _parse_term(sc, spec)
+        exp, coeff = _parse_term(cur, spec)
         if sign < 0:
             coeff = -coeff
         if exp in support:
             support[exp] = support[exp] + coeff
         else:
             support[exp] = coeff
-        if sc.at_end():
+        if cur.at_end():
             break
-        if sc.take("+"):
+        if cur.take("+"):
             sign = 1
-        elif sc.take("-"):
+        elif cur.take("-"):
             sign = -1
         else:
-            raise ParseError("expected '+', '-' or end of input", sc.pos)
+            raise ParseError("expected '+', '-' or end of input", cur.offset())
     support = {e: c for e, c in support.items() if not c.is_zero()}
     if prec is None:
         top = max(support) if support else 0
         bottom = min(support) if support else 0
-        from .series import default_prec
-
         prec = max(top + 1, default_prec(max(0, -bottom)))
     return LaurentSeries.from_dict(spec, support, prec)
 

@@ -11,6 +11,14 @@ Normalisation: a nonzero series has a nonzero lowest stored coefficient
 (over a test ring that coefficient may be a nilpotent unit-less element,
 but never the ring zero).  The zero-to-precision series stores an empty
 coefficient tuple and val = 0, keeping equality of equal series syntactic.
+``make`` finds the first nonzero coefficient in one scan and slices there.
+
+Sums work on slices, not exponent by exponent: each operand's window is
+padded with the ring's shared zero to the common range [lo, prec) (a
+slice of its coefficients, zeros below its val), and the two lists are
+added pairwise; ``split_parts`` slices one padded window at t^0.  The
+ring's ``+`` returns the other operand when one side is zero, so the
+padding costs no new element.
 
 Products go through the ring's ``truncated_product``: the first n
 coefficients of the product of two coefficient windows, by Kronecker
@@ -53,19 +61,15 @@ class LaurentSeries:
 
     @staticmethod
     def make(ring, val: int, prec: int, coeffs) -> "LaurentSeries":
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != prec - val:
             raise DomainError("coefficient window does not match [val, prec)")
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            val += 1
-        if not coeffs:
-            if prec <= 0:
-                raise PrecisionExhausted(
-                    f"zero to precision {prec}: window certifies nothing"
-                )
-            return LaurentSeries(ring, 0, prec, ())
-        return LaurentSeries(ring, val, prec, tuple(coeffs))
+        for k, c in enumerate(coeffs):
+            if not c.is_zero():
+                return LaurentSeries(ring, val + k, prec, coeffs[k:])
+        if prec <= 0:
+            raise PrecisionExhausted(f"zero to precision {prec}: window certifies nothing")
+        return LaurentSeries(ring, 0, prec, ())
 
     @staticmethod
     def zero(ring, prec: int) -> "LaurentSeries":
@@ -95,7 +99,8 @@ class LaurentSeries:
         if not d:
             return LaurentSeries.zero(ring, prec)
         lo = min(d)
-        coeffs = [d.get(i, ring.zero()) for i in range(lo, prec)]
+        zero = ring.zero()
+        coeffs = [d.get(i, zero) for i in range(lo, prec)]
         return LaurentSeries.make(ring, lo, prec, coeffs)
 
     # -- basic queries -------------------------------------------------
@@ -124,19 +129,22 @@ class LaurentSeries:
         if self.ring != other.ring:
             raise DomainError("series over different rings")
 
+    def _padded(self, lo: int, hi: int) -> list:
+        """The coefficients at exponents lo .. hi-1, for lo <= eff_val and
+        hi <= prec: zeros below val, then a slice of the window."""
+        zero = self.ring.zero()
+        if hi <= self.eff_val:
+            return [zero] * (hi - lo)
+        return [zero] * (self.val - lo) + list(self.coeffs[: hi - self.val])
+
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check_ring(other)
         prec = min(self.prec, other.prec)
         lo = min(self.eff_val, other.eff_val, prec)
-        zero = self.ring.zero()
-        coeffs = []
-        for i in range(lo, prec):
-            a = self.coeff(i) if i < self.prec else zero
-            b = other.coeff(i) if i < other.prec else zero
-            coeffs.append(a + b)
-        return LaurentSeries.make(self.ring, lo, prec, coeffs)
+        pairs = zip(self._padded(lo, prec), other._padded(lo, prec))
+        return LaurentSeries.make(self.ring, lo, prec, [a + b for a, b in pairs])
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(self.ring, self.val, self.prec, tuple(-c for c in self.coeffs))
@@ -263,11 +271,13 @@ class LaurentSeries:
             raise PrecisionExhausted("cannot split: constant term beyond precision")
         zero = self.ring.zero()
         lo = min(self.eff_val, 0)
-        neg = [self.coeff(i) if i < 0 else zero for i in range(lo, self.prec)]
-        pos = [self.coeff(i) if i > 0 else zero for i in range(lo, self.prec)]
+        window = self._padded(lo, self.prec)
+        k = -lo  # the index of t^0
+        neg = window[:k] + [zero] * (len(window) - k)
+        pos = [zero] * (k + 1) + window[k + 1 :]
         return PartsDecomposition(
             negative=LaurentSeries.make(self.ring, lo, self.prec, neg),
-            constant=self.coeff(0),
+            constant=window[k],
             positive=LaurentSeries.make(self.ring, lo, self.prec, pos),
         )
 

@@ -37,6 +37,19 @@ enumeration ``_window_series``, the keys ``_series_key`` and
 ``_solve_wp``, as ``ftk.oracles`` had them before its count oracles moved
 to index-coded windows.  They share nothing with ``ftk.oracles``, so the
 differential tests can require equal ``(count, aut multiset)`` from both.
+
+``fq_add``, ``fq_sub``, ``fq_neg`` and ``ring_add``, ``ring_sub``,
+``ring_neg`` are the sums ``FqElem`` and ``TestRingElem`` computed before
+a zero operand was returned as it is: every sum builds a new element.
+``series_make``, ``series_add`` and ``series_split_parts`` are
+``LaurentSeries.make`` with its ``pop(0)`` loop, ``__add__`` through two
+``coeff(i)`` calls per exponent and ``split_parts`` the same way, as they
+were before sums moved to slices; they add and negate elements through the
+functions above.  ``canonicalize_with_witness`` and ``as_iso_witness`` are
+the Artin-Schreier witness before it was assembled in one coefficient
+list: a negated series and two full-window series sums.  ``scan_series``
+and ``scan_field_elem`` are the parser before it tokenised its text: a
+character scanner that skips whitespace before every look.
 """
 
 from __future__ import annotations
@@ -45,9 +58,17 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ftk.errors import DomainError, PrecisionExhausted
-from ftk.fields import _monic_poly_from_index, _poly_mod
-from ftk.series import LaurentSeries
+from ftk.artin_schreier import ASCanonical
+from ftk.errors import DomainError, ParseError, PrecisionExhausted
+from ftk.fields import (
+    FieldSpec,
+    FqElem,
+    TestRingElem,
+    _monic_poly_from_index,
+    _poly_mod,
+    canonical_wp_shift,
+)
+from ftk.series import LaurentSeries, PartsDecomposition, default_prec
 
 
 class _UnionFind:
@@ -628,3 +649,302 @@ def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
                         aut_of[key] += 1
     classes = uf.classes()
     return len(classes), sorted(aut_of[cls[0]] for cls in classes)
+
+
+# -- zero-blind sums, the two-series witness and the character scanner ---------
+
+
+def fq_add(self, other):
+    self._check(other)
+    p = self.spec.p
+    return FqElem(self.spec, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
+
+
+def fq_sub(self, other):
+    self._check(other)
+    p = self.spec.p
+    return FqElem(self.spec, tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
+
+
+def fq_neg(self):
+    p = self.spec.p
+    return FqElem(self.spec, tuple((-a) % p for a in self.coords))
+
+
+def ring_add(self, other):
+    self._check(other)
+    return TestRingElem(self.spec, tuple(fq_add(a, b) for a, b in zip(self.coords, other.coords)))
+
+
+def ring_sub(self, other):
+    self._check(other)
+    return TestRingElem(self.spec, tuple(fq_sub(a, b) for a, b in zip(self.coords, other.coords)))
+
+
+def ring_neg(self):
+    return TestRingElem(self.spec, tuple(fq_neg(a) for a in self.coords))
+
+
+def elem_add(a, b):
+    return fq_add(a, b) if isinstance(a, FqElem) else ring_add(a, b)
+
+
+def elem_sub(a, b):
+    return fq_sub(a, b) if isinstance(a, FqElem) else ring_sub(a, b)
+
+
+def elem_neg(a):
+    return fq_neg(a) if isinstance(a, FqElem) else ring_neg(a)
+
+
+def series_make(ring, val: int, prec: int, coeffs) -> LaurentSeries:
+    coeffs = list(coeffs)
+    if len(coeffs) != prec - val:
+        raise DomainError("coefficient window does not match [val, prec)")
+    while coeffs and coeffs[0].is_zero():
+        coeffs.pop(0)
+        val += 1
+    if not coeffs:
+        if prec <= 0:
+            raise PrecisionExhausted(
+                f"zero to precision {prec}: window certifies nothing"
+            )
+        return LaurentSeries(ring, 0, prec, ())
+    return LaurentSeries(ring, val, prec, tuple(coeffs))
+
+
+def series_add(self, other):
+    self._check_ring(other)
+    prec = min(self.prec, other.prec)
+    lo = min(self.eff_val, other.eff_val, prec)
+    zero = self.ring.zero()
+    coeffs = []
+    for i in range(lo, prec):
+        a = self.coeff(i) if i < self.prec else zero
+        b = other.coeff(i) if i < other.prec else zero
+        coeffs.append(elem_add(a, b))
+    return series_make(self.ring, lo, prec, coeffs)
+
+
+def series_neg(self):
+    return LaurentSeries(self.ring, self.val, self.prec, tuple(elem_neg(c) for c in self.coeffs))
+
+
+def series_sub(self, other):
+    return series_add(self, series_neg(other))
+
+
+def series_split_parts(self):
+    if self.prec < 1:
+        raise PrecisionExhausted("cannot split: constant term beyond precision")
+    zero = self.ring.zero()
+    lo = min(self.eff_val, 0)
+    neg = [self.coeff(i) if i < 0 else zero for i in range(lo, self.prec)]
+    pos = [self.coeff(i) if i > 0 else zero for i in range(lo, self.prec)]
+    return PartsDecomposition(
+        negative=series_make(self.ring, lo, self.prec, neg),
+        constant=self.coeff(0),
+        positive=series_make(self.ring, lo, self.prec, pos),
+    )
+
+
+def canonicalize_with_witness(b: LaurentSeries):
+    """(canonical form, u) with u^p - u + b = canonical (mod t^prec)."""
+    if not isinstance(b.ring, FieldSpec):
+        raise DomainError("canonical forms are defined over fields only")
+    spec = b.ring
+    p = spec.p
+    if b.prec < 1:
+        raise PrecisionExhausted("cannot certify the positive-part discard")
+    parts = series_split_parts(b)
+    # positive part: u_+^p - u_+ = positive, so adding -(that) kills it
+    u_total = series_neg(parts.positive.solve_positive())
+    # negative terms: pole order j = p^a s walks down to slot s by p-th roots
+    slots: dict = {}
+    witness_terms: dict = {}
+    for j, c in sorted(parts.negative.support().items()):  # most negative first
+        j = -j
+        a = 0
+        while j % p == 0:
+            j //= p
+            a += 1
+        # chain witness: moving c t^{-p^a s} to root = c^{p^-a} at t^{-s}
+        # costs -(root^{p^k} t^{-p^k s}) at every intermediate level k < a;
+        # root^{p^k} = c^{p^(k-a)} is one more p-th root per level down
+        root = c
+        for k in reversed(range(a)):
+            root = root.pth_root()
+            e = -(p**k) * j
+            witness_terms[e] = fq_sub(witness_terms.get(e, spec.zero()), root)
+        slots[j] = fq_add(slots.get(j, spec.zero()), root)
+    if witness_terms:
+        u_total = series_add(u_total, LaurentSeries.from_dict(spec, witness_terms, b.prec))
+    # constant to its transversal representative
+    rep, w = canonical_wp_shift(parts.constant)
+    if not w.is_zero():
+        u_total = series_add(u_total, LaurentSeries.constant(w, b.prec))
+    canon = ASCanonical(
+        spec,
+        tuple(sorted((s, c) for s, c in slots.items() if not c.is_zero())),
+        rep,
+    )
+    return canon, u_total
+
+
+def as_iso_witness(c: LaurentSeries, d: LaurentSeries):
+    """The u of the ASWitness ``ftk.artin_schreier.as_iso_witness`` returns, or None."""
+    if c.ring != d.ring:
+        raise DomainError("covers over different rings")
+    canon_c, u_c = canonicalize_with_witness(c)
+    canon_d, u_d = canonicalize_with_witness(d)
+    if canon_c != canon_d:
+        return None
+    return series_sub(u_c, u_d)
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch: str) -> bool:
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch: str):
+        if not self.take(ch):
+            raise ParseError(f"expected '{ch}'", self.pos)
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        if self.pos < len(self.text) and self.text[self.pos] in "+-":
+            self.pos += 1
+        digits = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == digits:
+            raise ParseError("expected an integer", self.pos)
+        return int(self.text[start : self.pos])
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+
+def _scan_g_monomial(sc: _Scanner, spec: FieldSpec) -> FqElem:
+    """[int] ['g' ['^' exp]]: one summand of a g-polynomial, never empty."""
+    if not (sc.peek().isdigit() or sc.peek() == "g"):
+        raise ParseError("empty summand", sc.pos)
+    c = 1
+    if sc.peek().isdigit():
+        c = sc.integer()
+        mark = sc.pos
+        if sc.take("*") and sc.peek() != "g":
+            sc.pos = mark  # a '*' before anything but g is the term's
+    if sc.peek() == "g":
+        sc.pos += 1
+        e = 1
+        if sc.take("^"):
+            e = sc.integer()
+            if e < 0:
+                raise ParseError("negative power of g", sc.pos)
+        if spec.e == 1:
+            raise ParseError("coefficient uses g but the field is prime", sc.pos)
+        # below the degree g^e is the coordinate vector of index p^e
+        power = spec.from_index(spec.p**e) if e < spec.e else spec.gen() ** e
+        return power.scale(c)
+    return spec.from_int(c)
+
+
+def _scan_g_poly(sc: _Scanner, spec: FieldSpec) -> FqElem:
+    total = _scan_g_monomial(sc, spec)
+    while True:
+        if sc.take("+"):
+            total = fq_add(total, _scan_g_monomial(sc, spec))
+        elif sc.peek() == "-":
+            sc.pos += 1
+            total = fq_sub(total, _scan_g_monomial(sc, spec))
+        else:
+            return total
+
+
+def scan_field_elem(text: str, spec: FieldSpec) -> FqElem:
+    """A standalone field literal: integer mod p, or a polynomial in g."""
+    sc = _Scanner(text)
+    if sc.at_end():
+        raise ParseError("empty coefficient", 0)
+    value = _scan_g_poly(sc, spec)
+    if not sc.at_end():
+        raise ParseError("trailing input after coefficient", sc.pos)
+    return value
+
+
+def _scan_coeff(sc: _Scanner, spec: FieldSpec) -> FqElem:
+    if sc.take("("):
+        value = _scan_g_poly(sc, spec)
+        sc.expect(")")
+        return value
+    return _scan_g_monomial(sc, spec)
+
+
+def _scan_term(sc: _Scanner, spec: FieldSpec):
+    """Returns (exponent, coefficient)."""
+    if sc.peek() == "t":
+        coeff = spec.one()
+    else:
+        coeff = _scan_coeff(sc, spec)
+        if not sc.take("*"):
+            # bare coefficient term
+            if sc.peek() != "t":
+                return 0, coeff
+    if sc.peek() != "t":
+        raise ParseError("expected 't'", sc.pos)
+    sc.pos += 1
+    exp = 1
+    if sc.take("^"):
+        exp = sc.integer()
+    return exp, coeff
+
+
+def scan_series(text: str, spec: FieldSpec, prec: int = None) -> LaurentSeries:
+    """Parse per the series grammar; exact, with explicit precision window."""
+    sc = _Scanner(text)
+    if sc.at_end():
+        raise ParseError("empty series", 0)
+    support: dict = {}
+    sign = 1
+    if sc.take("-"):
+        sign = -1
+    while True:
+        exp, coeff = _scan_term(sc, spec)
+        if sign < 0:
+            coeff = fq_neg(coeff)
+        if exp in support:
+            support[exp] = fq_add(support[exp], coeff)
+        else:
+            support[exp] = coeff
+        if sc.at_end():
+            break
+        if sc.take("+"):
+            sign = 1
+        elif sc.take("-"):
+            sign = -1
+        else:
+            raise ParseError("expected '+', '-' or end of input", sc.pos)
+    support = {e: c for e, c in support.items() if not c.is_zero()}
+    if prec is None:
+        top = max(support) if support else 0
+        bottom = min(support) if support else 0
+        prec = max(top + 1, default_prec(max(0, -bottom)))
+    return LaurentSeries.from_dict(spec, support, prec)

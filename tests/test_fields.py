@@ -320,11 +320,11 @@ def test_roots_of_unity_counts():
         assert len(nth_roots_of_unity(spec, n)) == math.gcd(n, spec.q - 1)
 
 
-def _prime_powers(limit):
+def _prime_power_list(limit):
     return [(p, e) for p in range(2, limit + 1) if _is_prime(p) for e in range(1, 10) if p**e <= limit]
 
 
-@pytest.mark.parametrize("p, e", _prime_powers(512))
+@pytest.mark.parametrize("p, e", _prime_power_list(512))
 def test_tables_match_the_schoolbook_build(p, e):
     # generator, dlog, wp preimages, transversal and powers, all equal
     spec = field(p, e)
@@ -372,7 +372,7 @@ def test_tables_refuse_big_fields_before_building(monkeypatch):
     assert peak < 64 * 1024
 
 
-@pytest.mark.parametrize("p, e", _prime_powers(512))
+@pytest.mark.parametrize("p, e", _prime_power_list(512))
 def test_element_maps_match_powering(p, e):
     spec = field(p, e)
     for a in spec.elements():
@@ -446,7 +446,72 @@ def test_solve_positive_on_a_zero_window_does_no_field_operation(monkeypatch):
     assert b.solve_positive() == b
 
 
-def _prime_powers(bound):
+def _count_constructions(monkeypatch):
+    """Patch FqElem.__init__ to count new field elements; returns the count."""
+    count = [0]
+    init = FqElem.__init__
+
+    def counted(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(FqElem, "__init__", counted)
+    return count
+
+
+def test_zero_is_shared():
+    for spec in (field(2, 8), field(5), local_test_ring(3, 2, 2)):
+        assert spec.zero() is spec.zero()
+
+
+def test_zero_windows_build_no_element(monkeypatch):
+    F256, R = field(2, 8), local_test_ring(3, 2, 2)
+    windows = [[spec.zero()] * 256 for spec in (F256, R)]
+    series = [LaurentSeries.zero(F256, 256), LaurentSeries.zero(R, 256)]
+
+    def combine():
+        for zeros in windows:
+            assert [a + b for a, b in zip(zeros, zeros)] == zeros
+            assert [a - b for a, b in zip(zeros, zeros)] == zeros
+            assert [-a for a in zeros] == zeros
+        for z in series:
+            assert z + z == z - z == -z == z
+
+    combine()  # warm-up
+    count = _count_constructions(monkeypatch)
+    combine()
+    assert count[0] == 0
+
+
+def test_as_canonicalize_builds_few_elements(monkeypatch):
+    # the series of test_as_canonicalize_makes_no_pow_calls; before the zero
+    # short-circuits and the one-list witness this built 312 elements
+    F256 = field(2, 8)
+    coeffs = {-24: F256.from_index(0x53), -8: F256.from_index(0xCA), 0: F256.from_index(7)}
+    coeffs.update({s: F256.from_index((37 * s + 11) % 256) for s in range(1, 41)})
+    b = LaurentSeries.from_dict(F256, coeffs, 41)
+    expected = as_canonicalize(b)  # warm-up: field tables and matrices
+    count = _count_constructions(monkeypatch)
+    assert as_canonicalize(b) == expected
+    assert count[0] <= 64
+
+
+@pytest.mark.parametrize("p, e, m", [(3, 1, 2), (2, 1, 4), (5, 1, 4), (3, 2, 3), (2, 8, 2)])
+def test_test_ring_frobenius_makes_no_field_multiplication(monkeypatch, p, e, m):
+    R = local_test_ring(p, e, m)
+    elems = [R.one() + R.x(), R.from_index(R.base.q**m - 1), R.from_index(R.base.q + 2)]
+    expected = [a**p for a in elems]
+    assert [a.frobenius() for a in elems] == expected  # warm-up: the matrices
+
+    def refuse(*args):
+        raise AssertionError("a field multiplication ran")
+
+    monkeypatch.setattr(FqElem, "__mul__", refuse)
+    monkeypatch.setattr(FqElem, "__rmul__", refuse)
+    assert [a.frobenius() for a in elems] == expected
+
+
+def _iter_prime_powers(bound):
     for q in range(2, bound + 1):
         p = next(d for d in range(2, q + 1) if q % d == 0)
         e = 0
@@ -460,7 +525,7 @@ def _prime_powers(bound):
 def test_modulus_search_matches_trial_division():
     # Ben-Or's test picks the same modulus as trial division for every
     # prime power q <= 2^14
-    cases = list(_prime_powers(2**14))
+    cases = list(_iter_prime_powers(2**14))
     assert len(cases) == 1961
     for p, e in cases:
         assert fields_mod._smallest_irreducible(p, e) == schoolbook.smallest_irreducible(p, e), (p, e)

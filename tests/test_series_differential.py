@@ -1,19 +1,23 @@
-"""The Kronecker product, the doubling-Newton inverse and the Hensel root
-against the schoolbook reference in ``schoolbook.py``.
+"""The Kronecker product, the doubling-Newton inverse, the Hensel root, the
+zero-aware sums, the Artin-Schreier witness and the tokenising parser
+against the references in ``schoolbook.py``.
 
 Each property draws a ring (fields F_2 .. F_256, test rings F_q[x]/(x^m)
-with m <= 4) and windows of three shapes: dense, zero-heavy and
-monomial, at negative as well as positive valuations.  The fast path and
+with m <= 4) and windows of several shapes: dense, zero-heavy, monomial
+and zero, at negative as well as positive valuations.  The fast path and
 the reference must return the same ``(val, prec, coeffs)`` or raise the
-same exception type.
+same exception type; the parsers must also raise the same message at the
+same offset.
 """
 
 from hypothesis import example, given, strategies as st
 
 import schoolbook
+from ftk.artin_schreier import _canonicalize_with_witness, as_canonicalize, as_iso_witness
 from ftk.errors import FtkError
 from ftk import fields
 from ftk.fields import field, test_ring as local_test_ring
+from ftk.parse import parse_field_elem, parse_series
 from ftk.series import LaurentSeries as L
 
 FIELDS = [
@@ -140,3 +144,226 @@ def test_solve_positive_matches_schoolbook(b):
     u = b.solve_positive()
     assert outcome(lambda: u) == outcome(lambda: schoolbook.solve_positive(b))
     assert u.wp() == b
+
+
+# -- zero-aware sums ------------------------------------------------------------
+
+
+def result(fn):
+    """fn's value, or the type of the FtkError it raised."""
+    try:
+        return fn()
+    except FtkError as exc:
+        return type(exc)
+
+
+def _elements(ring):
+    """Zero half of the time, else any element."""
+    return st.one_of(st.just(ring.zero()), st.integers(0, _size(ring) - 1).map(ring.from_index))
+
+
+@given(st.sampled_from(RINGS).flatmap(lambda r: st.tuples(_elements(r), _elements(r))))
+def test_element_sums_match_reference(ab):
+    a, b = ab
+    assert a + b == schoolbook.elem_add(a, b)
+    assert a - b == schoolbook.elem_sub(a, b)
+    assert -a == schoolbook.elem_neg(a)
+
+
+@given(st.sampled_from(TEST_RINGS).flatmap(_elements))
+def test_test_ring_frobenius_is_the_pth_power(a):
+    assert a.frobenius() == fields._RingElem.__pow__(a, a.spec.p)
+
+
+@st.composite
+def _window(draw, ring, val, prec, lo, hi):
+    """Coefficients for exponents val .. prec-1, nonzero only in [lo, hi)."""
+    shape = draw(st.sampled_from(["dense", "zero-heavy", "monomial", "zero"]))
+    size = _size(ring)
+    coeffs, first = [], True
+    for e in range(val, prec):
+        nonzero = lo <= e < hi and (
+            shape == "dense"
+            or (shape == "zero-heavy" and draw(st.integers(0, 5)) == 0)
+            or (shape == "monomial" and first)
+        )
+        if nonzero:
+            coeffs.append(ring.from_index(draw(st.integers(1, size - 1))))
+            first = False
+        else:
+            coeffs.append(ring.zero())
+    return coeffs
+
+
+@st.composite
+def sum_pairs(draw):
+    """Two series over one ring: overlapping, or disjoint (the first nonzero
+    only below a cut, the second only at and above it), of unequal
+    precision, zero-heavy or zero."""
+    ring = draw(st.sampled_from(RINGS))
+    cut = draw(st.integers(-10, 12))
+    disjoint = draw(st.booleans())
+    out = []
+    for side in range(2):
+        prec = draw(st.integers(cut - 4, cut + 14))
+        val = draw(st.integers(prec - 20, prec))
+        lo, hi = (-99, 99) if not disjoint else ((-99, cut) if side == 0 else (cut, 99))
+        coeffs = draw(_window(ring, val, prec, lo, hi))
+        if prec <= 0 and all(c.is_zero() for c in coeffs):
+            coeffs += [ring.zero()] * (1 - prec)
+            prec = 1
+        out.append(L.make(ring, val, prec, coeffs))
+    return tuple(out)
+
+
+@given(sum_pairs())
+def test_series_sums_match_reference(ab):
+    a, b = ab
+    assert result(lambda: a + b) == result(lambda: schoolbook.series_add(a, b))
+    assert result(lambda: a - b) == result(lambda: schoolbook.series_sub(a, b))
+    assert -a == schoolbook.series_neg(a)
+    for s in ab:
+        assert result(s.split_parts) == result(lambda: schoolbook.series_split_parts(s))
+
+
+@given(
+    st.sampled_from(RINGS),
+    st.integers(-20, 20),
+    st.integers(0, 40),
+    st.sampled_from([0, 0, 0, 1, -1]),
+    st.data(),
+)
+def test_make_matches_reference(ring, val, length, misfit, data):
+    # a long zero head, then a zero-heavy or zero tail; misfit != 0 makes
+    # the window disagree with [val, prec)
+    head = data.draw(st.integers(0, length))
+    tail = data.draw(_window(ring, val + head, val + length, -99, 99))
+    coeffs = [ring.zero()] * head + tail
+    prec = val + length + misfit
+    assert result(lambda: L.make(ring, val, prec, coeffs)) == result(
+        lambda: schoolbook.series_make(ring, val, prec, coeffs)
+    )
+
+
+# -- the Artin-Schreier witness --------------------------------------------------
+
+
+@st.composite
+def as_covers(draw):
+    """b with poles at p-power multiples of prime-to-p slots (so the chains
+    run), a zero-heavy positive tail and a constant; and d, either b plus a
+    coboundary u^p - u or a second such series."""
+    spec = draw(st.sampled_from(FIELDS))
+    p = spec.p
+    elem = st.integers(0, spec.q - 1).map(spec.from_index)
+
+    def cover(prec):
+        d = {}
+        for _ in range(draw(st.integers(0, 4))):
+            pole = draw(st.integers(1, 6)) * p ** draw(st.integers(0, 3))
+            d[-min(pole, 60)] = draw(elem)
+        for s in range(0, prec):
+            if draw(st.integers(0, 3)) == 0:
+                d[s] = draw(elem)
+        return L.from_dict(spec, d, prec)
+
+    b = cover(draw(st.integers(1, 30)))
+    if draw(st.booleans()):
+        u = cover(draw(st.integers(1, 30)))
+        d = b + u.wp()
+    else:
+        d = cover(draw(st.integers(1, 30)))
+    return b, d
+
+
+@given(as_covers())
+def test_as_witness_matches_reference(bd):
+    b, d = bd
+    expected = schoolbook.canonicalize_with_witness(b)
+    assert _canonicalize_with_witness(b) == expected
+    assert as_canonicalize(b) == expected[0]
+    w = as_iso_witness(b, d)
+    assert (None if w is None else w.u) == schoolbook.as_iso_witness(b, d)
+
+
+# -- the parser ------------------------------------------------------------------
+
+
+def parsed(fn):
+    """fn's value, or the type, message and offset of the error it raised."""
+    try:
+        return fn()
+    except (FtkError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+PARSE_FIELDS = [field(5), field(7), field(2, 2), field(3, 2), field(2, 8)]
+_int = st.integers(0, 12).map(str)
+_gap = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def series_text(draw):
+    """A text of the series grammar, with optional spacing and signs."""
+    spec = draw(st.sampled_from(PARSE_FIELDS))
+
+    def monomial():
+        out = draw(st.one_of(st.just(""), _int))
+        if spec.e > 1 and draw(st.booleans()):
+            out += (draw(st.sampled_from(["", "*", " "])) if out else "") + "g"
+            if draw(st.booleans()):
+                out += "^" + str(draw(st.integers(-1, 9)))
+        return out or "1"
+
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeff = monomial()
+        if spec.e > 1 and draw(st.integers(0, 3)) == 0:
+            for _ in range(draw(st.integers(1, 3))):
+                coeff += draw(st.sampled_from(["+", "-", " + ", " - "])) + monomial()
+            coeff = "(" + coeff + ")"
+        shape = draw(st.sampled_from(["coeff", "t", "coeff*t"]))
+        t = "t"
+        if draw(st.integers(0, 4)):
+            sign = draw(st.sampled_from(["", "", "-", "+", " "]))
+            t += "^" + sign + str(draw(st.integers(0, 40)))
+        if shape == "coeff":
+            terms.append(coeff)
+        elif shape == "t":
+            terms.append(t)
+        else:
+            terms.append(coeff + draw(st.sampled_from(["*", "", " * ", "* "])) + t)
+    text = draw(st.sampled_from(["", "", "-", " -"])) + terms[0]
+    for term in terms[1:]:
+        text += draw(_gap) + draw(st.sampled_from(["+", "-"])) + draw(_gap) + term
+    return spec, draw(_gap) + text + draw(_gap)
+
+
+# single characters for the mutations: the grammar's, spacing, a letter
+# outside it, and digits that are not ASCII ('²' is a digit but not a
+# decimal, which int() refuses; '٣' is the Arabic-Indic 3)
+_MUTANT = st.sampled_from(list("tg^*()+-0123456789 x") + ["\t", "\x1c", "\u00a0", "²", "٣"])
+
+
+@st.composite
+def mutated(draw, texts):
+    spec, text = draw(texts)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "replace", "delete"]))
+        ch = draw(_MUTANT) if op != "delete" else ""
+        text = text[:i] + ch + text[i + (op != "insert") :]
+    return spec, text
+
+
+@given(st.one_of(series_text(), mutated(series_text())))
+def test_parser_matches_the_scanner(spec_text):
+    spec, text = spec_text
+    for prec in (None, 40):
+        assert parsed(lambda: parse_series(text, spec, prec)) == parsed(
+            lambda: schoolbook.scan_series(text, spec, prec)
+        )
+    assert parsed(lambda: parse_field_elem(text, spec)) == parsed(
+        lambda: schoolbook.scan_field_elem(text, spec)
+    )
+
