@@ -98,7 +98,8 @@ def _canonicalize_with_witness(b: LaurentSeries):
     """(canonical form, u) with u^p - u + b = canonical (mod t^prec).
 
     u is assembled in one coefficient list over [lo, prec), lo the lowest
-    pole of b (or 0): the negated positive-part solution, the chain terms
+    pole of b (or 0): the negated positive-part solution (which
+    ``solve_positive(negated=True)`` returns as it is), the chain terms
     at negative exponents and the constant shift at t^0 sit at disjoint
     exponents, so one ``make`` gives the sum of the three series."""
     if not isinstance(b.ring, FieldSpec):
@@ -111,9 +112,9 @@ def _canonicalize_with_witness(b: LaurentSeries):
     lo = min(parts.negative.eff_val, 0)
     acc = [spec.zero()] * (b.prec - lo)
     # positive part: u_+^p - u_+ = positive, so adding -(that) kills it
-    positive = parts.positive.solve_positive()
-    for i, c in enumerate(positive.coeffs, positive.val - lo):
-        acc[i] = -c
+    positive = parts.positive.solve_positive(negated=True)
+    if not positive.is_zero():
+        acc[positive.val - lo :] = positive.coeffs
     # negative terms: pole order j = p^a s walks down to slot s by p-th roots
     slots: dict = {}
     for j, c in sorted(parts.negative.support().items()):  # most negative first

@@ -56,13 +56,27 @@ it holds:
   ``truncated_product(a, b, n)``: the first n coefficients of
   (sum a_i t^i)(sum b_j t^j) for coefficient sequences a, b of its
   elements, as a list of n elements.  Both kinds compute it with one
-  Kronecker substitution (``_kronecker_product``): a field is the m = 1
-  case of the F_q[x]/(x^m) digit layout;
+  Kronecker substitution (``_kronecker_product``, below): a field is the
+  m = 1 case of the F_q[x]/(x^m) digit layout;
 - an element (FqElem, TestRingElem) has ``spec``, ``coords``, ``index``,
   ``+``, ``-``, ``*`` (also by an int), ``scale(n)``, ``**``,
   ``inverse()``, ``frobenius()``, ``is_zero()``, ``is_unit()``,
   ``is_nilpotent()`` and ``residue()`` (its image in ``base``; the
   identity on a field).
+
+Truncated products are one Kronecker substitution.  A coefficient's F_p
+digits, x^i g^j for i < m and j < e, go into a block of (2m-1)(2e-1)
+slots of one Python int, packed by one struct per operand, so one big-int
+multiply puts every product of digits in a slot of its own.  The field
+modulus is applied to the packed product as well: for each g-degree
+d = e .. 2e-2, one shift and one mask bring slot d of every block down to
+slot 0, and one multiply by the packed coordinates of g^d mod f adds
+c g^d to the low slots.  That is e-1 big-int steps per product in place of
+a Python loop over every coefficient.  A raw slot sums at most
+raw = min(len) * m * e * (p-1)^2; the reduction adds e-1 raw slots times
+digits <= p-1 to a low slot, so the slots are sized for
+raw * (1 + (e-1)(p-1)) and no sum carries into the next slot.  The e low
+slots of each x-degree i < m are read back and reduced mod p.
 
 All values are immutable; tables are computed once per spec and shared.
 """
@@ -70,10 +84,10 @@ All values are immutable; tables are computed once per spec and shared.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, starmap
 
 from .errors import DomainError, NotInvertible
 
@@ -226,24 +240,6 @@ def _smallest_irreducible(p: int, e: int):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-# -- truncated products by Kronecker substitution ---------------------
-
-# array typecode for each slot width in bytes that has one on this platform
-_SLOT_CODE = {array(code).itemsize: code for code in "BHILQ"}
-_SLOT_WIDTHS = sorted(_SLOT_CODE)
-
-
-@lru_cache(maxsize=None)
-def _high_powers_of_g(base: "FieldSpec"):
-    """Coordinates of g^d for d = e .. 2e-2: the reduction rows of a product."""
-    p, e = base.p, base.e
-    rows = []
-    for d in range(e, 2 * e - 1):
-        red = _poly_mod((0,) * d + (1,), base.modulus, p)
-        rows.append(red + (0,) * (e - len(red)))
-    return tuple(rows)
-
-
 @lru_cache(maxsize=None)
 def _frobenius_rows(base: "FieldSpec", k: int):
     """The F_p-linear map x -> x^(p^k) of F_q: row i holds the coordinates
@@ -267,83 +263,102 @@ def _apply_rows(rows, coords, p):
     return tuple(v % p for v in out)
 
 
+# -- truncated products by Kronecker substitution ---------------------
+
+# struct code of each slot width in bytes up to _WORD; a wider slot holds
+# its digit in its low _WORD bytes
+_WORD = 8
+_SLOT_CODE = {1: "B", 2: "H", 4: "I", _WORD: "Q"}
+
+
+@lru_cache(maxsize=None)
+def _reduction_rows(base: "FieldSpec", bits: int):
+    """(d, row) for d = e .. 2e-2: the coordinates of g^d mod the modulus,
+    packed at ``bits`` per slot."""
+    p, e = base.p, base.e
+    out = []
+    for d in range(e, 2 * e - 1):
+        red = _poly_mod((0,) * d + (1,), base.modulus, p)
+        out.append((d, sum(c << (bits * j) for j, c in enumerate(red))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _low_slot_mask(bits: int, span: int, m: int, blocks: int) -> int:
+    """Ones in slot (i, 0), i < m, of each of ``blocks`` blocks."""
+    step = (2 * m - 1) * span * bits  # bits per block
+    unit = sum(((1 << bits) - 1) << (bits * i * span) for i in range(m))
+    return unit * (((1 << (step * blocks)) - 1) // ((1 << step) - 1))
+
+
+@lru_cache(maxsize=None)
+def _block_struct(e: int, m: int, width: int) -> struct.Struct:
+    """One block as a struct: the m*e digits of x^i g^j (i < m, j < e), each
+    in a slot of ``width`` bytes at slot i(2e-1) + j, zero bytes elsewhere.
+    A wider slot packs its digit in _WORD bytes: p < 2^64, since ``field``
+    tests primality by trial division, which no larger p finishes."""
+    slot = _SLOT_CODE[width] if width <= _WORD else f"Q{width - _WORD}x"
+    degree = slot * e + f"{(e - 1) * width}x"
+    return struct.Struct("<" + degree * m + f"{(m - 1) * (2 * e - 1) * width}x")
+
+
 def _kronecker_product(base: "FieldSpec", m: int, a, b, n: int):
     """(shift, rows): the digit rows of a(t) b(t) over F_q[x]/(x^m), q = p^e
-    (m = 1: F_q), below t^n.  The rows are coefficients shift, shift+1, ...;
-    every other coefficient below t^n is zero.
+    (m = 1: F_q), below t^n.  A row holds one coefficient's m*e digits in
+    F_p, x-major: the digit of x^i g^j sits at i*e + j.  The rows are
+    coefficients shift, shift+1, ...; every other coefficient below t^n is
+    zero.
 
-    A row holds one coefficient's m*e digits in F_p, x-major: the digit of
-    x^i g^j sits at i*e + j.  Each row becomes a block of (2m-1)(2e-1)
-    slots of one Python int, so the product of two blocks keeps every
-    x^i g^j (i <= 2m-2, j <= 2e-2) in a slot of its own.  A slot of the
-    product sums at most min(len) * m * e products of digits, each at
-    most (p-1)^2, and is sized to hold that bound, so no slot carries into
-    the next.  One big-int multiply then does the whole convolution; the
-    slots are read back, reduced mod p and the field modulus, and the
-    x-degrees >= m are dropped.  Each packed operand is trimmed to its
-    nonzero extent (zero rows on top vanish from the int, those at the
-    bottom are shifted out), so a monomial times a monomial is one block
-    by one, however long their windows.
+    The block layout, the packed reduction by the modulus and the slot
+    bound are those of the module docstring.  One struct packs every block
+    of an operand and reads the low slots of the product back.  Each packed
+    operand is trimmed to its nonzero extent (zero rows on top vanish from
+    the int, those at the bottom are shifted out), so a monomial times a
+    monomial is one block by one, however long their windows.
     """
     p, e = base.p, base.e
     a, b = a[:n], b[:n]
+    if not a or not b:
+        return 0, []
     span = 2 * e - 1
-    block = (2 * m - 1) * span
-    bound = min(len(a), len(b)) * m * e * (p - 1) ** 2
-    width = (bound.bit_length() + 7) // 8
-    width = next((w for w in _SLOT_WIDTHS if w >= width), width)
-    digit_bytes = ((p - 1).bit_length() + 7) // 8
-    step = block * width
-
-    def pack(rows):
-        buf = bytearray(len(rows) * step)
-        for i in range(m):
-            for j in range(e):
-                digits = [r[i * e + j] for r in rows]
-                at = (i * span + j) * width
-                for k in range(digit_bytes):
-                    buf[at + k :: step] = bytes([d >> (8 * k) & 255 for d in digits])
-        return int.from_bytes(buf, "little")
-
-    bits = 8 * step
-    packed_a, packed_b = pack(a), pack(b)
+    raw = min(len(a), len(b)) * m * e * (p - 1) ** 2
+    width = ((raw * (1 + (e - 1) * (p - 1))).bit_length() + 7) // 8
+    width = next((w for w in _SLOT_CODE if w >= width), width)
+    layout = _block_struct(e, m, width)
+    bits = 8 * width
+    step = 8 * layout.size
+    packed_a = int.from_bytes(b"".join(starmap(layout.pack, a)), "little")
+    packed_b = int.from_bytes(b"".join(starmap(layout.pack, b)), "little")
     if not packed_a or not packed_b:
         return 0, []
-    low_a = ((packed_a & -packed_a).bit_length() - 1) // bits
-    low_b = ((packed_b & -packed_b).bit_length() - 1) // bits
+    low_a = ((packed_a & -packed_a).bit_length() - 1) // step
+    low_b = ((packed_b & -packed_b).bit_length() - 1) // step
     shift = low_a + low_b
     if shift >= n:
         return 0, []
-    packed_a >>= bits * low_a
-    packed_b >>= bits * low_b
-    blocks_a = -(-packed_a.bit_length() // bits)
-    blocks_b = -(-packed_b.bit_length() // bits)
+    packed_a >>= step * low_a
+    packed_b >>= step * low_b
+    blocks_a = -(-packed_a.bit_length() // step)
+    blocks_b = -(-packed_b.bit_length() // step)
     need = min(n - shift, blocks_a + blocks_b - 1)
-    raw = ((packed_a * packed_b) & ((1 << (bits * need)) - 1)).to_bytes(step * need, "little")
-    if width in _SLOT_CODE:
-        slots = array(_SLOT_CODE[width], raw)
-        if sys.byteorder == "big":
-            slots.byteswap()
+    prod = (packed_a * packed_b) & ((1 << (step * need)) - 1)
+    if e > 1:
+        mask = _low_slot_mask(bits, span, m, need)
+        for d, row in _reduction_rows(base, bits):
+            prod += ((prod >> (bits * d)) & mask) * row
+    out = prod.to_bytes(layout.size * need, "little")
+    if width <= _WORD:
+        slots = chain.from_iterable(layout.iter_unpack(out))
     else:
-        slots = [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
-    if e == 1:
-        rows = [tuple(v % p for v in slots[k : k + m]) for k in range(0, len(slots), block)]
-    else:
-        high = _high_powers_of_g(base)
-        rows = []
-        for k in range(0, len(slots), block):
-            row = []
-            for i in range(m):
-                poly = slots[k + i * span : k + (i + 1) * span]
-                coords = [v % p for v in poly[:e]]
-                for c, g_d in zip(poly[e:], high):
-                    c %= p
-                    if c:
-                        for j in range(e):
-                            coords[j] += c * g_d[j]
-                row.extend(v % p for v in coords)
-            rows.append(tuple(row))
-    return shift, rows
+        at = [(i * span + j) * width for i in range(m) for j in range(e)]
+        slots = (
+            int.from_bytes(out[k + o : k + o + width], "little")
+            for k in range(0, len(out), layout.size)
+            for o in at
+        )
+    digits = tuple([v % p for v in slots])
+    size = m * e
+    return shift, [digits[k : k + size] for k in range(0, len(digits), size)]
 
 
 @dataclass(frozen=True)

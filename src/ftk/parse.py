@@ -18,7 +18,10 @@ next token (the length of the text at the end), or, after a sign or an
 exponent, the character right after what was read, which is what a scan
 character by character, skipping whitespace before each look, reports.
 An offset is a sum of token and spacing lengths, computed only when an
-error is raised.
+error is raised.  A run of digits that ``int()`` cannot read, because it
+holds a digit that is not a decimal (such as '²') or more digits than
+``int()`` reads (4300 by default), is "expected an integer" at the start
+of the run.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ def _tokens(text: str) -> list:
     pattern = _TOKEN
     if not text.isascii():
         # str.isdigit also holds for a few non-decimal digits such as '²':
-        # they join a run of digits, which int() then refuses
+        # they join a run of digits, which is then refused as an integer
         odd = {c for c in text if c.isdigit() and not c.isdecimal()}
         if odd:
             pattern = re.compile(r"(\s*)([\d%s]+|\S)" % re.escape("".join(sorted(odd))))
@@ -93,8 +96,18 @@ class _Cursor:
             sign, tok = "", sign
         if not tok.isdigit():
             raise ParseError("expected an integer", self.offset(start) + len(sign))
+        return self.digits(sign)
+
+    def digits(self, sign: str = "") -> int:
+        """The next token, a run of digits, read after sign as an int."""
+        try:
+            value = int(sign + self.toks[self.i][1])
+        except ValueError:
+            # a digit that is not a decimal, such as '²', or more digits
+            # than int() reads
+            raise ParseError("expected an integer", self.offset()) from None
         self.i += 1
-        return int(sign + tok)
+        return value
 
     def at_end(self) -> bool:
         return not self.toks[self.i][1]
@@ -107,8 +120,7 @@ def _parse_g_monomial(cur: _Cursor, spec: FieldSpec) -> FqElem:
         raise ParseError("empty summand", cur.offset())
     c = 1
     if tok.isdigit():
-        c = int(tok)
-        cur.i += 1
+        c = cur.digits()
         if cur.peek() == "*" and cur.toks[cur.i + 1][1] == "g":
             cur.i += 1  # a '*' before anything but g is the term's
     if cur.peek() != "g":

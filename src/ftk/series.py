@@ -23,27 +23,34 @@ padding costs no new element.
 Products go through the ring's ``truncated_product``: the first n
 coefficients of the product of two coefficient windows, by Kronecker
 substitution.  Each coefficient's F_p digits are packed into slots of one
-Python int, a slot wide enough for the largest possible sum,
-min(len) * m * e * (p-1)^2 over F_q[x]/(x^m) with q = p^e (m = 1 over a
-field); one big-int multiply does the convolution, and unpacking reduces
-mod p and the field modulus and drops the x-degrees >= m.
+Python int, a slot wide enough for the largest possible sum after the
+modulus is applied, raw * (1 + (e-1)(p-1)) with raw = min(len) * m * e *
+(p-1)^2 over F_q[x]/(x^m), q = p^e (m = 1 over a field); one big-int
+multiply does the convolution, a few big-int steps on the packed product
+reduce it mod the field modulus, and unpacking reduces mod p and drops the
+x-degrees >= m (see ``fields``).
 
 Inverses and Hensel roots of unit-led windows are Newton iterations that
-double the window: h <- h(2 - a h) and g <- g - (g^n - a)/(n g^(n-1)) turn
-an answer correct mod t^w into one correct mod t^2w, so the cost is a few
-products at the full window.  They return the same series as iterating on
-the full window: the inverse of a unit-led series is unique, and so is its
-n-th root with a given leading coefficient, mod t^prec, because n is
-invertible (if g^n = h^n with g/h = 1 + w, w in tR[[t]], then
-w (n + binom(n, 2) w + ...) = 0 and the second factor is a unit).  A
-test-ring series with a nilpotent head below t^0 loses precision in every
-product, so its root keeps full-window Newton steps, whose window is the
-one the result can certify.
+double the window, so the cost is a few products at the full window.  The
+inverse is h <- h(2 - a h).  The root runs one Newton on the inverse root
+x = a^(-1/n), with x_0 = r0^(-1), and needs no inverse inside the loop: if
+a x^n = 1 + t^w E mod t^2w, then x' = x (1 - t^w E / n) has
+a x'^n = (1 + t^w E)(1 - t^w E + t^2w (...)) = 1 mod t^2w.  Then
+g = a x^(n-1) has g^n = a (a x^n)^(n-1) = a and g_0 = r0^n r0^(1-n) = r0.
+Both return the same series as iterating on the full window: the inverse
+of a unit-led series is unique, and so is its n-th root with a given
+leading coefficient, mod t^prec, because n is invertible (if g^n = h^n
+with g/h = 1 + w, w in tR[[t]], then w (n + binom(n, 2) w + ...) = 0 and
+the second factor is a unit).  A test-ring series with a nilpotent head
+below t^0 loses precision in every product, so its root keeps full-window
+Newton steps g <- g - (g^n - a)/(n g^(n-1)), whose window is the one the
+result can certify.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, NotInvertible, PrecisionExhausted
@@ -324,8 +331,9 @@ class LaurentSeries:
 
     # -- the positive-part solver -----------------------------------------
 
-    def solve_positive(self) -> "LaurentSeries":
-        """The unique u with support >= 1 and u^p - u = self (mod t^prec).
+    def solve_positive(self, negated: bool = False) -> "LaurentSeries":
+        """The unique u with support >= 1 and u^p - u = self (mod t^prec),
+        or v = -u when ``negated``.
 
         Coefficientwise: u_s = -(b_s + b_{s/p}^p + b_{s/p^2}^{p^2} + ...),
         the sum stopping as soon as s/p^n leaves the integers.  It is
@@ -336,9 +344,12 @@ class LaurentSeries:
         one Frobenius per p-divisible exponent.  Proof: when p | s the sum
         is b_s + (b_{s/p} + b_{s/p^2}^p + ...)^p, because Frobenius is
         additive; the bracket is -u_{s/p}, and (-x)^p = -(x^p), again by
-        additivity.  When p does not divide s the sum is b_s alone.  Below
-        ``val`` every b_s vanishes, so every u_s does too: the loop starts
-        at ``val``, and a zero window returns at once.
+        additivity.  When p does not divide s the sum is b_s alone.  The
+        same argument gives v_s = (v_{s/p})^p + b_s for v = -u, so the one
+        loop below runs with - or +; v needs no negation at all, and where
+        v_{s/p} = 0 it stores b_s itself.  Below ``val`` every b_s
+        vanishes, so every u_s does too: the loop starts at ``val``, and a
+        zero window returns at once.
         """
         if not self.is_zero() and self.val < 1:
             raise DomainError("solve_positive needs support in exponents >= 1")
@@ -348,13 +359,14 @@ class LaurentSeries:
             return self
         p = self.ring.p
         zero = self.ring.zero()
+        combine = operator.add if negated else operator.sub
         out = [zero] * (self.prec - 1)  # exponents 1 .. prec-1
         for s, b in enumerate(self.coeffs, self.val):
             prev = zero if s % p else out[s // p - 1]
             if not prev.is_zero():
-                out[s - 1] = prev.frobenius() - b
+                out[s - 1] = combine(prev.frobenius(), b)
             elif not b.is_zero():
-                out[s - 1] = -b
+                out[s - 1] = combine(zero, b)
         return LaurentSeries.make(self.ring, 1, self.prec, out)
 
     # -- Hensel n-th roots ---------------------------------------------------
@@ -469,35 +481,33 @@ class PartsDecomposition:
 
 def _power(ring, g: list, k: int, size: int) -> list:
     """g^k mod t^size for a coefficient list g (constant first), k >= 0."""
-    result = [ring.one()]
+    result = None
     while k:
         if k & 1:
-            result = ring.truncated_product(result, g, size)
+            result = g if result is None else ring.truncated_product(result, g, size)
         k >>= 1
         if k:
             g = ring.truncated_product(g, g, size)
-    return result
+    return [ring.one()] if result is None else result
 
 
 def _root_unit_led(ring, coeffs, r0, n: int) -> list:
-    """The g with g^n = sum coeffs[k] t^k and g_0 = r0, same length.
+    """The g with g^n = a = sum coeffs[k] t^k and g_0 = r0, same length.
 
-    r0^n = coeffs[0] with r0 a unit.  Newton g <- g - (g^n - a)/(n g^(n-1)),
-    doubling the window: if g is the root mod t^w, then g^n - a = t^w E and
-    the step only needs (g^(n-1))^-1 mod t^w to make g the root mod t^2w.
+    r0^n = coeffs[0] with r0 a unit.  Newton for the inverse root
+    x = a^(-1/n), doubling the window: if a x^n = 1 + t^w E mod t^2w, then
+    x <- x - x t^w E / n makes a x^n = 1 mod t^2w.  Then g = a x^(n-1).
     """
     size = len(coeffs)
     minus_inv_n = -pow(n, -1, ring.p)
-    g = [r0]
+    x = [r0.inverse()]
     w = 1
     while w < size:
         top = min(2 * w, size)
-        g_pow = _power(ring, g, n - 1, top)
-        err = [x - c for x, c in zip(ring.truncated_product(g_pow, g, top)[w:], coeffs[w:top])]
-        inv = LaurentSeries._invert_unit_led(ring, g_pow[: top - w])
-        g += [c.scale(minus_inv_n) for c in ring.truncated_product(err, inv, top - w)]
+        err = ring.truncated_product(coeffs[:top], _power(ring, x, n, top), top)[w:]
+        x += [c.scale(minus_inv_n) for c in ring.truncated_product(x, err, top - w)]
         w = top
-    return g
+    return ring.truncated_product(coeffs, _power(ring, x, n - 1, size), size)
 
 
 def default_prec(break_bound: int) -> int:

@@ -279,6 +279,19 @@ def test_dangling_star_exit_code(capsys, series):
     assert "expected 't'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "series, offset",
+    [("t^-²", 3), ("3²*t", 0), ("t^" + "1" * 4301, 2)],
+    ids=["superscript exponent", "superscript coefficient", "4301 digits"],
+)
+def test_unreadable_integer_exit_code(capsys, series, offset):
+    # int() refuses these runs of digits; a parse error, not a traceback
+    code = main(["as-canon", "--p", "5", "--series", series])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"parse error: expected an integer (at offset {offset})\n"
+
+
 def test_coefficient_not_in_ring_exit_code(capsys):
     code, _ = run_cli(capsys, "as-canon", "--p", "5", "--series", "g*t")
     assert code == 1

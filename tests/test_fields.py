@@ -496,6 +496,24 @@ def test_as_canonicalize_builds_few_elements(monkeypatch):
     assert count[0] <= 64
 
 
+def test_as_canonicalize_of_a_positive_series_negates_nothing(monkeypatch):
+    # the witness is -u_+, which solve_positive(negated=True) computes as
+    # v_s = v_{s/p}^p + b_s; the parent negated b_s and then u_s again
+    F5 = field(5)
+    b = LaurentSeries.from_dict(F5, {s: F5.from_int(s % 4 + 1) for s in (1, 2, 5, 7, 10, 25)}, 40)
+    expected = as_canonicalize(b)
+    calls = [0]
+    real = FqElem.__neg__
+
+    def counted(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(FqElem, "__neg__", counted)
+    assert as_canonicalize(b) == expected
+    assert calls[0] == 0
+
+
 @pytest.mark.parametrize("p, e, m", [(3, 1, 2), (2, 1, 4), (5, 1, 4), (3, 2, 3), (2, 8, 2)])
 def test_test_ring_frobenius_makes_no_field_multiplication(monkeypatch, p, e, m):
     R = local_test_ring(p, e, m)

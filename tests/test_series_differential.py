@@ -7,14 +7,19 @@ with m <= 4) and windows of several shapes: dense, zero-heavy, monomial
 and zero, at negative as well as positive valuations.  The fast path and
 the reference must return the same ``(val, prec, coeffs)`` or raise the
 same exception type; the parsers must also raise the same message at the
-same offset.
+same offset, except that a run of digits ``int()`` refuses, a ValueError
+in the reference, is a ParseError at the start of the run.  The Kronecker
+kernel is also checked against the schoolbook product on windows of up
+to 64 coefficients, in rings chosen to reach every slot width.
 """
+
+from itertools import groupby
 
 from hypothesis import example, given, strategies as st
 
 import schoolbook
 from ftk.artin_schreier import _canonicalize_with_witness, as_canonicalize, as_iso_witness
-from ftk.errors import FtkError
+from ftk.errors import FtkError, ParseError
 from ftk import fields
 from ftk.fields import field, test_ring as local_test_ring
 from ftk.parse import parse_field_elem, parse_series
@@ -103,6 +108,61 @@ def unit_led(draw):
 def test_product_matches_schoolbook(ab):
     a, b = ab
     assert outcome(lambda: a * b) == outcome(lambda: schoolbook.mul(a, b))
+
+
+# one ring per slot width of the Kronecker kernel for windows of 1 to 64
+# coefficients: F_256 (1 and 2 bytes), F_251 (2 and 4), F_(127^3) (4),
+# F_(65521^2) (8) and F_(2^31-1) (8, and 9 read slot by slot); then p > 2
+# with e > 1, and test rings up to m = 4
+KERNEL_RINGS = [
+    field(p, e)
+    for p, e in ((2, 8), (251, 1), (127, 3), (65521, 2), (2**31 - 1, 1), (3, 2), (5, 3), (3, 5))
+] + [local_test_ring(p, e, m) for p, e, m in ((2, 1, 4), (5, 1, 4), (3, 2, 3), (2, 3, 2), (7, 1, 3))]
+
+
+@st.composite
+def kernel_operands(draw):
+    """A ring of KERNEL_RINGS, two coefficient windows of 0 to 64 entries
+    (dense, zero-heavy, monomial, or zero below a dense top) and n."""
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    size = _size(ring)
+    windows = []
+    for _ in range(2):
+        length = draw(st.integers(0, 64))
+        shape = draw(st.sampled_from(["dense", "zero-heavy", "monomial", "high"]))
+        cut = draw(st.integers(0, length))
+        coeffs = []
+        for k in range(length):
+            if (shape == "dense" or (shape == "zero-heavy" and draw(st.integers(0, 5)) == 0)
+                    or (shape == "monomial" and k == cut) or (shape == "high" and k >= cut)):
+                coeffs.append(ring.from_index(draw(st.integers(0, size - 1))))
+            else:
+                coeffs.append(ring.zero())
+        windows.append(coeffs)
+    return ring, windows[0], windows[1], draw(st.integers(0, 70))
+
+
+def _kernel_example(ring, a, b, n):
+    return ring, [ring.from_index(i) for i in a], [ring.from_index(i) for i in b], n
+
+
+@given(kernel_operands())
+@example(_kernel_example(field(251), [250], [249], 1))  # 2-byte slots
+@example(_kernel_example(field(2, 8), [255], [0, 254], 3))  # 1-byte slots
+# raw sums of up to 248 fill a 1-byte slot; the reduction lifts them past it
+@example(_kernel_example(field(2, 8), [255] * 31, [255] * 31, 31))
+@example(_kernel_example(local_test_ring(2, 1, 4), [15, 3, 0, 9], [7, 0, 12], 7))
+@example(_kernel_example(local_test_ring(2, 3, 2), [0, 63, 9], [40, 0, 0, 1], 6))
+@example(_kernel_example(field(2**31 - 1), [2**31 - 2] * 64, [2**31 - 3] * 64, 64))
+def test_truncated_product_matches_schoolbook(operands):
+    ring, a, b, n = operands
+    top = len(a) + len(b) + 1  # both windows exact past the product's degree
+    zero = ring.zero()
+    product = schoolbook.mul(
+        L.make(ring, 0, top, a + [zero] * (top - len(a))), L.make(ring, 0, top, b + [zero] * (top - len(b)))
+    )
+    expected = [product.coeff(i) if i < product.prec else zero for i in range(n)]
+    assert ring.truncated_product(a, b, n) == expected
 
 
 @given(series(st.sampled_from(WIDE)))
@@ -356,14 +416,43 @@ def mutated(draw, texts):
     return spec, text
 
 
+def _refused_run(text: str) -> int:
+    """Where the first run of digits (str.isdigit) that int() refuses starts."""
+    at = 0
+    for is_digit, run in groupby(text, str.isdigit):
+        run = "".join(run)
+        if is_digit:
+            try:
+                int(run)
+            except ValueError:
+                return at
+        at += len(run)
+    raise AssertionError(f"no refused run of digits in {text!r}")
+
+
+def scanned(fn, text):
+    """The reference's outcome, where its ValueError (int() refusing a run
+    of digits) reads as the parser's ParseError at the start of that run."""
+    out = parsed(fn)
+    if isinstance(out, tuple) and out[0] is ValueError:
+        at = _refused_run(text)
+        return ParseError, f"expected an integer (at offset {at})", at
+    return out
+
+
 @given(st.one_of(series_text(), mutated(series_text())))
+@example((field(5), "t^-²"))
+@example((field(5), "3²*t + 1"))
+@example((field(2, 2), "(g + 2²)*t^3"))
+@example((field(7), "t^" + "1" * 4301))
+@example((field(7), "2 + " + "3" * 4301 + "*t"))
 def test_parser_matches_the_scanner(spec_text):
     spec, text = spec_text
     for prec in (None, 40):
-        assert parsed(lambda: parse_series(text, spec, prec)) == parsed(
-            lambda: schoolbook.scan_series(text, spec, prec)
+        assert parsed(lambda: parse_series(text, spec, prec)) == scanned(
+            lambda: schoolbook.scan_series(text, spec, prec), text
         )
-    assert parsed(lambda: parse_field_elem(text, spec)) == parsed(
-        lambda: schoolbook.scan_field_elem(text, spec)
+    assert parsed(lambda: parse_field_elem(text, spec)) == scanned(
+        lambda: schoolbook.scan_field_elem(text, spec), text
     )
 
