@@ -213,7 +213,7 @@ def _cmd_semidirect_enum(args):
     bound = args.max_break
     brute = oracles.semidirect_bruteforce(group2, frame, bound) if args.brute_force else None
     _check_census(as_class_count(spec, bound) ** group2.r)
-    classes = enumerate_g_torsors(group2, frame, bound, args.prec)
+    classes = enumerate_g_torsors(group2, frame, bound)
     rows = _census_rows((c.class_id(), c.break_, c.aut_count) for c in classes)
     payload = {
         "group": group.to_json(),
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_count_kummer)
 
     sp = sub.add_parser("semidirect-enum", help="enumerate H x| C_n torsor classes")
-    common(sp, group=True, census=True)
+    common(sp, group=True, prec=False, census=True)
     sp.add_argument("--max-break", "--break-bound", dest="max_break", type=int, required=True)
     sp.add_argument("--brute-force", action="store_true")
     sp.set_defaults(fn=_cmd_semidirect_enum)

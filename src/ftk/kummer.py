@@ -3,8 +3,9 @@
 An invertible series decomposes as b = (lead) t^i (1-unit) after the
 nilpotent tail is stripped; the 1-unit factor is always an n-th power
 (Hensel), so the class of the cover is exactly (i mod n, lead mod n-th
-powers).  Witnesses u with u^n b = b' are assembled from a power of t,
-a canonical constant root, and the Hensel root of the 1-unit ratio.
+powers).  A witness u with u^n b = b' is a power of t times the Hensel
+root of the unit ratio, whose leading coefficient is the canonical n-th
+root of the ratio of the leading coefficients.
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, check_tame_order
-from .fields import (
-    FieldSpec,
-    canonical_nth_root,
-    nth_power_class,
-)
+from .fields import FieldSpec, nth_power_class
 from .series import LaurentSeries
 
 
@@ -48,20 +45,11 @@ def kummer_canonicalize(b: LaurentSeries, n: int) -> KummerClass:
     lead = b.coeff(i)
     cls = KummerClass(ring.base, n, i % n, nth_power_class(lead.residue(), n))
     if not isinstance(ring, FieldSpec):
-        # over a field Hensel always roots the 1-unit factor; over a test
-        # ring the nilpotent tail can exhaust the window, so certify it
-        _strip_to_one_unit(b, i, lead).nth_root_unit(n)
+        # over a field Hensel always roots the 1-unit factor b / (lead t^i);
+        # over a test ring the nilpotent tail can exhaust the window, so
+        # certify it
+        b.scale(lead.inverse()).shift(-i).nth_root_unit(n)
     return cls
-
-
-def _strip_to_one_unit(b: LaurentSeries, i: int, lead) -> LaurentSeries:
-    """b / (lead t^i), a series with unit order 0 and leading coefficient 1
-    modulo the nilpotent tail (exactly 1 over a field).
-
-    The monomial divisor is exact, so its window is chosen to preserve all
-    of b's precision in the product."""
-    mono = LaurentSeries.monomial(lead.inverse(), -i, b.prec - i - b.eff_val)
-    return b * mono
 
 
 def kummer_iso_witness(b: LaurentSeries, b2: LaurentSeries, n: int):
@@ -80,12 +68,10 @@ def kummer_iso_witness(b: LaurentSeries, b2: LaurentSeries, n: int):
     res, res2 = lead.residue(), lead2.residue()
     if nth_power_class(res, n) != nth_power_class(res2, n):
         return None
-    k = (i2 - i) // n
-    const_root = b.ring.from_field(canonical_nth_root(res2 * res.inverse(), n))
-    ratio = _strip_to_one_unit(b2, i2, lead2) * _strip_to_one_unit(b, i, lead).invert()
-    root = ratio.nth_root_unit(n)
-    u = root.scale(const_root).shift(k)
-    return u
+    # the ratio has unit order 0 and leading coefficient lead2 / lead, whose
+    # residue is an n-th power; nth_root_unit roots it, nilpotent part too
+    ratio = b2.shift(-i2) * b.shift(-i).invert()
+    return ratio.nth_root_unit(n).shift((i2 - i) // n)
 
 
 def kummer_class_count(spec: FieldSpec, n: int) -> int:

@@ -16,6 +16,15 @@ twisted cocycle sum
 
 vanishes; that sum is the translation part of the n-th power of the
 semilinear map realising the twist, and it always lies in (F_p)^r.
+
+Each phi-fixed canonical b carries exactly one G-torsor class, with
+automorphism group ker(psi - 1).  The witnesses are u0 + h, h in (F_p)^r,
+and the cocycle sum of u0 + h is V(u0) + N h with N = sum_j psi^j.  Since
+p does not divide n, (F_p)^r is the direct sum of ker(psi - 1) and
+im(psi - 1), N is n on the first summand and 0 on the second, and V(u0)
+lies in ker(psi - 1); so the h with a vanishing sum form one coset of
+im(psi - 1), which is one orbit of the residual action u ~ u + (psi - 1)h.
+The full proof is in ``enumerate_g_torsors``.
 """
 
 from __future__ import annotations
@@ -190,11 +199,6 @@ class ZPhiObject:
                 raise DomainError("witness identity fails")
         return ZPhiObject(tuple(b_vec), tuple(u_vec))
 
-    def sort_key(self):
-        return tuple(
-            (u.val, tuple(c.index for c in u.coeffs)) for u in self.u_vec
-        )
-
 
 def zphi_solve(group: SemidirectGroup, frame: TameFrame, b_vec):
     """All witness vectors u (a torsor under (F_p)^r), or None.
@@ -264,20 +268,38 @@ class GTorsorClass:
         }
 
 
-def enumerate_g_torsors(
-    group: SemidirectGroup, frame: TameFrame, break_bound: int, prec: int = None
-):
+def enumerate_g_torsors(group: SemidirectGroup, frame: TameFrame, break_bound: int):
     """Classes of G-torsors marked with the given tame frame, wild break
     at most break_bound (in the frame variable s).
 
-    Walks the phi-fixed canonical H-covers, solves for the twist witness,
-    filters by the vanishing of the twisted cocycle sum, and quotients by
-    the residual H-action u ~ u + (psi - 1)h.  aut_count = |ker(psi - 1)|.
+    Walks the canonical H-cover vectors b that phi fixes and emits one
+    class for each: the witness is the first solution of ``zphi_solve``, in
+    its sort order, whose twisted cocycle sum vanishes, and aut_count =
+    |ker(psi - 1)|.
+
+    Theorem: a phi-fixed b carries exactly one class.  Write
+    V(u) = sum_{j<n} psi^j u(xi^j s) and N = sum_{j<n} psi^j; the
+    witnesses are u0 + h, h in (F_p)^r.
+
+    1. Constants are fixed by s -> xi^j s, so V(u0 + h) = V(u0) + N h.
+    2. V(u0) is a constant in (F_p)^r: V(u0)^p - V(u0) telescopes to
+       psi^n b(xi^n s) - b = 0.  Shifting j to j + 1 and using psi^n = 1,
+       xi^n = 1 gives psi V(u0) = V(u0)(xi^-1 s) = V(u0), so V(u0) lies
+       in ker(psi - 1).
+    3. As p does not divide n, (psi - 1) N = psi^n - 1 = 0 and N is n, a
+       unit, on ker(psi - 1): so im N = ker(psi - 1).  N (psi - 1) = 0
+       and dim ker N = r - dim ker(psi - 1) then give
+       ker N = im(psi - 1).
+    4. So N h = -V(u0) is solvable, and its solutions form exactly one
+       coset of im(psi - 1), which is one orbit of the residual action
+       u ~ u + (psi - 1)h.  Its stabiliser is ker(psi - 1).
+
+    A phi-fixed b without a good witness is therefore a fault, and raises
+    FtkError.
     """
     if frame.n > 1 and math.gcd(frame.q_exp, frame.n) != 1:
         raise DomainError("apply reduce_to_coprime first")
-    if prec is None:
-        prec = default_prec(break_bound)
+    prec = default_prec(break_bound)
     spec = frame.spec
     p = group.p
     if group.r == 0:
@@ -289,62 +311,20 @@ def enumerate_g_torsors(
         for i in range(group.r)
     )
     aut = mat_kernel_size(psi_minus_1, p)
-    shifts = set()
-    for h in itertools.product(range(p), repeat=group.r):
-        shifts.add(
-            tuple(
-                sum(psi_minus_1[i][j] * h[j] for j in range(group.r)) % p
-                for i in range(group.r)
-            )
-        )
 
     def classes_at(canon_vec):
         b_vec = tuple(c.to_series(prec) for c in canon_vec)
         if elemab_canonicalize(phi_apply(group, frame, b_vec)) != canon_vec:
             return []
-        solutions = zphi_solve(group, frame, b_vec)
-        if solutions is None:
-            return []
-        good = [
-            u_vec
-            for u_vec in solutions
-            if all(v == 0 for v in vn_check(group, frame, ZPhiObject(b_vec, u_vec)))
-        ]
-        if not good:
-            return []
-        # quotient by u ~ u + (psi - 1)h, h in (F_p)^r
-        seen = set()
-        reps = []
-        for u_vec in good:
-            key = _const_offsets(good[0], u_vec, p)
-            if key in seen:
-                continue
-            for sh in shifts:
-                seen.add(tuple((k + s) % p for k, s in zip(key, sh)))
-            reps.append(u_vec)
-        return [
-            GTorsorClass(group, frame, ZPhiObject(b_vec, u_vec), canon_vec, aut)
-            for u_vec in reps
-        ]
+        for u_vec in zphi_solve(group, frame, b_vec) or ():
+            obj = ZPhiObject(b_vec, u_vec)
+            if not any(vn_check(group, frame, obj)):
+                return [GTorsorClass(group, frame, obj, canon_vec, aut)]
+        raise FtkError("a phi-fixed cover vector has no twist witness with a vanishing cocycle sum")
 
     from .parallel import parallel_map
 
     chunks = parallel_map(classes_at, elemab_enumerate(spec, group.r, break_bound))
     out = [cls for chunk in chunks for cls in chunk]
-    out.sort(key=lambda c: (c.break_, tuple(x.sort_key() for x in c.canonical_b), c.zphi.sort_key()))
+    out.sort(key=lambda c: (c.break_, tuple(x.sort_key() for x in c.canonical_b)))
     return out
-
-
-def _const_offsets(base_u, u, p: int):
-    """The constant vector u - base_u in (F_p)^r (solutions differ by
-    constants in the kernel of the Artin-Schreier operator)."""
-    out = []
-    for a, b in zip(u, base_u):
-        d = a - b
-        if d.is_zero():
-            out.append(0)
-            continue
-        if not d.is_constant():
-            raise FtkError("witness difference is not constant")
-        out.append(d.coeff(0).as_int())
-    return tuple(out)

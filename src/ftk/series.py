@@ -146,18 +146,22 @@ class LaurentSeries:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+    def _pairwise(self, other: "LaurentSeries", op) -> "LaurentSeries":
+        """op applied coefficientwise on the common window."""
         self._check_ring(other)
         prec = min(self.prec, other.prec)
         lo = min(self.eff_val, other.eff_val, prec)
-        pairs = zip(self._padded(lo, prec), other._padded(lo, prec))
-        return LaurentSeries.make(self.ring, lo, prec, [a + b for a, b in pairs])
+        coeffs = list(map(op, self._padded(lo, prec), other._padded(lo, prec)))
+        return LaurentSeries.make(self.ring, lo, prec, coeffs)
+
+    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return self._pairwise(other, operator.add)
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(self.ring, self.val, self.prec, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
+        return self._pairwise(other, operator.sub)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check_ring(other)

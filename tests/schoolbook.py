@@ -50,6 +50,16 @@ the Artin-Schreier witness before it was assembled in one coefficient
 list: a negated series and two full-window series sums.  ``scan_series``
 and ``scan_field_elem`` are the parser before it tokenised its text: a
 character scanner that skips whitespace before every look.
+
+``enumerate_g_torsors`` (with ``_const_offsets``) is the semidirect census
+before it emitted one class per phi-fixed cover vector: it checks the
+cocycle sum of every twist witness and quotients the good ones by
+u ~ u + (psi - 1)h.  ``kummer_iso_witness`` (with ``_strip_to_one_unit``)
+is the Kummer witness before it rooted the single ratio of the two unit
+parts: it divides each side by its whole leading coefficient and
+multiplies a constant root of the residues in afterwards, which is wrong
+when the leading coefficients differ by a nilpotent 1-unit, so it is a
+reference over fields only.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ import math
 from dataclasses import dataclass
 
 from ftk.artin_schreier import ASCanonical
-from ftk.errors import DomainError, ParseError, PrecisionExhausted
+from ftk.errors import DomainError, FtkError, ParseError, PrecisionExhausted
 from ftk.fields import (
     FieldSpec,
     FqElem,
@@ -948,3 +958,115 @@ def scan_series(text: str, spec: FieldSpec, prec: int = None) -> LaurentSeries:
         bottom = min(support) if support else 0
         prec = max(top + 1, default_prec(max(0, -bottom)))
     return LaurentSeries.from_dict(spec, support, prec)
+
+
+# -- the semidirect census tail and the Kummer witness, as they were -----------
+
+
+def enumerate_g_torsors(group, frame, break_bound: int, prec: int = None):
+    """The census with the shift quotient: every solution is checked, the
+    good ones are quotiented by u ~ u + (psi - 1)h, and the classes are
+    sorted by (break, canonical vector, witness)."""
+    from ftk.artin_schreier import elemab_canonicalize, elemab_enumerate
+    from ftk.semidirect import (
+        GTorsorClass,
+        ZPhiObject,
+        mat_kernel_size,
+        phi_apply,
+        vn_check,
+        zphi_solve,
+    )
+
+    if frame.n > 1 and math.gcd(frame.q_exp, frame.n) != 1:
+        raise DomainError("apply reduce_to_coprime first")
+    if prec is None:
+        prec = default_prec(break_bound)
+    spec = frame.spec
+    p = group.p
+    if group.r == 0:
+        return [GTorsorClass(group, frame, ZPhiObject((), ()), (), 1)]
+    psi_minus_1 = tuple(
+        tuple((group.psi[i][j] - (1 if i == j else 0)) % p for j in range(group.r))
+        for i in range(group.r)
+    )
+    aut = mat_kernel_size(psi_minus_1, p)
+    shifts = set()
+    for h in itertools.product(range(p), repeat=group.r):
+        shifts.add(
+            tuple(
+                sum(psi_minus_1[i][j] * h[j] for j in range(group.r)) % p
+                for i in range(group.r)
+            )
+        )
+
+    def classes_at(canon_vec):
+        b_vec = tuple(c.to_series(prec) for c in canon_vec)
+        if elemab_canonicalize(phi_apply(group, frame, b_vec)) != canon_vec:
+            return []
+        solutions = zphi_solve(group, frame, b_vec)
+        if solutions is None:
+            return []
+        good = [
+            u_vec
+            for u_vec in solutions
+            if all(v == 0 for v in vn_check(group, frame, ZPhiObject(b_vec, u_vec)))
+        ]
+        if not good:
+            return []
+        seen = set()
+        reps = []
+        for u_vec in good:
+            key = _const_offsets(good[0], u_vec, p)
+            if key in seen:
+                continue
+            for sh in shifts:
+                seen.add(tuple((k + s) % p for k, s in zip(key, sh)))
+            reps.append(u_vec)
+        return [
+            GTorsorClass(group, frame, ZPhiObject(b_vec, u_vec), canon_vec, aut)
+            for u_vec in reps
+        ]
+
+    def witness_key(obj):
+        return tuple((u.val, tuple(c.index for c in u.coeffs)) for u in obj.u_vec)
+
+    out = [cls for canon in elemab_enumerate(spec, group.r, break_bound) for cls in classes_at(canon)]
+    out.sort(key=lambda c: (c.break_, tuple(x.sort_key() for x in c.canonical_b), witness_key(c.zphi)))
+    return out
+
+
+def _const_offsets(base_u, u, p: int):
+    """The constant vector u - base_u in (F_p)^r."""
+    out = []
+    for a, b in zip(u, base_u):
+        d = a - b
+        if d.is_zero():
+            out.append(0)
+            continue
+        if not d.is_constant():
+            raise FtkError("witness difference is not constant")
+        out.append(d.coeff(0).as_int())
+    return tuple(out)
+
+
+def _strip_to_one_unit(b: LaurentSeries, i: int, lead) -> LaurentSeries:
+    mono = LaurentSeries.monomial(lead.inverse(), -i, b.prec - i - b.eff_val)
+    return b * mono
+
+
+def kummer_iso_witness(b: LaurentSeries, b2: LaurentSeries, n: int):
+    """The witness from a canonical constant root times the Hensel root of
+    the ratio of the two 1-units (each side divided by its whole leading
+    coefficient)."""
+    from ftk.fields import canonical_nth_root as table_nth_root, nth_power_class
+
+    i, i2 = b.unit_ord(), b2.unit_ord()
+    if (i2 - i) % n:
+        return None
+    lead, lead2 = b.coeff(i), b2.coeff(i2)
+    res, res2 = lead.residue(), lead2.residue()
+    if nth_power_class(res, n) != nth_power_class(res2, n):
+        return None
+    const_root = b.ring.from_field(table_nth_root(res2 * res.inverse(), n))
+    ratio = _strip_to_one_unit(b2, i2, lead2) * _strip_to_one_unit(b, i, lead).invert()
+    return ratio.nth_root_unit(n).scale(const_root).shift((i2 - i) // n)

@@ -506,7 +506,7 @@ VERB_FLAGS = {
     "count-as": FIELD | {"--format", "--max-break", "--brute-force"},
     "count-kummer": FIELD | {"--format", "--n", "--brute-force"},
     "semidirect-enum": FIELD | {
-        "--prec", "--format", "--r", "--n", "--psi", "--q-exp",
+        "--format", "--r", "--n", "--psi", "--q-exp",
         "--max-break", "--break-bound", "--brute-force",
     },
     "mass": {"--groupoid"},
@@ -533,11 +533,18 @@ def test_each_verb_accepts_only_the_flags_it_reads():
 
 
 @pytest.mark.parametrize(
-    "extra", [["--seed", "5"], ["--format", "csv"]], ids=["seed", "format"]
+    "argv",
+    [
+        ["as-canon", "--p", "2", "--series", "t^-3", "--seed", "5"],
+        ["as-canon", "--p", "2", "--series", "t^-3", "--format", "csv"],
+        ["semidirect-enum", "--p", "3", "--r", "1", "--n", "2", "--psi", "[-1]",
+         "--q-exp", "1", "--max-break", "1", "--prec", "40"],
+    ],
+    ids=["seed", "format", "semidirect-prec"],
 )
-def test_retired_flag_is_refused(capsys, extra):
+def test_retired_flag_is_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["as-canon", "--p", "2", "--series", "t^-3", *extra])
+        main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

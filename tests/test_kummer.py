@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+import schoolbook
 from ftk.errors import DomainError, NotInvertible, PrecisionExhausted
-from ftk.fields import field, nth_roots_of_unity
+from ftk.fields import field, nth_roots_of_unity, test_ring as local_test_ring
 from ftk.kummer import (
     enumerate_kummer_classes,
     kummer_canonicalize,
@@ -157,7 +159,8 @@ class TestWitness:
 def test_iso_witness_product_count(monkeypatch):
     # F_256, n = 5: b = lam t^-2 (1 + a 4-term tail) and b' = lam c^5 t^3 (...),
     # the parser's windows.  Nested Newton (an inner inverse per root step)
-    # made 63 truncated products here; the inverse-root Newton makes 46
+    # made 63 truncated products here; the inverse-root Newton makes 46,
+    # and rooting the one unit ratio 44
     F256 = field(2, 8)
     lam, c = F256.from_index(0x35), F256.from_index(0x9B)
     b = L.from_dict(F256, {-2 + k: lam * F256.from_index(x) for k, x in enumerate((1, 7, 200, 41, 3))}, 36)
@@ -174,6 +177,66 @@ def test_iso_witness_product_count(monkeypatch):
     u = kummer_iso_witness(b, b2, 5)
     assert calls[0] <= 48
     assert ((u**5) * b - b2).is_zero()
+
+
+def test_iso_witness_roots_leads_that_differ_by_a_nilpotent_unit():
+    # b2 = (1+x)^4 b: dividing each side by its whole lead and rooting the
+    # residues returned u = 1, and u^4 b - b2 = x + x t
+    R = local_test_ring(5, 1, 2)
+    b = L.from_dict(R, {0: R.one() + R.x(), 1: R.one()}, 20)
+    b2 = L.constant((R.one() + R.x()) ** 4, 20) * b
+    u = kummer_iso_witness(b, b2, 4)
+    assert ((u**4) * b - b2).is_zero()
+    assert str(u) == "(1+x)"
+
+
+KUMMER_FIELDS = [field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 8))]
+KUMMER_TEST_RINGS = [local_test_ring(p, e, m) for p, e, m in ((5, 1, 2), (3, 1, 3), (2, 2, 2), (7, 1, 2), (2, 1, 4))]
+
+
+def _index_count(ring):
+    return ring.base.q**ring.m if ring in KUMMER_TEST_RINGS else ring.q
+
+
+@st.composite
+def units(draw, ring, low=-3):
+    """t^val times a unit-led window of 4 to 13 coefficients, val >= low;
+    over a test ring the leading coefficient has a drawn nilpotent part.
+    With low >= 0 every product with a unit of this kind keeps a window
+    that reaches t^0."""
+    q, size = ring.base.q, _index_count(ring)
+    val = draw(st.integers(low, 3))
+    lead = ring.from_index(draw(st.integers(1, q - 1)))
+    if size > q:
+        lead = lead + ring.from_index(q * draw(st.integers(0, size // q - 1)))
+    tail = [ring.from_index(draw(st.integers(0, size - 1))) for _ in range(draw(st.integers(3, 12)))]
+    return L.make(ring, val, val + 1 + len(tail), [lead] + tail)
+
+
+def _tame_order(draw, ring):
+    return draw(st.sampled_from([n for n in range(1, 9) if n % ring.p]))
+
+
+@given(st.sampled_from(KUMMER_TEST_RINGS).flatmap(lambda R: st.tuples(st.just(R), units(R), units(R, 0))), st.data())
+def test_iso_witness_over_test_rings_is_a_witness(rbv, data):
+    ring, b, v = rbv
+    n = _tame_order(data.draw, ring)
+    b2 = v**n * b
+    u = kummer_iso_witness(b, b2, n)
+    assert u is not None
+    assert ((u**n) * b - b2).is_zero()
+
+
+@given(st.sampled_from(KUMMER_FIELDS).flatmap(lambda F: st.tuples(units(F), units(F, 0), units(F))), st.data())
+def test_iso_witness_over_fields_matches_the_two_root_reference(bvw, data):
+    b, v, w = bvw
+    n = _tame_order(data.draw, b.ring)
+    for b2 in (v**n * b, w):
+        got = kummer_iso_witness(b, b2, n)
+        want = schoolbook.kummer_iso_witness(b, b2, n)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.val, got.prec, got.coeffs) == (want.val, want.prec, want.coeffs)
 
 
 class TestAutomorphisms:

@@ -1,8 +1,12 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ftk.artin_schreier import elemab_canonicalize
+import schoolbook
+from ftk import semidirect
+from ftk.artin_schreier import as_class_count, elemab_canonicalize
 from ftk.errors import DomainError, FtkError
 from ftk.fields import field
 from ftk.oracles import AffineMap, _Composition, _WindowCodec, semidirect_bruteforce
@@ -11,6 +15,7 @@ from ftk.semidirect import (
     TameFrame,
     ZPhiObject,
     enumerate_g_torsors,
+    mat_identity,
     mat_pow,
     mat_vec_series,
     phi_apply,
@@ -261,3 +266,70 @@ class TestEnumeration:
         a = enumerate_g_torsors(S3_GROUP, S3_FRAME, 3)
         b = enumerate_g_torsors(S3_GROUP, S3_FRAME, 3)
         assert [c.class_id() for c in a] == [c.class_id() for c in b]
+
+
+# (spec, r, m) with at most 300 (canonical vector, witness) pairs, all of
+# which the reference checks: at most 150 canonical vectors
+CENSUS_SHAPES = [
+    (spec, r, m)
+    for spec in [field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+    for r in (1, 2)
+    for m in range(4)
+    if (spec.p * as_class_count(spec, m)) ** r <= 300
+]
+
+
+@st.composite
+def census_systems(draw):
+    """(group, frame, m) as the CLI builds them: any q_exp, reduced by
+    reduce_to_coprime, and psi with psi^n = 1."""
+    spec, r, m = draw(st.sampled_from(CENSUS_SHAPES))
+    p = spec.p
+    n = draw(st.sampled_from([k for k in range(1, spec.q) if (spec.q - 1) % k == 0]))
+    q_exp = draw(st.integers(0, 2 * n))
+    rows = list(itertools.product(range(p), repeat=r))
+    psis = [psi for psi in itertools.product(rows, repeat=r) if mat_pow(psi, n, p) == mat_identity(r)]
+    n2, q2, group = reduce_to_coprime(SemidirectGroup.make(p, r, n, draw(st.sampled_from(psis))), q_exp)
+    return group, TameFrame(spec, n2, q2), m
+
+
+def _census(classes):
+    return [(c.class_id(), c.break_, c.aut_count) for c in classes]
+
+
+def _reduced(p, e, r, n, psi, q_exp, m):
+    n2, q2, group = reduce_to_coprime(SemidirectGroup.make(p, r, n, psi), q_exp)
+    return group, TameFrame(field(p, e), n2, q2), m
+
+
+@settings(max_examples=30)
+@given(census_systems())
+@example(_reduced(3, 1, 1, 2, [[-1]], 1, 3))  # S_3 over F_3
+@example(_reduced(5, 1, 1, 4, [[2]], 2, 1))  # Z/5 x| C_4, reduced to n = 2
+@example(_reduced(2, 2, 2, 3, [[0, 1], [1, 1]], 1, 1))  # A_4 over F_4
+def test_census_matches_the_shift_quotient_reference(case):
+    assert _census(enumerate_g_torsors(*case)) == _census(schoolbook.enumerate_g_torsors(*case))
+
+
+def test_census_checks_one_witness_per_good_vector(monkeypatch):
+    # S_3 over F_3 at m = 7 has 27 phi-fixed canonical vectors, each with
+    # 3 witnesses; checking every witness made 81 vn_check calls
+    calls = [0]
+    real = semidirect.vn_check
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(semidirect, "vn_check", counted)
+    classes = enumerate_g_torsors(S3_GROUP, S3_FRAME, 7)
+    assert len(classes) == 27
+    assert calls[0] <= 27
+
+
+def test_phi_fixed_vector_without_a_good_witness_raises(monkeypatch):
+    # the theorem says every phi-fixed vector has a good witness; a broken
+    # cocycle check must surface as an error, not as a missing class
+    monkeypatch.setattr(semidirect, "vn_check", lambda group, frame, obj: (1,))
+    with pytest.raises(FtkError, match="no twist witness"):
+        enumerate_g_torsors(S3_GROUP, S3_FRAME, 1)

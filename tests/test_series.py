@@ -337,3 +337,24 @@ def test_default_prec_rule():
 
     assert default_prec(4) == 40
     assert default_prec(0) == 32
+
+
+def test_difference_negates_nothing(monkeypatch):
+    # a - b subtracts pairwise; as a + (-b) it negated every coefficient
+    # of b first
+    from ftk.fields import FqElem
+
+    F5 = field(5)
+    a = L.from_dict(F5, {e: F5.from_int(e % 4 + 1) for e in range(-3, 12)}, 12)
+    b = L.from_dict(F5, {e: F5.from_int(e % 3 + 2) for e in range(-3, 12)}, 12)
+    expected = a + b.scale_int(-1)
+    calls = [0]
+    real = FqElem.__neg__
+
+    def counted(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(FqElem, "__neg__", counted)
+    assert a - b == expected
+    assert calls[0] == 0
