@@ -10,6 +10,17 @@ slot s after a coefficient p-th roots, and the constant lands on a fixed
 transversal of F_q modulo u^p - u.  Each move is realised by an explicit
 witness, so canonicalisation doubles as an isomorphism-witness factory.
 
+``as_canonicalize`` reads only the exponents <= 0: the positive part never
+changes the class, so it builds no witness and solves nothing, but the
+window must still reach t^0 (prec >= 1).  Since u -> u^p - u is additive,
+the canonical form is F_p-linear up to the transversal, and two covers c
+and d are isomorphic exactly when the form of c - d is zero.
+``as_iso_witness`` therefore makes one canonicalisation, of c - d, and its
+witness is the one the canonicalisations of c and d compose to: the
+constant at t^0 is w_c - w_d, each w from ``canonical_wp_shift``, because
+that shift is the solution whose g^0 coordinate is 0, a linear choice
+(the proof is in ``as_iso_witness``).
+
 Rank-r elementary-abelian covers are vectors of the rank-1 data, handled
 componentwise throughout.
 """
@@ -94,6 +105,49 @@ class ASWitness:
         return out
 
 
+def _check_canonical(b: LaurentSeries):
+    """Refuse what has no canonical form: a series over a test ring, or a
+    window that does not reach t^0."""
+    if not isinstance(b.ring, FieldSpec):
+        raise DomainError("canonical forms are defined over fields only")
+    if b.prec < 1:
+        raise PrecisionExhausted("cannot certify the positive-part discard")
+
+
+def _poles(b: LaurentSeries):
+    """(j, c) for each nonzero c t^-j of b with j >= 1, most negative
+    exponent first."""
+    head = b.coeffs[: -b.val] if b.val < 0 else ()
+    return [(-e, c) for e, c in enumerate(head, b.val) if not c.is_zero()]
+
+
+def _pole_slots(spec: FieldSpec, poles, acc=None, lo: int = 0):
+    """The canonical support of the polar part sum c t^-j over poles (j, c),
+    as sorted nonzero (slot, value) pairs.
+
+    A pole of order j = p^a s, p not dividing s, walks down to slot s by a
+    p-th roots.  With ``acc``, a coefficient list whose entry k is the
+    exponent lo + k, the chain's witness terms are subtracted into it:
+    moving c t^{-p^a s} to root = c^{p^-a} at t^{-s} costs
+    -(root^{p^k} t^{-p^k s}) at every intermediate level k < a, and
+    root^{p^k} = c^{p^(k-a)} is one more p-th root per level down."""
+    p = spec.p
+    slots: dict = {}
+    for j, c in poles:
+        a = 0
+        while j % p == 0:
+            j //= p
+            a += 1
+        root = c
+        for k in reversed(range(a)):
+            root = root.pth_root()
+            if acc is not None:
+                e = -(p**k) * j - lo
+                acc[e] = acc[e] - root
+        slots[j] = slots.get(j, spec.zero()) + root
+    return tuple(sorted((s, c) for s, c in slots.items() if not c.is_zero()))
+
+
 def _canonicalize_with_witness(b: LaurentSeries):
     """(canonical form, u) with u^p - u + b = canonical (mod t^prec).
 
@@ -102,61 +156,66 @@ def _canonicalize_with_witness(b: LaurentSeries):
     ``solve_positive(negated=True)`` returns as it is), the chain terms
     at negative exponents and the constant shift at t^0 sit at disjoint
     exponents, so one ``make`` gives the sum of the three series."""
-    if not isinstance(b.ring, FieldSpec):
-        raise DomainError("canonical forms are defined over fields only")
+    _check_canonical(b)
     spec = b.ring
-    p = spec.p
-    if b.prec < 1:
-        raise PrecisionExhausted("cannot certify the positive-part discard")
-    parts = b.split_parts()
-    lo = min(parts.negative.eff_val, 0)
+    lo = min(b.eff_val, 0)
     acc = [spec.zero()] * (b.prec - lo)
     # positive part: u_+^p - u_+ = positive, so adding -(that) kills it
-    positive = parts.positive.solve_positive(negated=True)
+    if b.val < 1 and not b.is_zero():
+        b_plus = LaurentSeries.make(spec, 1, b.prec, b.coeffs[1 - b.val :])
+    else:
+        b_plus = b
+    positive = b_plus.solve_positive(negated=True)
     if not positive.is_zero():
         acc[positive.val - lo :] = positive.coeffs
-    # negative terms: pole order j = p^a s walks down to slot s by p-th roots
-    slots: dict = {}
-    for j, c in sorted(parts.negative.support().items()):  # most negative first
-        j = -j
-        a = 0
-        while j % p == 0:
-            j //= p
-            a += 1
-        # chain witness: moving c t^{-p^a s} to root = c^{p^-a} at t^{-s}
-        # costs -(root^{p^k} t^{-p^k s}) at every intermediate level k < a;
-        # root^{p^k} = c^{p^(k-a)} is one more p-th root per level down
-        root = c
-        for k in reversed(range(a)):
-            root = root.pth_root()
-            e = -(p**k) * j - lo
-            acc[e] = acc[e] - root
-        slots[j] = slots.get(j, spec.zero()) + root
+    support = _pole_slots(spec, _poles(b), acc, lo)
     # constant to its transversal representative
-    rep, w = canonical_wp_shift(parts.constant)
+    rep, w = canonical_wp_shift(b.coeff(0))
     acc[-lo] = w
-    canon = ASCanonical(
-        spec,
-        tuple(sorted((s, c) for s, c in slots.items() if not c.is_zero())),
-        rep,
-    )
-    return canon, LaurentSeries.make(spec, lo, b.prec, acc)
+    return ASCanonical(spec, support, rep), LaurentSeries.make(spec, lo, b.prec, acc)
 
 
 def as_canonicalize(b: LaurentSeries) -> ASCanonical:
-    return _canonicalize_with_witness(b)[0]
+    """The canonical form of b, read from its exponents <= 0 only.
+
+    The positive part of b is always a coboundary (``solve_positive``
+    names its witness), so it changes nothing and is not read; the window
+    must still reach t^0."""
+    _check_canonical(b)
+    spec = b.ring
+    return ASCanonical(spec, _pole_slots(spec, _poles(b)), spec.wp_transversal_rep(b.coeff(0)))
 
 
 def as_iso_witness(c: LaurentSeries, d: LaurentSeries):
     """An ASWitness u with u^p - u + c = d when the covers are isomorphic,
-    else None.  The composite of the two canonicalisation coboundaries."""
+    else None, from one canonicalisation: that of c - d.
+
+    Canonical forms are F_p-linear up to the transversal.  The pole chains
+    are sums of p-th roots and ``solve_positive`` is a recurrence of
+    Frobenius maps, all additive, so the support of c - d is the slotwise
+    difference of the supports of c and d.  The constant class is read
+    from the trace, and Tr(c_0 - d_0) = Tr(c_0) - Tr(d_0).  So the form
+    of c - d is zero exactly when c and d have equal canonical forms.
+
+    The witness is then the one the two canonicalisations compose to,
+    u_c - u_d (u_b the witness of ``_canonicalize_with_witness`` of b, on
+    the common window).  Away from t^0 that is again additivity.  At t^0
+    u_b holds w_b, the smallest w with w^p - w = rep - b_0.  The solutions
+    are w_b + F_p, and adding k in F_p moves only the g^0 coordinate, so
+    w_b is the solution whose g^0 coordinate is 0.  w_c - w_d has g^0
+    coordinate 0 and solves w^p - w = d_0 - c_0 (the representatives are
+    equal), which is the equation of c - d: so w_c - w_d = w_{c-d}.
+
+    Both windows are checked before the subtraction, so a cover with
+    prec <= 0 raises the canonicalisation's own PrecisionExhausted."""
     if c.ring != d.ring:
         raise DomainError("covers over different rings")
-    canon_c, u_c = _canonicalize_with_witness(c)
-    canon_d, u_d = _canonicalize_with_witness(d)
-    if canon_c != canon_d:
+    _check_canonical(c)
+    _check_canonical(d)
+    canon, u = _canonicalize_with_witness(c - d)
+    if canon.support or not canon.constant_class.is_zero():
         return None
-    return ASWitness(u_c - u_d)
+    return ASWitness(u)
 
 
 def as_moduli_point(f: ASCanonical):

@@ -52,12 +52,19 @@ it holds:
 - a spec (FieldSpec, TestRingSpec) has ``p``, ``base`` (its residue field
   F_q; a field is its own), ``zero()``, ``one()``, ``from_int(n)``,
   ``from_index(i)``, ``elements()``, ``from_field(a)`` (the constant
-  lift of an element of ``base``; the identity on a field) and
-  ``truncated_product(a, b, n)``: the first n coefficients of
-  (sum a_i t^i)(sum b_j t^j) for coefficient sequences a, b of its
-  elements, as a list of n elements.  Both kinds compute it with one
-  Kronecker substitution (``_kronecker_product``, below): a field is the
-  m = 1 case of the F_q[x]/(x^m) digit layout;
+  lift of an element of ``base``; the identity on a field),
+  ``digits(a)`` and ``from_digits(row)``, ``digit_product(a, b, n)`` and
+  ``truncated_product(a, b, n)``.  An element's digit row is the tuple of
+  its m*e coordinates in F_p, x-major (the digit of x^i g^j at i*e + j;
+  a field element's row is its ``coords``), so sums, negation and
+  scaling by an integer act on a row digit by digit, mod p.
+  ``digit_product`` gives the first n coefficients of
+  (sum a_i t^i)(sum b_j t^j) for sequences a, b of digit rows, as a list
+  of n rows: the rows ``_kronecker_product`` (below) returns, padded with
+  zero rows.  Both kinds compute it with one Kronecker substitution: a
+  field is the m = 1 case of the F_q[x]/(x^m) digit layout.
+  ``truncated_product`` is the same product on elements: their rows in,
+  one element per row out;
 - an element (FqElem, TestRingElem) has ``spec``, ``coords``, ``index``,
   ``+``, ``-``, ``*`` (also by an int), ``scale(n)``, ``**``,
   ``inverse()``, ``frobenius()``, ``is_zero()``, ``is_unit()``,
@@ -361,6 +368,11 @@ def _kronecker_product(base: "FieldSpec", m: int, a, b, n: int):
     return shift, [digits[k : k + size] for k in range(0, len(digits), size)]
 
 
+def _padded_rows(zero: tuple, shift: int, rows: list, n: int) -> list:
+    """The n rows of a product from ``_kronecker_product``'s (shift, rows)."""
+    return [zero] * shift + rows + [zero] * (n - shift - len(rows))
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The field F_q, q = p^e, with its fixed modulus and cached tables."""
@@ -409,11 +421,22 @@ class FieldSpec:
     def from_field(self, a: "FqElem") -> "FqElem":
         return a
 
+    def digits(self, a: "FqElem") -> tuple:
+        return a.coords
+
+    def from_digits(self, row: tuple) -> "FqElem":
+        return FqElem(self, row)
+
+    def digit_product(self, a, b, n: int) -> list:
+        """The first n coefficients of (sum a_i t^i)(sum b_j t^j), for digit
+        rows a, b, as n digit rows."""
+        shift, rows = _kronecker_product(self, 1, a, b, n)
+        return _padded_rows(self._zero.coords, shift, rows, n)
+
     def truncated_product(self, a, b, n: int) -> list:
         """The first n coefficients of (sum a_i t^i)(sum b_j t^j)."""
-        shift, rows = _kronecker_product(self, 1, [x.coords for x in a], [y.coords for y in b], n)
-        zero = self.zero()
-        return [zero] * shift + [FqElem(self, r) for r in rows] + [zero] * (n - shift - len(rows))
+        rows = self.digit_product([x.coords for x in a], [y.coords for y in b], n)
+        return [FqElem(self, r) for r in rows]
 
     # -- cached structure tables ------------------------------------
 
@@ -743,17 +766,24 @@ class TestRingSpec:
     def elements(self):
         return [self.from_index(i) for i in range(self.base.q**self.m)]
 
+    def digits(self, x: "TestRingElem") -> tuple:
+        """The m*e F_p digits of x, x-major."""
+        return tuple(d for c in x.coords for d in c.coords)
+
+    def from_digits(self, row: tuple) -> "TestRingElem":
+        base, e = self.base, self.base.e
+        return TestRingElem(self, tuple(FqElem(base, row[i * e : (i + 1) * e]) for i in range(self.m)))
+
+    def digit_product(self, a, b, n: int) -> list:
+        """The first n coefficients of (sum a_i t^i)(sum b_j t^j), for digit
+        rows a, b, as n digit rows."""
+        shift, rows = _kronecker_product(self.base, self.m, a, b, n)
+        return _padded_rows((0,) * (self.m * self.base.e), shift, rows, n)
+
     def truncated_product(self, a, b, n: int) -> list:
         """The first n coefficients of (sum a_i t^i)(sum b_j t^j)."""
-        base, e, m = self.base, self.base.e, self.m
-        digits = [_ring_digits(x) for x in a], [_ring_digits(y) for y in b]
-        shift, rows = _kronecker_product(base, m, *digits, n)
-        zero = self.zero()
-        out = [
-            TestRingElem(self, tuple(FqElem(base, r[i * e : (i + 1) * e]) for i in range(m)))
-            for r in rows
-        ]
-        return [zero] * shift + out + [zero] * (n - shift - len(out))
+        rows = self.digit_product([self.digits(x) for x in a], [self.digits(y) for y in b], n)
+        return [self.from_digits(r) for r in rows]
 
     def x(self) -> "TestRingElem":
         if self.m < 2:
@@ -764,11 +794,6 @@ class TestRingSpec:
 
     def __repr__(self):
         return f"{self.base!r}[x]/(x^{self.m})"
-
-
-def _ring_digits(x: "TestRingElem") -> tuple:
-    """The m*e F_p digits of a test-ring element, x-major."""
-    return tuple(d for c in x.coords for d in c.coords)
 
 
 @lru_cache(maxsize=None)

@@ -31,8 +31,11 @@ reduce it mod the field modulus, and unpacking reduces mod p and drops the
 x-degrees >= m (see ``fields``).
 
 Inverses and Hensel roots of unit-led windows are Newton iterations that
-double the window, so the cost is a few products at the full window.  The
-inverse is h <- h(2 - a h).  The root runs one Newton on the inverse root
+double the window, so the cost is a few products at the full window.
+They iterate on digit rows, through the ring's ``digit_product``: a
+negation or a scaling by 1/n is a map of F_p digits, and ring elements
+are built once, for the window returned.  The inverse is
+h <- h(2 - a h).  The root runs one Newton on the inverse root
 x = a^(-1/n), with x_0 = r0^(-1), and needs no inverse inside the loop: if
 a x^n = 1 + t^w E mod t^2w, then x' = x (1 - t^w E / n) has
 a x'^n = (1 + t^w E)(1 - t^w E + t^2w (...)) = 1 mod t^2w.  Then
@@ -243,18 +246,19 @@ class LaurentSeries:
     def _invert_unit_led(ring, coeffs):
         """Inverse of sum coeffs[k] t^k with coeffs[0] a unit, same length.
 
-        Newton h <- h(2 - a h), doubling the window: if a h = 1 + t^w E
-        mod t^2w, then h(1 - t^w E) is the inverse mod t^2w.
+        Newton h <- h(2 - a h) on digit rows, doubling the window: if
+        a h = 1 + t^w E mod t^2w, then h(1 - t^w E) is the inverse mod t^2w.
         """
         size = len(coeffs)
-        h = [coeffs[0].inverse()]
+        a = [ring.digits(c) for c in coeffs]
+        h = [ring.digits(coeffs[0].inverse())]
         w = 1
         while w < size:
             top = min(2 * w, size)
-            err = ring.truncated_product(coeffs[:top], h, top)[w:]
-            h += [-c for c in ring.truncated_product(h, err, top - w)]
+            err = ring.digit_product(a[:top], h, top)[w:]
+            h += _scale_rows(ring.digit_product(h, err, top - w), -1, ring.p)
             w = top
-        return h
+        return [ring.from_digits(r) for r in h]
 
     # -- order functions ------------------------------------------------
 
@@ -483,35 +487,45 @@ class PartsDecomposition:
         return self.negative + const + self.positive
 
 
+def _scale_rows(rows: list, k: int, p: int) -> list:
+    """k times each digit row: the digits are in F_p for both ring kinds."""
+    if k % p == 1:
+        return rows
+    return [tuple(d * k % p for d in r) for r in rows]
+
+
 def _power(ring, g: list, k: int, size: int) -> list:
-    """g^k mod t^size for a coefficient list g (constant first), k >= 0."""
+    """g^k mod t^size for digit rows g (constant first), k >= 0."""
     result = None
     while k:
         if k & 1:
-            result = g if result is None else ring.truncated_product(result, g, size)
+            result = g if result is None else ring.digit_product(result, g, size)
         k >>= 1
         if k:
-            g = ring.truncated_product(g, g, size)
-    return [ring.one()] if result is None else result
+            g = ring.digit_product(g, g, size)
+    return [ring.digits(ring.one())] if result is None else result
 
 
 def _root_unit_led(ring, coeffs, r0, n: int) -> list:
     """The g with g^n = a = sum coeffs[k] t^k and g_0 = r0, same length.
 
     r0^n = coeffs[0] with r0 a unit.  Newton for the inverse root
-    x = a^(-1/n), doubling the window: if a x^n = 1 + t^w E mod t^2w, then
-    x <- x - x t^w E / n makes a x^n = 1 mod t^2w.  Then g = a x^(n-1).
+    x = a^(-1/n) on digit rows, doubling the window: if
+    a x^n = 1 + t^w E mod t^2w, then x <- x - x t^w E / n makes
+    a x^n = 1 mod t^2w.  Then g = a x^(n-1), the one window built as ring
+    elements.
     """
-    size = len(coeffs)
-    minus_inv_n = -pow(n, -1, ring.p)
-    x = [r0.inverse()]
+    p, size = ring.p, len(coeffs)
+    a = [ring.digits(c) for c in coeffs]
+    minus_inv_n = -pow(n, -1, p)
+    x = [ring.digits(r0.inverse())]
     w = 1
     while w < size:
         top = min(2 * w, size)
-        err = ring.truncated_product(coeffs[:top], _power(ring, x, n, top), top)[w:]
-        x += [c.scale(minus_inv_n) for c in ring.truncated_product(x, err, top - w)]
+        err = ring.digit_product(a[:top], _power(ring, x, n, top), top)[w:]
+        x += _scale_rows(ring.digit_product(x, err, top - w), minus_inv_n, p)
         w = top
-    return ring.truncated_product(coeffs, _power(ring, x, n - 1, size), size)
+    return [ring.from_digits(r) for r in ring.digit_product(a, _power(ring, x, n - 1, size), size)]
 
 
 def default_prec(break_bound: int) -> int:

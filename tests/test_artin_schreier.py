@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+import ftk.artin_schreier
 from ftk.artin_schreier import (
     ASCanonical,
     _canonicalize_with_witness,
@@ -16,7 +18,7 @@ from ftk.artin_schreier import (
     enumerate_as_classes,
     prime_to_p_support,
 )
-from ftk.errors import DomainError
+from ftk.errors import DomainError, PrecisionExhausted
 from ftk.fields import field
 from ftk.oracles import as_bruteforce_class_count, as_window_witness_exists
 from ftk.series import LaurentSeries as L
@@ -255,3 +257,121 @@ class TestElemAb:
                     )
             reps.add(min(orbit))
         assert len(reps) == 16
+
+
+# -- one canonicalisation per witness ---------------------------------------------
+
+
+@pytest.mark.parametrize("prec_c, prec_d", [(0, 5), (5, 0), (0, 0), (-2, 3)])
+def test_iso_witness_refuses_a_window_below_t0(prec_c, prec_d):
+    # both windows are checked before c - d is formed: the difference of
+    # equal series is zero to the smaller precision, which make refuses
+    # with a message of its own when that precision is <= 0
+    c = L.monomial(F3.one(), -3, prec_c)
+    d = L.monomial(F3.one(), -3, prec_d)
+    with pytest.raises(PrecisionExhausted, match="^cannot certify the positive-part discard$"):
+        as_iso_witness(c, d)
+
+
+def _counting(monkeypatch, owner, name):
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_canonical_form_builds_no_witness(monkeypatch):
+    # poles with p-power chains, a constant and a positive part over F_9
+    F9 = field(3, 2)
+    g = F9.gen()
+    b = L.from_dict(F9, {-18: g, -9: F9.one(), -4: g * g, 0: g, 2: F9.one(), 3: g, 9: g}, 20)
+    expected = _canonicalize_with_witness(b)[0]
+    solves = _counting(monkeypatch, L, "solve_positive")
+    witnesses = _counting(monkeypatch, ftk.artin_schreier, "_canonicalize_with_witness")
+    assert as_canonicalize(b) == expected
+    assert (solves[0], witnesses[0]) == (0, 0)
+
+
+def test_iso_witness_canonicalises_once(monkeypatch):
+    F9 = field(3, 2)
+    g = F9.gen()
+    b = L.from_dict(F9, {-18: g, -9: F9.one(), -4: g * g, 0: g, 2: F9.one()}, 20)
+    u = L.from_dict(F9, {-2: g, 0: F9.one(), 1: g * g}, 20)
+    witnesses = _counting(monkeypatch, ftk.artin_schreier, "_canonicalize_with_witness")
+    w = as_iso_witness(b, b + u.wp())
+    assert witnesses[0] == 1
+    assert (w.u.wp() + b - (b + u.wp())).is_zero()
+    assert as_iso_witness(b, b + L.monomial(g, -1, 20)) is None
+    assert witnesses[0] == 2
+
+
+# -- the laws of the canonical form, as properties ---------------------------------
+
+LAW_FIELDS = [field(p, e) for p, e in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (2, 4), (2, 8))]
+
+
+@st.composite
+def covers(draw, spec=None, min_prec=1):
+    """A series over a field: poles at p-power multiples of prime-to-p slots
+    (so the chains run), a constant and a zero-heavy positive tail."""
+    spec = spec or draw(st.sampled_from(LAW_FIELDS))
+    p = spec.p
+    elem = st.integers(0, spec.q - 1).map(spec.from_index)
+    prec = draw(st.integers(min_prec, 24))
+    d = {}
+    for _ in range(draw(st.integers(0, 4))):
+        pole = draw(st.integers(1, 6)) * p ** draw(st.integers(0, 2))
+        d[-pole] = draw(elem)
+    for s in range(0, prec):
+        if draw(st.integers(0, 3)) == 0:
+            d[s] = draw(elem)
+    return L.from_dict(spec, d, prec)
+
+
+@st.composite
+def cover_pairs(draw):
+    spec = draw(st.sampled_from(LAW_FIELDS))
+    return draw(covers(spec)), draw(covers(spec))
+
+
+@given(cover_pairs())
+def test_canonical_form_ignores_coboundaries(bu):
+    b, u = bu
+    assert as_canonicalize(b + u.wp()) == as_canonicalize(b)
+
+
+@given(covers())
+def test_canonical_form_ignores_the_series_pth_power(b):
+    assert as_canonicalize(b.series_pth_power()) == as_canonicalize(b)
+
+
+@st.composite
+def iso_candidates(draw):
+    """(c, d): d is c plus a coboundary, or a second cover."""
+    c, other = draw(cover_pairs())
+    return c, c + other.wp() if draw(st.booleans()) else other
+
+
+@given(iso_candidates())
+def test_canonical_form_of_a_difference(cd):
+    # the law as_iso_witness rests on: the support of c - d is the slotwise
+    # difference, and the constant classes subtract by trace, which the
+    # transversal reads
+    c, d = cd
+    spec = c.ring
+    fc, fd, diff = as_canonicalize(c), as_canonicalize(d), as_canonicalize(c - d)
+    sc, sd = fc.support_dict(), fd.support_dict()
+    slots = {s: sc.get(s, spec.zero()) - sd.get(s, spec.zero()) for s in set(sc) | set(sd)}
+    assert diff.support_dict() == {s: v for s, v in slots.items() if not v.is_zero()}
+    assert diff.constant_class == spec.wp_transversal_rep(fc.constant_class - fd.constant_class)
+    w = as_iso_witness(c, d)
+    assert (w is not None) == (fc == fd)
+    if w is not None:
+        # the composite of the two canonicalisations, constant included
+        assert w.u == _canonicalize_with_witness(c)[1] - _canonicalize_with_witness(d)[1]
+        assert (w.u.wp() + c - d).is_zero()

@@ -42,6 +42,18 @@ def test_field_answers_the_ring_protocol():
     assert not g.is_nilpotent() and F9.zero().is_nilpotent()
 
 
+@pytest.mark.parametrize("ring", [field(3, 2), field(2, 3), local_test_ring(3, 2, 2), local_test_ring(5, 1, 3)])
+def test_digit_rows_are_fp_linear(ring):
+    # Newton negates and scales digit rows: digitwise mod p, that is the
+    # element's negative and integer multiple for both ring kinds
+    p = ring.p
+    for x in ring.elements()[:60]:
+        row = ring.digits(x)
+        assert ring.from_digits(row) == x
+        assert ring.from_digits(tuple(-d % p for d in row)) == -x
+        assert ring.from_digits(tuple(2 * d % p for d in row)) == x.scale(2)
+
+
 def test_no_module_asks_for_attributes_by_hasattr():
     for path in sorted(Path(ftk.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -160,20 +160,22 @@ def test_iso_witness_product_count(monkeypatch):
     # F_256, n = 5: b = lam t^-2 (1 + a 4-term tail) and b' = lam c^5 t^3 (...),
     # the parser's windows.  Nested Newton (an inner inverse per root step)
     # made 63 truncated products here; the inverse-root Newton makes 46,
-    # and rooting the one unit ratio 44
+    # and rooting the one unit ratio 44.  Newton multiplies digit rows and
+    # every element product goes through them, so the digit-row product
+    # counts them all
     F256 = field(2, 8)
     lam, c = F256.from_index(0x35), F256.from_index(0x9B)
     b = L.from_dict(F256, {-2 + k: lam * F256.from_index(x) for k, x in enumerate((1, 7, 200, 41, 3))}, 36)
     lam2 = lam * c**5
     b2 = L.from_dict(F256, {3 + k: lam2 * F256.from_index(x) for k, x in enumerate((1, 99, 0, 18, 250))}, 32)
     calls = [0]
-    real = type(F256).truncated_product
+    real = type(F256).digit_product
 
     def counted(self, a, b, n):
         calls[0] += 1
         return real(self, a, b, n)
 
-    monkeypatch.setattr(type(F256), "truncated_product", counted)
+    monkeypatch.setattr(type(F256), "digit_product", counted)
     u = kummer_iso_witness(b, b2, 5)
     assert calls[0] <= 48
     assert ((u**5) * b - b2).is_zero()

@@ -358,3 +358,29 @@ def test_difference_negates_nothing(monkeypatch):
     monkeypatch.setattr(FqElem, "__neg__", counted)
     assert a - b == expected
     assert calls[0] == 0
+
+
+@pytest.mark.parametrize("p, e", [(5, 1), (7, 1), (3, 2), (2, 8)])
+def test_newton_negates_no_element(monkeypatch, p, e):
+    # the inverse and the root iterate on digit rows and negate digits;
+    # elementwise, the inverse negated every new coefficient
+    from ftk.fields import FqElem
+
+    F = field(p, e)
+    coeffs = {k: F.from_index((7 * k + 3) % F.q) for k in range(24)}
+    coeffs[0] = F.one()
+    a = L.from_dict(F, coeffs, 24)
+    calls = [0]
+    real = FqElem.__neg__
+
+    def counted(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(FqElem, "__neg__", counted)
+    inv = a.invert()
+    root = a.nth_root_unit(4 if p != 2 else 5)
+    assert calls[0] == 0
+    monkeypatch.undo()
+    assert (a * inv - L.constant(F.one(), 24)).is_zero()
+    assert (root ** (4 if p != 2 else 5) - a).is_zero()
