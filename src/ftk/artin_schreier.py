@@ -250,16 +250,14 @@ def enumerate_as_classes(spec: FieldSpec, m: int):
     """
     check_break_bound(m)
     slots = prime_to_p_support(spec.p, m)
-    transversal = sorted(
-        {spec.wp_transversal_rep(c).coords for c in spec.elements()}
-    )
+    transversal = spec.wp_transversal()
     out = []
     for values in itertools.product(range(spec.q), repeat=len(slots)):
         support = tuple(
             (s, spec.from_index(v)) for s, v in zip(slots, values) if v
         )
         for rep in transversal:
-            out.append(ASCanonical(spec, support, FqElem(spec, rep)))
+            out.append(ASCanonical(spec, support, rep))
     out.sort(key=ASCanonical.sort_key)
     return out
 

@@ -6,7 +6,8 @@ first monic irreducible of degree e in the fixed enumeration (coefficient
 vectors read as base-p integers, constant digit least significant),
 found by testing each candidate in turn with Ben-Or's irreducibility
 test.  For e = 1 nothing depends on the modulus.  A degree above
-MAX_DEGREE = 64 raises DomainError before the search starts.  A
+MAX_DEGREE = 64, and a p >= MAX_PRIME = 2^64, raise DomainError before
+the search and the primality test (deterministic Miller-Rabin) start.  A
 FieldSpec caches the tables the rest of the library relies on, built in
 O(q) field operations by ``_field_tables`` for q <= MAX_TABLE_Q = 2^14
 (larger fields raise DomainError before anything is allocated):
@@ -36,40 +37,40 @@ and extended Euclid against the modulus otherwise.  A test-ring
 element's Frobenius is (sum a_i x^i)^p = sum a_i^p x^(ip), below x^m, with
 each a_i^p from the field's matrix.
 
-Zeros are shared and skipped.  Each spec builds its zero once, so
-``zero()`` returns the same element every time.  ``is_zero`` is
-``not any(coords)`` on a field element.  ``+``, ``-`` and unary ``-``
-return an operand that is already there when one side is zero: a + 0 and
-a - 0 are a, 0 + b is b, 0 - b is -b, and -0 is 0; in characteristic 2
--a is a.  The values are those of the coordinatewise sums, so no output
-depends on it; a series sum whose windows hold mostly zeros builds no new
-element for them.
+Every element is its digit row ``coords``: the m*e coordinates of
+sum a_i x^i in F_p, x-major, the digit of x^i g^j at index i*e + j (a
+field is the case m = 1).  What reads only this layout is written once,
+in ``_RingSpec`` and ``_RingElem``: ``index`` reads the row in base p
+(``from_index`` inverts it); sums, negation and scaling by an integer act
+digit by digit, mod p; a residue is the first e digits.  Only products,
+inverses, Frobenius and printing differ between the kinds, and no other
+module builds an element from a row except through ``from_digits``.
 
-This module is the only one that knows how the two ring kinds differ.  Both
-answer the same protocol, so the rest of the library never asks which kind
-it holds:
+Zeros are shared and skipped.  Each spec builds its zero once, and
+``is_zero`` is ``not any(coords)``.  ``+``, ``-`` and unary ``-`` return
+an operand that is already there when one side is zero: a + 0 and a - 0
+are a, 0 + b is b, 0 - b is -b, and -0 is 0; in characteristic 2 -a is
+a.  The values are those of the digitwise sums, so no output depends on
+it; a series sum whose windows hold mostly zeros builds no new element
+for them.
 
-- a spec (FieldSpec, TestRingSpec) has ``p``, ``base`` (its residue field
-  F_q; a field is its own), ``zero()``, ``one()``, ``from_int(n)``,
-  ``from_index(i)``, ``elements()``, ``from_field(a)`` (the constant
-  lift of an element of ``base``; the identity on a field),
-  ``digits(a)`` and ``from_digits(row)``, ``digit_product(a, b, n)`` and
-  ``truncated_product(a, b, n)``.  An element's digit row is the tuple of
-  its m*e coordinates in F_p, x-major (the digit of x^i g^j at i*e + j;
-  a field element's row is its ``coords``), so sums, negation and
-  scaling by an integer act on a row digit by digit, mod p.
-  ``digit_product`` gives the first n coefficients of
-  (sum a_i t^i)(sum b_j t^j) for sequences a, b of digit rows, as a list
-  of n rows: the rows ``_kronecker_product`` (below) returns, padded with
-  zero rows.  Both kinds compute it with one Kronecker substitution: a
-  field is the m = 1 case of the F_q[x]/(x^m) digit layout.
-  ``truncated_product`` is the same product on elements: their rows in,
-  one element per row out;
+Both kinds answer one protocol, so no other module asks which kind it
+holds:
+
+- a spec (FieldSpec, TestRingSpec) has ``p``, ``m``, ``base`` (its residue
+  field F_q; a field is its own), ``zero()``, ``one()``, ``from_int(n)``,
+  ``from_index(i)``, ``elements()``, ``from_field(a)`` (the constant lift
+  of an element of ``base``; the identity on a field),
+  ``from_digits(row)``, ``digit_product(a, b, n)`` and
+  ``truncated_product(a, b, n)``.  ``digit_product`` gives the first n
+  coefficients of (sum a_i t^i)(sum b_j t^j) for sequences a, b of digit
+  rows, as n rows.  ``truncated_product`` is the same product on elements,
+  and a test-ring product of two elements is one of length 1;
 - an element (FqElem, TestRingElem) has ``spec``, ``coords``, ``index``,
   ``+``, ``-``, ``*`` (also by an int), ``scale(n)``, ``**``,
-  ``inverse()``, ``frobenius()``, ``is_zero()``, ``is_unit()``,
-  ``is_nilpotent()`` and ``residue()`` (its image in ``base``; the
-  identity on a field).
+  ``inverse()``, ``frobenius()``, ``is_zero()``, ``is_unit()`` (a nonzero
+  residue; every other test-ring element is nilpotent) and ``residue()``
+  (its image in ``base``; the identity on a field).
 
 Truncated products are one Kronecker substitution.  A coefficient's F_p
 digits, x^i g^j for i < m and j < e, go into a block of (2m-1)(2e-1)
@@ -104,16 +105,31 @@ MAX_TABLE_Q = 2**14
 # largest extension degree: the modulus search for F_{2^64} takes about
 # 0.04 s and for F_{11^64} about 1 s on the same host
 MAX_DEGREE = 64
+# characteristic bound, exclusive: see ``_is_prime`` and ``_block_struct``
+MAX_PRIME = 2**64
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin: no n < 3.18 * 10^23, so no n < MAX_PRIME,
+    is a strong pseudoprime to all of the bases 2 .. 37 (Sorenson and
+    Webster, Math. Comp. 86 (2017))."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -302,19 +318,16 @@ def _low_slot_mask(bits: int, span: int, m: int, blocks: int) -> int:
 def _block_struct(e: int, m: int, width: int) -> struct.Struct:
     """One block as a struct: the m*e digits of x^i g^j (i < m, j < e), each
     in a slot of ``width`` bytes at slot i(2e-1) + j, zero bytes elsewhere.
-    A wider slot packs its digit in _WORD bytes: p < 2^64, since ``field``
-    tests primality by trial division, which no larger p finishes."""
+    A wider slot packs its digit in _WORD bytes: ``field`` refuses
+    p >= MAX_PRIME = 2^64."""
     slot = _SLOT_CODE[width] if width <= _WORD else f"Q{width - _WORD}x"
     degree = slot * e + f"{(e - 1) * width}x"
     return struct.Struct("<" + degree * m + f"{(m - 1) * (2 * e - 1) * width}x")
 
 
 def _kronecker_product(base: "FieldSpec", m: int, a, b, n: int):
-    """(shift, rows): the digit rows of a(t) b(t) over F_q[x]/(x^m), q = p^e
-    (m = 1: F_q), below t^n.  A row holds one coefficient's m*e digits in
-    F_p, x-major: the digit of x^i g^j sits at i*e + j.  The rows are
-    coefficients shift, shift+1, ...; every other coefficient below t^n is
-    zero.
+    """The first n coefficients of a(t) b(t) over F_q[x]/(x^m), q = p^e
+    (m = 1: F_q), as n digit rows: m*e digits in F_p, x-major.
 
     The block layout, the packed reduction by the modulus and the slot
     bound are those of the module docstring.  One struct packs every block
@@ -324,9 +337,10 @@ def _kronecker_product(base: "FieldSpec", m: int, a, b, n: int):
     monomial is one block by one, however long their windows.
     """
     p, e = base.p, base.e
+    zero = (0,) * (m * e)
     a, b = a[:n], b[:n]
     if not a or not b:
-        return 0, []
+        return [zero] * n
     span = 2 * e - 1
     raw = min(len(a), len(b)) * m * e * (p - 1) ** 2
     width = ((raw * (1 + (e - 1) * (p - 1))).bit_length() + 7) // 8
@@ -337,12 +351,12 @@ def _kronecker_product(base: "FieldSpec", m: int, a, b, n: int):
     packed_a = int.from_bytes(b"".join(starmap(layout.pack, a)), "little")
     packed_b = int.from_bytes(b"".join(starmap(layout.pack, b)), "little")
     if not packed_a or not packed_b:
-        return 0, []
+        return [zero] * n
     low_a = ((packed_a & -packed_a).bit_length() - 1) // step
     low_b = ((packed_b & -packed_b).bit_length() - 1) // step
     shift = low_a + low_b
     if shift >= n:
-        return 0, []
+        return [zero] * n
     packed_a >>= step * low_a
     packed_b >>= step * low_b
     blocks_a = -(-packed_a.bit_length() // step)
@@ -365,98 +379,299 @@ def _kronecker_product(base: "FieldSpec", m: int, a, b, n: int):
         )
     digits = tuple([v % p for v in slots])
     size = m * e
-    return shift, [digits[k : k + size] for k in range(0, len(digits), size)]
-
-
-def _padded_rows(zero: tuple, shift: int, rows: list, n: int) -> list:
-    """The n rows of a product from ``_kronecker_product``'s (shift, rows)."""
+    rows = [digits[k : k + size] for k in range(0, len(digits), size)]
     return [zero] * shift + rows + [zero] * (n - shift - len(rows))
 
 
+# -- elements and specs: one digit-row layout, a field being m = 1 ----
+
+
 @dataclass(frozen=True)
-class FieldSpec:
+class _RingElem:
+    """What FqElem and TestRingElem share.  An element is its digit row, so
+    every method that reads only the layout is written once, here."""
+
+    spec: object  # FieldSpec or TestRingSpec
+    coords: tuple  # the digit row: m*e entries in 0..p-1, x-major
+
+    def _check(self, other):
+        if self.spec is not other.spec and self.spec != other.spec:
+            raise DomainError(f"mixed arithmetic over {self.spec!r} and {other.spec!r}")
+
+    @property
+    def index(self) -> int:
+        """The digit row read in base p, digit 0 least significant."""
+        p = self.spec.p
+        idx = 0
+        for c in reversed(self.coords):
+            idx = idx * p + c
+        return idx
+
+    def is_zero(self) -> bool:
+        return not any(self.coords)
+
+    def is_unit(self) -> bool:
+        """Whether the residue, the first e digits, is nonzero."""
+        return any(self.coords[: self.spec.base.e])
+
+    def __add__(self, other):
+        self._check(other)
+        if not any(other.coords):
+            return self
+        if not any(self.coords):
+            return other
+        p = self.spec.p
+        return type(self)(self.spec, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        self._check(other)
+        if not any(other.coords):
+            return self
+        if not any(self.coords):
+            return -other
+        p = self.spec.p
+        return type(self)(self.spec, tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        p = self.spec.p
+        if p == 2 or not any(self.coords):
+            return self
+        return type(self)(self.spec, tuple((-a) % p for a in self.coords))
+
+    def scale(self, n: int):
+        p = self.spec.p
+        return type(self)(self.spec, tuple((a * n) % p for a in self.coords))
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = self.spec.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __repr__(self):
+        return f"{self} in {self.spec!r}"
+
+
+class FqElem(_RingElem):
+    """An element of F_q: its row holds its coordinates in g^0 .. g^(e-1)."""
+
+    def residue(self) -> "FqElem":
+        return self
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        self._check(other)
+        prod = _poly_mul(self.coords, other.coords, self.spec.p)
+        red = _poly_mod(prod, self.spec.modulus, self.spec.p)
+        return FqElem(self.spec, red + (0,) * (self.spec.e - len(red)))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FqElem":
+        if self.is_zero():
+            raise NotInvertible("division by zero in a field")
+        spec = self.spec
+        if spec.e == 1:
+            return FqElem(spec, (pow(self.coords[0], -1, spec.p),))
+        inv = _poly_inverse_mod(self.coords, spec.modulus, spec.p)
+        return FqElem(spec, inv + (0,) * (spec.e - len(inv)))
+
+    def _frobenius_power(self, k: int) -> "FqElem":
+        """x -> x^(p^k) through its cached matrix; the identity when e = 1."""
+        spec = self.spec
+        if spec.e == 1:
+            return self
+        return FqElem(spec, _apply_rows(_frobenius_rows(spec, k), self.coords, spec.p))
+
+    def frobenius(self) -> "FqElem":
+        return self._frobenius_power(1)
+
+    def pth_root(self) -> "FqElem":
+        # inverse of Frobenius on a perfect field: x -> x^{p^{e-1}}
+        return self._frobenius_power(self.spec.e - 1)
+
+    def in_prime_field(self) -> bool:
+        return all(c == 0 for c in self.coords[1:])
+
+    def as_int(self) -> int:
+        """The value in 0..p-1, defined only for prime-field elements."""
+        if not self.in_prime_field():
+            raise DomainError(f"{self} is not in the prime field")
+        return self.coords[0]
+
+    def __str__(self):
+        if self.spec.e == 1:
+            return str(self.coords[0])
+        terms = []
+        for i in reversed(range(self.spec.e)):
+            c = self.coords[i]
+            if c == 0:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            else:
+                v = "g" if i == 1 else f"g^{i}"
+                terms.append(v if c == 1 else f"{c}{v}")
+        return "+".join(terms) if terms else "0"
+
+
+class TestRingElem(_RingElem):
+    """An element sum a_i x^i of F_q[x]/(x^m): digits i*e .. i*e + e-1 of
+    its row are the coordinates of a_i."""
+
+    def residue(self) -> FqElem:
+        base = self.spec.base
+        return FqElem(base, self.coords[: base.e])
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        self._check(other)
+        return self.spec.truncated_product([self], [other], 1)[0]
+
+    __rmul__ = __mul__
+
+    def frobenius(self) -> "TestRingElem":
+        """(sum a_i x^i)^p = sum a_i^p x^(ip) in characteristic p, below x^m."""
+        spec = self.spec
+        base, p, e = spec.base, spec.p, spec.base.e
+        out = [0] * (spec.m * e)
+        for i in range((spec.m - 1) // p + 1):
+            a = FqElem(base, self.coords[i * e : (i + 1) * e])
+            out[i * p * e : (i * p + 1) * e] = a.frobenius().coords
+        return TestRingElem(spec, tuple(out))
+
+    def inverse(self) -> "TestRingElem":
+        if not self.is_unit():
+            raise NotInvertible(f"{self} is not a unit (residue 0)")
+        # a = a0 (1 + nu) with nu nilpotent; geometric series stops at x^m = 0
+        a0_inv = self.spec.from_field(self.residue().inverse())
+        nu = self * a0_inv - self.spec.one()
+        acc = self.spec.one()
+        term = self.spec.one()
+        for _ in range(self.spec.m - 1):
+            term = -(term * nu)
+            acc = acc + term
+        return acc * a0_inv
+
+    def __str__(self):
+        base, e = self.spec.base, self.spec.base.e
+        parts = []
+        for i in range(self.spec.m):
+            c = FqElem(base, self.coords[i * e : (i + 1) * e])
+            if c.is_zero():
+                continue
+            cs = str(c)
+            if "+" in cs:
+                cs = f"({cs})"
+            if i == 0:
+                parts.append(cs)
+            else:
+                xs = "x" if i == 1 else f"x^{i}"
+                parts.append(xs if cs == "1" else f"{cs}{xs}")
+        return "+".join(parts) if parts else "0"
+
+
+class _RingSpec:
+    """What FieldSpec and TestRingSpec share, written once.  A subclass has
+    ``p``, ``base`` (F_q), ``m`` and ``_elem``, its element class."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_zero", self._elem(self, (0,) * (self.m * self.base.e)))
+
+    def zero(self):
+        return self._zero
+
+    def one(self):
+        return self.from_int(1)
+
+    def from_int(self, n: int):
+        return self._elem(self, (n % self.p,) + self._zero.coords[1:])
+
+    def from_index(self, idx: int):
+        """The element whose digit row is idx in base p."""
+        p, coords = self.p, []
+        for _ in range(self.m * self.base.e):
+            coords.append(idx % p)
+            idx //= p
+        return self._elem(self, tuple(coords))
+
+    def elements(self):
+        return [self.from_index(i) for i in range(self.p ** (self.m * self.base.e))]
+
+    def from_digits(self, row: tuple):
+        return self._elem(self, row)
+
+    def digit_product(self, a, b, n: int) -> list:
+        """The first n coefficients of (sum a_i t^i)(sum b_j t^j), for digit
+        rows a, b, as n digit rows."""
+        return _kronecker_product(self.base, self.m, a, b, n)
+
+    def truncated_product(self, a, b, n: int) -> list:
+        """The first n coefficients of (sum a_i t^i)(sum b_j t^j)."""
+        rows = self.digit_product([x.coords for x in a], [y.coords for y in b], n)
+        return [self._elem(self, r) for r in rows]
+
+
+@dataclass(frozen=True)
+class FieldSpec(_RingSpec):
     """The field F_q, q = p^e, with its fixed modulus and cached tables."""
 
     p: int
     e: int
     modulus: tuple  # monic, length e+1, constant coefficient first
 
-    def __post_init__(self):
-        object.__setattr__(self, "_zero", FqElem(self, (0,) * self.e))
+    m = 1  # a field is F_q[x]/(x^1)
+    _elem = FqElem
 
     @property
     def q(self) -> int:
         return self.p**self.e
 
-    def zero(self) -> "FqElem":
-        return self._zero
-
-    def one(self) -> "FqElem":
-        return self.from_int(1)
-
-    def from_int(self, n: int) -> "FqElem":
-        return FqElem(self, (n % self.p,) + (0,) * (self.e - 1))
-
-    def from_index(self, idx: int) -> "FqElem":
-        coords = []
-        for _ in range(self.e):
-            coords.append(idx % self.p)
-            idx //= self.p
-        return FqElem(self, tuple(coords))
-
-    def gen(self) -> "FqElem":
+    def gen(self) -> FqElem:
         """The coordinate generator g (= the class of x)."""
         if self.e == 1:
             raise DomainError("prime field has no coordinate generator g")
         return self.from_index(self.p)
-
-    def elements(self):
-        return [self.from_index(i) for i in range(self.q)]
 
     @property
     def base(self) -> "FieldSpec":
         """The residue field: a field is its own."""
         return self
 
-    def from_field(self, a: "FqElem") -> "FqElem":
+    def from_field(self, a: FqElem) -> FqElem:
         return a
-
-    def digits(self, a: "FqElem") -> tuple:
-        return a.coords
-
-    def from_digits(self, row: tuple) -> "FqElem":
-        return FqElem(self, row)
-
-    def digit_product(self, a, b, n: int) -> list:
-        """The first n coefficients of (sum a_i t^i)(sum b_j t^j), for digit
-        rows a, b, as n digit rows."""
-        shift, rows = _kronecker_product(self, 1, a, b, n)
-        return _padded_rows(self._zero.coords, shift, rows, n)
-
-    def truncated_product(self, a, b, n: int) -> list:
-        """The first n coefficients of (sum a_i t^i)(sum b_j t^j)."""
-        rows = self.digit_product([x.coords for x in a], [y.coords for y in b], n)
-        return [FqElem(self, r) for r in rows]
 
     # -- cached structure tables ------------------------------------
 
     @property
-    def generator(self) -> "FqElem":
+    def generator(self) -> FqElem:
         """Smallest primitive element in enumeration order."""
         return _field_tables(self)[0]
 
-    def dlog(self, a: "FqElem") -> int:
+    def dlog(self, a: FqElem) -> int:
         if a.is_zero():
             raise DomainError("dlog of 0")
         return _field_tables(self)[1][a.coords]
 
-    def wp_preimages(self, c: "FqElem"):
+    def wp_preimages(self, c: FqElem):
         """All u with u^p - u = c (a list of size 0 or p)."""
         return list(_field_tables(self)[2].get(c.coords, ()))
 
-    def wp_transversal_rep(self, c: "FqElem") -> "FqElem":
+    def wp_transversal_rep(self, c: FqElem) -> FqElem:
         """Lex-smallest representative of c's coset mod the image of u -> u^p - u."""
         return _field_tables(self)[3][c.coords]
+
+    def wp_transversal(self) -> list:
+        """The p coset representatives mod the image of u -> u^p - u, by index."""
+        return list(dict.fromkeys(_field_tables(self)[3].values()))
 
     def __repr__(self):
         return f"F_{self.q}" if self.e > 1 else f"F_{self.p}"
@@ -464,6 +679,9 @@ class FieldSpec:
 
 @lru_cache(maxsize=None)
 def field(p: int, e: int = 1) -> FieldSpec:
+    if p >= MAX_PRIME:
+        # refused before the primality test, which is exact only below 2^64
+        raise DomainError(f"characteristic is limited to p < 2^64, got a {p.bit_length()}-bit p")
     if not _is_prime(p):
         raise DomainError(f"p = {p} is not prime")
     if e < 1:
@@ -528,139 +746,6 @@ def _field_tables(spec: FieldSpec):
         tr = sum(c * t for c, t in zip(u.coords, basis_traces)) % p
         transversal[u.coords] = first.setdefault(tr, u)
     return generator, dlog, {k: tuple(v) for k, v in preimages.items()}, transversal, powers
-
-
-class _RingElem:
-    """What FqElem and TestRingElem share, written once against the protocol."""
-
-    def is_unit(self) -> bool:
-        return not self.residue().is_zero()
-
-    def is_nilpotent(self) -> bool:
-        return self.residue().is_zero()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-
-@dataclass(frozen=True)
-class FqElem(_RingElem):
-    spec: FieldSpec
-    coords: tuple  # length e, entries in 0..p-1
-
-    def _check(self, other: "FqElem"):
-        if self.spec is not other.spec and self.spec != other.spec:
-            raise DomainError("mixed field arithmetic")
-
-    @property
-    def index(self) -> int:
-        idx = 0
-        for c in reversed(self.coords):
-            idx = idx * self.spec.p + c
-        return idx
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def residue(self) -> "FqElem":
-        return self
-
-    def __add__(self, other):
-        self._check(other)
-        if not any(other.coords):
-            return self
-        if not any(self.coords):
-            return other
-        p = self.spec.p
-        return FqElem(self.spec, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        if not any(other.coords):
-            return self
-        if not any(self.coords):
-            return -other
-        p = self.spec.p
-        return FqElem(self.spec, tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        p = self.spec.p
-        if p == 2 or not any(self.coords):
-            return self
-        return FqElem(self.spec, tuple((-a) % p for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        self._check(other)
-        prod = _poly_mul(self.coords, other.coords, self.spec.p)
-        red = _poly_mod(prod, self.spec.modulus, self.spec.p)
-        return FqElem(self.spec, red + (0,) * (self.spec.e - len(red)))
-
-    __rmul__ = __mul__
-
-    def scale(self, n: int) -> "FqElem":
-        p = self.spec.p
-        return FqElem(self.spec, tuple((a * n) % p for a in self.coords))
-
-    def inverse(self) -> "FqElem":
-        if self.is_zero():
-            raise NotInvertible("division by zero in a field")
-        spec = self.spec
-        if spec.e == 1:
-            return FqElem(spec, (pow(self.coords[0], -1, spec.p),))
-        inv = _poly_inverse_mod(self.coords, spec.modulus, spec.p)
-        return FqElem(spec, inv + (0,) * (spec.e - len(inv)))
-
-    def _frobenius_power(self, k: int) -> "FqElem":
-        """x -> x^(p^k) through its cached matrix; the identity when e = 1."""
-        spec = self.spec
-        if spec.e == 1:
-            return self
-        return FqElem(spec, _apply_rows(_frobenius_rows(spec, k), self.coords, spec.p))
-
-    def frobenius(self) -> "FqElem":
-        return self._frobenius_power(1)
-
-    def pth_root(self) -> "FqElem":
-        # inverse of Frobenius on a perfect field: x -> x^{p^{e-1}}
-        return self._frobenius_power(self.spec.e - 1)
-
-    def in_prime_field(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
-    def as_int(self) -> int:
-        """The value in 0..p-1, defined only for prime-field elements."""
-        if not self.in_prime_field():
-            raise DomainError(f"{self} is not in the prime field")
-        return self.coords[0]
-
-    def __str__(self):
-        if self.spec.e == 1:
-            return str(self.coords[0])
-        terms = []
-        for i in reversed(range(self.spec.e)):
-            c = self.coords[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                v = "g" if i == 1 else f"g^{i}"
-                terms.append(v if c == 1 else f"{c}{v}")
-        return "+".join(terms) if terms else "0"
-
-    def __repr__(self):
-        return f"{self} in {self.spec!r}"
 
 
 # -- spec-level operations ------------------------------------------
@@ -730,67 +815,27 @@ def canonical_wp_shift(c: FqElem):
 
 
 @dataclass(frozen=True)
-class TestRingSpec:
+class TestRingSpec(_RingSpec):
     """The local ring F_q[x]/(x^m); every element is a unit or nilpotent."""
 
     base: FieldSpec
     m: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "_zero", TestRingElem(self, (self.base.zero(),) * self.m))
+    _elem = TestRingElem
 
     @property
     def p(self) -> int:
         return self.base.p
 
-    def zero(self) -> "TestRingElem":
-        return self._zero
+    def from_field(self, a: FqElem) -> TestRingElem:
+        a._check(self.base.zero())  # a row from another field would be misread
+        return TestRingElem(self, a.coords + (0,) * ((self.m - 1) * self.base.e))
 
-    def one(self) -> "TestRingElem":
-        return self.from_field(self.base.one())
-
-    def from_int(self, n: int) -> "TestRingElem":
-        return self.from_field(self.base.from_int(n))
-
-    def from_field(self, a: FqElem) -> "TestRingElem":
-        return TestRingElem(self, (a,) + (self.base.zero(),) * (self.m - 1))
-
-    def from_index(self, idx: int) -> "TestRingElem":
-        q = self.base.q
-        coords = []
-        for _ in range(self.m):
-            coords.append(self.base.from_index(idx % q))
-            idx //= q
-        return TestRingElem(self, tuple(coords))
-
-    def elements(self):
-        return [self.from_index(i) for i in range(self.base.q**self.m)]
-
-    def digits(self, x: "TestRingElem") -> tuple:
-        """The m*e F_p digits of x, x-major."""
-        return tuple(d for c in x.coords for d in c.coords)
-
-    def from_digits(self, row: tuple) -> "TestRingElem":
-        base, e = self.base, self.base.e
-        return TestRingElem(self, tuple(FqElem(base, row[i * e : (i + 1) * e]) for i in range(self.m)))
-
-    def digit_product(self, a, b, n: int) -> list:
-        """The first n coefficients of (sum a_i t^i)(sum b_j t^j), for digit
-        rows a, b, as n digit rows."""
-        shift, rows = _kronecker_product(self.base, self.m, a, b, n)
-        return _padded_rows((0,) * (self.m * self.base.e), shift, rows, n)
-
-    def truncated_product(self, a, b, n: int) -> list:
-        """The first n coefficients of (sum a_i t^i)(sum b_j t^j)."""
-        rows = self.digit_product([self.digits(x) for x in a], [self.digits(y) for y in b], n)
-        return [self.from_digits(r) for r in rows]
-
-    def x(self) -> "TestRingElem":
+    def x(self) -> TestRingElem:
         if self.m < 2:
             raise DomainError("x = 0 in a test ring with m = 1")
-        mid = [self.base.zero()] * self.m
-        mid[1] = self.base.one()
-        return TestRingElem(self, tuple(mid))
+        # the digit of x^1 g^0 is digit e, worth p^e = q
+        return self.from_index(self.base.q)
 
     def __repr__(self):
         return f"{self.base!r}[x]/(x^{self.m})"
@@ -801,108 +846,3 @@ def test_ring(p: int, e: int = 1, m: int = 2) -> TestRingSpec:
     if not 1 <= m <= 4:
         raise DomainError("test rings are limited to F_q[x]/(x^m) with m <= 4")
     return TestRingSpec(field(p, e), m)
-
-
-@dataclass(frozen=True)
-class TestRingElem(_RingElem):
-    spec: TestRingSpec
-    coords: tuple  # m field elements, x-adic, constant first
-
-    def _check(self, other):
-        if self.spec != other.spec:
-            raise DomainError("mixed test-ring arithmetic")
-
-    @property
-    def index(self) -> int:
-        q = self.spec.base.q
-        idx = 0
-        for c in reversed(self.coords):
-            idx = idx * q + c.index
-        return idx
-
-    def is_zero(self) -> bool:
-        return not any(any(c.coords) for c in self.coords)
-
-    def residue(self) -> FqElem:
-        return self.coords[0]
-
-    def __add__(self, other):
-        self._check(other)
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        return TestRingElem(self.spec, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return -other
-        return TestRingElem(self.spec, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        if self.spec.p == 2 or self.is_zero():
-            return self
-        return TestRingElem(self.spec, tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        self._check(other)
-        m = self.spec.m
-        zero = self.spec.base.zero()
-        out = [zero] * m
-        for i, a in enumerate(self.coords):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coords):
-                if i + j < m and not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TestRingElem(self.spec, tuple(out))
-
-    __rmul__ = __mul__
-
-    def scale(self, n: int) -> "TestRingElem":
-        return TestRingElem(self.spec, tuple(a.scale(n) for a in self.coords))
-
-    def frobenius(self) -> "TestRingElem":
-        """(sum a_i x^i)^p = sum a_i^p x^(ip) in characteristic p, below x^m."""
-        spec = self.spec
-        p, m = spec.p, spec.m
-        out = [spec.base.zero()] * m
-        for i, a in enumerate(self.coords[: (m - 1) // p + 1]):
-            out[i * p] = a.frobenius()
-        return TestRingElem(spec, tuple(out))
-
-    def inverse(self) -> "TestRingElem":
-        if not self.is_unit():
-            raise NotInvertible(f"{self} is not a unit (residue 0)")
-        # a = a0 (1 + nu) with nu nilpotent; geometric series stops at x^m = 0
-        a0_inv = self.spec.from_field(self.coords[0].inverse())
-        nu = self * a0_inv - self.spec.one()
-        acc = self.spec.one()
-        term = self.spec.one()
-        for _ in range(self.spec.m - 1):
-            term = -(term * nu)
-            acc = acc + term
-        return acc * a0_inv
-
-    def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coords):
-            if c.is_zero():
-                continue
-            cs = str(c)
-            if "+" in cs:
-                cs = f"({cs})"
-            if i == 0:
-                parts.append(cs)
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                parts.append(xs if cs == "1" else f"{cs}{xs}")
-        return "+".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"{self} in {self.spec!r}"

@@ -139,7 +139,7 @@ def _parse_g_monomial(cur: _Cursor, spec: FieldSpec) -> FqElem:
         # below the degree c g^e is the coordinate vector with c mod p at e
         coords = [0] * spec.e
         coords[e] = c % spec.p
-        return FqElem(spec, tuple(coords))
+        return spec.from_digits(tuple(coords))
     return (spec.gen() ** e).scale(c)
 
 

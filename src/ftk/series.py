@@ -32,10 +32,11 @@ x-degrees >= m (see ``fields``).
 
 Inverses and Hensel roots of unit-led windows are Newton iterations that
 double the window, so the cost is a few products at the full window.
-They iterate on digit rows, through the ring's ``digit_product``: a
-negation or a scaling by 1/n is a map of F_p digits, and ring elements
-are built once, for the window returned.  The inverse is
-h <- h(2 - a h).  The root runs one Newton on the inverse root
+They iterate on digit rows through the ring's ``digit_product``.  A row
+is a coefficient's own ``coords`` over both ring kinds, so the window is
+read without conversion; a negation or a scaling by 1/n is a map of F_p
+digits, and ring elements are built once, for the window returned.  The
+inverse is h <- h(2 - a h).  The root runs one Newton on the inverse root
 x = a^(-1/n), with x_0 = r0^(-1), and needs no inverse inside the loop: if
 a x^n = 1 + t^w E mod t^2w, then x' = x (1 - t^w E / n) has
 a x'^n = (1 + t^w E)(1 - t^w E + t^2w (...)) = 1 mod t^2w.  Then
@@ -250,8 +251,8 @@ class LaurentSeries:
         a h = 1 + t^w E mod t^2w, then h(1 - t^w E) is the inverse mod t^2w.
         """
         size = len(coeffs)
-        a = [ring.digits(c) for c in coeffs]
-        h = [ring.digits(coeffs[0].inverse())]
+        a = [c.coords for c in coeffs]
+        h = [coeffs[0].inverse().coords]
         w = 1
         while w < size:
             top = min(2 * w, size)
@@ -503,7 +504,7 @@ def _power(ring, g: list, k: int, size: int) -> list:
         k >>= 1
         if k:
             g = ring.digit_product(g, g, size)
-    return [ring.digits(ring.one())] if result is None else result
+    return [ring.one().coords] if result is None else result
 
 
 def _root_unit_led(ring, coeffs, r0, n: int) -> list:
@@ -516,9 +517,9 @@ def _root_unit_led(ring, coeffs, r0, n: int) -> list:
     elements.
     """
     p, size = ring.p, len(coeffs)
-    a = [ring.digits(c) for c in coeffs]
+    a = [c.coords for c in coeffs]
     minus_inv_n = -pow(n, -1, p)
-    x = [ring.digits(r0.inverse())]
+    x = [r0.inverse().coords]
     w = 1
     while w < size:
         top = min(2 * w, size)

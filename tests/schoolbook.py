@@ -14,7 +14,8 @@ powers: it walks each candidate generator's full order and scans the whole
 coset of every element for the transversal.  ``smallest_irreducible``
 is the modulus search ``ftk.fields`` ran before it tested irreducibility
 by Ben-Or's test: the same enumeration, with trial division by every
-monic polynomial of degree at most e/2.
+monic polynomial of degree at most e/2.  ``is_prime`` is the trial
+division ``ftk.fields`` tested primality with before Miller-Rabin.
 
 ``fq_inverse``, ``fq_frobenius`` and ``fq_pth_root`` are the powers
 a^(q-2), a^p and a^(p^(e-1)) that ``FqElem`` computed by square and
@@ -41,6 +42,7 @@ differential tests can require equal ``(count, aut multiset)`` from both.
 ``fq_add``, ``fq_sub``, ``fq_neg`` and ``ring_add``, ``ring_sub``,
 ``ring_neg`` are the sums ``FqElem`` and ``TestRingElem`` computed before
 a zero operand was returned as it is: every sum builds a new element.
+The ``ring_*`` sums act on digit rows, the layout of both element kinds.
 ``series_make``, ``series_add`` and ``series_split_parts`` are
 ``LaurentSeries.make`` with its ``pop(0)`` loop, ``__add__`` through two
 ``coeff(i)`` calls per exponent and ``split_parts`` the same way, as they
@@ -60,6 +62,16 @@ parts: it divides each side by its whole leading coefficient and
 multiplies a constant root of the residues in afterwards, which is wrong
 when the leading coefficients differ by a nilpotent 1-unit, so it is a
 reference over fields only.
+
+``TupleRing`` and ``TupleRingElem`` are the test ring F_q[x]/(x^m) as
+``ftk.fields`` kept it before a test-ring element became its digit row:
+an element is a tuple of m field elements, x-adic, constant first.  Its
+product is the schoolbook double loop over field products, its inverse
+the geometric series in the nilpotent part, its Frobenius maps each
+coefficient, and its index reads the coefficients' indices in base q.
+Series over a ``TupleRing`` run through ``mul``, ``invert`` and
+``nth_root_unit`` above, so the differential tests compare the row layout
+with this one element by element and series by series.
 """
 
 from __future__ import annotations
@@ -69,11 +81,10 @@ import math
 from dataclasses import dataclass
 
 from ftk.artin_schreier import ASCanonical
-from ftk.errors import DomainError, FtkError, ParseError, PrecisionExhausted
+from ftk.errors import DomainError, FtkError, NotInvertible, ParseError, PrecisionExhausted
 from ftk.fields import (
     FieldSpec,
     FqElem,
-    TestRingElem,
     _monic_poly_from_index,
     _poly_mod,
     canonical_wp_shift,
@@ -182,6 +193,17 @@ def smallest_irreducible(p: int, e: int):
         if poly_is_irreducible(f, p):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def nth_roots_of_unity(spec, n: int):
@@ -683,16 +705,19 @@ def fq_neg(self):
 
 def ring_add(self, other):
     self._check(other)
-    return TestRingElem(self.spec, tuple(fq_add(a, b) for a, b in zip(self.coords, other.coords)))
+    p = self.spec.p
+    return self.spec.from_digits(tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
 
 
 def ring_sub(self, other):
     self._check(other)
-    return TestRingElem(self.spec, tuple(fq_sub(a, b) for a, b in zip(self.coords, other.coords)))
+    p = self.spec.p
+    return self.spec.from_digits(tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
 
 
 def ring_neg(self):
-    return TestRingElem(self.spec, tuple(fq_neg(a) for a in self.coords))
+    p = self.spec.p
+    return self.spec.from_digits(tuple((-a) % p for a in self.coords))
 
 
 def elem_add(a, b):
@@ -1070,3 +1095,167 @@ def kummer_iso_witness(b: LaurentSeries, b2: LaurentSeries, n: int):
     const_root = b.ring.from_field(table_nth_root(res2 * res.inverse(), n))
     ratio = _strip_to_one_unit(b2, i2, lead2) * _strip_to_one_unit(b, i, lead).invert()
     return ratio.nth_root_unit(n).scale(const_root).shift((i2 - i) // n)
+
+
+# -- the tuple-of-FqElem test ring ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class TupleRing:
+    """The test ring ``spec`` (an ``ftk.fields.TestRingSpec``) with elements
+    held as tuples of field elements."""
+
+    spec: object
+
+    @property
+    def p(self) -> int:
+        return self.spec.p
+
+    @property
+    def m(self) -> int:
+        return self.spec.m
+
+    @property
+    def base(self):
+        return self.spec.base
+
+    def zero(self):
+        return self.from_field(self.base.zero())
+
+    def one(self):
+        return self.from_field(self.base.one())
+
+    def from_int(self, n: int):
+        return self.from_field(self.base.from_int(n))
+
+    def from_field(self, a):
+        return TupleRingElem(self, (a,) + (self.base.zero(),) * (self.m - 1))
+
+    def from_index(self, idx: int):
+        q = self.base.q
+        coords = []
+        for _ in range(self.m):
+            coords.append(self.base.from_index(idx % q))
+            idx //= q
+        return TupleRingElem(self, tuple(coords))
+
+
+@dataclass(frozen=True)
+class TupleRingElem:
+    spec: TupleRing
+    coords: tuple  # m field elements, x-adic, constant first
+
+    def _check(self, other):
+        if self.spec != other.spec:
+            raise DomainError("mixed test-ring arithmetic")
+
+    def digits(self) -> tuple:
+        """The m*e F_p digits, x-major: the row layout of the same element."""
+        return tuple(d for c in self.coords for d in c.coords)
+
+    @property
+    def index(self) -> int:
+        q = self.spec.base.q
+        idx = 0
+        for c in reversed(self.coords):
+            idx = idx * q + c.index
+        return idx
+
+    def is_zero(self) -> bool:
+        return not any(any(c.coords) for c in self.coords)
+
+    def residue(self):
+        return self.coords[0]
+
+    def is_unit(self) -> bool:
+        return not self.residue().is_zero()
+
+    def __add__(self, other):
+        self._check(other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        return TupleRingElem(self.spec, tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        self._check(other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return -other
+        return TupleRingElem(self.spec, tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        if self.spec.p == 2 or self.is_zero():
+            return self
+        return TupleRingElem(self.spec, tuple(-a for a in self.coords))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        self._check(other)
+        m = self.spec.m
+        zero = self.spec.base.zero()
+        out = [zero] * m
+        for i, a in enumerate(self.coords):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(other.coords):
+                if i + j < m and not b.is_zero():
+                    out[i + j] = out[i + j] + a * b
+        return TupleRingElem(self.spec, tuple(out))
+
+    __rmul__ = __mul__
+
+    def scale(self, n: int):
+        return TupleRingElem(self.spec, tuple(a.scale(n) for a in self.coords))
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = self.spec.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def frobenius(self):
+        """(sum a_i x^i)^p = sum a_i^p x^(ip) in characteristic p, below x^m."""
+        spec = self.spec
+        p, m = spec.p, spec.m
+        out = [spec.base.zero()] * m
+        for i, a in enumerate(self.coords[: (m - 1) // p + 1]):
+            out[i * p] = a.frobenius()
+        return TupleRingElem(spec, tuple(out))
+
+    def inverse(self):
+        if not self.is_unit():
+            raise NotInvertible(f"{self} is not a unit (residue 0)")
+        # a = a0 (1 + nu) with nu nilpotent; geometric series stops at x^m = 0
+        a0_inv = self.spec.from_field(self.coords[0].inverse())
+        nu = self * a0_inv - self.spec.one()
+        acc = self.spec.one()
+        term = self.spec.one()
+        for _ in range(self.spec.m - 1):
+            term = -(term * nu)
+            acc = acc + term
+        return acc * a0_inv
+
+    def __str__(self):
+        parts = []
+        for i, c in enumerate(self.coords):
+            if c.is_zero():
+                continue
+            cs = str(c)
+            if "+" in cs:
+                cs = f"({cs})"
+            if i == 0:
+                parts.append(cs)
+            else:
+                xs = "x" if i == 1 else f"x^{i}"
+                parts.append(xs if cs == "1" else f"{cs}{xs}")
+        return "+".join(parts) if parts else "0"

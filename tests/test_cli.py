@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -463,6 +464,41 @@ def test_field_tables_bound_exit_code(capsys):
     code, out = run_cli(capsys, "count-kummer", "--p", "2", "--e", "15", "--n", "7")
     assert code == 0
     assert json.loads(out)["count"] == 49
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count-as", "--p", "2", "--e", "30", "--max-break", "0", "--format", "csv"),
+        ("semidirect-enum", "--p", "2", "--e", "30", "--r", "1", "--n", "1", "--psi", "[1]", "--q-exp", "1",
+         "--max-break", "0"),
+    ],
+    ids=["count-as", "semidirect-enum"],
+)
+def test_enumeration_past_the_table_bound_fails_fast(capsys, argv):
+    # both listed all 2^30 elements of F_(2^30) for the transversal before
+    # the table bound was checked, and ran past a 20 s timeout
+    t0 = time.perf_counter()
+    code = main(list(argv))
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: field tables are limited to q <= 16384, got q = 1073741824\n"
+
+
+def test_large_characteristic_fails_fast(capsys):
+    # p = 10^18 + 3 is prime and passes the primality test at once; trial
+    # division never finished it
+    t0 = time.perf_counter()
+    code = main(["as-canon", "--p", "1000000000000000003", "--series", "t^-1"])
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: field tables are limited to q <= 16384, got q = 1000000000000000003\n"
+    code = main(["count-kummer", "--p", str(2**64 + 13), "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: characteristic is limited to p < 2^64, got a 65-bit p\n"
 
 
 def test_field_degree_bound_exit_code(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import ftk
 import ftk.oracles
@@ -39,7 +40,9 @@ def test_field_answers_the_ring_protocol():
     assert F9.from_field(g) is g
     assert g.residue() is g
     assert R.from_field(g).residue() == g
-    assert not g.is_nilpotent() and F9.zero().is_nilpotent()
+    assert g.is_unit() and not F9.zero().is_unit()
+    with pytest.raises(DomainError, match="mixed arithmetic"):
+        R.from_field(field(3).one())
 
 
 @pytest.mark.parametrize("ring", [field(3, 2), field(2, 3), local_test_ring(3, 2, 2), local_test_ring(5, 1, 3)])
@@ -48,7 +51,7 @@ def test_digit_rows_are_fp_linear(ring):
     # element's negative and integer multiple for both ring kinds
     p = ring.p
     for x in ring.elements()[:60]:
-        row = ring.digits(x)
+        row = x.coords
         assert ring.from_digits(row) == x
         assert ring.from_digits(tuple(-d % p for d in row)) == -x
         assert ring.from_digits(tuple(2 * d % p for d in row)) == x.scale(2)
@@ -65,6 +68,21 @@ def test_no_module_asks_for_attributes_by_hasattr():
             and node.func.id == "hasattr"
         ]
         assert calls == [], f"{path.name} calls hasattr at lines {calls}"
+
+
+def test_only_fields_builds_elements_from_rows():
+    # the digit-row layout stays inside fields.py: every other module
+    # builds elements through the spec (from_digits, from_index, ...)
+    for path in sorted(Path(ftk.__file__).parent.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _name(node.func) in {"FqElem", "TestRingElem"}
+        ]
+        assert calls == [], f"{path.name} constructs ring elements at lines {calls}"
 
 
 def test_oracles_import_no_path_they_check():
@@ -459,15 +477,16 @@ def test_solve_positive_on_a_zero_window_does_no_field_operation(monkeypatch):
 
 
 def _count_constructions(monkeypatch):
-    """Patch FqElem.__init__ to count new field elements; returns the count."""
+    """Patch the element constructor to count new field and test-ring
+    elements; returns the count."""
     count = [0]
-    init = FqElem.__init__
+    init = _RingElem.__init__
 
     def counted(self, *args):
         count[0] += 1
         init(self, *args)
 
-    monkeypatch.setattr(FqElem, "__init__", counted)
+    monkeypatch.setattr(_RingElem, "__init__", counted)
     return count
 
 
@@ -573,6 +592,38 @@ def test_modulus_search_skips_the_reducible_binomials(p, e):
     assert modulus[1:-1] != (0,) * (e - 1) and fields_mod._poly_is_irreducible(modulus, p)
 
 
+@given(st.integers(0, 10**5))
+def test_primality_matches_trial_division(n):
+    assert _is_prime(n) == schoolbook.is_prime(n)
+
+
+# strong pseudoprimes to the bases 2 .. 7 and 2 .. 23, a Mersenne prime,
+# the largest prime below 2^64 and 2^64 - 1
+@pytest.mark.parametrize(
+    "n, prime",
+    [(3215031751, False), (3825123056546413051, False), (2**61 - 1, True), (2**64 - 59, True), (2**64 - 1, False)],
+)
+def test_primality_past_trial_division(n, prime):
+    assert _is_prime(n) == prime
+
+
+def test_large_prime_field_is_built_at_once():
+    t0 = time.perf_counter()
+    spec = field.__wrapped__(2**61 - 1)
+    assert time.perf_counter() - t0 < 0.25
+    assert spec.modulus == (0, 1)
+
+
+def test_characteristic_bound_refused_before_the_primality_test(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the primality test ran")
+
+    monkeypatch.setattr(fields_mod, "_is_prime", refuse)
+    for p in (2**64, 2**64 + 13, 10**30):
+        with pytest.raises(DomainError, match=f"p < 2\\^64, got a {p.bit_length()}-bit p"):
+            field.__wrapped__(p)
+
+
 def test_degree_bound_refused_before_the_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("the modulus search ran")
@@ -605,7 +656,10 @@ class TestTestRing:
         for p, e, m in [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 4)]:
             R = local_test_ring(p, e, m)
             for a in R.elements():
-                assert a.is_unit() != a.is_nilpotent()
+                if a.is_unit():
+                    assert a * a.inverse() == R.one()
+                else:
+                    assert (a**m).is_zero()
 
     def test_nilpotent_power_vanishes(self):
         R = local_test_ring(2, 1, 3)
