@@ -5,9 +5,13 @@ fiber products, and colimit/fiber-product commutation checks.
 IndPoint models a point of colim_m A^(S_m) (tensored with an elementary
 abelian group of rank r): the transition from level m to m+1 includes the
 coordinate vector into the larger slot set and applies the coefficient
-Frobenius once.  Equality is equality after transporting to a common
-level; the canonical representative is the level-minimal one, reachable
-because coefficient p-th roots exist over a perfect field.
+Frobenius once.  The slots S_m = {1 <= k <= m : p does not divide k} are
+ascending, so S_m is a prefix of S_M, and S_m minus S_(m-1) is {m} when p
+does not divide m and empty otherwise.  A value is slot-major, one row of
+r coordinates per slot, so the inclusion appends zero rows and a step
+down drops the top row.  Equality is equality after transporting to a
+common level; the canonical representative is the level-minimal one,
+reachable because coefficient p-th roots exist over a perfect field.
 
 Groupoids are finite and explicit (objects, hom-sets of labelled arrows,
 a composition table).  Composition tables are built from rules over the
@@ -23,9 +27,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .artin_schreier import prime_to_p_support
 from .errors import DomainError
-from .fields import FieldSpec
+from .fields import FieldSpec, _prime_factors
 
 MAX_OBJECTS = 64
 MAX_ARROWS = 4096
@@ -44,31 +47,25 @@ class IndPoint:
     def __post_init__(self):
         if self.level < 1:
             raise DomainError("levels start at 1")
-        expected = len(prime_to_p_support(self.spec.p, self.level)) * self.r
+        expected = _slot_count(self.spec.p, self.level) * self.r
         if len(self.value) != expected:
             raise DomainError(
                 f"value length {len(self.value)} != |S_m| * r = {expected}"
             )
 
     def transition(self, M: int) -> "IndPoint":
-        """Transport to level M >= level: include into the S_M slots and
-        apply the coefficient Frobenius once per level step."""
+        """Transport to level M >= level: apply the coefficient Frobenius
+        once per level step, then append a zero row for each slot of S_M
+        beyond S_level."""
         if M < self.level:
             raise DomainError("transitions only go up")
-        src = prime_to_p_support(self.spec.p, self.level)
-        dst = prime_to_p_support(self.spec.p, M)
-        steps = M - self.level
-        by_slot = {s: self.value[i * self.r : (i + 1) * self.r] for i, s in enumerate(src)}
-        zero_row = (self.spec.zero(),) * self.r
         out = []
-        for s in dst:
-            row = by_slot.get(s, zero_row)
-            frow = []
-            for c in row:
-                for _ in range(steps):
-                    c = c.frobenius()
-                frow.append(c)
-            out.extend(frow)
+        for c in self.value:
+            for _ in range(M - self.level):
+                c = c.frobenius()
+            out.append(c)
+        new_rows = _slot_count(self.spec.p, M) - _slot_count(self.spec.p, self.level)
+        out.extend([self.spec.zero()] * (new_rows * self.r))
         return IndPoint(self.spec, self.r, M, tuple(out))
 
     def eq(self, other: "IndPoint") -> bool:
@@ -79,45 +76,26 @@ class IndPoint:
 
     def canonical(self) -> "IndPoint":
         """The least-level representative of the colimit class (idempotent)."""
-        pt = self
-        while pt.level > 1:
-            m = pt.level
-            src = prime_to_p_support(pt.spec.p, m)
-            prev = prime_to_p_support(pt.spec.p, m - 1)
-            by_slot = {s: pt.value[i * pt.r : (i + 1) * pt.r] for i, s in enumerate(src)}
-            new_slots = [s for s in src if s not in prev]
-            if any(not c.is_zero() for s in new_slots for c in by_slot[s]):
+        level, value = self.level, self.value
+        while level > 1:
+            # the top row is slot `level`, present when p does not divide it
+            top = self.r if level % self.spec.p else 0
+            rest = len(value) - top
+            if any(not c.is_zero() for c in value[rest:]):
                 break
-            value = tuple(
-                c.pth_root() for s in prev for c in by_slot[s]
-            )
-            pt = IndPoint(pt.spec, pt.r, m - 1, value)
-        return pt
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.spec.p,
-            "e": self.spec.e,
-            "r": self.r,
-            "level": self.level,
-            "value": [str(v) for v in self.value],
-        }
+            value = tuple(c.pth_root() for c in value[:rest])
+            level -= 1
+        return IndPoint(self.spec, self.r, level, value)
 
 
-def level_count(m: int, r: int, q: int, p: int = None) -> int:
-    """q^(|S_m| * r) points at level m.  p defaults to the prime of q."""
-    if p is None:
-        p = _smallest_prime_factor(q)
-    return q ** (len(prime_to_p_support(p, m)) * r)
+def _slot_count(p: int, m: int) -> int:
+    """|S_m| = m - floor(m/p)."""
+    return m - m // p
 
 
-def _smallest_prime_factor(q: int) -> int:
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return d
-        d += 1
-    return q
+def level_count(m: int, r: int, q: int) -> int:
+    """q^(|S_m| * r) points at level m, p the prime of q."""
+    return q ** (_slot_count(_prime_factors(q)[0], m) * r)
 
 
 def _union_classes(keys, links):
@@ -683,13 +661,8 @@ class SetSystem:
             ):
                 raise DomainError(f"transition {i} is not a map of the levels")
 
-    def push(self, i: int, x, j: int):
-        for k in range(i, j):
-            x = self.maps[k][x]
-        return x
-
     def colim_classes(self):
-        """Equivalence classes of the disjoint union under x ~ push(x)."""
+        """Equivalence classes of the disjoint union under x ~ maps[i][x]."""
         keys = ((i, x) for i, lvl in enumerate(self.levels) for x in lvl)
         links = (((i, x), (i + 1, y)) for i, m in enumerate(self.maps) for x, y in m.items())
         return _union_classes(keys, links)
@@ -717,15 +690,6 @@ class SystemMap:
                 rhs = self.dst.maps[i][self.components[i][x]]
                 if lhs != rhs:
                     raise DomainError("system map does not commute with transitions")
-
-    def colim_map(self):
-        """The induced map on colimit classes, as a dict of class reps."""
-        dst_rep = _rep_of(self.dst.colim_classes())
-        out = {}
-        for rep, members in self.src.colim_classes().items():
-            i, x = members[0]
-            out[rep] = dst_rep[(i, self.components[i][x])]
-        return out
 
 
 def fiber_product_system(a: SystemMap, b: SystemMap) -> SetSystem:
@@ -758,22 +722,24 @@ def colim_fiber_product_check(a: SystemMap, b: SystemMap) -> bool:
     """Does colim commute with the fiber product for these systems?
 
     Compares colim(X_n x_{Y_n} Z_n) with colim X x_{colim Y} colim Z via
-    the canonical map, checking it is a bijection.
+    the canonical map, checking it is a bijection.  Each of the four
+    systems is quotiented once; a and b share Y.
     """
     fp = fiber_product_system(a, b)
     lhs = fp.colim_classes()
 
-    x_cls = a.src.colim_classes()
-    z_cls = b.src.colim_classes()
-    a_map = a.colim_map()
-    b_map = b.colim_map()
-
-    x_rep, z_rep = _rep_of(x_cls), _rep_of(z_cls)
+    x_rep = _rep_of(a.src.colim_classes())
+    z_rep = _rep_of(b.src.colim_classes())
+    y_rep = _rep_of(a.dst.colim_classes())
+    # the maps a and b induce on colimit classes, well defined because
+    # system maps commute with the transitions
+    a_map = {rx: y_rep[(i, a.components[i][x])] for (i, x), rx in x_rep.items()}
+    b_map = {rz: y_rep[(i, b.components[i][z])] for (i, z), rz in z_rep.items()}
     rhs = {
         (rx, rz)
-        for rx in x_cls
-        for rz in z_cls
-        if a_map[rx] == b_map[rz]
+        for rx, ya in a_map.items()
+        for rz, yb in b_map.items()
+        if ya == yb
     }
     # canonical map on class representatives
     image = set()

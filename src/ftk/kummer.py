@@ -31,9 +31,6 @@ class KummerClass:
         if not 0 <= self.q_exp < self.n:
             raise DomainError("q_exp must lie in 0..n-1")
 
-    def sort_key(self):
-        return (self.q_exp, self.unit_class)
-
     def to_json(self) -> dict:
         return {"n": self.n, "q_exp": self.q_exp, "unit_class": self.unit_class}
 

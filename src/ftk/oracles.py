@@ -12,12 +12,19 @@ elements, their arithmetic and its generator), the F_p matrix helpers of
 (``groupoids._union_classes``), not the series arithmetic and not the
 canonicalisation logic.
 
-The count oracles work on index-coded windows, ``_WindowCodec``: a
-series with support >= lo, known mod t^prec, is the tuple of the F_q
-indices of its coefficients at lo .. prec - 1, and the tuple is its key.
-Sums, negatives, F_p multiples, u^p - u and s -> lam s read index tables
-that the codec builds from the field when an oracle builds it, once per
-call.
+The count oracles work on index-coded polar parts, ``_WindowCodec``: a
+series with support in [lo, 0] is the tuple of the F_q indices of its
+coefficients at lo .. 0, and the tuple is its key.  Sums, negatives, F_p
+multiples, u^p - u and s -> lam s read index tables that the codec builds
+from the field when an oracle builds it, once per call.
+
+No oracle needs a window beyond t^0, because every vector it builds is a
+polynomial in s^-1 of degree at most m.  The window vectors have support
+in [-m, 0].  The witnesses have support in [-floor(m/p), 0], so u^p - u
+lands in [-m, 0].  Sums, F_p multiples, s -> lam s, the rows of an F_p
+matrix and the constant shifts keep the support.  So a window [-m, P)
+with P > 1 would only append zeros that no operation reads, and the
+polar part known mod t^1 is the oracles' exact data.
 
 * Artin-Schreier class counts: the orbits of the window of series with
   support in [-m, 0] under adding coboundaries u^p - u, ``_cover_orbits``.
@@ -27,9 +34,7 @@ call.
   exhaustively searched monomial witnesses (valuation additivity makes
   the monomial search complete for monomial covers).  A monomial is an
   (exponent, index) pair and products are symbolic,
-  (i, c) (v t^k)^n = (i + nk, v^n c); they are exact because the
-  exponents i <= 2n - 1 and k <= 2n are below the window 4n + 8 that a
-  series product would keep, so no product truncates.  Windowed
+  (i, c) (v t^k)^n = (i + nk, v^n c), so no product truncates.  Windowed
   all-coefficient searches over ``LaurentSeries`` back the targeted
   non-existence checks.
 * Semidirect torsors, ``_frame_torsors``: a frame of d components
@@ -108,18 +113,17 @@ def _window_series(spec, exponents, prec):
 
 
 class _WindowCodec:
-    """Series over F_q with support >= lo, coded as tuples of F_q indices.
+    """Polar parts over F_q with support in [lo, 0], coded as tuples of F_q
+    indices.
 
-    A series known mod t^prec (prec >= 1) is the tuple of the indices of
-    its coefficients at lo, lo + 1, ..., prec - 1, and that tuple is its
-    key.  A shorter tuple is a shorter window, so a sum, which zips its
-    operands, is known to min(prec), as ``LaurentSeries.__add__`` is.
-    Addition, negation, scaling by F_p, u -> u^p - u and the substitution
-    s -> lam s read index tables built from the field's own arithmetic
-    when the codec is built: q^2 sums, p*q multiples by F_p and the q - 1
-    powers of the field's generator.  An oracle builds one codec per call,
+    A series known mod t^1 is the tuple of the indices of its coefficients
+    at lo, lo + 1, ..., 0, and that tuple is its key; every vector has the
+    same length 1 - lo.  Addition, negation, scaling by F_p, u -> u^p - u
+    and the substitution s -> lam s read index tables built from the
+    field's own arithmetic when the codec is built: q^2 sums, p*q multiples
+    by F_p and the q - 1 powers of the field's generator.  An oracle builds one codec per call,
     after its size check.  ``encode`` and ``decode`` convert from and to
-    ``LaurentSeries``; no oracle calls them, the tests do.
+    ``LaurentSeries`` known mod t^1; no oracle calls them, the tests do.
     """
 
     def __init__(self, spec, lo: int):
@@ -138,31 +142,29 @@ class _WindowCodec:
         self.frobenius = [0] + [self.antilog[p * self.log[i] % (q - 1)] for i in range(1, q)]
 
     def encode(self, s: LaurentSeries) -> tuple:
-        if s.prec < 1 or s.coeffs and s.val < self.lo:
-            raise DomainError(f"series outside the codec's windows: val >= {self.lo}, prec >= 1")
-        if not s.coeffs:
-            return (0,) * (s.prec - self.lo)
-        return (0,) * (s.val - self.lo) + tuple(c.index for c in s.coeffs)
+        if s.prec != 1 or s.coeffs and s.val < self.lo:
+            raise DomainError(f"series outside the codec's window: val >= {self.lo}, prec = 1")
+        return tuple(s.coeff(e).index for e in range(self.lo, 1))
 
     def decode(self, v: tuple) -> LaurentSeries:
-        return LaurentSeries.make(self.spec, self.lo, self.lo + len(v), [self.elems[i] for i in v])
+        return LaurentSeries.make(self.spec, self.lo, 1, [self.elems[i] for i in v])
 
-    def window(self, exponents, prec: int) -> list:
-        """Every vector supported on exponents, known mod t^prec, in the
-        order of ``_window_series``."""
+    def window(self, exponents) -> list:
+        """Every vector supported on exponents, in the order of
+        ``_window_series``."""
         slots = [e - self.lo for e in exponents]
         out = []
         for values in itertools.product(range(self.spec.q), repeat=len(slots)):
-            v = [0] * (prec - self.lo)
+            v = [0] * (1 - self.lo)
             for j, x in zip(slots, values):
                 v[j] = x
             out.append(tuple(v))
         return out
 
-    def constant(self, k: int, prec: int) -> tuple:
-        """The constant k in F_p, known mod t^prec."""
-        v = [0] * (prec - self.lo)
-        v[-self.lo] = k % self.p
+    def constant(self, k: int) -> tuple:
+        """The constant k in F_p."""
+        v = [0] * (1 - self.lo)
+        v[-1] = k % self.p
         return tuple(v)
 
     def add(self, a: tuple, b: tuple) -> tuple:
@@ -180,8 +182,9 @@ class _WindowCodec:
         return self.add(a, self.neg(b))
 
     def wp(self, u: tuple) -> tuple:
-        """u^p - u.  The coefficient at e moves to pe, which must stay at or
-        above lo: an oracle takes lo = p * (lowest exponent of u)."""
+        """u^p - u.  The coefficient at e <= 0 moves to pe <= e, which must
+        stay at or above lo: the oracles' witnesses have support in
+        [-floor(m/p), 0] on lo = -m."""
         lo, p = self.lo, self.p
         out = list(self.neg(u))
         for j, x in enumerate(u):
@@ -189,8 +192,7 @@ class _WindowCodec:
                 k = p * (lo + j) - lo
                 if k < 0:
                     raise DomainError(f"u^p reaches below the codec's window at {lo}")
-                if k < len(out):
-                    out[k] = self.sums[out[k]][self.frobenius[x]]
+                out[k] = self.sums[out[k]][self.frobenius[x]]
         return tuple(out)
 
     def substitute(self, a: tuple, lam: int) -> tuple:
@@ -240,17 +242,17 @@ def _quotient(keys, images):
 # -- Artin-Schreier ---------------------------------------------------------
 
 
-def _cover_orbits(codec, m: int, prec: int):
-    """(coboundaries, orbits) for the covers with support in [-m, 0], known
-    mod t^prec, on a codec with lo = -m.
+def _cover_orbits(codec, m: int):
+    """(coboundaries, orbits) for the covers with support in [-m, 0], on a
+    codec with lo = -m.
 
     coboundaries maps each u^p - u to its witnesses u, over the witnesses
     that keep the window (support in [-floor(m/p), 0]); orbits are the
     window's classes under adding coboundaries, {representative: members}.
     The caller checks that window x witnesses is within the bound."""
-    window = codec.window(range(-m, 1), prec)
+    window = codec.window(range(-m, 1))
     coboundaries: dict = {}
-    for u in codec.window(range(-(m // codec.p), 1), prec):
+    for u in codec.window(range(-(m // codec.p), 1)):
         coboundaries.setdefault(codec.wp(u), []).append(u)
     links = ((b, codec.add(b, w)) for b in window for w in coboundaries)
     return coboundaries, _union_classes(window, links)
@@ -267,7 +269,7 @@ def as_bruteforce_class_count(spec: FieldSpec, m: int) -> int:
     by exhaustive search over the witnesses that keep the window."""
     check_break_bound(m)
     _check_scale(_cover_pairs(spec, m))
-    return len(_cover_orbits(_WindowCodec(spec, -m), m, 4 * max(m, 1) + 8)[1])
+    return len(_cover_orbits(_WindowCodec(spec, -m), m)[1])
 
 
 def as_window_witness_exists(c: LaurentSeries, d: LaurentSeries, lo: int, hi: int) -> bool:
@@ -293,10 +295,7 @@ def kummer_bruteforce_class_count(spec: FieldSpec, n: int) -> int:
     Monomial witnesses suffice for monomial covers because valuations add
     under multiplication over a field (checked separately in the tests).
     A monomial is the pair (exponent, F_q index), multiplied symbolically:
-    (i, c) (v t^k)^n = (i + nk, v^n c).  This is exact: over the window
-    prec = 4n + 8 the series product is known mod
-    t^(nk + prec + min(0, i - k)), which lies above its one term, at i + nk,
-    because i <= 2n - 1 and k <= 2n are both below prec.
+    (i, c) (v t^k)^n = (i + nk, v^n c), so no product truncates.
     """
     check_tame_order(spec.p, n)
     n_objects, n_witnesses = 2 * n * (spec.q - 1), (4 * n + 1) * (spec.q - 1)
@@ -405,11 +404,8 @@ class _Composition:
         codec = self.codec
         # (g o f)(X) = M_f (M_g X + c_g) + sigma_{lam_g}(c_f)
         if f.matrix == self.identity:
-            # M_f M_g is M_g, and M_f c_g is c_g, each series cut to the
-            # shortest window as the matrix product would
-            m = g.matrix
-            size = min(map(len, g.trans), default=0)
-            mixed = tuple(t[:size] for t in g.trans)
+            # M_f M_g is M_g, and M_f c_g is c_g
+            m, mixed = g.matrix, g.trans
         else:
             m = mat_mul(f.matrix, g.matrix, codec.p)
             mixed = codec.mat_vec(f.matrix, g.trans)
@@ -447,9 +443,8 @@ def _frame_torsors(group, spec, n: int, d: int, lam_log: int, m: int):
     n_chains = _capped_pow(p * _capped_pow(spec.q, m - m // p), r)
     n_twists = _capped_pow(p, r * d)
     _check_scale(_cover_pairs(spec, m), n_chains * n_twists * n_twists)
-    prec = 3 * m + 12
     codec = _WindowCodec(spec, -m)
-    coboundaries, orbits = _cover_orbits(codec, m, prec)
+    coboundaries, orbits = _cover_orbits(codec, m)
     lam = codec.antilog[lam_log % (spec.q - 1)]
     rep_of = _rep_of(orbits)
     psi, psi_inv = (group.psi, mat_pow(group.psi, n - 1, p)) if r else ((), ())
@@ -472,7 +467,7 @@ def _frame_torsors(group, spec, n: int, d: int, lam_log: int, m: int):
             gamma = tuple(AffineMap(i, (i + 1) % d, psi_inv, c, lam) for i, c in enumerate(cs))
             if _is_identity(comp.power(gamma, n)):
                 objects.append((tuple(chain), gamma))
-    consts = [codec.constant(k, prec) for k in range(p)]
+    consts = [codec.constant(k) for k in range(p)]
     shifts = _shifts(codec, itertools.product(itertools.product(consts, repeat=r), repeat=d), comp.identity)
     images = ([(chain, comp.conjugate(gamma, s)) for s in shifts] for chain, gamma in objects)
     return _quotient(objects, images)

@@ -28,13 +28,19 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .fields import FieldSpec, FqElem
 from .series import LaurentSeries, default_prec
 
 # one match per token: the whitespace before it, then the token, a run of
 # digits or one other non-space character
 _TOKEN = re.compile(r"(\s*)(\d+|\S)")
+
+# the widest window, prec minus the lowest exponent, that a parsed series
+# may span: kummer-iso over F_256 with a t^-3 pole took 0.5 s at --prec
+# 1024, 5.0 s at 4096 and 13.9 s at 8192 (as-iso took 0.14 s at each), on
+# a 2-core host with CPython 3.11; the widest golden classify window is 1061
+MAX_WINDOW = 2**12
 
 
 def _tokens(text: str) -> list:
@@ -217,10 +223,12 @@ def parse_series(text: str, spec: FieldSpec, prec: int = None) -> LaurentSeries:
         else:
             raise ParseError("expected '+', '-' or end of input", cur.offset())
     support = {e: c for e, c in support.items() if not c.is_zero()}
+    bottom = min(support) if support else 0
     if prec is None:
         top = max(support) if support else 0
-        bottom = min(support) if support else 0
         prec = max(top + 1, default_prec(max(0, -bottom)))
+    if prec - bottom > MAX_WINDOW:
+        raise DomainError(f"series window too wide: {prec - bottom} coefficients, limit {MAX_WINDOW}")
     return LaurentSeries.from_dict(spec, support, prec)
 
 

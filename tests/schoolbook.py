@@ -63,6 +63,11 @@ multiplies a constant root of the residues in afterwards, which is wrong
 when the leading coefficients differ by a nilpotent 1-unit, so it is a
 reference over fields only.
 
+``IndPoint`` is the point of the colimit of the level charts A^(S_m) as
+``ftk.groupoids`` had it before a point became a prefix of slot rows:
+every transition and every canonical step builds S_level and S_M with
+``prime_to_p_support`` and reads the rows through a slot dict.
+
 ``TupleRing`` and ``TupleRingElem`` are the test ring F_q[x]/(x^m) as
 ``ftk.fields`` kept it before a test-ring element became its digit row:
 an element is a tuple of m field elements, x-adic, constant first.  Its
@@ -80,7 +85,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ftk.artin_schreier import ASCanonical
+from ftk.artin_schreier import ASCanonical, prime_to_p_support
 from ftk.errors import DomainError, FtkError, NotInvertible, ParseError, PrecisionExhausted
 from ftk.fields import (
     FieldSpec,
@@ -1095,6 +1100,72 @@ def kummer_iso_witness(b: LaurentSeries, b2: LaurentSeries, n: int):
     const_root = b.ring.from_field(table_nth_root(res2 * res.inverse(), n))
     ratio = _strip_to_one_unit(b2, i2, lead2) * _strip_to_one_unit(b, i, lead).invert()
     return ratio.nth_root_unit(n).scale(const_root).shift((i2 - i) // n)
+
+
+# -- ind-points through slot dicts ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class IndPoint:
+    """A point of the level-m affine chart, considered in the colimit."""
+
+    spec: FieldSpec
+    r: int
+    level: int
+    value: tuple  # FqElem vector indexed by S_level x r, slot-major
+
+    def __post_init__(self):
+        if self.level < 1:
+            raise DomainError("levels start at 1")
+        expected = len(prime_to_p_support(self.spec.p, self.level)) * self.r
+        if len(self.value) != expected:
+            raise DomainError(
+                f"value length {len(self.value)} != |S_m| * r = {expected}"
+            )
+
+    def transition(self, M: int) -> "IndPoint":
+        """Transport to level M >= level: include into the S_M slots and
+        apply the coefficient Frobenius once per level step."""
+        if M < self.level:
+            raise DomainError("transitions only go up")
+        src = prime_to_p_support(self.spec.p, self.level)
+        dst = prime_to_p_support(self.spec.p, M)
+        steps = M - self.level
+        by_slot = {s: self.value[i * self.r : (i + 1) * self.r] for i, s in enumerate(src)}
+        zero_row = (self.spec.zero(),) * self.r
+        out = []
+        for s in dst:
+            row = by_slot.get(s, zero_row)
+            frow = []
+            for c in row:
+                for _ in range(steps):
+                    c = c.frobenius()
+                frow.append(c)
+            out.extend(frow)
+        return IndPoint(self.spec, self.r, M, tuple(out))
+
+    def eq(self, other: "IndPoint") -> bool:
+        if self.spec != other.spec or self.r != other.r:
+            raise DomainError("points of different systems")
+        M = max(self.level, other.level)
+        return self.transition(M).value == other.transition(M).value
+
+    def canonical(self) -> "IndPoint":
+        """The least-level representative of the colimit class (idempotent)."""
+        pt = self
+        while pt.level > 1:
+            m = pt.level
+            src = prime_to_p_support(pt.spec.p, m)
+            prev = prime_to_p_support(pt.spec.p, m - 1)
+            by_slot = {s: pt.value[i * pt.r : (i + 1) * pt.r] for i, s in enumerate(src)}
+            new_slots = [s for s in src if s not in prev]
+            if any(not c.is_zero() for s in new_slots for c in by_slot[s]):
+                break
+            value = tuple(
+                c.pth_root() for s in prev for c in by_slot[s]
+            )
+            pt = IndPoint(pt.spec, pt.r, m - 1, value)
+        return pt
 
 
 # -- the tuple-of-FqElem test ring ----------------------------------------------

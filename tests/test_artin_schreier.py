@@ -20,6 +20,7 @@ from ftk.artin_schreier import (
 )
 from ftk.errors import DomainError, PrecisionExhausted
 from ftk.fields import field
+from ftk.groupoids import level_count
 from ftk.oracles import as_bruteforce_class_count, as_window_witness_exists
 from ftk.series import LaurentSeries as L
 
@@ -161,6 +162,24 @@ class TestBreakAndModuli:
             key = (pt.level, tuple(v.index for v in pt.value))
             assert key not in pts
             pts[key] = c
+
+    @pytest.mark.parametrize("spec", [F2, F3, field(2, 2)], ids=["F2", "F3", "F4"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_moduli_points_of_the_level_m_classes(self, spec, m):
+        # the classes with constant class 0 map one to one onto level m's
+        # chart; each point is already level-minimal, and comes back from
+        # every transition
+        keys = []
+        for c in enumerate_as_classes(spec, m):
+            if not c.constant_class.is_zero():
+                continue
+            pt = as_moduli_point(c)
+            keys.append(pt.transition(m).value)
+            assert pt.canonical().level == max(c.break_ or 0, 1)
+            for M in range(pt.level, 7):
+                back = pt.transition(M).canonical()
+                assert (back.level, back.value) == (pt.level, pt.value)
+        assert len(set(keys)) == len(keys) == level_count(m, 1, spec.q)
 
     def test_frobenius_stability_of_points(self):
         rng = random.Random(17)

@@ -2,12 +2,18 @@ import argparse
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import ftk
 from ftk import cli
 from ftk.cli import build_parser, main
 from ftk.groupoids import FinGroup, bg
@@ -258,6 +264,41 @@ def test_check_colim(capsys):
     payload = json.loads(out)
     assert payload["all_passed"] is True and payload["trials"] == 8
     validate("check-colim", payload)
+
+
+@pytest.mark.parametrize("trials", ["-3", str(cli.MAX_TRIALS + 1)], ids=["negative", "past the cap"])
+def test_check_colim_refuses_a_trial_count_out_of_range(capsys, trials):
+    assert main(["check-colim", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --trials must lie in")
+
+
+WIDE_WINDOWS = [
+    ("as-canon", "--p", "2", "--series", "t^-1", "--prec", "300000000"),
+    ("kummer-canon", "--p", "5", "--n", "2", "--series", "t^-400000000"),
+    ("as-iso", "--p", "2", "--series", "t^-1", "--series2", "t^-1+t^200000000"),
+]
+
+
+def _limit_memory():
+    # 1.5 GB of address space: a window allocated before the check would
+    # end in a MemoryError traceback, not in a grind
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+
+@pytest.mark.parametrize("argv", WIDE_WINDOWS, ids=lambda argv: argv[0])
+def test_a_wide_window_is_refused_before_it_is_built(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(ftk.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "ftk.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_memory, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: series window too wide") and done.stderr.count("\n") == 1
+    assert elapsed < 1
 
 
 def test_parse_error_exit_code(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import schoolbook
 from ftk.errors import DomainError
 from ftk.fields import field
 from ftk.groupoids import (
@@ -29,6 +30,8 @@ from ftk.groupoids import (
 
 
 F2 = field(2)
+F3 = field(3)
+F4 = field(2, 2)
 F9 = field(3, 2)
 
 
@@ -52,7 +55,6 @@ class TestIndPoint:
         assert not a.eq(IndPoint(F2, 1, 1, (F2.zero(),)))
 
     def test_frobenius_twist_changes_class(self):
-        F4 = field(2, 2)
         g = F4.gen()
         a = IndPoint(F4, 1, 1, (g,))
         b = IndPoint(F4, 1, 1, (g.frobenius(),))
@@ -92,7 +94,7 @@ class TestIndPoint:
 
     def test_level_count(self):
         assert level_count(3, 1, 2) == 4
-        assert level_count(5, 1, 3, p=3) == 81
+        assert level_count(5, 1, 3) == 81
         assert level_count(3, 0, 2) == 1
 
     def test_bad_shapes(self):
@@ -102,6 +104,40 @@ class TestIndPoint:
             IndPoint(F2, 1, 2, (F2.one(), F2.one()))
         with pytest.raises(DomainError):
             IndPoint(F2, 1, 2, (F2.one(),)).transition(1)
+
+
+@st.composite
+def ind_point_problems(draw):
+    """(a, b, M): two reference ind-points over F_2, F_3, F_4 or F_9 of rank
+    1 or 2 at levels 1..6, and a level M >= a.level.  Each point is a random
+    point transported up from a random lower level, so that canonical has
+    zero rows to drop; b is a's canonical point transported half the time."""
+    spec = draw(st.sampled_from([F2, F3, F4, F9]))
+    r = draw(st.integers(1, 2))
+
+    def point():
+        base = draw(st.integers(1, 6))
+        size = (base - base // spec.p) * r
+        digits = draw(st.lists(st.integers(0, spec.q - 1), min_size=size, max_size=size))
+        pt = schoolbook.IndPoint(spec, r, base, tuple(map(spec.from_index, digits)))
+        return pt.transition(draw(st.integers(base, 6)))
+
+    a = point()
+    b = a.canonical().transition(draw(st.integers(a.canonical().level, 6))) if draw(st.booleans()) else point()
+    return a, b, draw(st.integers(a.level, 6))
+
+
+@given(ind_point_problems())
+def test_ind_point_matches_reference(problem):
+    a_ref, b_ref, M = problem
+    a, b = (IndPoint(x.spec, x.r, x.level, x.value) for x in (a_ref, b_ref))
+
+    def fields(x):
+        return x.level, x.value
+
+    assert fields(a.transition(M)) == fields(a_ref.transition(M))
+    assert a.eq(b) == a_ref.eq(b_ref)
+    assert fields(a.canonical()) == fields(a_ref.canonical())
 
 
 Z3 = {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}

@@ -194,15 +194,15 @@ def test_as_window_witness_matches_reference(problem):
 def composable_maps(draw):
     """(p, f, g): two series-valued reference AffineMaps over F_3, F_4 or
     F_9 of rank 1 or 2, f's matrix the identity half the time, translations
-    of differing precision with support >= -3."""
+    with support in [-3, 0], known mod t^1: the polar parts the oracles
+    compose."""
     spec = draw(st.sampled_from([F3, F4, F9]))
     p, r = spec.p, draw(st.integers(1, 2))
 
     def series():
-        prec = draw(st.integers(1, 5))
-        lo = draw(st.integers(-3, prec - 1))
-        digits = draw(st.lists(st.integers(0, spec.q - 1), min_size=prec - lo, max_size=prec - lo))
-        return L.from_dict(spec, {lo + i: spec.from_index(d) for i, d in enumerate(digits) if d}, prec)
+        lo = draw(st.integers(-3, 0))
+        digits = draw(st.lists(st.integers(0, spec.q - 1), min_size=1 - lo, max_size=1 - lo))
+        return L.from_dict(spec, {lo + i: spec.from_index(d) for i, d in enumerate(digits) if d}, 1)
 
     def matrix():
         row = st.lists(st.integers(0, p - 1), min_size=r, max_size=r).map(tuple)
@@ -251,15 +251,14 @@ def codecs():
 
 @st.composite
 def coded_series(draw, spec):
-    """A series over spec with support >= -3 (so u^p - u stays above
-    CODEC_LO for p <= 5), known mod t^prec for prec in 1..8; zero a fifth
-    of the time."""
-    prec = draw(st.integers(1, 8))
+    """A series over spec with support in [-3, 0] (so u^p - u stays above
+    CODEC_LO for p <= 5), known mod t^1 as the codec's vectors are; zero a
+    fifth of the time."""
     if draw(st.integers(0, 4)) == 0:
-        return L.zero(spec, prec)
-    lo = draw(st.integers(-3, prec - 1))
-    digits = draw(st.lists(st.integers(0, spec.q - 1), min_size=prec - lo, max_size=prec - lo))
-    return L.from_dict(spec, {lo + i: spec.from_index(d) for i, d in enumerate(digits) if d}, prec)
+        return L.zero(spec, 1)
+    lo = draw(st.integers(-3, 0))
+    digits = draw(st.lists(st.integers(0, spec.q - 1), min_size=1 - lo, max_size=1 - lo))
+    return L.from_dict(spec, {lo + i: spec.from_index(d) for i, d in enumerate(digits) if d}, 1)
 
 
 @st.composite
@@ -292,11 +291,13 @@ def test_codec_matches_series_arithmetic(codecs, problem):
 def test_codec_refuses_what_it_cannot_hold(codecs):
     codec = codecs[3]
     with pytest.raises(DomainError):
-        codec.encode(L.monomial(F3.one(), CODEC_LO - 1, 2))
+        codec.encode(L.monomial(F3.one(), CODEC_LO - 1, 1))
     with pytest.raises(DomainError):
         codec.encode(L.monomial(F3.one(), -3, 0))
     with pytest.raises(DomainError):
-        codec.wp(codec.encode(L.monomial(F3.one(), -6, 2)))
+        codec.encode(L.monomial(F3.one(), -3, 2))
+    with pytest.raises(DomainError):
+        codec.wp(codec.encode(L.monomial(F3.one(), -6, 1)))
 
 
 def test_oracles_run_without_series_arithmetic(monkeypatch):
