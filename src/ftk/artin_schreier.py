@@ -155,10 +155,13 @@ def _canonicalize_with_witness(b: LaurentSeries):
     pole of b (or 0): the negated positive-part solution (which
     ``solve_positive(negated=True)`` returns as it is), the chain terms
     at negative exponents and the constant shift at t^0 sit at disjoint
-    exponents, so one ``make`` gives the sum of the three series."""
+    exponents, so one ``make`` gives the sum of the three series.  When b
+    has no term at or below t^0, lo is its valuation (prec for b = 0):
+    then b_0 = 0, so w = 0 and the t^0 slot is left out, and a cover
+    t^N known mod t^(N+1) costs one slot, not N."""
     _check_canonical(b)
     spec = b.ring
-    lo = min(b.eff_val, 0)
+    lo = b.eff_val
     acc = [spec.zero()] * (b.prec - lo)
     # positive part: u_+^p - u_+ = positive, so adding -(that) kills it
     if b.val < 1 and not b.is_zero():
@@ -171,7 +174,8 @@ def _canonicalize_with_witness(b: LaurentSeries):
     support = _pole_slots(spec, _poles(b), acc, lo)
     # constant to its transversal representative
     rep, w = canonical_wp_shift(b.coeff(0))
-    acc[-lo] = w
+    if lo <= 0:
+        acc[-lo] = w
     return ASCanonical(spec, support, rep), LaurentSeries.make(spec, lo, b.prec, acc)
 
 

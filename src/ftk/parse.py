@@ -11,30 +11,48 @@ a sum like ``g^2+2g+1`` must be parenthesised inside a series (standalone
 field literals may omit them).  Errors carry character offsets.
 
 A text is read in two steps.  One pass of a compiled regex splits it into
-tokens, each a run of digits or one other non-space character, and keeps
-each with the whitespace before it.  A recursive descent then walks the
-token list.  Offsets are preserved: an error reports the offset of the
-next token (the length of the text at the end), or, after a sign or an
-exponent, the character right after what was read, which is what a scan
-character by character, skipping whitespace before each look, reports.
-An offset is a sum of token and spacing lengths, computed only when an
-error is raised.  A run of digits that ``int()`` cannot read, because it
-holds a digit that is not a decimal (such as '²') or more digits than
+tokens, each a run of digits or one other non-space character, kept as a
+list of strings with "" as the end marker.  A recursive descent then walks
+that list, its position a local integer passed from function to function.
+The whitespace is read in two places only.  A sign joins the digits of an
+exponent when nothing parts them: a text in which whitespace follows an
+exponent's sign is rare (the regex ``_PARTED_SIGN`` finds it), and there
+the run of digits after such a sign is blanked to spaces of its length,
+so that the descent reads no integer there.  And an error's offset is
+found by walking the text token by token, skipping whitespace before
+each, only when the error is raised.  Offsets are preserved: an error
+reports the offset of the next token (the length of the text at the end),
+or, after a sign or an exponent, the character right after what was read,
+which is what a scan character by character, skipping whitespace before
+each look, reports.  A run of digits that ``int()`` cannot read, because
+it holds a digit that is not a decimal (such as '²') or more digits than
 ``int()`` reads (4300 by default), is "expected an integer" at the start
 of the run.
+
+The descent builds no field element until the end.  A coefficient is a
+digit row, a list of its e coordinates in g^0 .. g^(e-1) as plain
+integers: a summand c g^k adds c at digit k when k < e, and c times the
+digits of g^k mod the modulus otherwise (square and multiply on digit
+rows).  A term's sign is carried into its summands, and the rows of a
+repeated exponent are summed digit by digit, so a text is read with
+integer additions only.  Each exponent's row is reduced mod p once; zero
+rows are dropped, the window is one list of the shared zero, and each
+nonzero row becomes an element by one ``from_digits``.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, PrecisionExhausted
 from .fields import FieldSpec, FqElem
 from .series import LaurentSeries, default_prec
 
-# one match per token: the whitespace before it, then the token, a run of
-# digits or one other non-space character
-_TOKEN = re.compile(r"(\s*)(\d+|\S)")
+# one match per token: a run of digits or one other non-space character
+_TOKEN = re.compile(r"\d+|\S")
+_SPACE = re.compile(r"\s*")
+# an exponent's sign with whitespace after it
+_PARTED_SIGN = re.compile(r"\^\s*[+-]\s")
 
 # the widest window, prec minus the lowest exponent, that a parsed series
 # may span: kummer-iso over F_256 with a t^-3 pole took 0.5 s at --prec
@@ -44,192 +62,213 @@ MAX_WINDOW = 2**12
 
 
 def _tokens(text: str) -> list:
-    """The (spacing, token) pairs of text, then the end marker: the trailing
-    whitespace and the empty token."""
+    """The tokens of text, then the end marker ""."""
     pattern = _TOKEN
     if not text.isascii():
         # str.isdigit also holds for a few non-decimal digits such as '²':
         # they join a run of digits, which is then refused as an integer
         odd = {c for c in text if c.isdigit() and not c.isdecimal()}
         if odd:
-            pattern = re.compile(r"(\s*)([\d%s]+|\S)" % re.escape("".join(sorted(odd))))
+            pattern = re.compile(r"[\d%s]+|\S" % re.escape("".join(sorted(odd))))
     toks = pattern.findall(text)
-    toks.append((text[len(text.rstrip()) :], ""))
+    toks.append("")
+    if _PARTED_SIGN.search(text):
+        # blank each run of digits that whitespace parts from an
+        # exponent's sign, keeping its length for the offsets
+        pos = 0
+        for i, tok in enumerate(toks[:-1]):
+            pos = _SPACE.match(text, pos).end() + len(tok)
+            after = toks[i + 1]
+            if (tok == "+" or tok == "-") and i and toks[i - 1] == "^" and after.isdigit():
+                if _SPACE.match(text, pos).end() > pos:
+                    toks[i + 1] = " " * len(after)
     return toks
 
 
-class _Cursor:
-    """The descent's place in the token list.  Offsets are summed from the
-    token lengths only when an error needs one."""
+def _end(text: str, toks: list, i: int) -> int:
+    """Where token i - 1 ends (0 for i = 0)."""
+    pos = 0
+    for tok in toks[:i]:
+        pos = _SPACE.match(text, pos).end() + len(tok)
+    return pos
 
-    def __init__(self, text: str):
-        self.toks = _tokens(text)
-        self.i = 0
 
-    def peek(self) -> str:
-        """The next token; "" at the end."""
-        return self.toks[self.i][1]
+def _offset(text: str, toks: list, i: int) -> int:
+    """Where token i starts; the text's length at the end marker."""
+    return _SPACE.match(text, _end(text, toks, i)).end()
 
-    def offset(self, i: int = None) -> int:
-        """Where token i starts (default: the next); the text's length at the end."""
-        i = self.i if i is None else i
-        return sum(len(space) + len(tok) for space, tok in self.toks[:i]) + len(self.toks[i][0])
 
-    def end_of_last(self) -> int:
-        """Where the last token read ends."""
-        return self.offset(self.i - 1) + len(self.toks[self.i - 1][1])
+def _integer(text: str, toks: list, i: int):
+    """(value, position after it) of the digits at token i, with a sign
+    right before them if there is one."""
+    sign = toks[i]
+    if sign == "+" or sign == "-":
+        at = i + 1
+        tok = toks[at]
+    else:
+        at, sign, tok = i, "", sign
+    if not tok.isdigit():
+        raise ParseError("expected an integer", _offset(text, toks, i) + len(sign))
+    try:
+        return int(sign + tok), at + 1
+    except ValueError:
+        # a digit that is not a decimal, such as '²', or more digits than
+        # int() reads
+        raise ParseError("expected an integer", _offset(text, toks, at)) from None
 
-    def take(self, tok: str) -> bool:
-        if self.toks[self.i][1] == tok:
-            self.i += 1
-            return True
-        return False
 
-    def expect(self, tok: str):
-        if not self.take(tok):
-            raise ParseError(f"expected '{tok}'", self.offset())
+def _g_power(spec: FieldSpec, k: int) -> tuple:
+    """The digit row of g^k: square and multiply on digit rows, after
+    reducing k mod q - 1 (g^(q-1) = 1)."""
+    k %= spec.q - 1
+    zeros = (0,) * (spec.e - 2)
+    power, base = (1, 0) + zeros, (0, 1) + zeros
+    while k:
+        if k & 1:
+            power = spec.digit_product([power], [base], 1)[0]
+        base = spec.digit_product([base], [base], 1)[0]
+        k >>= 1
+    return power
 
-    def integer(self) -> int:
-        """Digits, with a sign right before them if there is one."""
-        start = self.i
-        sign = self.peek()
-        if sign == "+" or sign == "-":
-            self.i += 1
-            space, tok = self.toks[self.i]
-            if space:
-                tok = ""
-        else:
-            sign, tok = "", sign
+
+def _g_monomial(text: str, toks: list, i: int, spec: FieldSpec, row: list, c: int) -> int:
+    """Adds c times the summand [int] ['g' ['^' exp]] at token i, never
+    empty, into the digit row; returns the position after it."""
+    tok = toks[i]
+    if tok != "g":
         if not tok.isdigit():
-            raise ParseError("expected an integer", self.offset(start) + len(sign))
-        return self.digits(sign)
-
-    def digits(self, sign: str = "") -> int:
-        """The next token, a run of digits, read after sign as an int."""
+            raise ParseError("empty summand", _offset(text, toks, i))
         try:
-            value = int(sign + self.toks[self.i][1])
+            c *= int(tok)
         except ValueError:
-            # a digit that is not a decimal, such as '²', or more digits
-            # than int() reads
-            raise ParseError("expected an integer", self.offset()) from None
-        self.i += 1
-        return value
-
-    def at_end(self) -> bool:
-        return not self.toks[self.i][1]
-
-
-def _parse_g_monomial(cur: _Cursor, spec: FieldSpec) -> FqElem:
-    """[int] ['g' ['^' exp]]: one summand of a g-polynomial, never empty."""
-    tok = cur.peek()
-    if not (tok.isdigit() or tok == "g"):
-        raise ParseError("empty summand", cur.offset())
-    c = 1
-    if tok.isdigit():
-        c = cur.digits()
-        if cur.peek() == "*" and cur.toks[cur.i + 1][1] == "g":
-            cur.i += 1  # a '*' before anything but g is the term's
-    if cur.peek() != "g":
-        return spec.from_int(c)
-    cur.i += 1
-    e = 1
-    caret = cur.take("^")
+            raise ParseError("expected an integer", _offset(text, toks, i)) from None
+        i += 1
+        if toks[i] != "g":
+            if toks[i] != "*" or toks[i + 1] != "g":
+                # a '*' before anything but g is the term's
+                row[0] += c
+                return i
+            i += 1
+    i += 1
+    k = 1
+    caret = toks[i] == "^"
     if caret:
-        e = cur.integer()
-        if e < 0:
-            raise ParseError("negative power of g", cur.end_of_last())
+        k, i = _integer(text, toks, i + 1)
+        if k < 0:
+            raise ParseError("negative power of g", _end(text, toks, i))
     if spec.e == 1:
-        at = cur.end_of_last() if caret else cur.offset()
+        at = _end(text, toks, i) if caret else _offset(text, toks, i)
         raise ParseError("coefficient uses g but the field is prime", at)
-    if e < spec.e:
-        # below the degree c g^e is the coordinate vector with c mod p at e
-        coords = [0] * spec.e
-        coords[e] = c % spec.p
-        return spec.from_digits(tuple(coords))
-    return (spec.gen() ** e).scale(c)
+    if k < spec.e:
+        row[k] += c
+    else:
+        for j, d in enumerate(_g_power(spec, k)):
+            row[j] += c * d
+    return i
 
 
-def _parse_g_poly(cur: _Cursor, spec: FieldSpec) -> FqElem:
-    total = _parse_g_monomial(cur, spec)
+def _g_poly(text: str, toks: list, i: int, spec: FieldSpec, row: list, sign: int) -> int:
+    """Adds sign times the g-polynomial at token i into the digit row;
+    returns the position after it."""
+    i = _g_monomial(text, toks, i, spec, row, sign)
     while True:
-        if cur.take("+"):
-            total = total + _parse_g_monomial(cur, spec)
-        elif cur.take("-"):
-            total = total - _parse_g_monomial(cur, spec)
+        tok = toks[i]
+        if tok == "+":
+            i = _g_monomial(text, toks, i + 1, spec, row, sign)
+        elif tok == "-":
+            i = _g_monomial(text, toks, i + 1, spec, row, -sign)
         else:
-            return total
+            return i
 
 
 def parse_field_elem(text: str, spec: FieldSpec) -> FqElem:
     """A standalone field literal: integer mod p, or a polynomial in g."""
-    cur = _Cursor(text)
-    if cur.at_end():
+    toks = _tokens(text)
+    if not toks[0]:
         raise ParseError("empty coefficient", 0)
-    value = _parse_g_poly(cur, spec)
-    if not cur.at_end():
-        raise ParseError("trailing input after coefficient", cur.offset())
-    return value
+    row = [0] * spec.e
+    i = _g_poly(text, toks, 0, spec, row, 1)
+    if toks[i]:
+        raise ParseError("trailing input after coefficient", _offset(text, toks, i))
+    p = spec.p
+    row = tuple([d % p for d in row])
+    return spec.from_digits(row) if any(row) else spec.zero()
 
 
-def _parse_coeff(cur: _Cursor, spec: FieldSpec) -> FqElem:
-    if cur.take("("):
-        value = _parse_g_poly(cur, spec)
-        cur.expect(")")
-        return value
-    return _parse_g_monomial(cur, spec)
-
-
-def _parse_term(cur: _Cursor, spec: FieldSpec):
-    """Returns (exponent, coefficient)."""
-    if cur.peek() == "t":
-        coeff = spec.one()
+def _term(text: str, toks: list, i: int, spec: FieldSpec, sign: int):
+    """(exponent, digit row, position after it) of sign times the term at
+    token i."""
+    row = [0] * spec.e
+    tok = toks[i]
+    if tok == "t":
+        row[0] = sign
     else:
-        coeff = _parse_coeff(cur, spec)
-        if not cur.take("*"):
+        if tok == "(":
+            i = _g_poly(text, toks, i + 1, spec, row, sign)
+            if toks[i] != ")":
+                raise ParseError("expected ')'", _offset(text, toks, i))
+            i += 1
+        else:
+            i = _g_monomial(text, toks, i, spec, row, sign)
+        tok = toks[i]
+        if tok == "*":
+            i += 1
+            tok = toks[i]
+        elif tok != "t":
             # bare coefficient term
-            if cur.peek() != "t":
-                return 0, coeff
-    if not cur.take("t"):
-        raise ParseError("expected 't'", cur.offset())
-    exp = 1
-    if cur.take("^"):
-        exp = cur.integer()
-    return exp, coeff
+            return 0, row, i
+        if tok != "t":
+            raise ParseError("expected 't'", _offset(text, toks, i))
+    if toks[i + 1] == "^":
+        exp, i = _integer(text, toks, i + 2)
+        return exp, row, i
+    return 1, row, i + 1
 
 
 def parse_series(text: str, spec: FieldSpec, prec: int = None) -> LaurentSeries:
     """Parse per the series grammar; exact, with explicit precision window."""
-    cur = _Cursor(text)
-    if cur.at_end():
+    toks = _tokens(text)
+    if not toks[0]:
         raise ParseError("empty series", 0)
-    support: dict = {}
-    sign = 1
-    if cur.take("-"):
-        sign = -1
+    rows: dict = {}
+    sign, i = (-1, 1) if toks[0] == "-" else (1, 0)
     while True:
-        exp, coeff = _parse_term(cur, spec)
-        if sign < 0:
-            coeff = -coeff
-        if exp in support:
-            support[exp] = support[exp] + coeff
+        exp, row, i = _term(text, toks, i, spec, sign)
+        if exp in rows:
+            rows[exp] = [a + b for a, b in zip(rows[exp], row)]
         else:
-            support[exp] = coeff
-        if cur.at_end():
+            rows[exp] = row
+        tok = toks[i]
+        if not tok:
             break
-        if cur.take("+"):
+        if tok == "+":
             sign = 1
-        elif cur.take("-"):
+        elif tok == "-":
             sign = -1
         else:
-            raise ParseError("expected '+', '-' or end of input", cur.offset())
-    support = {e: c for e, c in support.items() if not c.is_zero()}
+            raise ParseError("expected '+', '-' or end of input", _offset(text, toks, i))
+        i += 1
+    p = spec.p
+    support = {}
+    for exp, row in rows.items():
+        row = tuple([d % p for d in row])
+        if any(row):
+            support[exp] = row
     bottom = min(support) if support else 0
+    top = max(support) if support else 0
     if prec is None:
-        top = max(support) if support else 0
         prec = max(top + 1, default_prec(max(0, -bottom)))
     if prec - bottom > MAX_WINDOW:
         raise DomainError(f"series window too wide: {prec - bottom} coefficients, limit {MAX_WINDOW}")
-    return LaurentSeries.from_dict(spec, support, prec)
+    if not support:
+        return LaurentSeries.zero(spec, prec)
+    if top >= prec:
+        raise PrecisionExhausted("support exceeds precision window")
+    coeffs = [spec.zero()] * (prec - bottom)
+    from_digits = spec.from_digits
+    for exp, row in support.items():
+        coeffs[exp - bottom] = from_digits(row)
+    return LaurentSeries.make(spec, bottom, prec, coeffs)
 
 
 def render_series(s: LaurentSeries) -> str:

@@ -357,8 +357,10 @@ class LaurentSeries:
         same argument gives v_s = (v_{s/p})^p + b_s for v = -u, so the one
         loop below runs with - or +; v needs no negation at all, and where
         v_{s/p} = 0 it stores b_s itself.  Below ``val`` every b_s
-        vanishes, so every u_s does too: the loop starts at ``val``, and a
-        zero window returns at once.
+        vanishes, so every u_s does too: the result is allocated on
+        [val, prec) only, the loop starts at ``val``, u_{s/p} is 0 when
+        s/p is below ``val``, and a zero window returns at once.  So a
+        series t^N known mod t^(N+1) costs one slot, not N.
         """
         if not self.is_zero() and self.val < 1:
             raise DomainError("solve_positive needs support in exponents >= 1")
@@ -369,14 +371,15 @@ class LaurentSeries:
         p = self.ring.p
         zero = self.ring.zero()
         combine = operator.add if negated else operator.sub
-        out = [zero] * (self.prec - 1)  # exponents 1 .. prec-1
-        for s, b in enumerate(self.coeffs, self.val):
-            prev = zero if s % p else out[s // p - 1]
+        val = self.val
+        out = [zero] * (self.prec - val)  # exponents val .. prec-1
+        for s, b in enumerate(self.coeffs, val):
+            prev = zero if s % p or s // p < val else out[s // p - val]
             if not prev.is_zero():
-                out[s - 1] = combine(prev.frobenius(), b)
+                out[s - val] = combine(prev.frobenius(), b)
             elif not b.is_zero():
-                out[s - 1] = combine(zero, b)
-        return LaurentSeries.make(self.ring, 1, self.prec, out)
+                out[s - val] = combine(zero, b)
+        return LaurentSeries.make(self.ring, val, self.prec, out)
 
     # -- Hensel n-th roots ---------------------------------------------------
 

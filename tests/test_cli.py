@@ -301,6 +301,42 @@ def test_a_wide_window_is_refused_before_it_is_built(argv):
     assert elapsed < 1
 
 
+HIGH_COVERS = [
+    ("t^300000000", "t^300000000"),
+    ("t^300000000", "t^300000000 + t^299999999"),
+]
+
+
+@pytest.mark.parametrize("series, series2", HIGH_COVERS, ids=["equal", "one term apart"])
+def test_a_high_cover_witness_costs_its_terms(series, series2):
+    # each window is one or two coefficients; the covers' difference has no
+    # term at or below t^0, so its witness starts at its valuation
+    env = dict(os.environ, PYTHONPATH=str(Path(ftk.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "ftk.cli", "as-iso", "--p", "2", "--series", series, "--series2", series2],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_memory, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0 and done.stderr == ""
+    assert elapsed < 1
+    payload = json.loads(done.stdout)
+    assert payload["isomorphic"] is True
+    # u^p - u + c = d mod t^prec, coefficient by coefficient on the supports
+    F2 = ftk.field(2)
+    c, d = ftk.parse_series(series, F2), ftk.parse_series(series2, F2)
+    prec = min(c.prec, d.prec)
+    lhs = {}
+    for k, a in ftk.parse_series(payload["witness"], F2).support().items():
+        lhs[2 * k] = lhs.get(2 * k, F2.zero()) + a.frobenius()
+        lhs[k] = lhs.get(k, F2.zero()) - a
+    for k, a in c.support().items():
+        lhs[k] = lhs.get(k, F2.zero()) + a
+    for k, a in d.support().items():
+        lhs[k] = lhs.get(k, F2.zero()) - a
+    assert all(a.is_zero() for k, a in lhs.items() if k < prec)
+
+
 def test_parse_error_exit_code(capsys):
     code, _ = run_cli(capsys, "as-canon", "--p", "5", "--series", "t^")
     assert code == 1

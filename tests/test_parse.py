@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from ftk.errors import ParseError
-from ftk.fields import field
+from ftk.errors import ParseError, PrecisionExhausted
+from ftk.fields import _RingElem, _RingSpec, field
 from ftk.parse import parse_field_elem, parse_series, render_series
 from ftk.series import LaurentSeries as L
 
@@ -110,3 +110,73 @@ def test_zero_renders_and_parses():
     s = L.zero(F5, 8)
     assert render_series(s) == "0"
     assert parse_series("0", F5, prec=8).is_zero()
+
+
+
+# texts over prime fields and extensions: bare and parenthesised
+# coefficients, g^k below and above the degree, signs, repeated and
+# cancelling exponents, coefficients above p and above 2^64
+GUARD_TEXTS = [
+    (field(2), "1*t^-9 + 1*t^-7 + t^-7 + 1*t^3 - t"),
+    (field(5), "-3*t^-4 + 2 - t^-1 + 7*t^-4 + 18446744073709551621*t^2"),
+    (field(2, 2), "(g+1)*t^-3 + g^2*t^-1 - (g^2 + g)*t^-1 + 2g*t"),
+    (field(3, 2), "(2g+2)*t^-5 - g^7*t^-2 + g^7*t^-2 + (g - 4g^3)*t^4"),
+    (field(2, 8), "(g^7+g^5+g+1)*t^-13 + g^300*t^-2 + (g^8 + g^255)*t + g^6*t^-13"),
+    (field(2, 20), "g^19*t^-3 + (g^20 + g^1048575)*t^-2 + 5g*t"),
+    (field(2**31 - 1), "2147483648*t^-2 - 2147483646*t^-2 + 3*t^-1 + 99999999999999999999"),
+]
+# texts whose every coefficient cancels
+ZERO_TEXTS = [
+    (field(5), "3*t^-2 - 3*t^-2 + 5*t"),
+    (field(2, 8), "(g^255 - 1)*t^-1 + (g^8 - g^8)"),
+    (field(3, 2), "g*t^-3 - g*t^-3 + (2g + g)*t^4"),
+]
+
+
+@pytest.fixture
+def from_digits_calls(monkeypatch):
+    """Patch element sums, differences, negation and scaling to raise, and
+    record each ``from_digits`` row."""
+
+    def refuse(*args):
+        raise AssertionError("element arithmetic while parsing")
+
+    for name in ("__add__", "__sub__", "__neg__", "scale"):
+        monkeypatch.setattr(_RingElem, name, refuse)
+    calls = []
+    from_digits = _RingSpec.from_digits
+
+    def counted(spec, row):
+        calls.append(row)
+        return from_digits(spec, row)
+
+    monkeypatch.setattr(_RingSpec, "from_digits", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec, text", GUARD_TEXTS, ids=[repr(s) for s, _ in GUARD_TEXTS])
+def test_parsing_builds_one_element_per_nonzero_coefficient(from_digits_calls, spec, text):
+    s = parse_series(text, spec)
+    assert len(from_digits_calls) == len(s.support()) > 0
+    del from_digits_calls[:]
+    parse_series(text, spec, prec=30)
+    assert len(from_digits_calls) == len(s.support())
+
+
+@pytest.mark.parametrize("spec, text", ZERO_TEXTS, ids=[repr(s) for s, _ in ZERO_TEXTS])
+def test_a_cancelling_text_builds_no_element(from_digits_calls, spec, text):
+    assert parse_series(text, spec).is_zero()
+    with pytest.raises(PrecisionExhausted, match="zero to precision 0"):
+        parse_series(text, spec, prec=0)
+    assert from_digits_calls == []
+
+
+def test_a_field_literal_is_one_element(from_digits_calls):
+    F256 = field(2, 8)
+    g7, g300 = F256.gen() ** 7, F256.gen() ** 300
+    # -3g^255 + 1 = -2 = 0 in characteristic 2, and a sum of rows is their xor
+    expected = tuple(a ^ b for a, b in zip(g7.coords, g300.coords))
+    assert parse_field_elem("g^7 + g^300 - 3g^255 + 1", F256).coords == expected
+    assert len(from_digits_calls) == 1
+    assert parse_field_elem("g^255 - 1", F256).is_zero()
+    assert len(from_digits_calls) == 1

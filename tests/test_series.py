@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -186,6 +187,21 @@ class TestSolvePositive:
     def test_rejects_negative_support(self):
         with pytest.raises(DomainError):
             L.monomial(F2.one(), -1, 8).solve_positive()
+
+    @pytest.mark.parametrize("negated", [False, True])
+    def test_allocates_from_the_valuation(self, negated):
+        # t^N known mod t^(N+4): the window [N, N+4) is four slots, not N;
+        # N and N + 2 are even, with halves below the valuation
+        n = 2 * 10**6
+        b = L.monomial(F2.one(), n, n + 4)
+        tracemalloc.start()
+        try:
+            u = b.solve_positive(negated)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert (u.val, u.prec, u.support()) == (n, n + 4, {n: F2.one()})
 
 
 class TestFrobeniusStructure:

@@ -357,14 +357,19 @@ def parsed(fn):
         return type(exc), str(exc), getattr(exc, "offset", None)
 
 
-PARSE_FIELDS = [field(5), field(7), field(2, 2), field(3, 2), field(2, 8)]
-_int = st.integers(0, 12).map(str)
+# the last two have no tables: a parse needs none
+PARSE_FIELDS = [field(5), field(7), field(2, 2), field(3, 2), field(2, 8), field(2, 20), field(2**31 - 1)]
+# small coefficients, multi-digit ones above p, and ones above 2^64
+_int = st.one_of(st.integers(0, 12), st.integers(13, 10**12), st.integers(2**64, 2**80)).map(str)
 _gap = st.sampled_from(["", "", " ", "  ", "\t"])
+_FLIP = {"+": "-", "-": "+"}
 
 
 @st.composite
-def series_text(draw):
-    """A text of the series grammar, with optional spacing and signs."""
+def series_text(draw, cancel=False):
+    """A text of the series grammar, with optional spacing and signs; some
+    terms are repeated with the opposite sign, the lowest term among them
+    at times, and with ``cancel`` every term is."""
     spec = draw(st.sampled_from(PARSE_FIELDS))
 
     def monomial():
@@ -372,10 +377,11 @@ def series_text(draw):
         if spec.e > 1 and draw(st.booleans()):
             out += (draw(st.sampled_from(["", "*", " "])) if out else "") + "g"
             if draw(st.booleans()):
-                out += "^" + str(draw(st.integers(-1, 9)))
+                k = draw(st.one_of(st.integers(-1, 9), st.integers(10, 10**6)))
+                out += "^" + str(k)
         return out or "1"
 
-    terms = []
+    terms = []  # (sign, text, exponent)
     for _ in range(draw(st.integers(1, 5))):
         coeff = monomial()
         if spec.e > 1 and draw(st.integers(0, 3)) == 0:
@@ -383,19 +389,31 @@ def series_text(draw):
                 coeff += draw(st.sampled_from(["+", "-", " + ", " - "])) + monomial()
             coeff = "(" + coeff + ")"
         shape = draw(st.sampled_from(["coeff", "t", "coeff*t"]))
-        t = "t"
+        t, exp = "t", 1
         if draw(st.integers(0, 4)):
             sign = draw(st.sampled_from(["", "", "-", "+", " "]))
-            t += "^" + sign + str(draw(st.integers(0, 40)))
+            exp = draw(st.integers(0, 40))
+            t += "^" + sign + str(exp)
+            exp = -exp if sign == "-" else exp
         if shape == "coeff":
-            terms.append(coeff)
+            term, exp = coeff, 0
         elif shape == "t":
-            terms.append(t)
+            term = t
         else:
-            terms.append(coeff + draw(st.sampled_from(["*", "", " * ", "* "])) + t)
-    text = draw(st.sampled_from(["", "", "-", " -"])) + terms[0]
-    for term in terms[1:]:
-        text += draw(_gap) + draw(st.sampled_from(["+", "-"])) + draw(_gap) + term
+            term = coeff + draw(st.sampled_from(["*", "", " * ", "* "])) + t
+        terms.append((draw(st.sampled_from(["+", "-"])), term, exp))
+    if cancel:
+        terms += [(_FLIP[sign], term, exp) for sign, term, exp in terms]
+    elif draw(st.booleans()):
+        lowest = min(terms, key=lambda term: term[2])
+        sign, term, exp = draw(st.sampled_from([lowest] + terms))
+        terms.append((_FLIP[sign], term, exp))
+    if len(terms) > 1:
+        terms = draw(st.permutations(terms))
+    sign, first, _ = terms[0]
+    text = first if sign == "+" else draw(st.sampled_from(["-", " -"])) + first
+    for sign, term, _ in terms[1:]:
+        text += draw(_gap) + sign + draw(_gap) + term
     return spec, draw(_gap) + text + draw(_gap)
 
 
@@ -440,7 +458,7 @@ def scanned(fn, text):
     return out
 
 
-@given(st.one_of(series_text(), mutated(series_text())))
+@given(st.one_of(series_text(), series_text(cancel=True), mutated(series_text())))
 @example((field(5), "t^-²"))
 @example((field(5), "3²*t + 1"))
 @example((field(2, 2), "(g + 2²)*t^3"))
@@ -448,7 +466,7 @@ def scanned(fn, text):
 @example((field(7), "2 + " + "3" * 4301 + "*t"))
 def test_parser_matches_the_scanner(spec_text):
     spec, text = spec_text
-    for prec in (None, 40):
+    for prec in (None, 40, 0, -3):
         assert parsed(lambda: parse_series(text, spec, prec)) == scanned(
             lambda: schoolbook.scan_series(text, spec, prec), text
         )
