@@ -61,30 +61,54 @@ holds:
   field F_q; a field is its own), ``zero()``, ``one()``, ``from_int(n)``,
   ``from_index(i)``, ``elements()``, ``from_field(a)`` (the constant lift
   of an element of ``base``; the identity on a field),
-  ``from_digits(row)``, ``digit_product(a, b, n)`` and
-  ``truncated_product(a, b, n)``.  ``digit_product`` gives the first n
-  coefficients of (sum a_i t^i)(sum b_j t^j) for sequences a, b of digit
-  rows, as n rows.  ``truncated_product`` is the same product on elements,
-  and a test-ring product of two elements is one of length 1;
+  ``from_digits(row)``, ``kernel(length)``, ``digit_product(a, b, n)`` and
+  ``truncated_product(a, b, n)``.  ``kernel`` is the packed-window kernel
+  for windows of at most ``length`` coefficients.  ``digit_product`` gives
+  the first n coefficients of (sum a_i t^i)(sum b_j t^j) for sequences a, b
+  of digit rows, as n rows.  ``truncated_product`` is the same product on
+  elements, and a test-ring product of two elements is one of length 1;
 - an element (FqElem, TestRingElem) has ``spec``, ``coords``, ``index``,
   ``+``, ``-``, ``*`` (also by an int), ``scale(n)``, ``**``,
   ``inverse()``, ``frobenius()``, ``is_zero()``, ``is_unit()`` (a nonzero
   residue; every other test-ring element is nilpotent) and ``residue()``
   (its image in ``base``; the identity on a field).
 
-Truncated products are one Kronecker substitution.  A coefficient's F_p
-digits, x^i g^j for i < m and j < e, go into a block of (2m-1)(2e-1)
-slots of one Python int, packed by one struct per operand, so one big-int
-multiply puts every product of digits in a slot of its own.  The field
-modulus is applied to the packed product as well: for each g-degree
-d = e .. 2e-2, one shift and one mask bring slot d of every block down to
-slot 0, and one multiply by the packed coordinates of g^d mod f adds
-c g^d to the low slots.  That is e-1 big-int steps per product in place of
-a Python loop over every coefficient.  A raw slot sums at most
-raw = min(len) * m * e * (p-1)^2; the reduction adds e-1 raw slots times
-digits <= p-1 to a low slot, so the slots are sized for
-raw * (1 + (e-1)(p-1)) and no sum carries into the next slot.  The e low
-slots of each x-degree i < m are read back and reduced mod p.
+Truncated products run on packed windows, by Kronecker substitution.  A
+window of n coefficients is one Python int of n blocks: the F_p digit of
+x^i g^j (i < m, j < e) sits in slot i(2e-1) + j of a block of (2m-1)(2e-1)
+slots, so one big-int multiply puts every product of digits in a slot of
+its own.  The field modulus is applied to the packed product too: for each
+g-degree d = e .. 2e-2, one shift and one mask bring slot d of every block
+down to slot 0, and one multiply by the packed coordinates of g^d mod f
+adds c g^d to the low slots.  For windows of at most L coefficients a raw
+slot sums at most raw = L m e (p-1)^2, and the reduction adds e-1 raw slots
+times digits <= p-1, so every low slot ends below 2^b, b the bit length of
+raw (1 + (e-1)(p-1)).
+
+The low slots are then reduced mod p in place.  For p = 2 one AND keeps
+bit 0 of each low slot, so a slot needs only b bits.  For odd p a mask
+clears every other slot and one Barrett step (P. Barrett, CRYPTO '86)
+reduces all of them: with s = b + bitlen(p) and M = floor(2^s/p) + 1,
+q = ((v M) >> s) & qmask, then v - p q.  Proof, slot by slot, for 0 <= v < 2^b: M = (2^s + d)/p with
+1 <= d <= p, so v M/2^s = v/p + v d/(p 2^s), where the second term is
+below 2^(b-s) = 2^-bitlen(p) < 1/p.  As v/p = floor(v/p) + r/p with
+r <= p-1, the sum stays below floor(v/p) + 1, so q = floor(v/p) and
+v - p q = v mod p borrows from no other slot.  M <= 2^(b+1) + 1 gives
+v M < 2^(2b+1), so a slot of at least 2b + 2 bits holds v M; the shift by
+s moves the low s bits of the next slot's v M to bit W - s and up of this
+slot, W its width, above the 2b + 1 - s bits of q that qmask keeps.
+
+So every window the kernel (``_Kernel``, one per ring and slot width)
+takes or returns holds digits in [0, p) in its low slots and zeros
+elsewhere, and its operations chain without unpacking: a product, a shift
+by t^w (w blocks), a truncation (a mask), a scaling by an integer c (c mod
+p times a digit is below (p-1)^2 + 1 <= 2^b, then the same reduction) and
+the first difference of two windows (the lowest set bit of their xor,
+divided by the block width).  Slots are rounded up to whole bytes, so one
+struct packs and unpacks a window: a digit takes the smallest of 1, 2, 4
+or 8 bytes that holds p-1 (``field`` refuses p >= MAX_PRIME = 2^64), the
+rest of its slot is padding.  ``digit_product`` is one pack, one kernel
+product and one unpack.
 
 All values are immutable; tables are computed once per spec and shared.
 """
@@ -95,7 +119,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, starmap
+from itertools import starmap
 
 from .errors import DomainError, NotInvertible
 
@@ -105,7 +129,7 @@ MAX_TABLE_Q = 2**14
 # largest extension degree: the modulus search for F_{2^64} takes about
 # 0.04 s and for F_{11^64} about 1 s on the same host
 MAX_DEGREE = 64
-# characteristic bound, exclusive: see ``_is_prime`` and ``_block_struct``
+# characteristic bound, exclusive: see ``_is_prime`` and ``_DIGIT_CODE``
 MAX_PRIME = 2**64
 
 
@@ -286,101 +310,96 @@ def _apply_rows(rows, coords, p):
     return tuple(v % p for v in out)
 
 
-# -- truncated products by Kronecker substitution ---------------------
+# -- packed windows: Kronecker substitution ---------------------------
 
-# struct code of each slot width in bytes up to _WORD; a wider slot holds
-# its digit in its low _WORD bytes
-_WORD = 8
-_SLOT_CODE = {1: "B", 2: "H", 4: "I", _WORD: "Q"}
+# the struct code of a digit in [0, p): the smallest of 1, 2, 4, 8 bytes
+_DIGIT_CODE = ((1 << 8, "B"), (1 << 16, "H"), (1 << 32, "I"), (MAX_PRIME, "Q"))
+
+
+class _Kernel:
+    """Packed windows over F_q[x]/(x^m), q = p^e, at ``width`` bytes per
+    slot: the layout, the slot bound and the reduction are those of the
+    module docstring.  Every window an operation takes holds digits in
+    [0, p) in its low slots and zeros elsewhere, and so does every window it
+    returns."""
+
+    def __init__(self, base: "FieldSpec", m: int, width: int):
+        p, e, bits = base.p, base.e, 8 * width
+        span = 2 * e - 1
+        code = next(c for bound, c in _DIGIT_CODE if p <= bound)
+        slot = code + "x" * (width - struct.calcsize(code))
+        degree = slot * e + f"{(e - 1) * width}x"  # the 2e-1 slots of one x-degree
+        self.layout = struct.Struct("<" + degree * m + f"{(m - 1) * span * width}x")
+        self.p, self.step = p, 8 * self.layout.size
+        full = (1 << bits) - 1
+        ones = sum(1 << bits * (i * span + j) for i in range(m) for j in range(e))
+        self.reduction = []  # (the shift of slot d, g^d mod f packed), d = e .. 2e-2
+        for d in range(e, span):
+            red = _poly_mod((0,) * d + (1,), base.modulus, p)
+            self.reduction.append((bits * d, sum(c << bits * j for j, c in enumerate(red))))
+        # Barrett: every low slot below 2^b, and 8 * width >= 2b + 2
+        b = (bits - 2) // 2
+        self.bound = 1 << b
+        self.quotient_shift = b + p.bit_length()
+        self.barrett = (1 << self.quotient_shift) // p + 1
+        quotient = (1 << (2 * b + 1 - self.quotient_shift)) - 1
+        slot0 = sum(full << bits * i * span for i in range(m))
+        self._units = (ones * full, ones if p == 2 else ones * quotient, slot0)
+        self._cover = -1
+
+    def _masks(self, v: int):
+        """(low slots, quotients, slot (i, 0)) masks over at least v's blocks."""
+        if v.bit_length() > self._cover:
+            self._cover = 2 * (v.bit_length() // self.step + 1) * self.step
+            repunit = ((1 << self._cover) - 1) // ((1 << self.step) - 1)
+            self._low, self._quotient, self._slot0 = (u * repunit for u in self._units)
+        return self._low, self._quotient, self._slot0
+
+    def pack(self, rows) -> int:
+        return int.from_bytes(b"".join(starmap(self.layout.pack, rows)), "little")
+
+    def unpack(self, x: int, n: int) -> list:
+        """The first n digit rows of x."""
+        return list(self.layout.iter_unpack(x.to_bytes(self.layout.size * n, "little")))
+
+    def truncate(self, x: int, n: int) -> int:
+        return x & ((1 << self.step * n) - 1)
+
+    def shift(self, x: int, w: int) -> int:
+        """x t^w, dropping the blocks that fall below t^0."""
+        return x << self.step * w if w >= 0 else x >> -self.step * w
+
+    def reduce(self, v: int) -> int:
+        """Every low slot mod p and every other slot cleared, for v whose low
+        slots are below ``bound``; p = 2 keeps bit 0 of each low slot."""
+        low, quotient, _ = self._masks(v)
+        if self.p == 2:
+            return v & quotient
+        v &= low
+        return v - self.p * (((v * self.barrett) >> self.quotient_shift) & quotient)
+
+    def scale(self, x: int, c: int) -> int:
+        """c x for an integer c: each slot c mod p times a digit < p^2."""
+        return self.reduce(x * (c % self.p))
+
+    def mul(self, x: int, y: int, n: int) -> int:
+        """The first n coefficients of x y."""
+        v = self.truncate(x * y, n)
+        if self.reduction:
+            slot0 = self._masks(v)[2]
+            for shift, row in self.reduction:
+                v += ((v >> shift) & slot0) * row
+        return self.reduce(v)
+
+    def first_difference(self, x: int, y: int):
+        """The first block where x and y differ, or None."""
+        d = x ^ y
+        return ((d & -d).bit_length() - 1) // self.step if d else None
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(base: "FieldSpec", bits: int):
-    """(d, row) for d = e .. 2e-2: the coordinates of g^d mod the modulus,
-    packed at ``bits`` per slot."""
-    p, e = base.p, base.e
-    out = []
-    for d in range(e, 2 * e - 1):
-        red = _poly_mod((0,) * d + (1,), base.modulus, p)
-        out.append((d, sum(c << (bits * j) for j, c in enumerate(red))))
-    return tuple(out)
-
-
-@lru_cache(maxsize=1024)
-def _low_slot_mask(bits: int, span: int, m: int, blocks: int) -> int:
-    """Ones in slot (i, 0), i < m, of each of ``blocks`` blocks."""
-    step = (2 * m - 1) * span * bits  # bits per block
-    unit = sum(((1 << bits) - 1) << (bits * i * span) for i in range(m))
-    return unit * (((1 << (step * blocks)) - 1) // ((1 << step) - 1))
-
-
-@lru_cache(maxsize=None)
-def _block_struct(e: int, m: int, width: int) -> struct.Struct:
-    """One block as a struct: the m*e digits of x^i g^j (i < m, j < e), each
-    in a slot of ``width`` bytes at slot i(2e-1) + j, zero bytes elsewhere.
-    A wider slot packs its digit in _WORD bytes: ``field`` refuses
-    p >= MAX_PRIME = 2^64."""
-    slot = _SLOT_CODE[width] if width <= _WORD else f"Q{width - _WORD}x"
-    degree = slot * e + f"{(e - 1) * width}x"
-    return struct.Struct("<" + degree * m + f"{(m - 1) * (2 * e - 1) * width}x")
-
-
-def _kronecker_product(base: "FieldSpec", m: int, a, b, n: int):
-    """The first n coefficients of a(t) b(t) over F_q[x]/(x^m), q = p^e
-    (m = 1: F_q), as n digit rows: m*e digits in F_p, x-major.
-
-    The block layout, the packed reduction by the modulus and the slot
-    bound are those of the module docstring.  One struct packs every block
-    of an operand and reads the low slots of the product back.  Each packed
-    operand is trimmed to its nonzero extent (zero rows on top vanish from
-    the int, those at the bottom are shifted out), so a monomial times a
-    monomial is one block by one, however long their windows.
-    """
-    p, e = base.p, base.e
-    zero = (0,) * (m * e)
-    a, b = a[:n], b[:n]
-    if not a or not b:
-        return [zero] * n
-    span = 2 * e - 1
-    raw = min(len(a), len(b)) * m * e * (p - 1) ** 2
-    width = ((raw * (1 + (e - 1) * (p - 1))).bit_length() + 7) // 8
-    width = next((w for w in _SLOT_CODE if w >= width), width)
-    layout = _block_struct(e, m, width)
-    bits = 8 * width
-    step = 8 * layout.size
-    packed_a = int.from_bytes(b"".join(starmap(layout.pack, a)), "little")
-    packed_b = int.from_bytes(b"".join(starmap(layout.pack, b)), "little")
-    if not packed_a or not packed_b:
-        return [zero] * n
-    low_a = ((packed_a & -packed_a).bit_length() - 1) // step
-    low_b = ((packed_b & -packed_b).bit_length() - 1) // step
-    shift = low_a + low_b
-    if shift >= n:
-        return [zero] * n
-    packed_a >>= step * low_a
-    packed_b >>= step * low_b
-    blocks_a = -(-packed_a.bit_length() // step)
-    blocks_b = -(-packed_b.bit_length() // step)
-    need = min(n - shift, blocks_a + blocks_b - 1)
-    prod = (packed_a * packed_b) & ((1 << (step * need)) - 1)
-    if e > 1:
-        mask = _low_slot_mask(bits, span, m, need)
-        for d, row in _reduction_rows(base, bits):
-            prod += ((prod >> (bits * d)) & mask) * row
-    out = prod.to_bytes(layout.size * need, "little")
-    if width <= _WORD:
-        slots = chain.from_iterable(layout.iter_unpack(out))
-    else:
-        at = [(i * span + j) * width for i in range(m) for j in range(e)]
-        slots = (
-            int.from_bytes(out[k + o : k + o + width], "little")
-            for k in range(0, len(out), layout.size)
-            for o in at
-        )
-    digits = tuple([v % p for v in slots])
-    size = m * e
-    rows = [digits[k : k + size] for k in range(0, len(digits), size)]
-    return [zero] * shift + rows + [zero] * (n - shift - len(rows))
+def _kernel(base: "FieldSpec", m: int, width: int) -> _Kernel:
+    return _Kernel(base, m, width)
 
 
 # -- elements and specs: one digit-row layout, a field being m = 1 ----
@@ -551,15 +570,17 @@ class TestRingElem(_RingElem):
     def inverse(self) -> "TestRingElem":
         if not self.is_unit():
             raise NotInvertible(f"{self} is not a unit (residue 0)")
-        # a = a0 (1 + nu) with nu nilpotent; geometric series stops at x^m = 0
-        a0_inv = self.spec.from_field(self.residue().inverse())
-        nu = self * a0_inv - self.spec.one()
-        acc = self.spec.one()
-        term = self.spec.one()
-        for _ in range(self.spec.m - 1):
-            term = -(term * nu)
-            acc = acc + term
-        return acc * a0_inv
+        # Newton y <- y(2 - a y) on a one-block packed window: from the lift
+        # of a0^-1, a y - 1 is a multiple of x and each step squares it, so
+        # ceil(log2 m) steps reach x^m = 0; for odd p, 2y - a y^2 has slots
+        # below 3(p-1) <= 2 (p-1)^2, inside the kernel's bound when m >= 2
+        spec = self.spec
+        k = spec.kernel(1)
+        a = k.pack([self.coords])
+        y = k.pack([spec.from_field(self.residue().inverse()).coords])
+        for _ in range((spec.m - 1).bit_length()):
+            y = k.reduce(2 * y + k.scale(k.mul(a, k.mul(y, y, 1), 1), -1))
+        return TestRingElem(spec, k.unpack(y, 1)[0])
 
     def __str__(self):
         base, e = self.spec.base, self.spec.base.e
@@ -609,10 +630,20 @@ class _RingSpec:
     def from_digits(self, row: tuple):
         return self._elem(self, row)
 
+    def kernel(self, length: int) -> _Kernel:
+        """The packed-window kernel for products of windows of at most
+        ``length`` coefficients: slots of at least b bits for p = 2, 2b + 2
+        for odd p, b the bit length of the raw slot bound."""
+        p, e = self.p, self.base.e
+        raw = max(length, 1) * self.m * e * (p - 1) ** 2
+        b = (raw * (1 + (e - 1) * (p - 1))).bit_length()
+        return _kernel(self.base, self.m, -(-(b if p == 2 else 2 * b + 2) // 8))
+
     def digit_product(self, a, b, n: int) -> list:
         """The first n coefficients of (sum a_i t^i)(sum b_j t^j), for digit
-        rows a, b, as n digit rows."""
-        return _kronecker_product(self.base, self.m, a, b, n)
+        rows a, b, as n digit rows: one packed product."""
+        k = self.kernel(min(len(a), len(b), n))
+        return k.unpack(k.mul(k.pack(a[:n]), k.pack(b[:n]), n), n)
 
     def truncated_product(self, a, b, n: int) -> list:
         """The first n coefficients of (sum a_i t^i)(sum b_j t^j)."""

@@ -55,9 +55,10 @@ _SPACE = re.compile(r"\s*")
 _PARTED_SIGN = re.compile(r"\^\s*[+-]\s")
 
 # the widest window, prec minus the lowest exponent, that a parsed series
-# may span: kummer-iso over F_256 with a t^-3 pole took 0.5 s at --prec
-# 1024, 5.0 s at 4096 and 13.9 s at 8192 (as-iso took 0.14 s at each), on
-# a 2-core host with CPython 3.11; the widest golden classify window is 1061
+# may span: kummer-iso over F_256, n = 3, with a t^-3 pole on both sides
+# takes 0.3 s at --prec 1024 and 1.3 s at --prec 4093, the widest window
+# admitted (as-iso 0.1 s at each), on a 2-core host with CPython 3.11; the
+# widest golden classify window is 1061
 MAX_WINDOW = 2**12
 
 

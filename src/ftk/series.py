@@ -21,34 +21,35 @@ ring's ``+`` returns the other operand when one side is zero, so the
 padding costs no new element.
 
 Products go through the ring's ``truncated_product``: the first n
-coefficients of the product of two coefficient windows, by Kronecker
-substitution.  Each coefficient's F_p digits are packed into slots of one
-Python int, a slot wide enough for the largest possible sum after the
-modulus is applied, raw * (1 + (e-1)(p-1)) with raw = min(len) * m * e *
-(p-1)^2 over F_q[x]/(x^m), q = p^e (m = 1 over a field); one big-int
-multiply does the convolution, a few big-int steps on the packed product
-reduce it mod the field modulus, and unpacking reduces mod p and drops the
-x-degrees >= m (see ``fields``).
+coefficients of the product of two coefficient windows, one packed product
+of the ring's kernel (see ``fields``).  A window is packed into one Python
+int, a block of slots per coefficient wide enough for the largest sum the
+product and the field modulus leave in a slot; one big-int multiply does
+the convolution, a few big-int steps reduce by the modulus, and one Barrett
+step (one AND for p = 2) reduces every slot mod p in place.
 
 Inverses and Hensel roots of unit-led windows are Newton iterations that
 double the window, so the cost is a few products at the full window.
-They iterate on digit rows through the ring's ``digit_product``.  A row
-is a coefficient's own ``coords`` over both ring kinds, so the window is
-read without conversion; a negation or a scaling by 1/n is a map of F_p
-digits, and ring elements are built once, for the window returned.  The
-inverse is h <- h(2 - a h).  The root runs one Newton on the inverse root
-x = a^(-1/n), with x_0 = r0^(-1), and needs no inverse inside the loop: if
-a x^n = 1 + t^w E mod t^2w, then x' = x (1 - t^w E / n) has
-a x'^n = (1 + t^w E)(1 - t^w E + t^2w (...)) = 1 mod t^2w.  Then
-g = a x^(n-1) has g^n = a (a x^n)^(n-1) = a and g_0 = r0^n r0^(1-n) = r0.
-Both return the same series as iterating on the full window: the inverse
-of a unit-led series is unique, and so is its n-th root with a given
-leading coefficient, mod t^prec, because n is invertible (if g^n = h^n
-with g/h = 1 + w, w in tR[[t]], then w (n + binom(n, 2) w + ...) = 0 and
-the second factor is a unit).  A test-ring series with a nilpotent head
-below t^0 loses precision in every product, so its root keeps full-window
-Newton steps g <- g - (g^n - a)/(n g^(n-1)), whose window is the one the
-result can certify.
+They iterate on the packed window: it is packed once from the
+coefficients' digit rows (a coefficient's own ``coords`` over both ring
+kinds), every product, shift by t^w, truncation and scaling by an F_p
+constant keeps its digits in [0, p), and it is unpacked once, into ring
+elements for the window returned.  The inverse is h <- h(2 - a h).  The
+root runs one Newton on the inverse root x = a^(-1/n), with x_0 = r0^(-1),
+and needs no inverse inside the loop: if a x^n = 1 + t^w E mod t^2w, then
+x' = x (1 - t^w E / n) has a x'^n = (1 + t^w E)(1 - t^w E + t^2w (...)) = 1
+mod t^2w.  Then g = a x^(n-1) has g^n = a (a x^n)^(n-1) = a and
+g_0 = r0^n r0^(1-n) = r0.  Both return the same series as iterating on the
+full window: the inverse of a unit-led series is unique, and so is its
+n-th root with a given leading coefficient, mod t^prec, because n is
+invertible (if g^n = h^n with g/h = 1 + w, w in tR[[t]], then
+w (n + binom(n, 2) w + ...) = 0 and the second factor is a unit).  The
+root is certified packed as well: g^n is computed on the window packed
+from the coefficients returned and compared with the packed window of the
+series; the first differing block names the exponent.  A test-ring series
+with a nilpotent head below t^0 loses precision in every product, so its
+root keeps full-window Newton steps g <- g - (g^n - a)/(n g^(n-1)), whose
+window is the one the result can certify, and is certified by g^n - a.
 """
 
 from __future__ import annotations
@@ -247,19 +248,20 @@ class LaurentSeries:
     def _invert_unit_led(ring, coeffs):
         """Inverse of sum coeffs[k] t^k with coeffs[0] a unit, same length.
 
-        Newton h <- h(2 - a h) on digit rows, doubling the window: if
+        Newton h <- h(2 - a h) on the packed window, doubling it: if
         a h = 1 + t^w E mod t^2w, then h(1 - t^w E) is the inverse mod t^2w.
         """
         size = len(coeffs)
-        a = [c.coords for c in coeffs]
-        h = [coeffs[0].inverse().coords]
+        k = ring.kernel(size)
+        a = k.pack([c.coords for c in coeffs])
+        h = k.pack([coeffs[0].inverse().coords])
         w = 1
         while w < size:
             top = min(2 * w, size)
-            err = ring.digit_product(a[:top], h, top)[w:]
-            h += _scale_rows(ring.digit_product(h, err, top - w), -1, ring.p)
+            err = k.shift(k.mul(k.truncate(a, top), h, top), -w)
+            h += k.shift(k.scale(k.mul(h, err, top - w), -1), w)
             w = top
-        return [ring.from_digits(r) for r in h]
+        return [ring.from_digits(r) for r in k.unpack(h, size)]
 
     # -- order functions ------------------------------------------------
 
@@ -406,16 +408,19 @@ class LaurentSeries:
             if r0**n != lead:
                 raise DomainError("leading coefficient is not an n-th power")
         if self.val == 0:
-            g = LaurentSeries.make(
-                self.ring, 0, self.prec, _root_unit_led(self.ring, self.coeffs, r0, n)
-            )
+            coeffs = _root_unit_led(self.ring, self.coeffs, r0, n)
+            g = LaurentSeries.make(self.ring, 0, self.prec, coeffs)
+            k = self.ring.kernel(self.prec)
+            gn = _power(k, k.pack([c.coords for c in coeffs]), n, self.prec)
+            bad = k.first_difference(gn, k.pack([c.coords for c in self.coeffs]))
         else:
             g = self._newton_full_window(r0, n)
-        err = g**n - self
-        if not err.is_zero():
+            err = g**n - self
+            bad = None if err.is_zero() else err.val
+        if bad is not None:
             raise PrecisionExhausted(
                 f"{n}-th root not certified mod t^{self.prec}: "
-                f"g^{n} - self is nonzero at t^{err.val}"
+                f"g^{n} - self is nonzero at t^{bad}"
             )
         return g
 
@@ -491,45 +496,40 @@ class PartsDecomposition:
         return self.negative + const + self.positive
 
 
-def _scale_rows(rows: list, k: int, p: int) -> list:
-    """k times each digit row: the digits are in F_p for both ring kinds."""
-    if k % p == 1:
-        return rows
-    return [tuple(d * k % p for d in r) for r in rows]
-
-
-def _power(ring, g: list, k: int, size: int) -> list:
-    """g^k mod t^size for digit rows g (constant first), k >= 0."""
+def _power(k, x: int, e: int, size: int) -> int:
+    """x^e mod t^size for a packed window x of kernel k, e >= 0."""
     result = None
-    while k:
-        if k & 1:
-            result = g if result is None else ring.digit_product(result, g, size)
-        k >>= 1
-        if k:
-            g = ring.digit_product(g, g, size)
-    return [ring.one().coords] if result is None else result
+    while e:
+        if e & 1:
+            result = x if result is None else k.mul(result, x, size)
+        e >>= 1
+        if e:
+            x = k.mul(x, x, size)
+    return 1 if result is None else result  # 1: digit 1 in slot 0 of block 0
 
 
 def _root_unit_led(ring, coeffs, r0, n: int) -> list:
     """The g with g^n = a = sum coeffs[k] t^k and g_0 = r0, same length.
 
     r0^n = coeffs[0] with r0 a unit.  Newton for the inverse root
-    x = a^(-1/n) on digit rows, doubling the window: if
+    x = a^(-1/n) on the packed window, doubling it: if
     a x^n = 1 + t^w E mod t^2w, then x <- x - x t^w E / n makes
     a x^n = 1 mod t^2w.  Then g = a x^(n-1), the one window built as ring
     elements.
     """
-    p, size = ring.p, len(coeffs)
-    a = [c.coords for c in coeffs]
-    minus_inv_n = -pow(n, -1, p)
-    x = [r0.inverse().coords]
+    size = len(coeffs)
+    k = ring.kernel(size)
+    a = k.pack([c.coords for c in coeffs])
+    minus_inv_n = -pow(n, -1, ring.p)
+    x = k.pack([r0.inverse().coords])
     w = 1
     while w < size:
         top = min(2 * w, size)
-        err = ring.digit_product(a[:top], _power(ring, x, n, top), top)[w:]
-        x += _scale_rows(ring.digit_product(x, err, top - w), minus_inv_n, p)
+        err = k.shift(k.mul(k.truncate(a, top), _power(k, x, n, top), top), -w)
+        x += k.shift(k.scale(k.mul(x, err, top - w), minus_inv_n), w)
         w = top
-    return [ring.from_digits(r) for r in ring.digit_product(a, _power(ring, x, n - 1, size), size)]
+    g = k.mul(a, _power(k, x, n - 1, size), size)
+    return [ring.from_digits(r) for r in k.unpack(g, size)]
 
 
 def default_prec(break_bound: int) -> int:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ftk.errors import ParseError, PrecisionExhausted
-from ftk.fields import _RingElem, _RingSpec, field
+from ftk.fields import field
 from ftk.parse import parse_field_elem, parse_series, render_series
 from ftk.series import LaurentSeries as L
 
@@ -131,27 +131,6 @@ ZERO_TEXTS = [
     (field(2, 8), "(g^255 - 1)*t^-1 + (g^8 - g^8)"),
     (field(3, 2), "g*t^-3 - g*t^-3 + (2g + g)*t^4"),
 ]
-
-
-@pytest.fixture
-def from_digits_calls(monkeypatch):
-    """Patch element sums, differences, negation and scaling to raise, and
-    record each ``from_digits`` row."""
-
-    def refuse(*args):
-        raise AssertionError("element arithmetic while parsing")
-
-    for name in ("__add__", "__sub__", "__neg__", "scale"):
-        monkeypatch.setattr(_RingElem, name, refuse)
-    calls = []
-    from_digits = _RingSpec.from_digits
-
-    def counted(spec, row):
-        calls.append(row)
-        return from_digits(spec, row)
-
-    monkeypatch.setattr(_RingSpec, "from_digits", counted)
-    return calls
 
 
 @pytest.mark.parametrize("spec, text", GUARD_TEXTS, ids=[repr(s) for s, _ in GUARD_TEXTS])

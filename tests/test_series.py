@@ -10,6 +10,7 @@ from ftk.series import LaurentSeries as L
 
 
 F2, F3, F5 = field(2), field(3), field(5)
+F256, R42 = field(2, 8), local_test_ring(2, 2, 2)
 
 
 def rand_series(rng, spec, lo, hi, prec, density=0.6):
@@ -297,27 +298,65 @@ class TestNthRootUnit:
         with pytest.raises(DomainError):
             a.nth_root_unit(3)
 
-    def test_uncertified_root_names_its_window(self, monkeypatch):
-        # a Newton root that is wrong at t^5 fails the g^n = self check
+    @staticmethod
+    def _spoiled_root_message(monkeypatch, ring, n, spoil, k):
+        """The certificate's message for 1 + t over ring, known mod t^20,
+        when the Newton root is wrong by spoil at t^k."""
         import ftk.series
 
         real = ftk.series._root_unit_led
 
         def spoiled(ring, coeffs, r0, n):
             g = real(ring, coeffs, r0, n)
-            g[5] = g[5] + ring.one()
+            g[k] = g[k] + spoil
             return g
 
         monkeypatch.setattr(ftk.series, "_root_unit_led", spoiled)
-        a = L.constant(F5.one(), 20) + L.monomial(F5.one(), 1, 20)
+        a = L.constant(ring.one(), 20) + L.monomial(ring.one(), 1, 20)
         with pytest.raises(PrecisionExhausted) as exc:
-            a.nth_root_unit(4)
-        assert str(exc.value) == "4-th root not certified mod t^20: g^4 - self is nonzero at t^5"
+            a.nth_root_unit(n)
+        return str(exc.value)
+
+    def test_uncertified_root_names_its_window(self, monkeypatch):
+        # a Newton root that is wrong at t^5 fails the g^n = self check
+        message = self._spoiled_root_message(monkeypatch, F5, 4, F5.one(), 5)
+        assert message == "4-th root not certified mod t^20: g^4 - self is nonzero at t^5"
+
+    @pytest.mark.parametrize("ring, spoil, k", [
+        (F256, F256.gen() ** 7, 9),
+        (R42, R42.x() * R42.from_field(R42.base.gen()), 13),
+    ], ids=["F_256", "F_4[x]/(x^2)"])
+    def test_uncertified_root_names_its_window_inside_a_block(self, monkeypatch, ring, spoil, k):
+        # the spoiled digit sits above slot 0 of its block (g^7; x g), so
+        # the failing exponent is read from a bit inside the block
+        message = self._spoiled_root_message(monkeypatch, ring, 3, spoil, k)
+        assert message == f"3-th root not certified mod t^20: g^3 - self is nonzero at t^{k}"
 
     def test_non_power_leading_coefficient_rejected(self):
         a = L.constant(F5.from_int(2), 6)  # 2 is not a 4th power mod 5
         with pytest.raises(DomainError):
             a.nth_root_unit(4)
+
+
+@pytest.mark.parametrize("ring", [F256, R42], ids=repr)
+def test_newton_builds_only_the_returned_coefficients(from_digits_calls, monkeypatch, ring):
+    # the inverse and the root iterate on packed windows: no element sum,
+    # difference, negation or scaling, and one element per coefficient
+    # returned; the lead is a residue lift, a cube, so no x-adic lift runs
+    rng = random.Random(53)
+    q = ring.base.q
+    size = q**ring.m
+    lead = ring.from_index(rng.randrange(1, q)) ** 3
+    a = L.make(ring, 0, 30, [lead] + [ring.from_index(rng.randrange(size)) for _ in range(29)])
+    del from_digits_calls[:]
+    inv = a.shift(-4).invert()
+    assert len(from_digits_calls) == len(inv.coeffs) == 30
+    del from_digits_calls[:]
+    g = a.nth_root_unit(3)
+    assert len(from_digits_calls) == len(g.coeffs) == 30
+    monkeypatch.undo()
+    assert (inv * a.shift(-4) - L.constant(ring.one(), 30)).is_zero()
+    assert (g**3 - a).is_zero()
 
 
 class TestConstancyChecks:

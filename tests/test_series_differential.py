@@ -10,11 +10,14 @@ same exception type; the parsers must also raise the same message at the
 same offset, except that a run of digits ``int()`` refuses, a ValueError
 in the reference, is a ParseError at the start of the run.  The Kronecker
 kernel is also checked against the schoolbook product on windows of up
-to 64 coefficients, in rings chosen to reach every slot width.
+to 64 coefficients, in rings chosen to reach every slot width, in chains
+of products fed back packed, as Newton feeds them, and by an exhaustive
+check of its per-slot Barrett step.
 """
 
 from itertools import groupby
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 import schoolbook
@@ -29,6 +32,8 @@ FIELDS = [
     field(p, e)
     for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8))
 ]
+# the five rings of test_ring_layout
+LAYOUT_RINGS = ((5, 1, 2), (3, 1, 3), (2, 2, 2), (7, 1, 2), (2, 1, 4))
 TEST_RINGS = [
     local_test_ring(p, e, m)
     for p, e, m in ((2, 1, 2), (5, 1, 2), (3, 1, 3), (2, 2, 2), (2, 1, 4), (5, 1, 4), (3, 2, 2))
@@ -163,6 +168,91 @@ def test_truncated_product_matches_schoolbook(operands):
     )
     expected = [product.coeff(i) if i < product.prec else zero for i in range(n)]
     assert ring.truncated_product(a, b, n) == expected
+
+
+# -- packed windows, chained as Newton chains them ----------------------------
+
+P64 = 2**64 - 59  # the largest prime below 2^64
+CHAIN_RINGS = KERNEL_RINGS + [field(P64)] + [local_test_ring(p, e, m) for p, e, m in LAYOUT_RINGS]
+
+
+def _reference(ring):
+    """A ring whose element products do not go through the kernel."""
+    return schoolbook.TupleRing(ring) if isinstance(ring, fields.TestRingSpec) else ring
+
+
+def _row(a):
+    return a.digits() if isinstance(a, schoolbook.TupleRingElem) else a.coords
+
+
+def _reference_product(ref, a, b, n):
+    """The first n coefficients of a b by ``schoolbook.mul``."""
+    top = len(a) + len(b) + 1  # both windows exact past the product's degree
+    zero = ref.zero()
+    product = schoolbook.mul(
+        L.make(ref, 0, top, a + [zero] * (top - len(a))), L.make(ref, 0, top, b + [zero] * (top - len(b)))
+    )
+    return [product.coeff(i) if i < product.prec else zero for i in range(n)]
+
+
+@st.composite
+def kernel_chains(draw):
+    """A ring of CHAIN_RINGS, a first window (indices) and one to three steps,
+    each a product by a new window, a square or a scaling by an integer,
+    all at n coefficients."""
+    ring = draw(st.sampled_from(CHAIN_RINGS))
+    window = st.lists(st.integers(0, _size(ring) - 1), max_size=64)
+    step = st.one_of(window, st.just("square"), st.integers(-10**20, 10**20))
+    return ring, draw(window), draw(st.lists(step, min_size=1, max_size=3)), draw(st.integers(0, 64))
+
+
+def _full(ring, steps, n=64):
+    """The chain with every digit p - 1 in each window of n coefficients."""
+    top = _size(ring) - 1
+    return ring, [top] * n, [[top] * n if s == "window" else s for s in steps], n
+
+
+@given(kernel_chains())
+@example(_full(field(3), ["window", "square", -1]))
+@example(_full(field(5), ["square", "window"]))
+@example(_full(field(7), ["window", "window", "square"]))
+@example(_full(field(2, 8), ["window", "square"]))
+@example(_full(field(2**31 - 1), ["window", "square"]))
+@example(_full(field(P64), ["window", "square", 3]))
+@example(_full(local_test_ring(5, 1, 2), ["window", "square"]))
+@example(_full(local_test_ring(3, 1, 3), ["window", "square"]))
+@example(_full(local_test_ring(2, 2, 2), ["window", "square"]))
+@example(_full(local_test_ring(7, 1, 2), ["window", "square"]))
+@example(_full(local_test_ring(2, 1, 4), ["window", "square"]))
+def test_chained_packed_products_match_schoolbook(chain):
+    # each product's output is fed to the next without unpacking, so every
+    # step relies on the slots holding reduced digits in [0, p)
+    ring, first, steps, n = chain
+    ref = _reference(ring)
+    k = ring.kernel(n)
+    x = k.pack([ring.from_index(i).coords for i in first[:n]])
+    expected = [ref.from_index(i) for i in first[:n]] + [ref.zero()] * (n - len(first[:n]))
+    for s in steps:
+        if s == "square":
+            x = k.mul(x, x, n)
+            expected = _reference_product(ref, expected, expected, n)
+        elif isinstance(s, int):
+            x = k.scale(x, s)
+            expected = [c.scale(s) for c in expected]
+        else:
+            x = k.mul(x, k.pack([ring.from_index(i).coords for i in s[:n]]), n)
+            expected = _reference_product(ref, expected, [ref.from_index(i) for i in s[:n]], n)
+    assert k.unpack(x, n) == [_row(c) for c in expected]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_barrett_step_is_exact_below_its_bound(p, extra):
+    # every v < 2^b, one per slot of a prime field's kernel, so each
+    # quotient also sees the bits its neighbours shift into it
+    k = fields._kernel(field(p), 1, field(p).kernel(1).layout.size + extra)
+    v = sum(x << k.step * x for x in range(k.bound))
+    assert k.unpack(k.reduce(v), k.bound) == [(x % p,) for x in range(k.bound)]
 
 
 @given(series(st.sampled_from(WIDE)))
