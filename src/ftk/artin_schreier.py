@@ -19,7 +19,11 @@ and d are isomorphic exactly when the form of c - d is zero.
 witness is the one the canonicalisations of c and d compose to: the
 constant at t^0 is w_c - w_d, each w from ``canonical_wp_shift``, because
 that shift is the solution whose g^0 coordinate is 0, a linear choice
-(the proof is in ``as_iso_witness``).
+(the proof is in ``as_iso_witness``).  Both functions run on digit
+rows: c - d is subtracted row by row inside the canonicalisation
+(its ``minus`` argument), the positive part, the p-th-root chains and
+the slot sums are row maps, and elements are built only for the support
+and the witness returned, one per nonzero row.
 
 Rank-r elementary-abelian covers are vectors of the rank-1 data, handled
 componentwise throughout.
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, PrecisionExhausted, check_break_bound
 from .fields import FieldSpec, FqElem, canonical_wp_shift
-from .series import LaurentSeries
+from .series import LaurentSeries, positive_rows
 
 
 def prime_to_p_support(p: int, m: int):
@@ -91,18 +95,10 @@ class ASCanonical:
 
 @dataclass(frozen=True)
 class ASWitness:
-    """u with u^p - u + c = d, certifying an isomorphism of covers."""
+    """u with u^p - u + c = d, certifying an isomorphism of covers; the
+    full solution set is u + F_p."""
 
     u: LaurentSeries
-
-    def all_witnesses(self):
-        """The full solution set u + F_p."""
-        ring = self.u.ring
-        out = []
-        for k in range(ring.p):
-            shift = LaurentSeries.constant(ring.from_int(k), self.u.prec)
-            out.append(self.u + shift)
-        return out
 
 
 def _check_canonical(b: LaurentSeries):
@@ -114,80 +110,84 @@ def _check_canonical(b: LaurentSeries):
         raise PrecisionExhausted("cannot certify the positive-part discard")
 
 
-def _poles(b: LaurentSeries):
-    """(j, c) for each nonzero c t^-j of b with j >= 1, most negative
-    exponent first."""
-    head = b.coeffs[: -b.val] if b.val < 0 else ()
-    return [(-e, c) for e, c in enumerate(head, b.val) if not c.is_zero()]
-
-
-def _pole_slots(spec: FieldSpec, poles, acc=None, lo: int = 0):
-    """The canonical support of the polar part sum c t^-j over poles (j, c),
-    as sorted nonzero (slot, value) pairs.
+def _pole_chains(spec: FieldSpec, lo: int, rows, acc=None):
+    """The canonical support of the polar part whose digit rows, at
+    exponents lo, lo + 1, ..., are ``rows`` (all below t^0), as sorted
+    nonzero (slot, element) pairs.
 
     A pole of order j = p^a s, p not dividing s, walks down to slot s by a
-    p-th roots.  With ``acc``, a coefficient list whose entry k is the
-    exponent lo + k, the chain's witness terms are subtracted into it:
-    moving c t^{-p^a s} to root = c^{p^-a} at t^{-s} costs
-    -(root^{p^k} t^{-p^k s}) at every intermediate level k < a, and
-    root^{p^k} = c^{p^(k-a)} is one more p-th root per level down."""
-    p = spec.p
+    p-th roots.  With ``acc``, a row list whose entry k is the exponent
+    lo + k, the chain's witness terms are subtracted into it: moving
+    c t^{-p^a s} to root = c^{p^-a} at t^{-s} costs -(root^{p^k} t^{-p^k s})
+    at every intermediate level k < a, and root^{p^k} = c^{p^(k-a)} is one
+    more p-th root per level down."""
+    p, e = spec.p, spec.e
     slots: dict = {}
-    for j, c in poles:
-        a = 0
+    for i, row in enumerate(rows):
+        if not any(row):
+            continue
+        j, a = -(lo + i), 0
         while j % p == 0:
             j //= p
             a += 1
-        root = c
         for k in reversed(range(a)):
-            root = root.pth_root()
+            row = spec.frobenius_row(row, e - 1)
             if acc is not None:
-                e = -(p**k) * j - lo
-                acc[e] = acc[e] - root
-        slots[j] = slots.get(j, spec.zero()) + root
-    return tuple(sorted((s, c) for s, c in slots.items() if not c.is_zero()))
+                at = -(p**k) * j - lo
+                acc[at] = spec.sub_rows(acc[at], row)
+        slots[j] = spec.add_rows(slots[j], row) if j in slots else row
+    return tuple((s, spec.from_digits(r)) for s, r in sorted(slots.items()) if any(r))
 
 
-def _canonicalize_with_witness(b: LaurentSeries):
-    """(canonical form, u) with u^p - u + b = canonical (mod t^prec).
+def _canonicalize_with_witness(b: LaurentSeries, minus: LaurentSeries = None):
+    """(canonical form, u) with u^p - u + b = canonical (mod t^prec), or
+    with b - minus in place of b when ``minus`` is given.
 
-    u is assembled in one coefficient list over [lo, prec), lo the lowest
-    pole of b (or 0): the negated positive-part solution (which
-    ``solve_positive(negated=True)`` returns as it is), the chain terms
-    at negative exponents and the constant shift at t^0 sit at disjoint
-    exponents, so one ``make`` gives the sum of the three series.  When b
-    has no term at or below t^0, lo is its valuation (prec for b = 0):
-    then b_0 = 0, so w = 0 and the t^0 slot is left out, and a cover
-    t^N known mod t^(N+1) costs one slot, not N."""
+    Everything runs on digit rows.  The window is read once: the rows of
+    b, or with ``minus`` the rows of b less those of minus on the window
+    of the series b - minus, from its lowest nonzero exponent lo (prec
+    when the difference is zero).  u is assembled in one row list over
+    [lo, prec): the negated positive-part solution (``positive_rows`` with
+    ``negated``), the chain terms at negative exponents and the constant
+    shift at t^0 sit at disjoint exponents, so one list holds their sum,
+    and u and the support build one element per nonzero row.  When b has
+    no term at or below t^0, lo > 0: then b_0 = 0, so w = 0 and the t^0
+    slot is left out, and a cover t^N known mod t^(N+1) costs one slot,
+    not N."""
     _check_canonical(b)
-    spec = b.ring
-    lo = b.eff_val
-    acc = [spec.zero()] * (b.prec - lo)
-    # positive part: u_+^p - u_+ = positive, so adding -(that) kills it
-    if b.val < 1 and not b.is_zero():
-        b_plus = LaurentSeries.make(spec, 1, b.prec, b.coeffs[1 - b.val :])
-    else:
-        b_plus = b
-    positive = b_plus.solve_positive(negated=True)
-    if not positive.is_zero():
-        acc[positive.val - lo :] = positive.coeffs
-    support = _pole_slots(spec, _poles(b), acc, lo)
+    spec, zero = b.ring, b.ring.zero().coords
+    prec, lo = b.prec, b.eff_val
+    if minus is not None:
+        _check_canonical(minus)
+        prec = min(prec, minus.prec)
+        lo = min(lo, minus.eff_val, prec)
+    rows = [c.coords for c in b.padded(lo, prec)]
+    if minus is not None:
+        sub, minus_rows = spec.sub_rows, [c.coords for c in minus.padded(lo, prec)]
+        rows = [x if y is zero else zero if x is y else sub(x, y) for x, y in zip(rows, minus_rows)]
+        first = next((i for i, r in enumerate(rows) if any(r)), len(rows))
+        rows, lo = rows[first:], lo + first
+    acc = [zero] * (prec - lo)
+    top = max(lo, 1)  # the positive part: adding -(u_+^p - u_+) kills it
+    acc[top - lo :] = positive_rows(spec, top, rows[top - lo :], negated=True)
+    support = _pole_chains(spec, lo, rows[: max(-lo, 0)], acc)
     # constant to its transversal representative
-    rep, w = canonical_wp_shift(b.coeff(0))
+    rep, w = canonical_wp_shift(spec.from_digits(rows[-lo]) if lo <= 0 else spec.zero())
     if lo <= 0:
-        acc[-lo] = w
-    return ASCanonical(spec, support, rep), LaurentSeries.make(spec, lo, b.prec, acc)
+        acc[-lo] = w.coords
+    return ASCanonical(spec, support, rep), LaurentSeries.make(spec, lo, prec, spec.from_rows(acc))
 
 
 def as_canonicalize(b: LaurentSeries) -> ASCanonical:
-    """The canonical form of b, read from its exponents <= 0 only.
+    """The canonical form of b, read from its rows at exponents <= 0 only.
 
     The positive part of b is always a coboundary (``solve_positive``
     names its witness), so it changes nothing and is not read; the window
     must still reach t^0."""
     _check_canonical(b)
     spec = b.ring
-    return ASCanonical(spec, _pole_slots(spec, _poles(b)), spec.wp_transversal_rep(b.coeff(0)))
+    polar = [c.coords for c in b.coeffs[: max(-b.val, 0)]]
+    return ASCanonical(spec, _pole_chains(spec, b.val, polar), spec.wp_transversal_rep(b.coeff(0)))
 
 
 def as_iso_witness(c: LaurentSeries, d: LaurentSeries):
@@ -210,13 +210,13 @@ def as_iso_witness(c: LaurentSeries, d: LaurentSeries):
     coordinate 0 and solves w^p - w = d_0 - c_0 (the representatives are
     equal), which is the equation of c - d: so w_c - w_d = w_{c-d}.
 
-    Both windows are checked before the subtraction, so a cover with
-    prec <= 0 raises the canonicalisation's own PrecisionExhausted."""
+    The canonicalisation takes c and d and subtracts their digit rows
+    itself, so no series or element difference is formed.  Both windows
+    are checked first, so a cover with prec <= 0 raises the
+    canonicalisation's own PrecisionExhausted."""
     if c.ring != d.ring:
         raise DomainError("covers over different rings")
-    _check_canonical(c)
-    _check_canonical(d)
-    canon, u = _canonicalize_with_witness(c - d)
+    canon, u = _canonicalize_with_witness(c, d)
     if canon.support or not canon.constant_class.is_zero():
         return None
     return ASWitness(u)

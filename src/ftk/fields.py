@@ -52,7 +52,11 @@ an operand that is already there when one side is zero: a + 0 and a - 0
 are a, 0 + b is b, 0 - b is -b, and -0 is 0; in characteristic 2 -a is
 a.  The values are those of the digitwise sums, so no output depends on
 it; a series sum whose windows hold mostly zeros builds no new element
-for them.
+for them.  ``from_digits`` shares every element of a ring of at most
+MAX_TABLE_Q elements: the spec keeps a dict from row to element, seeded
+with its zero, and builds each row's element once (hash-consing:
+Filliatre and Conchon, ML Workshop 2006).  A larger ring keeps no dict,
+so memory stays bounded.  Equality stays by value.
 
 Both kinds answer one protocol, so no other module asks which kind it
 holds:
@@ -61,8 +65,10 @@ holds:
   field F_q; a field is its own), ``zero()``, ``one()``, ``from_int(n)``,
   ``from_index(i)``, ``elements()``, ``from_field(a)`` (the constant lift
   of an element of ``base``; the identity on a field),
-  ``from_digits(row)``, ``kernel(length)``, ``digit_product(a, b, n)`` and
-  ``truncated_product(a, b, n)``.  ``kernel`` is the packed-window kernel
+  ``from_digits(row)``, ``from_rows(rows)`` (an element per row),
+  ``add_rows(a, b)``, ``sub_rows(a, b)``, ``frobenius_row(row)`` (the rows
+  of a + b, a - b and a^p), ``kernel(length)``, ``digit_product(a, b, n)``
+  and ``truncated_product(a, b, n)``.  ``kernel`` is the packed-window kernel
   for windows of at most ``length`` coefficients.  ``digit_product`` gives
   the first n coefficients of (sum a_i t^i)(sum b_j t^j) for sequences a, b
   of digit rows, as n rows.  ``truncated_product`` is the same product on
@@ -439,8 +445,7 @@ class _RingElem:
             return self
         if not any(self.coords):
             return other
-        p = self.spec.p
-        return type(self)(self.spec, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
+        return type(self)(self.spec, self.spec.add_rows(self.coords, other.coords))
 
     def __sub__(self, other):
         self._check(other)
@@ -448,8 +453,7 @@ class _RingElem:
             return self
         if not any(self.coords):
             return -other
-        p = self.spec.p
-        return type(self)(self.spec, tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
+        return type(self)(self.spec, self.spec.sub_rows(self.coords, other.coords))
 
     def __neg__(self):
         p = self.spec.p
@@ -505,9 +509,7 @@ class FqElem(_RingElem):
     def _frobenius_power(self, k: int) -> "FqElem":
         """x -> x^(p^k) through its cached matrix; the identity when e = 1."""
         spec = self.spec
-        if spec.e == 1:
-            return self
-        return FqElem(spec, _apply_rows(_frobenius_rows(spec, k), self.coords, spec.p))
+        return self if spec.e == 1 else FqElem(spec, spec.frobenius_row(self.coords, k))
 
     def frobenius(self) -> "FqElem":
         return self._frobenius_power(1)
@@ -558,14 +560,7 @@ class TestRingElem(_RingElem):
     __rmul__ = __mul__
 
     def frobenius(self) -> "TestRingElem":
-        """(sum a_i x^i)^p = sum a_i^p x^(ip) in characteristic p, below x^m."""
-        spec = self.spec
-        base, p, e = spec.base, spec.p, spec.base.e
-        out = [0] * (spec.m * e)
-        for i in range((spec.m - 1) // p + 1):
-            a = FqElem(base, self.coords[i * e : (i + 1) * e])
-            out[i * p * e : (i * p + 1) * e] = a.frobenius().coords
-        return TestRingElem(spec, tuple(out))
+        return TestRingElem(self.spec, self.spec.frobenius_row(self.coords))
 
     def inverse(self) -> "TestRingElem":
         if not self.is_unit():
@@ -605,7 +600,11 @@ class _RingSpec:
     ``p``, ``base`` (F_q), ``m`` and ``_elem``, its element class."""
 
     def __post_init__(self):
-        object.__setattr__(self, "_zero", self._elem(self, (0,) * (self.m * self.base.e)))
+        zero = self._elem(self, (0,) * (self.m * self.base.e))
+        object.__setattr__(self, "_zero", zero)
+        # the shared elements of from_digits, by row: see the module docstring
+        shared = {zero.coords: zero} if self.base.q**self.m <= MAX_TABLE_Q else None
+        object.__setattr__(self, "_shared", shared)
 
     def zero(self):
         return self._zero
@@ -628,7 +627,27 @@ class _RingSpec:
         return [self.from_index(i) for i in range(self.p ** (self.m * self.base.e))]
 
     def from_digits(self, row: tuple):
-        return self._elem(self, row)
+        """The element of digit row ``row``, shared when the ring is small."""
+        shared = self._shared
+        if shared is None:
+            return self._elem(self, row)
+        elem = shared.get(row)
+        if elem is None:
+            elem = shared[row] = self._elem(self, row)
+        return elem
+
+    def from_rows(self, rows) -> list:
+        """One element per nonzero row, the shared zero for each zero row."""
+        zero, from_digits = self._zero, self.from_digits
+        return [from_digits(r) if any(r) else zero for r in rows]
+
+    def add_rows(self, a: tuple, b: tuple) -> tuple:
+        p = self.p
+        return tuple([(x + y) % p for x, y in zip(a, b)])
+
+    def sub_rows(self, a: tuple, b: tuple) -> tuple:
+        p = self.p
+        return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def kernel(self, length: int) -> _Kernel:
         """The packed-window kernel for products of windows of at most
@@ -679,6 +698,10 @@ class FieldSpec(_RingSpec):
 
     def from_field(self, a: FqElem) -> FqElem:
         return a
+
+    def frobenius_row(self, row: tuple, k: int = 1) -> tuple:
+        """The digit row of x^(p^k), x of digit row ``row``."""
+        return row if self.e == 1 else _apply_rows(_frobenius_rows(self, k), row, self.p)
 
     # -- cached structure tables ------------------------------------
 
@@ -835,9 +858,10 @@ def nth_roots_of_unity(spec: FieldSpec, n: int):
 
 def canonical_wp_shift(c: FqElem):
     """(rep, w): the transversal representative of c and the smallest w with
-    w^p - w = rep - c."""
-    rep = c.spec.wp_transversal_rep(c)
-    sols = as_residue_solve(rep - c)
+    w^p - w = rep - c, rep - c formed on digit rows."""
+    spec = c.spec
+    rep = spec.wp_transversal_rep(c)
+    sols = as_residue_solve(spec.from_digits(spec.sub_rows(rep.coords, c.coords)))
     w = min(sols, key=lambda u: u.index)
     return rep, w
 
@@ -861,6 +885,14 @@ class TestRingSpec(_RingSpec):
     def from_field(self, a: FqElem) -> TestRingElem:
         a._check(self.base.zero())  # a row from another field would be misread
         return TestRingElem(self, a.coords + (0,) * ((self.m - 1) * self.base.e))
+
+    def frobenius_row(self, row: tuple) -> tuple:
+        """(sum a_i x^i)^p = sum a_i^p x^(ip) in characteristic p, below x^m."""
+        base, p, e = self.base, self.p, self.base.e
+        out = [0] * (self.m * e)
+        for i in range((self.m - 1) // p + 1):
+            out[i * p * e : (i * p + 1) * e] = base.frobenius_row(row[i * e : (i + 1) * e])
+        return tuple(out)
 
     def x(self) -> TestRingElem:
         if self.m < 2:

@@ -18,7 +18,9 @@ padded with the ring's shared zero to the common range [lo, prec) (a
 slice of its coefficients, zeros below its val), and the two lists are
 added pairwise; ``split_parts`` slices one padded window at t^0.  The
 ring's ``+`` returns the other operand when one side is zero, so the
-padding costs no new element.
+padding costs no new element.  ``solve_positive`` runs its recurrence on
+digit rows (``positive_rows``, Frobenius being the spec's row map) and
+builds one element per nonzero coefficient of its result.
 
 Products go through the ring's ``truncated_product``: the first n
 coefficients of the product of two coefficient windows, one packed product
@@ -141,7 +143,7 @@ class LaurentSeries:
         if self.ring != other.ring:
             raise DomainError("series over different rings")
 
-    def _padded(self, lo: int, hi: int) -> list:
+    def padded(self, lo: int, hi: int) -> list:
         """The coefficients at exponents lo .. hi-1, for lo <= eff_val and
         hi <= prec: zeros below val, then a slice of the window."""
         zero = self.ring.zero()
@@ -156,7 +158,7 @@ class LaurentSeries:
         self._check_ring(other)
         prec = min(self.prec, other.prec)
         lo = min(self.eff_val, other.eff_val, prec)
-        coeffs = list(map(op, self._padded(lo, prec), other._padded(lo, prec)))
+        coeffs = list(map(op, self.padded(lo, prec), other.padded(lo, prec)))
         return LaurentSeries.make(self.ring, lo, prec, coeffs)
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -265,10 +267,6 @@ class LaurentSeries:
 
     # -- order functions ------------------------------------------------
 
-    def naive_ord(self):
-        """Least exponent with a nonzero coefficient; +inf for zero."""
-        return math.inf if self.is_zero() else self.val
-
     def unit_ord(self) -> int:
         """The i with a = b_- + t^i b_+, b_+ unit-led, b_- nilpotent.
 
@@ -289,7 +287,7 @@ class LaurentSeries:
             raise PrecisionExhausted("cannot split: constant term beyond precision")
         zero = self.ring.zero()
         lo = min(self.eff_val, 0)
-        window = self._padded(lo, self.prec)
+        window = self.padded(lo, self.prec)
         k = -lo  # the index of t^0
         neg = window[:k] + [zero] * (len(window) - k)
         pos = [zero] * (k + 1) + window[k + 1 :]
@@ -300,12 +298,6 @@ class LaurentSeries:
         )
 
     # -- characteristic-p structure ----------------------------------------
-
-    def coeff_frobenius(self) -> "LaurentSeries":
-        """Apply the coefficient Frobenius x -> x^p; exponents unchanged."""
-        return LaurentSeries(
-            self.ring, self.val, self.prec, tuple(c.frobenius() for c in self.coeffs)
-        )
 
     def series_pth_power(self) -> "LaurentSeries":
         """The ring-theoretic p-th power: exponents dilated by p."""
@@ -357,12 +349,13 @@ class LaurentSeries:
         additive; the bracket is -u_{s/p}, and (-x)^p = -(x^p), again by
         additivity.  When p does not divide s the sum is b_s alone.  The
         same argument gives v_s = (v_{s/p})^p + b_s for v = -u, so the one
-        loop below runs with - or +; v needs no negation at all, and where
+        loop runs with - or +; v needs no negation at all, and where
         v_{s/p} = 0 it stores b_s itself.  Below ``val`` every b_s
         vanishes, so every u_s does too: the result is allocated on
         [val, prec) only, the loop starts at ``val``, u_{s/p} is 0 when
         s/p is below ``val``, and a zero window returns at once.  So a
-        series t^N known mod t^(N+1) costs one slot, not N.
+        series t^N known mod t^(N+1) costs one slot, not N.  The loop is
+        ``positive_rows``, on digit rows.
         """
         if not self.is_zero() and self.val < 1:
             raise DomainError("solve_positive needs support in exponents >= 1")
@@ -370,18 +363,9 @@ class LaurentSeries:
             raise PrecisionExhausted("empty positive window")
         if self.is_zero():
             return self
-        p = self.ring.p
-        zero = self.ring.zero()
-        combine = operator.add if negated else operator.sub
-        val = self.val
-        out = [zero] * (self.prec - val)  # exponents val .. prec-1
-        for s, b in enumerate(self.coeffs, val):
-            prev = zero if s % p or s // p < val else out[s // p - val]
-            if not prev.is_zero():
-                out[s - val] = combine(prev.frobenius(), b)
-            elif not b.is_zero():
-                out[s - val] = combine(zero, b)
-        return LaurentSeries.make(self.ring, val, self.prec, out)
+        ring = self.ring
+        rows = positive_rows(ring, self.val, [c.coords for c in self.coeffs], negated)
+        return LaurentSeries.make(ring, self.val, self.prec, ring.from_rows(rows))
 
     # -- Hensel n-th roots ---------------------------------------------------
 
@@ -494,6 +478,26 @@ class PartsDecomposition:
     def reassemble(self) -> LaurentSeries:
         const = LaurentSeries.constant(self.constant, self.negative.prec)
         return self.negative + const + self.positive
+
+
+def positive_rows(ring, val: int, rows: list, negated: bool = False) -> list:
+    """The recurrence of ``LaurentSeries.solve_positive`` on digit rows: the
+    rows of u (of v = -u when ``negated``) at exponents val, val + 1, ...
+    for b of rows ``rows`` there, val >= 1, Frobenius being the spec's row
+    map."""
+    p = ring.p
+    zero = ring.zero().coords
+    combine = ring.add_rows if negated else ring.sub_rows
+    frobenius = ring.frobenius_row
+    out = [zero] * len(rows)
+    for s, b in enumerate(rows, val):
+        prev = zero if s % p or s // p < val else out[s // p - val]
+        if any(prev):
+            prev = frobenius(prev)
+            out[s - val] = combine(prev, b) if any(b) else prev
+        elif any(b):
+            out[s - val] = b if negated else ring.sub_rows(zero, b)
+    return out
 
 
 def _power(k, x: int, e: int, size: int) -> int:

@@ -2,7 +2,9 @@
 draws the same examples and tier-1 stays reproducible, with a fixed
 example budget and no per-example deadline (the host's speed varies).
 Also the ``from_digits_calls`` guard shared by the parser and Newton
-tests."""
+tests, and the ``element_calls`` counter of the Artin-Schreier guards."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import settings
@@ -31,4 +33,22 @@ def from_digits_calls(monkeypatch):
         return from_digits(spec, row)
 
     monkeypatch.setattr(_RingSpec, "from_digits", counted)
+    return calls
+
+
+@pytest.fixture
+def element_calls(monkeypatch):
+    """Count element sums, differences, negations and scalings, by method
+    name; clear the counter before the call under test."""
+    calls = Counter()
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in ("__add__", "__sub__", "__neg__", "scale"):
+        monkeypatch.setattr(_RingElem, name, counting(name, getattr(_RingElem, name)))
     return calls

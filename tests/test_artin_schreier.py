@@ -93,9 +93,10 @@ class TestIsoWitness:
         assert (w.u.wp() + c - d).is_zero()
 
     def test_self_witnesses_are_prime_field(self):
+        # the full solution set of u^p - u = 0 is the witness plus F_p
         c = L.from_dict(F2, {-3: F2.one()}, 10)
         w = as_iso_witness(c, c)
-        all_w = w.all_witnesses()
+        all_w = [w.u + L.constant(F2.from_int(k), w.u.prec) for k in range(F2.p)]
         assert len(all_w) == 2
         for u in all_w:
             assert (u.wp()).is_zero()
@@ -394,3 +395,29 @@ def test_canonical_form_of_a_difference(cd):
         # the composite of the two canonicalisations, constant included
         assert w.u == _canonicalize_with_witness(c)[1] - _canonicalize_with_witness(d)[1]
         assert (w.u.wp() + c - d).is_zero()
+
+
+# -- the form and the witness on digit rows -----------------------------------------
+
+GUARD_FIELDS = [field(2), field(3, 2), field(2, 8), field(5, 2)]
+
+
+@pytest.mark.parametrize("spec", GUARD_FIELDS, ids=repr)
+def test_the_form_and_the_witness_do_no_element_arithmetic(element_calls, spec):
+    # poles with p-power chains, a constant and a positive part; d is c
+    # moved by a coboundary, e a cover of another class.  Even the
+    # constant's coset shift subtracts on digit rows, so nothing is counted
+    rng = random.Random(spec.q)
+    p = spec.p
+    elem = lambda: spec.from_index(rng.randrange(1, spec.q))  # noqa: E731
+    c = L.from_dict(spec, {-p * p: elem(), -3 * p: elem(), -4: elem(), 0: elem(), 1: elem(), p: elem()}, 30)
+    u = L.from_dict(spec, {-5: elem(), -1: elem(), 0: elem(), 2: elem()}, 30)
+    d, e = c + u.wp(), c + L.monomial(elem(), -1, 30)
+    as_iso_witness(c, d)  # warm-up: the field tables
+    element_calls.clear()
+    w = as_iso_witness(c, d)
+    assert as_iso_witness(c, e) is None
+    form = as_canonicalize(c)
+    assert sum(element_calls.values()) == 0, element_calls
+    assert form == as_canonicalize(d) != as_canonicalize(e)
+    assert (w.u.wp() + c - d).is_zero()

@@ -1,4 +1,5 @@
 import ast
+import gc
 import random
 import time
 import tracemalloc
@@ -28,6 +29,7 @@ from ftk.fields import (
     nth_roots_of_unity,
     test_ring as local_test_ring,
 )
+from ftk.parse import parse_series
 from ftk.series import LaurentSeries
 
 
@@ -493,6 +495,50 @@ def _count_constructions(monkeypatch):
 def test_zero_is_shared():
     for spec in (field(2, 8), field(5), local_test_ring(3, 2, 2)):
         assert spec.zero() is spec.zero()
+
+
+# table-sized fields up to q = 2^14 = MAX_TABLE_Q (a prime q next to it
+# too), and the five rings of test_ring_layout
+SHARED_RINGS = [
+    field(p, e)
+    for p, e in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 3), (2, 8), (2, 14), (16381, 1))
+] + [local_test_ring(p, e, m) for p, e, m in ((5, 1, 2), (3, 1, 3), (2, 2, 2), (7, 1, 2), (2, 1, 4))]
+
+
+@pytest.mark.parametrize("ring", SHARED_RINGS, ids=repr)
+def test_from_digits_shares_one_element_per_row(ring):
+    size = ring.base.q**ring.m
+    assert size <= MAX_TABLE_Q
+    indices = range(size) if size <= 512 else [0] + random.Random(size).sample(range(1, size), 511)
+    assert ring.from_digits((0,) * len(ring.zero().coords)) is ring.zero()
+    for i in indices:
+        x = ring.from_index(i)
+        a = ring.from_digits(tuple(list(x.coords)))  # a row object of its own
+        assert a == x and a.index == i
+        assert ring.from_digits(tuple(list(x.coords))) is a
+
+
+@pytest.mark.parametrize("spec", [field(2, 20), field(2**31 - 1), field(2, 14)], ids=repr)
+def test_only_a_table_sized_field_keeps_its_elements(spec):
+    # parse two windows of 4096 distinct coefficients each and drop them.
+    # F_2^20 and F_(2^31-1) keep no table: under 64 KB is still held.  F_2^14
+    # (q = MAX_TABLE_Q) keeps its 8192 shared elements, megabytes, so the
+    # measure sees a table
+    texts = [
+        str(LaurentSeries.make(spec, 0, 4096, [spec.from_index(4096 * j + k + 1) for k in range(4096)]))
+        for j in range(2)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for text in texts:
+            assert len(parse_series(text, spec, 4096).support()) == 4096
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (held > 64 * 1024) == (spec.q <= MAX_TABLE_Q), held
 
 
 def test_zero_windows_build_no_element(monkeypatch):

@@ -436,6 +436,51 @@ def test_as_witness_matches_reference(bd):
     assert (None if w is None else w.u) == schoolbook.as_iso_witness(b, d)
 
 
+@st.composite
+def as_differences(draw):
+    """(c, d) over one field, each at its own precision: d is c, or c with
+    its lowest slots kept and the rest redrawn (so c - d cancels there), or
+    a second cover.  A cover may have poles, a constant and a positive
+    part, or only a positive part, so valuations run from -60 to 30."""
+    spec = draw(st.sampled_from(FIELDS))
+    p = spec.p
+    elem = st.integers(0, spec.q - 1).map(spec.from_index)
+
+    def terms(prec, lo, hi):
+        return {s: draw(elem) for s in range(lo, min(hi, prec)) if draw(st.integers(0, 3)) == 0}
+
+    def cover(prec):
+        d = {}
+        if draw(st.booleans()):
+            for _ in range(draw(st.integers(0, 4))):
+                d[-min(draw(st.integers(1, 6)) * p ** draw(st.integers(0, 3)), 60)] = draw(elem)
+            d.update(terms(prec, 0, prec))
+        else:
+            d.update(terms(prec, draw(st.integers(1, 30)), prec))
+        return d
+
+    prec_c, prec_d = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    dc = cover(prec_c)
+    shape = draw(st.sampled_from(["equal", "low slots cancel", "other"]))
+    if shape == "equal":
+        dd = {s: v for s, v in dc.items() if s < prec_d}
+    elif shape == "low slots cancel":
+        cut = draw(st.integers(-61, 30))
+        dd = {s: v for s, v in dc.items() if s < min(cut, prec_d)}
+        dd.update(terms(prec_d, cut, prec_d))
+    else:
+        dd = cover(prec_d)
+    return L.from_dict(spec, dc, prec_c), L.from_dict(spec, dd, prec_d)
+
+
+@given(as_differences())
+def test_canonicalising_a_difference_on_rows(cd):
+    # the rows of c - d, subtracted inside the canonicalisation, give what
+    # the series difference gives
+    c, d = cd
+    assert _canonicalize_with_witness(c, d) == _canonicalize_with_witness(c - d)
+
+
 # -- the parser ------------------------------------------------------------------
 
 
