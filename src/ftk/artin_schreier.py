@@ -15,15 +15,16 @@ changes the class, so it builds no witness and solves nothing, but the
 window must still reach t^0 (prec >= 1).  Since u -> u^p - u is additive,
 the canonical form is F_p-linear up to the transversal, and two covers c
 and d are isomorphic exactly when the form of c - d is zero.
-``as_iso_witness`` therefore makes one canonicalisation, of c - d, and its
-witness is the one the canonicalisations of c and d compose to: the
-constant at t^0 is w_c - w_d, each w from ``canonical_wp_shift``, because
-that shift is the solution whose g^0 coordinate is 0, a linear choice
-(the proof is in ``as_iso_witness``).  Both functions run on digit
-rows: c - d is subtracted row by row inside the canonicalisation
-(its ``minus`` argument), the positive part, the p-th-root chains and
-the slot sums are row maps, and elements are built only for the support
-and the witness returned, one per nonzero row.
+``as_iso_witness`` therefore makes one canonicalisation, of the series
+c - d, and its witness is the one the canonicalisations of c and d
+compose to: the constant at t^0 is w_c - w_d, each w from
+``canonical_wp_shift``, because that shift is the solution whose g^0
+coordinate is 0, a linear choice (the proof is in ``as_iso_witness``).
+Both functions read the series' digit rows: the difference c - d is a
+row-wise series difference, and ``_canonicalize_with_witness(b)`` reads the
+rows of its one argument; the positive part, the p-th-root chains and the
+slot sums are row maps, the witness is returned as a series of rows, and
+elements are built only for the support, one per nonzero slot.
 
 Rank-r elementary-abelian covers are vectors of the rank-1 data, handled
 componentwise throughout.
@@ -139,43 +140,30 @@ def _pole_chains(spec: FieldSpec, lo: int, rows, acc=None):
     return tuple((s, spec.from_digits(r)) for s, r in sorted(slots.items()) if any(r))
 
 
-def _canonicalize_with_witness(b: LaurentSeries, minus: LaurentSeries = None):
-    """(canonical form, u) with u^p - u + b = canonical (mod t^prec), or
-    with b - minus in place of b when ``minus`` is given.
+def _canonicalize_with_witness(b: LaurentSeries):
+    """(canonical form, u) with u^p - u + b = canonical (mod t^prec).
 
-    Everything runs on digit rows.  The window is read once: the rows of
-    b, or with ``minus`` the rows of b less those of minus on the window
-    of the series b - minus, from its lowest nonzero exponent lo (prec
-    when the difference is zero).  u is assembled in one row list over
-    [lo, prec): the negated positive-part solution (``positive_rows`` with
-    ``negated``), the chain terms at negative exponents and the constant
-    shift at t^0 sit at disjoint exponents, so one list holds their sum,
-    and u and the support build one element per nonzero row.  When b has
-    no term at or below t^0, lo > 0: then b_0 = 0, so w = 0 and the t^0
-    slot is left out, and a cover t^N known mod t^(N+1) costs one slot,
-    not N."""
+    Everything runs on digit rows.  The window is read once, the rows of b
+    from its lowest nonzero exponent lo (prec when b is zero).  u is
+    assembled in one row list over [lo, prec): the negated positive-part
+    solution (``positive_rows`` with ``negated``), the chain terms at
+    negative exponents and the constant shift at t^0 sit at disjoint
+    exponents, so one list holds their sum, and the support builds one
+    element per nonzero slot.  When b has no term at or below t^0, lo > 0:
+    then b_0 = 0, so w = 0 and the t^0 slot is left out, and a cover t^N
+    known mod t^(N+1) costs one slot, not N."""
     _check_canonical(b)
     spec, zero = b.ring, b.ring.zero().coords
-    prec, lo = b.prec, b.eff_val
-    if minus is not None:
-        _check_canonical(minus)
-        prec = min(prec, minus.prec)
-        lo = min(lo, minus.eff_val, prec)
-    rows = [c.coords for c in b.padded(lo, prec)]
-    if minus is not None:
-        sub, minus_rows = spec.sub_rows, [c.coords for c in minus.padded(lo, prec)]
-        rows = [x if y is zero else zero if x is y else sub(x, y) for x, y in zip(rows, minus_rows)]
-        first = next((i for i, r in enumerate(rows) if any(r)), len(rows))
-        rows, lo = rows[first:], lo + first
+    prec, lo, rows = b.prec, b.eff_val, b.rows
     acc = [zero] * (prec - lo)
     top = max(lo, 1)  # the positive part: adding -(u_+^p - u_+) kills it
     acc[top - lo :] = positive_rows(spec, top, rows[top - lo :], negated=True)
     support = _pole_chains(spec, lo, rows[: max(-lo, 0)], acc)
     # constant to its transversal representative
-    rep, w = canonical_wp_shift(spec.from_digits(rows[-lo]) if lo <= 0 else spec.zero())
+    rep, w = canonical_wp_shift(b.coeff(0) if lo <= 0 else spec.zero())
     if lo <= 0:
         acc[-lo] = w.coords
-    return ASCanonical(spec, support, rep), LaurentSeries.make(spec, lo, prec, spec.from_rows(acc))
+    return ASCanonical(spec, support, rep), LaurentSeries.of_rows(spec, lo, prec, acc)
 
 
 def as_canonicalize(b: LaurentSeries) -> ASCanonical:
@@ -186,7 +174,7 @@ def as_canonicalize(b: LaurentSeries) -> ASCanonical:
     must still reach t^0."""
     _check_canonical(b)
     spec = b.ring
-    polar = [c.coords for c in b.coeffs[: max(-b.val, 0)]]
+    polar = b.rows[: max(-b.val, 0)]
     return ASCanonical(spec, _pole_chains(spec, b.val, polar), spec.wp_transversal_rep(b.coeff(0)))
 
 
@@ -210,13 +198,14 @@ def as_iso_witness(c: LaurentSeries, d: LaurentSeries):
     coordinate 0 and solves w^p - w = d_0 - c_0 (the representatives are
     equal), which is the equation of c - d: so w_c - w_d = w_{c-d}.
 
-    The canonicalisation takes c and d and subtracts their digit rows
-    itself, so no series or element difference is formed.  Both windows
-    are checked first, so a cover with prec <= 0 raises the
-    canonicalisation's own PrecisionExhausted."""
+    c - d is a row-wise series difference.  Both covers are checked
+    first, so a test-ring cover or one with prec <= 0 raises the
+    canonicalisation's own error before the difference is formed."""
     if c.ring != d.ring:
         raise DomainError("covers over different rings")
-    canon, u = _canonicalize_with_witness(c, d)
+    _check_canonical(c)
+    _check_canonical(d)
+    canon, u = _canonicalize_with_witness(c - d)
     if canon.support or not canon.constant_class.is_zero():
         return None
     return ASWitness(u)

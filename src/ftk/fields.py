@@ -67,12 +67,14 @@ holds:
   of an element of ``base``; the identity on a field),
   ``from_digits(row)``, ``from_rows(rows)`` (an element per row),
   ``add_rows(a, b)``, ``sub_rows(a, b)``, ``frobenius_row(row)`` (the rows
-  of a + b, a - b and a^p), ``kernel(length)``, ``digit_product(a, b, n)``
-  and ``truncated_product(a, b, n)``.  ``kernel`` is the packed-window kernel
-  for windows of at most ``length`` coefficients.  ``digit_product`` gives
-  the first n coefficients of (sum a_i t^i)(sum b_j t^j) for sequences a, b
-  of digit rows, as n rows.  ``truncated_product`` is the same product on
-  elements, and a test-ring product of two elements is one of length 1;
+  of a + b, a - b and a^p), ``kernel(length)`` and
+  ``digit_product(a, b, n)``.  ``kernel`` is the packed-window kernel for
+  windows of at most ``length`` coefficients.  ``digit_product`` gives the
+  first n coefficients of (sum a_i t^i)(sum b_j t^j) for sequences a, b of
+  digit rows, as n rows; a test-ring product of two elements is one of
+  length 1.  Series hold their windows as digit rows and call only this
+  row protocol, so elements enter a series computation only where a
+  caller reads a coefficient;
 - an element (FqElem, TestRingElem) has ``spec``, ``coords``, ``index``,
   ``+``, ``-``, ``*`` (also by an int), ``scale(n)``, ``**``,
   ``inverse()``, ``frobenius()``, ``is_zero()``, ``is_unit()`` (a nonzero
@@ -555,7 +557,7 @@ class TestRingElem(_RingElem):
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        return self.spec.truncated_product([self], [other], 1)[0]
+        return TestRingElem(self.spec, self.spec.digit_product([self.coords], [other.coords], 1)[0])
 
     __rmul__ = __mul__
 
@@ -663,11 +665,6 @@ class _RingSpec:
         rows a, b, as n digit rows: one packed product."""
         k = self.kernel(min(len(a), len(b), n))
         return k.unpack(k.mul(k.pack(a[:n]), k.pack(b[:n]), n), n)
-
-    def truncated_product(self, a, b, n: int) -> list:
-        """The first n coefficients of (sum a_i t^i)(sum b_j t^j)."""
-        rows = self.digit_product([x.coords for x in a], [y.coords for y in b], n)
-        return [self._elem(self, r) for r in rows]
 
 
 @dataclass(frozen=True)

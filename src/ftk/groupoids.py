@@ -333,6 +333,8 @@ class FiniteGroupoid:
         objects = set(self.objects)
         if any(x not in objects or y not in objects for x, y in self.homs):
             raise DomainError("hom-set between objects that are not listed")
+        if any(x not in objects for x in self.identities):
+            raise DomainError("identity at an object that is not listed")
         for x in self.objects:
             if self.identities.get(x) not in self.hom(x, x):
                 raise DomainError(f"object {x!r} has no identity arrow")
@@ -482,6 +484,8 @@ class CentralAutSubgroup:
     subgroups: dict  # x -> frozenset of labels in hom(x, x)
 
     def validate(self, g: FiniteGroupoid):
+        if any(x not in g.objects for x in self.subgroups):
+            raise DomainError("subgroup at an object that is not listed")
         for x in g.objects:
             hx = self.subgroups.get(x)
             if hx is None:

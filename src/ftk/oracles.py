@@ -142,7 +142,7 @@ class _WindowCodec:
         self.frobenius = [0] + [self.antilog[p * self.log[i] % (q - 1)] for i in range(1, q)]
 
     def encode(self, s: LaurentSeries) -> tuple:
-        if s.prec != 1 or s.coeffs and s.val < self.lo:
+        if s.prec != 1 or not s.is_zero() and s.val < self.lo:
             raise DomainError(f"series outside the codec's window: val >= {self.lo}, prec = 1")
         return tuple(s.coeff(e).index for e in range(self.lo, 1))
 

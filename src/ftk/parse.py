@@ -29,15 +29,16 @@ it holds a digit that is not a decimal (such as '²') or more digits than
 ``int()`` reads (4300 by default), is "expected an integer" at the start
 of the run.
 
-The descent builds no field element until the end.  A coefficient is a
-digit row, a list of its e coordinates in g^0 .. g^(e-1) as plain
-integers: a summand c g^k adds c at digit k when k < e, and c times the
-digits of g^k mod the modulus otherwise (square and multiply on digit
-rows).  A term's sign is carried into its summands, and the rows of a
-repeated exponent are summed digit by digit, so a text is read with
-integer additions only.  Each exponent's row is reduced mod p once; zero
-rows are dropped, the window is one list of the shared zero, and each
-nonzero row becomes an element by one ``from_digits``.
+``parse_series`` builds no field element.  A coefficient is a digit row, a
+list of its e coordinates in g^0 .. g^(e-1) as plain integers: a summand
+c g^k adds c at digit k when k < e, and c times the digits of g^k mod the
+modulus otherwise (square and multiply on digit rows).  A term's sign is
+carried into its summands, and the rows of a repeated exponent are summed
+digit by digit, so a text is read with integer additions only.  Each
+exponent's row is reduced mod p once; zero rows are dropped, the window
+is one list of the ring's zero row with each nonzero row in its slot, and
+``LaurentSeries.of_rows`` takes that window as it is.  Only
+``parse_field_elem``, which returns an element, calls ``from_digits``.
 """
 
 from __future__ import annotations
@@ -265,11 +266,10 @@ def parse_series(text: str, spec: FieldSpec, prec: int = None) -> LaurentSeries:
         return LaurentSeries.zero(spec, prec)
     if top >= prec:
         raise PrecisionExhausted("support exceeds precision window")
-    coeffs = [spec.zero()] * (prec - bottom)
-    from_digits = spec.from_digits
+    rows = [spec.zero().coords] * (prec - bottom)
     for exp, row in support.items():
-        coeffs[exp - bottom] = from_digits(row)
-    return LaurentSeries.make(spec, bottom, prec, coeffs)
+        rows[exp - bottom] = row
+    return LaurentSeries.of_rows(spec, bottom, prec, rows)
 
 
 def render_series(s: LaurentSeries) -> str:

@@ -70,13 +70,17 @@ every transition and every canonical step builds S_level and S_M with
 
 ``TupleRing`` and ``TupleRingElem`` are the test ring F_q[x]/(x^m) as
 ``ftk.fields`` kept it before a test-ring element became its digit row:
-an element is a tuple of m field elements, x-adic, constant first.  Its
-product is the schoolbook double loop over field products, its inverse
-the geometric series in the nilpotent part, its Frobenius maps each
-coefficient, and its index reads the coefficients' indices in base q.
-Series over a ``TupleRing`` run through ``mul``, ``invert`` and
-``nth_root_unit`` above, so the differential tests compare the row layout
-with this one element by element and series by series.
+an element holds ``parts``, a tuple of m field elements, x-adic, constant
+first.  Its product is the schoolbook double loop over field products, its
+inverse the geometric series in the nilpotent part, its Frobenius maps
+each coefficient, and its index reads the coefficients' indices in base q.
+A ``LaurentSeries`` stores digit rows, so the reference also speaks the
+row protocol a series needs: an element's ``coords`` is its digit row, and
+``from_digits``, ``from_rows``, ``add_rows`` and ``sub_rows`` go through
+its own element arithmetic.  Series over a ``TupleRing`` run through
+``mul``, ``invert`` and ``nth_root_unit`` above, so the differential tests
+compare the row layout with this one element by element and series by
+series.
 """
 
 from __future__ import annotations
@@ -750,7 +754,7 @@ def series_make(ring, val: int, prec: int, coeffs) -> LaurentSeries:
                 f"zero to precision {prec}: window certifies nothing"
             )
         return LaurentSeries(ring, 0, prec, ())
-    return LaurentSeries(ring, val, prec, tuple(coeffs))
+    return LaurentSeries(ring, val, prec, tuple(c.coords for c in coeffs))
 
 
 def series_add(self, other):
@@ -767,7 +771,7 @@ def series_add(self, other):
 
 
 def series_neg(self):
-    return LaurentSeries(self.ring, self.val, self.prec, tuple(elem_neg(c) for c in self.coeffs))
+    return LaurentSeries(self.ring, self.val, self.prec, tuple(elem_neg(c).coords for c in self.coeffs))
 
 
 def series_sub(self, other):
@@ -1204,39 +1208,57 @@ class TupleRing:
 
     def from_index(self, idx: int):
         q = self.base.q
-        coords = []
+        parts = []
         for _ in range(self.m):
-            coords.append(self.base.from_index(idx % q))
+            parts.append(self.base.from_index(idx % q))
             idx //= q
-        return TupleRingElem(self, tuple(coords))
+        return TupleRingElem(self, tuple(parts))
+
+    # the digit-row protocol a LaurentSeries needs: rows are the x-major
+    # digits of ``TupleRingElem.coords``
+
+    def from_digits(self, row: tuple):
+        e = self.base.e
+        parts = (self.base.from_digits(row[i * e : (i + 1) * e]) for i in range(self.m))
+        return TupleRingElem(self, tuple(parts))
+
+    def from_rows(self, rows) -> list:
+        return [self.from_digits(r) for r in rows]
+
+    def add_rows(self, a: tuple, b: tuple) -> tuple:
+        return (self.from_digits(a) + self.from_digits(b)).coords
+
+    def sub_rows(self, a: tuple, b: tuple) -> tuple:
+        return (self.from_digits(a) - self.from_digits(b)).coords
 
 
 @dataclass(frozen=True)
 class TupleRingElem:
     spec: TupleRing
-    coords: tuple  # m field elements, x-adic, constant first
+    parts: tuple  # m field elements, x-adic, constant first
 
     def _check(self, other):
         if self.spec != other.spec:
             raise DomainError("mixed test-ring arithmetic")
 
-    def digits(self) -> tuple:
+    @property
+    def coords(self) -> tuple:
         """The m*e F_p digits, x-major: the row layout of the same element."""
-        return tuple(d for c in self.coords for d in c.coords)
+        return tuple(d for c in self.parts for d in c.coords)
 
     @property
     def index(self) -> int:
         q = self.spec.base.q
         idx = 0
-        for c in reversed(self.coords):
+        for c in reversed(self.parts):
             idx = idx * q + c.index
         return idx
 
     def is_zero(self) -> bool:
-        return not any(any(c.coords) for c in self.coords)
+        return not any(any(c.coords) for c in self.parts)
 
     def residue(self):
-        return self.coords[0]
+        return self.parts[0]
 
     def is_unit(self) -> bool:
         return not self.residue().is_zero()
@@ -1247,7 +1269,7 @@ class TupleRingElem:
             return self
         if self.is_zero():
             return other
-        return TupleRingElem(self.spec, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return TupleRingElem(self.spec, tuple(a + b for a, b in zip(self.parts, other.parts)))
 
     def __sub__(self, other):
         self._check(other)
@@ -1255,12 +1277,12 @@ class TupleRingElem:
             return self
         if self.is_zero():
             return -other
-        return TupleRingElem(self.spec, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return TupleRingElem(self.spec, tuple(a - b for a, b in zip(self.parts, other.parts)))
 
     def __neg__(self):
         if self.spec.p == 2 or self.is_zero():
             return self
-        return TupleRingElem(self.spec, tuple(-a for a in self.coords))
+        return TupleRingElem(self.spec, tuple(-a for a in self.parts))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -1269,10 +1291,10 @@ class TupleRingElem:
         m = self.spec.m
         zero = self.spec.base.zero()
         out = [zero] * m
-        for i, a in enumerate(self.coords):
+        for i, a in enumerate(self.parts):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coords):
+            for j, b in enumerate(other.parts):
                 if i + j < m and not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return TupleRingElem(self.spec, tuple(out))
@@ -1280,7 +1302,7 @@ class TupleRingElem:
     __rmul__ = __mul__
 
     def scale(self, n: int):
-        return TupleRingElem(self.spec, tuple(a.scale(n) for a in self.coords))
+        return TupleRingElem(self.spec, tuple(a.scale(n) for a in self.parts))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -1299,7 +1321,7 @@ class TupleRingElem:
         spec = self.spec
         p, m = spec.p, spec.m
         out = [spec.base.zero()] * m
-        for i, a in enumerate(self.coords[: (m - 1) // p + 1]):
+        for i, a in enumerate(self.parts[: (m - 1) // p + 1]):
             out[i * p] = a.frobenius()
         return TupleRingElem(spec, tuple(out))
 
@@ -1307,7 +1329,7 @@ class TupleRingElem:
         if not self.is_unit():
             raise NotInvertible(f"{self} is not a unit (residue 0)")
         # a = a0 (1 + nu) with nu nilpotent; geometric series stops at x^m = 0
-        a0_inv = self.spec.from_field(self.coords[0].inverse())
+        a0_inv = self.spec.from_field(self.parts[0].inverse())
         nu = self * a0_inv - self.spec.one()
         acc = self.spec.one()
         term = self.spec.one()
@@ -1318,7 +1340,7 @@ class TupleRingElem:
 
     def __str__(self):
         parts = []
-        for i, c in enumerate(self.coords):
+        for i, c in enumerate(self.parts):
             if c.is_zero():
                 continue
             cs = str(c)

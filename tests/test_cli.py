@@ -218,6 +218,8 @@ def _spoil(record, how):
         table["01"] = table.pop("0|1")
     elif how == "hom to an unlisted object":
         record["homs"]["*|ghost"] = ["0"]
+    elif how == "identity at an unlisted object":
+        record["identities"]["ghost"] = "0"
     return json.dumps(record)
 
 
@@ -229,6 +231,7 @@ def _spoil(record, how):
         ("mass", "hom key without |", 2),
         ("mass", "compose label without |", 2),
         ("mass", "hom to an unlisted object", 2),
+        ("mass", "identity at an unlisted object", 2),
         ("rigidify", "not JSON", 1),
         ("rigidify", "no homs", 2),
     ],
@@ -246,8 +249,8 @@ def test_malformed_groupoid_file(capsys, tmp_path, verb, how, code):
 
 @pytest.mark.parametrize(
     "text, code",
-    [('["0", "2"]', 2), ('{"*": [0, 2]}', 2), ("*: 0, 2", 1)],
-    ids=["a list", "integer labels", "not JSON"],
+    [('["0", "2"]', 2), ('{"*": [0, 2]}', 2), ("*: 0, 2", 1), ('{"*": ["0", "2"], "ghost": ["0"]}', 2)],
+    ids=["a list", "integer labels", "not JSON", "an unlisted object"],
 )
 def test_malformed_subgroup_file(capsys, tmp_path, text, code):
     gpath, spath = tmp_path / "g.json", tmp_path / "sub.json"

@@ -87,6 +87,22 @@ def test_only_fields_builds_elements_from_rows():
         assert calls == [], f"{path.name} constructs ring elements at lines {calls}"
 
 
+def test_only_series_builds_series_from_rows():
+    # the window layout stays behind the series type: only series.py calls
+    # the LaurentSeries constructor, every other module goes through
+    # of_rows, make and the like, and only series.py and artin_schreier.py
+    # read a series' digit rows
+    for path in sorted(Path(ftk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        builds = [n.lineno for n in nodes if isinstance(n, ast.Call) and _name(n.func) == "LaurentSeries"]
+        reads = [n.lineno for n in nodes if isinstance(n, ast.Attribute) and n.attr == "rows"]
+        if path.name != "series.py":
+            assert builds == [], f"{path.name} calls the LaurentSeries constructor at lines {builds}"
+        if path.name not in {"series.py", "artin_schreier.py"}:
+            assert reads == [], f"{path.name} reads series rows at lines {reads}"
+
+
 def test_oracles_import_no_path_they_check():
     # an oracle that called the Artin-Schreier or Kummer paths, or the
     # semidirect enumeration, would check them against itself; only the
@@ -523,9 +539,10 @@ def test_only_a_table_sized_field_keeps_its_elements(spec):
     # parse two windows of 4096 distinct coefficients each and drop them.
     # F_2^20 and F_(2^31-1) keep no table: under 64 KB is still held.  F_2^14
     # (q = MAX_TABLE_Q) keeps its 8192 shared elements, megabytes, so the
-    # measure sees a table
+    # measure sees a table.  The texts are rendered from elements built by
+    # from_index, which leaves the shared table empty
     texts = [
-        str(LaurentSeries.make(spec, 0, 4096, [spec.from_index(4096 * j + k + 1) for k in range(4096)]))
+        " + ".join(f"({spec.from_index(4096 * j + k + 1)})*t^{k}" for k in range(4096))
         for j in range(2)
     ]
     gc.collect()
@@ -574,8 +591,8 @@ def test_as_canonicalize_builds_few_elements(monkeypatch):
 
 
 def test_as_canonicalize_of_a_positive_series_negates_nothing(monkeypatch):
-    # the witness is -u_+, which solve_positive(negated=True) computes as
-    # v_s = v_{s/p}^p + b_s; the parent negated b_s and then u_s again
+    # the witness is -u_+, which positive_rows(negated=True) computes as
+    # v_s = v_{s/p}^p + b_s; negating u_+ negated b_s and then u_s again
     F5 = field(5)
     b = LaurentSeries.from_dict(F5, {s: F5.from_int(s % 4 + 1) for s in (1, 2, 5, 7, 10, 25)}, 40)
     expected = as_canonicalize(b)

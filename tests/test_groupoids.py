@@ -241,6 +241,15 @@ class TestGroupoids:
                 {"x": "a"},
             )
 
+    def test_identity_at_an_unlisted_object_is_refused(self):
+        with pytest.raises(DomainError, match="not listed"):
+            FiniteGroupoid.build(
+                ("x",),
+                {("x", "x"): ("a",)},
+                {("x", "x", "x", "a", "a"): "a"},
+                {"x": "a", "ghost": "a"},
+            )
+
     def test_json_roundtrip(self):
         g = bg(FinGroup.cyclic(4))
         data = g.to_json()
@@ -334,6 +343,12 @@ class TestRigidify:
         # hom(0,0) = {identity}; try a malformed "subgroup" at one object only
         with pytest.raises(DomainError):
             CentralAutSubgroup({0: frozenset({0})}).validate(s3_like)
+
+    def test_subgroup_at_an_unlisted_object_is_refused(self):
+        g = bg(FinGroup.cyclic(4))
+        sub = CentralAutSubgroup({"*": frozenset({"0", "2"}), "ghost": frozenset({"0"})})
+        with pytest.raises(DomainError, match="not listed"):
+            sub.validate(g)
 
 
 class TestFiberProducts:

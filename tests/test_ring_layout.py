@@ -24,18 +24,13 @@ def _size(ring):
     return ring.base.q**ring.m
 
 
-def _row(a):
-    """The digit row of a row element, the digits of a reference element."""
-    return a.digits() if isinstance(a, schoolbook.TupleRingElem) else a.coords
-
-
 def element(fn):
     """(row, index, string) of fn's element, or the type of its FtkError."""
     try:
         a = fn()
     except FtkError as exc:
         return type(exc)
-    return _row(a), a.index, str(a)
+    return a.coords, a.index, str(a)
 
 
 def series(fn):
@@ -44,7 +39,7 @@ def series(fn):
         s = fn()
     except FtkError as exc:
         return type(exc)
-    return s.val, s.prec, [_row(c) for c in s.coeffs]
+    return s.val, s.prec, [c.coords for c in s.coeffs]
 
 
 def _indices(ring):

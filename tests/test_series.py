@@ -5,8 +5,9 @@ import tracemalloc
 import pytest
 
 from ftk.errors import DomainError, NotInvertible, PrecisionExhausted
-from ftk.fields import field, test_ring as local_test_ring
-from ftk.series import LaurentSeries as L
+from ftk.fields import MAX_TABLE_Q, field, test_ring as local_test_ring
+from ftk.parse import parse_series
+from ftk.series import LaurentSeries as L, positive_rows
 
 
 F2, F3, F5 = field(2), field(3), field(5)
@@ -204,12 +205,16 @@ class TestSolvePositive:
     @pytest.mark.parametrize("negated", [False, True])
     def test_allocates_from_the_valuation(self, negated):
         # t^N known mod t^(N+4): the window [N, N+4) is four slots, not N;
-        # N and N + 2 are even, with halves below the valuation
+        # N and N + 2 are even, with halves below the valuation.  The
+        # negated recurrence is the row loop the Artin-Schreier witness runs
         n = 2 * 10**6
         b = L.monomial(F2.one(), n, n + 4)
         tracemalloc.start()
         try:
-            u = b.solve_positive(negated)
+            if negated:
+                u = L.of_rows(F2, n, n + 4, positive_rows(F2, n, b.rows, negated=True))
+            else:
+                u = b.solve_positive()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -318,10 +323,10 @@ class TestNthRootUnit:
 
         real = ftk.series._root_unit_led
 
-        def spoiled(ring, coeffs, r0, n):
-            g = real(ring, coeffs, r0, n)
-            g[k] = g[k] + spoil
-            return g
+        def spoiled(kernel, a, r0, n, size):
+            rows = kernel.unpack(real(kernel, a, r0, n, size), size)
+            rows[k] = ring.add_rows(rows[k], spoil.coords)
+            return kernel.pack(rows)
 
         monkeypatch.setattr(ftk.series, "_root_unit_led", spoiled)
         a = L.constant(ring.one(), 20) + L.monomial(ring.one(), 1, 20)
@@ -352,9 +357,11 @@ class TestNthRootUnit:
 
 @pytest.mark.parametrize("ring", [F256, R42], ids=repr)
 def test_newton_builds_only_the_returned_coefficients(from_digits_calls, monkeypatch, ring):
-    # the inverse and the root iterate on packed windows: no element sum,
-    # difference, negation or scaling, and one element per coefficient
-    # returned; the lead is a residue lift, a cube, so no x-adic lift runs
+    # the inverse and the root iterate on packed windows and return rows:
+    # no element sum, difference, negation or scaling, and no element of
+    # the window; the one element built is the leading coefficient, whose
+    # inverse or canonical root starts Newton.  The lead is a residue lift,
+    # a cube, so no x-adic lift runs
     rng = random.Random(53)
     q = ring.base.q
     size = q**ring.m
@@ -362,13 +369,54 @@ def test_newton_builds_only_the_returned_coefficients(from_digits_calls, monkeyp
     a = L.make(ring, 0, 30, [lead] + [ring.from_index(rng.randrange(size)) for _ in range(29)])
     del from_digits_calls[:]
     inv = a.shift(-4).invert()
-    assert len(from_digits_calls) == len(inv.coeffs) == 30
+    assert from_digits_calls == [lead.coords]
     del from_digits_calls[:]
     g = a.nth_root_unit(3)
-    assert len(from_digits_calls) == len(g.coeffs) == 30
+    assert from_digits_calls == [lead.coords]
     monkeypatch.undo()
     assert (inv * a.shift(-4) - L.constant(ring.one(), 30)).is_zero()
     assert (g**3 - a).is_zero()
+
+
+@pytest.fixture
+def field_tables(ring):
+    """The tables of the ring's residue field, built before a guard is set."""
+    if ring.base.q <= MAX_TABLE_Q:
+        ring.base.generator
+
+
+@pytest.mark.parametrize("ring", [F2, field(3, 2), F256, field(2**31 - 1), R42], ids=repr)
+def test_series_arithmetic_builds_no_element(field_tables, from_digits_calls, ring):
+    # a series holds digit rows: sums, products, the Newton inverse and
+    # root, the positive part and u^p - u build no element and make no
+    # element sum, difference, negation or scaling; invert and nth_root_unit
+    # read one element, the leading coefficient that starts their Newton
+    rng = random.Random(29)
+    size = ring.base.q**ring.m
+
+    def window(val, prec, lead):
+        tail = [ring.from_index(rng.randrange(size)) for _ in range(prec - val - 1)]
+        return L.make(ring, val, prec, [lead] + tail)
+
+    one = ring.one()
+    a, b, u = window(-3, 20, one), window(-5, 17, ring.from_index(size - 1)), window(1, 24, one)
+    del from_digits_calls[:]
+    a + b, a - b, -a, a * b, u.solve_positive()
+    if ring.p < 2**8:  # u^p dilates the window by p
+        u.series_pth_power(), u.wp()
+    if ring.m == 1:
+        parse_series("t^-3 + 3*t^2 + t^7", ring)
+    assert from_digits_calls == []
+    a.invert()
+    assert from_digits_calls == [one.coords]
+    del from_digits_calls[:]
+    if ring.base.q <= MAX_TABLE_Q:
+        a.shift(3).nth_root_unit(5)
+    else:
+        # the canonical root of the lead needs the field's tables
+        with pytest.raises(DomainError, match="field tables"):
+            a.shift(3).nth_root_unit(5)
+    assert from_digits_calls == [one.coords]
 
 
 class TestConstancyChecks:
