@@ -3,9 +3,15 @@ punctured disk Spec F_q((t)).
 
 Submodules: fields (finite fields and local test rings), series
 (truncated Laurent series), artin_schreier (wild Z/pZ and elementary
-abelian covers), kummer (tame cyclic covers), semidirect (H x| C_n
-torsors), groupoids (ind-scheme points and finite-groupoid machinery),
-oracles (independent brute-force cross-checks), cli (command line).
+abelian covers, and the points of their level system), kummer (tame
+cyclic covers), semidirect (H x| C_n torsors), groupoids (finite-groupoid
+and set-system machinery), oracles (independent brute-force
+cross-checks), cli (command line).
+
+The names imported below are the public surface: the types and functions
+behind the README's verbs.  Everything else in the submodules is internal,
+and a def that no library module references needs a stated reason to stay
+(tests/test_surface.py).
 """
 
 from .errors import (
@@ -21,7 +27,6 @@ from .fields import (
     FqElem,
     TestRingElem,
     TestRingSpec,
-    as_residue_solve,
     field,
     nth_power_class,
     test_ring,
@@ -34,6 +39,7 @@ from .series import (
 from .artin_schreier import (
     ASCanonical,
     ASWitness,
+    IndPoint,
     as_canonicalize,
     as_iso_witness,
     as_moduli_point,
@@ -64,16 +70,14 @@ from .groupoids import (
     FinGroup,
     FiniteGroupoid,
     GroupoidFunctor,
-    IndPoint,
     SetSystem,
     SystemMap,
     bg,
     colim_fiber_product_check,
     groupoid_fiber_product,
     groupoid_mass,
-    level_count,
     rigidify,
 )
-from .parse import parse_field_elem, parse_series, render_series
+from .parse import parse_field_elem, parse_series
 
 __version__ = "0.1.0"

@@ -15,13 +15,12 @@ import time
 from fractions import Fraction
 
 from . import oracles
-from .artin_schreier import as_canonicalize, enumerate_as_classes, prime_to_p_support
+from .artin_schreier import IndPoint, as_canonicalize, enumerate_as_classes, prime_to_p_support
 from .fields import field, test_ring
 from .groupoids import (
     CentralAutSubgroup,
     FinGroup,
     FiniteGroupoid,
-    IndPoint,
     SetSystem,
     SystemMap,
     bg,

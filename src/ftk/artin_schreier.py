@@ -28,6 +28,18 @@ elements are built only for the support, one per nonzero slot.
 
 Rank-r elementary-abelian covers are vectors of the rank-1 data, handled
 componentwise throughout.
+
+IndPoint models a point of colim_m A^(S_m) (tensored with an elementary
+abelian group of rank r): the transition from level m to m+1 includes the
+coordinate vector into the larger slot set and applies the coefficient
+Frobenius once.  The slots S_m = {1 <= k <= m : p does not divide k} are
+ascending, so S_m is a prefix of S_M, and S_m minus S_(m-1) is {m} when p
+does not divide m and empty otherwise.  A value is slot-major, one row of
+r coordinates per slot, so the inclusion appends zero rows and a step
+down drops the top row.  Equality is equality after transporting to a
+common level; the canonical representative is the level-minimal one,
+reachable because coefficient p-th roots exist over a perfect field.
+``as_moduli_point`` sends a canonical form to its point.
 """
 
 from __future__ import annotations
@@ -43,6 +55,64 @@ from .series import LaurentSeries, positive_rows
 def prime_to_p_support(p: int, m: int):
     """S_m = {1 <= n <= m : p does not divide n}."""
     return [n for n in range(1, m + 1) if n % p]
+
+
+def _slot_count(p: int, m: int) -> int:
+    """|S_m| = m - floor(m/p)."""
+    return m - m // p
+
+
+@dataclass(frozen=True)
+class IndPoint:
+    """A point of the level-m affine chart, considered in the colimit."""
+
+    spec: FieldSpec
+    r: int
+    level: int
+    value: tuple  # FqElem vector indexed by S_level x r, slot-major
+
+    def __post_init__(self):
+        if self.level < 1:
+            raise DomainError("levels start at 1")
+        expected = _slot_count(self.spec.p, self.level) * self.r
+        if len(self.value) != expected:
+            raise DomainError(
+                f"value length {len(self.value)} != |S_m| * r = {expected}"
+            )
+
+    def transition(self, M: int) -> "IndPoint":
+        """Transport to level M >= level: apply the coefficient Frobenius
+        once per level step, then append a zero row for each slot of S_M
+        beyond S_level."""
+        if M < self.level:
+            raise DomainError("transitions only go up")
+        out = []
+        for c in self.value:
+            for _ in range(M - self.level):
+                c = c.frobenius()
+            out.append(c)
+        new_rows = _slot_count(self.spec.p, M) - _slot_count(self.spec.p, self.level)
+        out.extend([self.spec.zero()] * (new_rows * self.r))
+        return IndPoint(self.spec, self.r, M, tuple(out))
+
+    def eq(self, other: "IndPoint") -> bool:
+        if self.spec != other.spec or self.r != other.r:
+            raise DomainError("points of different systems")
+        M = max(self.level, other.level)
+        return self.transition(M).value == other.transition(M).value
+
+    def canonical(self) -> "IndPoint":
+        """The least-level representative of the colimit class (idempotent)."""
+        level, value = self.level, self.value
+        while level > 1:
+            # the top row is slot `level`, present when p does not divide it
+            top = self.r if level % self.spec.p else 0
+            rest = len(value) - top
+            if any(not c.is_zero() for c in value[rest:]):
+                break
+            value = tuple(c.pth_root() for c in value[:rest])
+            level -= 1
+        return IndPoint(self.spec, self.r, level, value)
 
 
 @dataclass(frozen=True)
@@ -214,8 +284,6 @@ def as_iso_witness(c: LaurentSeries, d: LaurentSeries):
 def as_moduli_point(f: ASCanonical):
     """The point of the Frobenius-twisted colimit at the minimal level that
     shows the whole support.  The constant class is not part of the point."""
-    from .groupoids import IndPoint
-
     level = f.break_ or 1
     sup = f.support_dict()
     value = tuple(
@@ -229,7 +297,7 @@ def as_class_count(spec: FieldSpec, m: int) -> int:
     closed form.  Refused when q^|S_m| could pass 2^4096, so that a huge
     break bound costs nothing."""
     check_break_bound(m)
-    slots = m - m // spec.p
+    slots = _slot_count(spec.p, m)
     if slots * (spec.q - 1).bit_length() > 4096:
         raise DomainError("class count exceeds 2^4096")
     return spec.p * spec.q**slots

@@ -37,7 +37,7 @@ from .kummer import (
     kummer_class_count,
     kummer_iso_witness,
 )
-from .parse import parse_series, render_series
+from .parse import parse_series
 from .semidirect import SemidirectGroup, TameFrame, enumerate_g_torsors, reduce_to_coprime
 
 # the largest census walk a verb starts: count-kummer F_256, n = 255, with
@@ -121,7 +121,7 @@ def _cmd_as_iso(args):
     w = as_iso_witness(c.truncate(cap), d.truncate(cap))
     payload = {
         "isomorphic": w is not None,
-        "witness": None if w is None else render_series(w.u),
+        "witness": None if w is None else str(w.u),
     }
     _emit(payload)
     return 0
@@ -142,7 +142,7 @@ def _cmd_kummer_iso(args):
     u = kummer_iso_witness(b.truncate(cap), d.truncate(cap), args.n)
     payload = {
         "isomorphic": u is not None,
-        "witness": None if u is None else render_series(u),
+        "witness": None if u is None else str(u),
     }
     _emit(payload)
     return 0

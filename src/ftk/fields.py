@@ -802,11 +802,6 @@ def _field_tables(spec: FieldSpec):
 # -- spec-level operations ------------------------------------------
 
 
-def as_residue_solve(c: FqElem):
-    """All u in F_q with u^p - u = c.  Empty or of size exactly p."""
-    return c.spec.wp_preimages(c)
-
-
 def nth_power_class(c: FqElem, n: int) -> int:
     """Class of c in F_q^* / (F_q^*)^n, as a residue in Z/gcd(n, q-1).
 
@@ -844,21 +839,12 @@ def canonical_nth_root(c: FqElem, n: int) -> FqElem:
     return min((powers[(k0 + j * step) % order] for j in range(d)), key=lambda r: r.index)
 
 
-def nth_roots_of_unity(spec: FieldSpec, n: int):
-    """All xi in F_q with xi^n = 1, in index order: the d = gcd(n, q-1)
-    powers h^(j (q-1)/d) of the fixed generator h."""
-    order = spec.q - 1
-    d = math.gcd(n, order)
-    powers = _field_tables(spec)[4]
-    return sorted((powers[j * (order // d)] for j in range(d)), key=lambda a: a.index)
-
-
 def canonical_wp_shift(c: FqElem):
     """(rep, w): the transversal representative of c and the smallest w with
     w^p - w = rep - c, rep - c formed on digit rows."""
     spec = c.spec
     rep = spec.wp_transversal_rep(c)
-    sols = as_residue_solve(spec.from_digits(spec.sub_rows(rep.coords, c.coords)))
+    sols = spec.wp_preimages(spec.from_digits(spec.sub_rows(rep.coords, c.coords)))
     w = min(sols, key=lambda u: u.index)
     return rep, w
 

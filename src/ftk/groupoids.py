@@ -1,17 +1,6 @@
-"""Ind-scheme points of the Frobenius-twisted level system, plus a
-desk-scale finite-groupoid toolkit: masses, rigidification, iso-comma
-fiber products, and colimit/fiber-product commutation checks.
-
-IndPoint models a point of colim_m A^(S_m) (tensored with an elementary
-abelian group of rank r): the transition from level m to m+1 includes the
-coordinate vector into the larger slot set and applies the coefficient
-Frobenius once.  The slots S_m = {1 <= k <= m : p does not divide k} are
-ascending, so S_m is a prefix of S_M, and S_m minus S_(m-1) is {m} when p
-does not divide m and empty otherwise.  A value is slot-major, one row of
-r coordinates per slot, so the inclusion appends zero rows and a step
-down drops the top row.  Equality is equality after transporting to a
-common level; the canonical representative is the level-minimal one,
-reachable because coefficient p-th roots exist over a perfect field.
+"""A desk-scale finite-groupoid toolkit: masses, rigidification, iso-comma
+fiber products, and colimit/fiber-product commutation checks for direct
+systems of finite sets.
 
 Groupoids are finite and explicit (objects, hom-sets of labelled arrows,
 a composition table).  Composition tables are built from rules over the
@@ -28,74 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .fields import FieldSpec, _prime_factors
 
 MAX_OBJECTS = 64
 MAX_ARROWS = 4096
 _ASSOC_BUDGET = 5_000_000  # composable triples checked exhaustively below this
-
-
-@dataclass(frozen=True)
-class IndPoint:
-    """A point of the level-m affine chart, considered in the colimit."""
-
-    spec: FieldSpec
-    r: int
-    level: int
-    value: tuple  # FqElem vector indexed by S_level x r, slot-major
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise DomainError("levels start at 1")
-        expected = _slot_count(self.spec.p, self.level) * self.r
-        if len(self.value) != expected:
-            raise DomainError(
-                f"value length {len(self.value)} != |S_m| * r = {expected}"
-            )
-
-    def transition(self, M: int) -> "IndPoint":
-        """Transport to level M >= level: apply the coefficient Frobenius
-        once per level step, then append a zero row for each slot of S_M
-        beyond S_level."""
-        if M < self.level:
-            raise DomainError("transitions only go up")
-        out = []
-        for c in self.value:
-            for _ in range(M - self.level):
-                c = c.frobenius()
-            out.append(c)
-        new_rows = _slot_count(self.spec.p, M) - _slot_count(self.spec.p, self.level)
-        out.extend([self.spec.zero()] * (new_rows * self.r))
-        return IndPoint(self.spec, self.r, M, tuple(out))
-
-    def eq(self, other: "IndPoint") -> bool:
-        if self.spec != other.spec or self.r != other.r:
-            raise DomainError("points of different systems")
-        M = max(self.level, other.level)
-        return self.transition(M).value == other.transition(M).value
-
-    def canonical(self) -> "IndPoint":
-        """The least-level representative of the colimit class (idempotent)."""
-        level, value = self.level, self.value
-        while level > 1:
-            # the top row is slot `level`, present when p does not divide it
-            top = self.r if level % self.spec.p else 0
-            rest = len(value) - top
-            if any(not c.is_zero() for c in value[rest:]):
-                break
-            value = tuple(c.pth_root() for c in value[:rest])
-            level -= 1
-        return IndPoint(self.spec, self.r, level, value)
-
-
-def _slot_count(p: int, m: int) -> int:
-    """|S_m| = m - floor(m/p)."""
-    return m - m // p
-
-
-def level_count(m: int, r: int, q: int) -> int:
-    """q^(|S_m| * r) points at level m, p the prime of q."""
-    return q ** (_slot_count(_prime_factors(q)[0], m) * r)
 
 
 def _union_classes(keys, links):
@@ -173,15 +98,6 @@ class FinGroup:
     def inv(self, a):
         return next(b for b in self.elements if self.mul(a, b) == self.identity)
 
-    def order(self) -> int:
-        return len(self.elements)
-
-    def center(self):
-        return tuple(
-            z for z in self.elements
-            if all(self.mul(z, a) == self.mul(a, z) for a in self.elements)
-        )
-
     def subgroup_closure(self, gens):
         seen = {self.identity}
         frontier = [self.identity]
@@ -243,42 +159,24 @@ class FinGroup:
 
     @staticmethod
     def quaternion() -> "FinGroup":
-        """Q_8 = {±1, ±i, ±j, ±k}."""
-        names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
+        """Q_8 = {±1, ±i, ±j, ±k}: i^2 = j^2 = k^2 = -1 and ij = k, jk = i,
+        ki = j (so ji = -k, ...), with signs multiplied."""
+        names = tuple(sign + u for u in "1ijk" for sign in ("", "-"))
 
-        def canon(sign, sym):
-            if sym == "1":
-                return "1" if sign > 0 else "-1"
-            return sym if sign > 0 else "-" + sym
+        def unit_mul(a, b):
+            """(sign, unit) of the product of two units among 1, i, j, k."""
+            if "1" in (a, b):
+                return 1, b if a == "1" else a
+            if a == b:
+                return -1, "1"
+            return (1 if a + b in "ijki" else -1), "ijk".replace(a, "").replace(b, "")
 
-        def split(x):
-            sign = -1 if x.startswith("-") else 1
-            return sign, x.lstrip("-") or "1"
-
-        basemul = {
-            ("1", s): (1, s) for s in ("1", "i", "j", "k")
-        }
-        basemul.update({(s, "1"): (1, s) for s in ("i", "j", "k")})
-        basemul.update(
-            {
-                ("i", "i"): (-1, "1"),
-                ("j", "j"): (-1, "1"),
-                ("k", "k"): (-1, "1"),
-                ("i", "j"): (1, "k"),
-                ("j", "i"): (-1, "k"),
-                ("j", "k"): (1, "i"),
-                ("k", "j"): (-1, "i"),
-                ("k", "i"): (1, "j"),
-                ("i", "k"): (-1, "j"),
-            }
-        )
         mul = {}
         for a in names:
             for b in names:
-                sa, xa = split(a)
-                sb, xb = split(b)
-                sc, xc = basemul[(xa, xb)]
-                mul[(a, b)] = canon(sa * sb * sc, xc)
+                sign, u = unit_mul(a.lstrip("-"), b.lstrip("-"))
+                negative = (sign < 0) ^ a.startswith("-") ^ b.startswith("-")
+                mul[(a, b)] = "-" * negative + u
         return FinGroup.from_table(names, mul, "1")
 
 
@@ -301,8 +199,14 @@ class FiniteGroupoid:
 
     @staticmethod
     def build(objects, homs, compose, identities) -> "FiniteGroupoid":
+        """Refuses repeated objects and repeated labels in a hom-set, which
+        would be counted twice."""
         objects = tuple(objects)
         homs = {k: tuple(v) for k, v in homs.items() if v}
+        if len(set(objects)) != len(objects):
+            raise DomainError("repeated object")
+        if any(len(set(fs)) != len(fs) for fs in homs.values()):
+            raise DomainError("repeated arrow label in a hom-set")
         g = FiniteGroupoid(objects, homs, dict(compose), dict(identities))
         if len(objects) > MAX_OBJECTS:
             raise DomainError(f"more than {MAX_OBJECTS} objects")
@@ -419,15 +323,26 @@ class FiniteGroupoid:
                 raise ValueError(f"{key!r} is not {n} names joined by '|'")
             return tuple(parts)
 
+        def of_type(value, kind, what):
+            # a string would pass for a list of its characters, and a list
+            # of pairs for an object
+            if not isinstance(value, kind):
+                json_kind = "list" if kind is list else "object"
+                raise TypeError(f"{what} must be a JSON {json_kind}, not {type(value).__name__}")
+            return value
+
         try:
-            objects = tuple(data["objects"])
-            homs = {split(key, 2): tuple(labels) for key, labels in data["homs"].items()}
+            objects = tuple(of_type(data["objects"], list, "objects"))
+            homs = {
+                split(key, 2): tuple(of_type(labels, list, "a hom-set"))
+                for key, labels in of_type(data["homs"], dict, "homs").items()
+            }
             compose = {
                 split(key, 3) + split(fg, 2): h
-                for key, table in data.get("compose", {}).items()
-                for fg, h in table.items()
+                for key, table in of_type(data.get("compose", {}), dict, "compose").items()
+                for fg, h in of_type(table, dict, "a compose table").items()
             }
-            identities = dict(data["identities"])
+            identities = dict(of_type(data["identities"], dict, "identities"))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise DomainError(f"not a groupoid record ({type(exc).__name__}: {exc})") from None
         names = [*objects, *identities.values(), *compose.values(), *itertools.chain(*homs.values())]
@@ -454,19 +369,6 @@ def discrete_groupoid(k: int) -> FiniteGroupoid:
     homs = {(x, x): ("id",) for x in objects}
     compose = _table(homs, lambda *_: "id")
     return FiniteGroupoid.build(objects, homs, compose, {x: "id" for x in objects})
-
-
-def action_groupoid(group: FinGroup, points, act) -> FiniteGroupoid:
-    """Action groupoid: objects are points, arrows (g, x): x -> act(g, x)."""
-    points = tuple(points)
-    homs: dict = {}
-    for x in points:
-        for g in group.elements:
-            y = act(g, x)
-            homs.setdefault((x, y), []).append(g)
-    compose = _table(homs, lambda x, y, z, f, g: group.mul(g, f))
-    identities = {x: group.identity for x in points}
-    return FiniteGroupoid.build(points, homs, compose, identities)
 
 
 def groupoid_mass(g: FiniteGroupoid) -> Fraction:

@@ -18,6 +18,13 @@ coefficients at lo .. 0, and the tuple is its key.  Sums, negatives, F_p
 multiples, u^p - u and s -> lam s read index tables that the codec builds
 from the field when an oracle builds it, once per call.
 
+Some of this module is for the tests alone, by design.  The window-witness
+searches ``as_window_witness_exists`` and ``kummer_window_witness_exists``
+are test oracles: no verb calls them, and the tests check the witness
+paths against them.  ``_WindowCodec.encode`` and ``decode`` are the tests'
+adapters between ``LaurentSeries`` and window codes; the oracles build
+their codes from indices and never convert a series.
+
 No oracle needs a window beyond t^0, because every vector it builds is a
 polynomial in s^-1 of degree at most m.  The window vectors have support
 in [-m, 0].  The witnesses have support in [-floor(m/p), 0], so u^p - u

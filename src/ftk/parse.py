@@ -271,7 +271,3 @@ def parse_series(text: str, spec: FieldSpec, prec: int = None) -> LaurentSeries:
         rows[exp - bottom] = row
     return LaurentSeries.of_rows(spec, bottom, prec, rows)
 
-
-def render_series(s: LaurentSeries) -> str:
-    """Inverse of parse_series on the support (precision not encoded)."""
-    return str(s)

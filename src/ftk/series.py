@@ -210,8 +210,11 @@ class LaurentSeries:
         return self.scale(self.ring.from_int(n))
 
     def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by t^k (exact)."""
-        return LaurentSeries(self.ring, self.val + k, self.prec + k, self.rows)
+        """Multiply by t^k (exact).  A zero series keeps val 0, as every zero
+        series does; it is built directly, so a window moved to prec <= 0
+        is not refused."""
+        val = self.val + k if self.rows else 0
+        return LaurentSeries(self.ring, val, self.prec + k, self.rows)
 
     def truncate(self, prec: int) -> "LaurentSeries":
         if prec > self.prec:
@@ -458,15 +461,11 @@ class LaurentSeries:
 
 @dataclass(frozen=True)
 class PartsDecomposition:
-    """u = u_- + u_0 + u_+ split at exponent zero; reassembles exactly."""
+    """u = u_- + u_0 + u_+ split at exponent zero."""
 
     negative: LaurentSeries
     constant: object
     positive: LaurentSeries
-
-    def reassemble(self) -> LaurentSeries:
-        const = LaurentSeries.constant(self.constant, self.negative.prec)
-        return self.negative + const + self.positive
 
 
 def positive_rows(ring, val: int, rows, negated: bool = False) -> list:

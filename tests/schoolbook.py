@@ -7,8 +7,9 @@ and precision-doubling Newton.  They are kept here, written against the
 public LaurentSeries fields only, so the property tests can require the
 fast paths to return the same ``(val, prec, coeffs)`` and raise the same
 exceptions.  ``nth_roots_of_unity`` is the scan over every element that
-``ftk.fields`` used before it read the roots from its power table, and
-``field_tables`` is the O(q^2) build of a field's tables that
+``ftk.fields`` used before it read the roots from its power table (the
+library no longer lists the roots; the Kummer automorphism tests read this
+scan), and ``field_tables`` is the O(q^2) build of a field's tables that
 ``ftk.fields._field_tables`` replaced by one walk of the generator's
 powers: it walks each candidate generator's full order and scans the whole
 coset of every element for the transversal.  ``smallest_irreducible``
@@ -63,8 +64,13 @@ multiplies a constant root of the residues in afterwards, which is wrong
 when the leading coefficients differ by a nilpotent 1-unit, so it is a
 reference over fields only.
 
+``QUATERNION_ROWS`` is the multiplication table of Q_8 that
+``FinGroup.quaternion`` spelled out literally before it built the table
+from the relations i^2 = j^2 = k^2 = -1, ij = k, jk = i, ki = j.
+
 ``IndPoint`` is the point of the colimit of the level charts A^(S_m) as
-``ftk.groupoids`` had it before a point became a prefix of slot rows:
+``ftk.groupoids`` had it before a point became a prefix of slot rows
+(``ftk.artin_schreier`` holds it now):
 every transition and every canonical step builds S_level and S_M with
 ``prime_to_p_support`` and reads the rows through a slot dict.
 
@@ -218,6 +224,20 @@ def is_prime(n: int) -> bool:
 def nth_roots_of_unity(spec, n: int):
     """All xi in F_q with xi^n = 1, in index order, by raising every element."""
     return [a for a in spec.elements() if not a.is_zero() and a**n == spec.one()]
+
+
+# row a lists a * b for b in the order of the row keys, which is the
+# element order of FinGroup.quaternion
+QUATERNION_ROWS = {
+    "1": ("1", "-1", "i", "-i", "j", "-j", "k", "-k"),
+    "-1": ("-1", "1", "-i", "i", "-j", "j", "-k", "k"),
+    "i": ("i", "-i", "-1", "1", "k", "-k", "-j", "j"),
+    "-i": ("-i", "i", "1", "-1", "-k", "k", "j", "-j"),
+    "j": ("j", "-j", "-k", "k", "-1", "1", "i", "-i"),
+    "-j": ("-j", "j", "k", "-k", "1", "-1", "-i", "i"),
+    "k": ("k", "-k", "j", "-j", "-i", "i", "-1", "1"),
+    "-k": ("-k", "k", "-j", "j", "i", "-i", "1", "-1"),
+}
 
 
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:

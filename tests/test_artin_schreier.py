@@ -20,7 +20,6 @@ from ftk.artin_schreier import (
 )
 from ftk.errors import DomainError, PrecisionExhausted
 from ftk.fields import field
-from ftk.groupoids import level_count
 from ftk.oracles import as_bruteforce_class_count, as_window_witness_exists
 from ftk.series import LaurentSeries as L
 
@@ -180,7 +179,7 @@ class TestBreakAndModuli:
             for M in range(pt.level, 7):
                 back = pt.transition(M).canonical()
                 assert (back.level, back.value) == (pt.level, pt.value)
-        assert len(set(keys)) == len(keys) == level_count(m, 1, spec.q)
+        assert len(set(keys)) == len(keys) == spec.q ** len(prime_to_p_support(spec.p, m))
 
     def test_frobenius_stability_of_points(self):
         rng = random.Random(17)

@@ -220,6 +220,14 @@ def _spoil(record, how):
         record["homs"]["*|ghost"] = ["0"]
     elif how == "identity at an unlisted object":
         record["identities"]["ghost"] = "0"
+    elif how == "repeated label":
+        record["homs"]["*|*"].append("3")
+    elif how == "objects a string":
+        record["objects"] = "*"
+    elif how == "labels a string":
+        record["homs"]["*|*"] = "0123"
+    elif how == "identities a list":
+        record["identities"] = [["*", "0"]]
     return json.dumps(record)
 
 
@@ -232,6 +240,10 @@ def _spoil(record, how):
         ("mass", "compose label without |", 2),
         ("mass", "hom to an unlisted object", 2),
         ("mass", "identity at an unlisted object", 2),
+        ("mass", "repeated label", 2),
+        ("mass", "objects a string", 2),
+        ("mass", "labels a string", 2),
+        ("mass", "identities a list", 2),
         ("rigidify", "not JSON", 1),
         ("rigidify", "no homs", 2),
     ],

@@ -1,5 +1,6 @@
 import ast
 import gc
+import math
 import random
 import time
 import tracemalloc
@@ -22,11 +23,9 @@ from ftk.fields import (
     _RingElem,
     _field_tables,
     _is_prime,
-    as_residue_solve,
     canonical_nth_root,
     field,
     nth_power_class,
-    nth_roots_of_unity,
     test_ring as local_test_ring,
 )
 from ftk.parse import parse_series
@@ -270,10 +269,10 @@ def test_perfectness_roundtrip(p, e):
 
 def test_as_residue_solve_examples():
     F2 = field(2)
-    assert sorted(u.index for u in as_residue_solve(F2.zero())) == [0, 1]
-    assert as_residue_solve(F2.one()) == []
+    assert sorted(u.index for u in F2.wp_preimages(F2.zero())) == [0, 1]
+    assert F2.wp_preimages(F2.one()) == []
     F4 = field(2, 2)
-    sols = as_residue_solve(F4.one())
+    sols = F4.wp_preimages(F4.one())
     assert len(sols) == 2
     for u in sols:
         assert u * u - u == F4.one()
@@ -284,7 +283,7 @@ def test_residue_solve_sizes(p, e):
     spec = field(p, e)
     with_solutions = 0
     for c in spec.elements():
-        sols = as_residue_solve(c)
+        sols = spec.wp_preimages(c)
         assert len(sols) in (0, p)
         with_solutions += bool(sols)
     assert with_solutions == spec.q // p
@@ -308,8 +307,6 @@ def test_nth_power_class_is_additive():
         a = spec.from_index(rng.randrange(1, spec.q))
         b = spec.from_index(rng.randrange(1, spec.q))
         d = nth_power_class(a, n) + nth_power_class(b, n)
-        import math
-
         assert nth_power_class(a * b, n) == d % math.gcd(n, spec.q - 1)
 
 
@@ -355,17 +352,20 @@ def test_canonical_nth_root_matches_the_scan(p, e):
 
 @pytest.mark.parametrize("p, e", SCAN_FIELDS)
 def test_roots_of_unity_match_the_scan(p, e):
+    # canonical_nth_root reads the n-th roots of unity from the power table:
+    # they are the d = gcd(n, q-1) powers h^(j (q-1)/d) of the generator h
     spec = field(p, e)
+    order, powers = spec.q - 1, _field_tables(spec)[4]
     for n in range(1, 13):
-        assert nth_roots_of_unity(spec, n) == schoolbook.nth_roots_of_unity(spec, n)
+        d = math.gcd(n, order)
+        from_table = sorted((powers[j * (order // d)] for j in range(d)), key=lambda a: a.index)
+        assert from_table == schoolbook.nth_roots_of_unity(spec, n)
 
 
 def test_roots_of_unity_counts():
-    import math
-
     for p, e, n in [(5, 1, 4), (7, 1, 2), (2, 2, 3), (3, 1, 2)]:
         spec = field(p, e)
-        assert len(nth_roots_of_unity(spec, n)) == math.gcd(n, spec.q - 1)
+        assert len(schoolbook.nth_roots_of_unity(spec, n)) == math.gcd(n, spec.q - 1)
 
 
 def _prime_power_list(limit):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import schoolbook
+from ftk.artin_schreier import IndPoint, prime_to_p_support
 from ftk.errors import DomainError
 from ftk.fields import field
 from ftk.groupoids import (
@@ -12,16 +13,13 @@ from ftk.groupoids import (
     FinGroup,
     FiniteGroupoid,
     GroupoidFunctor,
-    IndPoint,
     SetSystem,
     SystemMap,
-    action_groupoid,
     bg,
     colim_fiber_product_check,
     discrete_groupoid,
     fiber_product_system,
     groupoid_fiber_product,
-    level_count,
     product_groupoid,
     quotient_functor,
     rigidify,
@@ -33,6 +31,20 @@ F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
 F9 = field(3, 2)
+
+
+def action_groupoid(group, points, act):
+    """Action groupoid: objects are points, arrows (g, x): x -> act(g, x)."""
+    homs: dict = {}
+    for x in points:
+        for g in group.elements:
+            homs.setdefault((x, act(g, x)), []).append(g)
+    compose = _table(homs, lambda x, y, z, f, g: group.mul(g, f))
+    return FiniteGroupoid.build(points, homs, compose, {x: group.identity for x in points})
+
+
+def center(group):
+    return [z for z in group.elements if all(group.mul(z, a) == group.mul(a, z) for a in group.elements)]
 
 
 class TestIndPoint:
@@ -93,9 +105,16 @@ class TestIndPoint:
                         assert a.eq(c)
 
     def test_level_count(self):
-        assert level_count(3, 1, 2) == 4
-        assert level_count(5, 1, 3) == 81
-        assert level_count(3, 0, 2) == 1
+        # the level-m chart is A^(|S_m| r): a point is a vector of exactly
+        # |S_m| r coordinates, so there are q^(|S_m| r) of them
+        def level_count(m, r, spec):
+            n = len(prime_to_p_support(spec.p, m)) * r
+            IndPoint(spec, r, m, (spec.zero(),) * n)
+            return spec.q**n
+
+        assert level_count(3, 1, F2) == 4
+        assert level_count(5, 1, F3) == 81
+        assert level_count(3, 0, F2) == 1
 
     def test_bad_shapes(self):
         with pytest.raises(DomainError):
@@ -149,20 +168,26 @@ LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4,
 class TestFinGroup:
     def test_cyclic(self):
         z6 = FinGroup.cyclic(6)
-        assert z6.order() == 6
+        assert len(z6.elements) == 6
         assert z6.inv(2) == 4
 
     def test_quaternion(self):
         q8 = FinGroup.quaternion()
-        assert q8.order() == 8
         assert q8.mul("i", "j") == "k"
         assert q8.mul("j", "i") == "-k"
-        assert sorted(q8.center()) == ["-1", "1"]
+        assert sorted(center(q8)) == ["-1", "1"]
+        # the relations give the literal table
+        assert q8.elements == tuple(schoolbook.QUATERNION_ROWS)
+        assert q8.table == {
+            (a, b): ab
+            for a, row in schoolbook.QUATERNION_ROWS.items()
+            for b, ab in zip(q8.elements, row)
+        }
 
     def test_quotient(self):
         z4 = FinGroup.cyclic(4)
         quot, proj = z4.quotient(z4.subgroup_closure([2]))
-        assert quot.order() == 2
+        assert len(quot.elements) == 2
         assert proj[0] == proj[2]
         with pytest.raises(DomainError):
             # {1, i} is not closed under conjugation (j i j^{-1} = -i)
@@ -249,6 +274,38 @@ class TestGroupoids:
                 {("x", "x", "x", "a", "a"): "a"},
                 {"x": "a", "ghost": "a"},
             )
+
+    def test_repeated_objects_and_labels_are_refused(self):
+        # a repeated label would be counted twice: B(Z/2) with labels
+        # 0, 1, 1 read as a group of order 3 and mass 1/3
+        z2 = {(a, b): (a + b) % 2 for a in range(2) for b in range(2)}
+        with pytest.raises(DomainError, match="repeated arrow label"):
+            FinGroup.from_table((0, 1, 1), z2, 0)
+        with pytest.raises(DomainError, match="repeated object"):
+            FiniteGroupoid.build(
+                ("x", "x"),
+                {("x", "x"): ("a",)},
+                {("x", "x", "x", "a", "a"): "a"},
+                {"x": "a"},
+            )
+
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [
+            ("objects", "*"),
+            ("homs", {"*|*": "0123"}),
+            ("identities", [["*", "0"]]),
+            ("compose", {"*|*|*": [["0|0", "0"]]}),
+        ],
+        ids=["objects a string", "labels a string", "identities a list", "compose table a list"],
+    )
+    def test_json_of_another_shape_is_refused(self, field_name, value):
+        # a string would be read character by character, a list of pairs as
+        # an object
+        record = bg(FinGroup.cyclic(4)).to_json()
+        record[field_name] = value
+        with pytest.raises(DomainError, match="must be a JSON"):
+            FiniteGroupoid.from_json(record)
 
     def test_json_roundtrip(self):
         g = bg(FinGroup.cyclic(4))

@@ -48,6 +48,15 @@ class TestArithmetic:
         a = L.monomial(F5.one(), -2, 8) * L.monomial(F5.one(), 3, 8)
         assert a.support() == {1: F5.one()}
 
+    def test_shifted_zero_is_the_zero_series(self):
+        # a zero series has val 0 whatever its window; shifting moves only
+        # the window, also past t^0
+        moved = L.zero(F2, 5).shift(2)
+        assert moved == L.zero(F2, 7) and hash(moved) == hash(L.zero(F2, 7))
+        assert L.monomial(F2.one(), 1, 5).shift(2) == L.monomial(F2.one(), 3, 7)
+        below = L.zero(F2, 5).shift(-7)
+        assert (below.val, below.prec, below.is_zero()) == (0, -2, True)
+
     def test_add_precision_is_min(self):
         a = L.monomial(F2.one(), 0, 10)
         b = L.monomial(F2.one(), 1, 7)
@@ -143,6 +152,11 @@ class TestOrders:
             assert (a * b).unit_ord() == ia + ib
 
 
+def _reassemble(parts):
+    """negative + constant + positive, the series split_parts split."""
+    return parts.negative + L.constant(parts.constant, parts.negative.prec) + parts.positive
+
+
 class TestSplitParts:
     def test_examples(self):
         s = (
@@ -154,7 +168,7 @@ class TestSplitParts:
         assert parts.negative.support() == {-1: F5.one()}
         assert parts.constant == F5.from_int(2)
         assert parts.positive.support() == {1: F5.one()}
-        assert (parts.reassemble() - s).is_zero()
+        assert (_reassemble(parts) - s).is_zero()
 
     def test_pure_constant(self):
         s = L.constant(F5.from_int(3), 4)
@@ -167,7 +181,7 @@ class TestSplitParts:
         parts = s.split_parts()
         assert parts.positive.is_zero()
         assert parts.constant.is_zero()
-        assert (parts.reassemble() - s).is_zero()
+        assert (_reassemble(parts) - s).is_zero()
 
 
 class TestSolvePositive:
