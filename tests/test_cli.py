@@ -676,3 +676,36 @@ def test_retired_flag_is_refused(capsys, argv):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
+
+
+# two count-kummer F_256 n = 255 censuses in one process, each read back
+# into rows as a caller parsing the CSV would; prints the peak RSS in kB
+# after each
+REPEATED_CENSUS = """
+import contextlib, csv, io, json, resource
+from ftk.cli import main
+argv = ["count-kummer", "--p", "2", "--e", "8", "--n", "255", "--format", "csv"]
+for _ in range(2):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    table = list(csv.reader(io.StringIO(out.getvalue())))
+    rows = [(int(b), int(a), int(m), json.loads(c)) for b, a, m, c in table[1:]]
+    assert len(rows) == 65025
+    del out, table, rows
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(os.confstr("CS_GNU_LIBC_VERSION") is None, reason="pins glibc's malloc only")
+def test_a_second_census_in_one_process_peaks_like_the_first():
+    # with glibc's dynamic mmap threshold the second census built its
+    # buffers on the brk heap and peaked about 18 MB higher
+    env = dict(os.environ, PYTHONPATH=str(Path(ftk.__file__).parents[1]))
+    env.pop("MALLOC_MMAP_THRESHOLD_", None)
+    done = subprocess.run(
+        [sys.executable, "-c", REPEATED_CENSUS], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    first, second = map(int, done.stdout.split())
+    assert second - first < 4096
