@@ -35,7 +35,10 @@ inverse x -> x^(p^(e-1)); both matrices are built once per spec, and both
 maps are the identity for e = 1.  ``inverse`` is pow(a, -1, p) for e = 1
 and extended Euclid against the modulus otherwise.  A test-ring
 element's Frobenius is (sum a_i x^i)^p = sum a_i^p x^(ip), below x^m, with
-each a_i^p from the field's matrix.
+each a_i^p from the field's matrix.  The other square F_p matrices of the
+library, such as the action psi of C_n on (Z/p)^r in ``semidirect`` and
+its oracle, are tuples of rows in the same convention, and ``mat_mul``
+applies each row of its left factor through ``_apply_rows``.
 
 Every element is its digit row ``coords``: the m*e coordinates of
 sum a_i x^i in F_p, x-major, the digit of x^i g^j at index i*e + j (a
@@ -318,6 +321,47 @@ def _apply_rows(rows, coords, p):
     return tuple(v % p for v in out)
 
 
+# -- square matrices over F_p: tuples of rows, the convention of the above --
+
+
+def mat_identity(r: int):
+    return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
+
+
+def mat_mul(a, b, p: int):
+    """The product a b: row i is row i of a applied to the rows of b."""
+    return tuple(_apply_rows(b, row, p) for row in a)
+
+
+def mat_pow(a, n: int, p: int):
+    result = mat_identity(len(a))
+    for bit in bin(n)[2:]:
+        result = mat_mul(result, result, p)
+        if bit == "1":
+            result = mat_mul(result, a, p)
+    return result
+
+
+def mat_kernel_size(m, p: int) -> int:
+    """|ker| of an r x r matrix over F_p, by Gaussian elimination."""
+    r = len(m)
+    rows = [list(row) for row in m]
+    rank = 0
+    for col in range(r):
+        piv = next((i for i in range(rank, r) if rows[i][col] % p), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for i in range(r):
+            if i != rank and rows[i][col] % p:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return p ** (r - rank)
+
+
 # -- packed windows: Kronecker substitution ---------------------------
 
 # the struct code of a digit in [0, p): the smallest of 1, 2, 4, 8 bytes
@@ -468,15 +512,17 @@ class _RingElem:
         return type(self)(self.spec, tuple((a * n) % p for a in self.coords))
 
     def __pow__(self, n: int):
+        """Square and multiply from the top bit down, starting at self: no
+        product by one and no squaring past the last bit."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return self.spec.one()
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __repr__(self):

@@ -84,9 +84,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError, check_break_bound, check_tame_order
-from .fields import FieldSpec
+from .fields import FieldSpec, mat_identity, mat_mul, mat_pow
 from .groupoids import _rep_of, _union_classes
-from .semidirect import mat_identity, mat_mul, mat_pow
 from .series import LaurentSeries
 
 _MAX_ENUMERATION = 2**18

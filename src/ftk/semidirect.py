@@ -35,34 +35,11 @@ from dataclasses import dataclass
 
 from .artin_schreier import elemab_canonicalize, elemab_enumerate
 from .errors import DomainError, FtkError
-from .fields import FieldSpec
+from .fields import FieldSpec, mat_identity, mat_kernel_size, mat_pow
 from .series import LaurentSeries, default_prec
 
 
-# -- tiny F_p linear algebra ----------------------------------------------
-
-
-def mat_identity(r: int):
-    return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-
-
-def mat_mul(a, b, p: int):
-    r = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(r)) % p for j in range(r))
-        for i in range(r)
-    )
-
-
-def mat_pow(a, n: int, p: int):
-    result = mat_identity(len(a))
-    base = a
-    while n:
-        if n & 1:
-            result = mat_mul(result, base, p)
-        base = mat_mul(base, base, p)
-        n >>= 1
-    return result
+# -- F_p matrices on vectors of series ------------------------------------
 
 
 def mat_vec_series(m, vec, p: int):
@@ -75,27 +52,6 @@ def mat_vec_series(m, vec, p: int):
             acc = term if acc is None else acc + term
         out.append(acc)
     return tuple(out)
-
-
-def mat_kernel_size(m, p: int) -> int:
-    """|ker| of an r x r matrix over F_p, by Gaussian elimination."""
-    r = len(m)
-    rows = [list(row) for row in m]
-    rank = 0
-    col = 0
-    for col in range(r):
-        piv = next((i for i in range(rank, r) if rows[i][col] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(r):
-            if i != rank and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return p ** (r - rank)
 
 
 # -- group and frame -------------------------------------------------------
@@ -227,14 +183,19 @@ def vn_check(group: SemidirectGroup, frame: TameFrame, obj: ZPhiObject):
     """The twisted cocycle sum sum_j psi^j . u(xi^j s), as a vector in
     (F_p)^r; zero exactly when (b, u) extends to a G-torsor.
 
+    The sum is sum_{j<n} phi^j(u) for phi(v) = psi . v(xi s), the map of
+    ``phi_apply``.  Proof, by induction on j: psi is F_p-linear and
+    s -> xi s is additive and acts on each entry alone, so the two
+    commute, and phi^(j+1)(u) = psi . (psi^j . u(xi^j s))(xi s)
+    = psi^(j+1) . u(xi^(j+1) s).  phi is additive, so the sum is computed
+    by Horner, total <- u + phi(total) run n - 1 times from total = u: no
+    power of psi or of xi is formed.
+
     A non-constant sum signals a convention or precision fault and raises.
     """
-    p = group.p
-    total = None
-    for j in range(frame.n):
-        twisted = tuple(u.scale_substitute(frame.xi**j) for u in obj.u_vec)
-        term = mat_vec_series(mat_pow(group.psi, j, p), twisted, p)
-        total = term if total is None else tuple(a + b for a, b in zip(total, term))
+    total = obj.u_vec
+    for _ in range(frame.n - 1):
+        total = tuple(a + b for a, b in zip(obj.u_vec, phi_apply(group, frame, total)))
     values = []
     for w in total:
         if not w.is_constant():

@@ -32,10 +32,15 @@ p = 2) reduces every slot mod p in place.  ``series_pth_power`` maps rows by
 the ring's ``frobenius_row``, ``solve_positive`` runs ``positive_rows``,
 and ``unit_ord`` reads each row's residue digits.
 
-``scale``, ``scale_int`` and ``scale_substitute`` stay on elements: they
-read ``coeffs`` and make one element product per coefficient.  They are
-the census's hot path, and the census keeps its cost until its benchmark
-reads peak memory independently of the number of passes (ROADMAP item 1).
+The scalings run on rows too.  ``scale(a)`` is one ``digit_product`` of
+the window against the one-row window of a, and ``scale_int(n)`` is
+``scale`` by the ring's n.  ``scale_substitute(xi)``, a(t) -> a(xi t),
+multiplies the row at exponent e by xi^e.  The powers xi^val,
+xi^(val+1), ... come from one walk, the only elements it builds, which
+stops when it returns to xi^val (then xi^d = 1, d its length) or covers
+the window; the rows whose exponents agree mod d are scaled in one
+product.  A scalar of another ring is refused with the element product's
+"mixed arithmetic" error.
 
 One Newton.  Inverses and Hensel roots of unit-led windows are one Newton
 iteration on the packed window, ``_inverse_root``, which doubles the window,
@@ -202,9 +207,13 @@ class LaurentSeries:
         """Multiply by a ring element (exact; precision unchanged)."""
         if elem.is_zero() or self.is_zero():
             return LaurentSeries.zero(self.ring, self.prec)
-        return LaurentSeries.make(
-            self.ring, self.val, self.prec, [elem * c for c in self.coeffs]
-        )
+        return LaurentSeries.of_rows(self.ring, self.val, self.prec, self._scaled(self.rows, elem))
+
+    def _scaled(self, rows, elem) -> list:
+        """The rows times elem: one product against the one-row window of
+        elem, which must lie in this series' ring."""
+        elem._check(self.ring.zero())
+        return self.ring.digit_product(rows, (elem.coords,), len(rows))
 
     def scale_int(self, n: int) -> "LaurentSeries":
         return self.scale(self.ring.from_int(n))
@@ -324,13 +333,20 @@ class LaurentSeries:
             xi = self.ring.from_field(xi)
         if self.is_zero():
             return self
-        xi_inv = xi.inverse()
-        out = []
-        for i, c in enumerate(self.coeffs):
-            e = self.val + i
-            f = xi**e if e >= 0 else xi_inv ** (-e)
-            out.append(f * c)
-        return LaurentSeries.make(self.ring, self.val, self.prec, out)
+        xi.inverse()  # refuses a nilpotent xi, whatever the window
+        # xi^val, xi^(val+1), ... from one walk, until it repeats (xi^d = 1)
+        # or covers the window; slot i takes power i mod d
+        powers = [xi**self.val]
+        while len(powers) < len(self.rows):
+            nxt = powers[-1] * xi
+            if nxt == powers[0]:
+                break
+            powers.append(nxt)
+        d = len(powers)
+        out = list(self.rows)
+        for k, f in enumerate(powers):
+            out[k::d] = self._scaled(self.rows[k::d], f)
+        return LaurentSeries.of_rows(self.ring, self.val, self.prec, out)
 
     # -- the positive-part solver -----------------------------------------
 

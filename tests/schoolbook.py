@@ -18,6 +18,12 @@ by Ben-Or's test: the same enumeration, with trial division by every
 monic polynomial of degree at most e/2.  ``is_prime`` is the trial
 division ``ftk.fields`` tested primality with before Miller-Rabin.
 
+``scale``, ``scale_int`` and ``scale_substitute`` are the scalings of
+``LaurentSeries`` before they ran on digit rows: one element product per
+coefficient, and for the substitution t -> xi t one power of xi per
+coefficient by square and multiply.  ``nth_root_unit`` scales through
+``scale``, so the reference shares no code with the row scalings.
+
 ``fq_inverse``, ``fq_frobenius`` and ``fq_pth_root`` are the powers
 a^(q-2), a^p and a^(p^(e-1)) that ``FqElem`` computed by square and
 multiply before it applied the F_p-linear Frobenius and ran extended
@@ -103,6 +109,7 @@ from ftk.fields import (
     _monic_poly_from_index,
     _poly_mod,
     canonical_wp_shift,
+    mat_kernel_size,
 )
 from ftk.series import LaurentSeries, PartsDecomposition, default_prec
 
@@ -338,9 +345,38 @@ def nth_root_unit(a: LaurentSeries, n: int) -> LaurentSeries:
         err = power(g, n) - a
         if err.is_zero():
             return g
-        deriv = power(g, n - 1).scale(n_scalar)
+        deriv = scale(power(g, n - 1), n_scalar)
         g = g - mul(err, invert(deriv))
     raise PrecisionExhausted("Newton iteration failed to converge")
+
+
+def scale(a: LaurentSeries, elem) -> LaurentSeries:
+    """a times the ring element elem: one element product per coefficient."""
+    if elem.is_zero() or a.is_zero():
+        return LaurentSeries.zero(a.ring, a.prec)
+    return LaurentSeries.make(a.ring, a.val, a.prec, [elem * c for c in a.coeffs])
+
+
+def scale_int(a: LaurentSeries, n: int) -> LaurentSeries:
+    return scale(a, a.ring.from_int(n))
+
+
+def scale_substitute(a: LaurentSeries, xi) -> LaurentSeries:
+    """a(xi t): the coefficient at exponent e times xi^e, one power by
+    square and multiply per coefficient."""
+    if xi.is_zero():
+        raise DomainError("substitution scalar must be nonzero")
+    if isinstance(xi, FqElem):
+        xi = a.ring.from_field(xi)
+    if a.is_zero():
+        return a
+    xi_inv = xi.inverse()
+    out = []
+    for i, c in enumerate(a.coeffs):
+        e = a.val + i
+        f = xi**e if e >= 0 else xi_inv ** (-e)
+        out.append(f * c)
+    return LaurentSeries.make(a.ring, a.val, a.prec, out)
 
 
 # -- element maps and the positive-part solver by powering ---------------------
@@ -429,7 +465,7 @@ class AffineMap:
     lam: object  # FqElem substitution factor
 
     def is_identity(self) -> bool:
-        from ftk.semidirect import mat_identity
+        from ftk.fields import mat_identity
 
         r = len(self.matrix)
         p = self.trans[0].ring.p if self.trans else None
@@ -538,7 +574,8 @@ def affine_then(f, g, p: int):
     """g o f, substituting every translation series, also by 1."""
     if f.dst != g.src:
         raise DomainError("component mismatch in composition")
-    from ftk.semidirect import mat_mul, mat_vec_series
+    from ftk.fields import mat_mul
+    from ftk.semidirect import mat_vec_series
 
     m = mat_mul(f.matrix, g.matrix, p)
     mixed = mat_vec_series(f.matrix, g.trans, p)
@@ -562,7 +599,7 @@ def semidirect_bruteforce(group, frame, break_bound: int):
     r, p, n = group.r, group.p, frame.n
     if (break_bound + 1) * r > _MAX_WINDOW_SLOTS:
         raise DomainError("oracle scale exceeded")
-    from ftk.semidirect import mat_identity, mat_pow
+    from ftk.fields import mat_identity, mat_pow
 
     spec = frame.spec
     prec = 3 * break_bound + 12
@@ -617,7 +654,8 @@ def semidirect_bruteforce(group, frame, break_bound: int):
 
 def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
     from ftk.artin_schreier import as_canonicalize, enumerate_as_classes
-    from ftk.semidirect import mat_identity, mat_pow, mat_vec_series
+    from ftk.fields import mat_identity, mat_pow
+    from ftk.semidirect import mat_vec_series
 
     if group.n != 4:
         raise DomainError("split-frame oracle models n = 4, q_exp = 2 only")
@@ -1025,7 +1063,6 @@ def enumerate_g_torsors(group, frame, break_bound: int, prec: int = None):
     from ftk.semidirect import (
         GTorsorClass,
         ZPhiObject,
-        mat_kernel_size,
         phi_apply,
         vn_check,
         zphi_solve,

@@ -102,10 +102,25 @@ def test_only_series_builds_series_from_rows():
             assert reads == [], f"{path.name} reads series rows at lines {reads}"
 
 
+def test_series_arithmetic_reads_no_elements():
+    # series.py computes on rows: it never reads a window's elements through
+    # .coeffs, and only from_dict, which takes a dict of elements, calls make
+    tree = ast.parse(Path(ftk.series.__file__).read_text(encoding="utf-8"))
+    reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "coeffs"]
+    assert reads == [], f"series.py reads .coeffs at lines {reads}"
+    callers = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(call, ast.Call) and _name(call.func) == "make" for call in ast.walk(fn))
+    ]
+    assert callers == ["from_dict"], f"series.py calls make in {callers}"
+
+
 def test_oracles_import_no_path_they_check():
     # an oracle that called the Artin-Schreier or Kummer paths, or the
-    # semidirect enumeration, would check them against itself; only the
-    # F_p matrix helpers may come from semidirect
+    # semidirect enumeration, would check them against itself; the F_p
+    # matrix helpers come from fields
     tree = ast.parse(Path(ftk.oracles.__file__).read_text(encoding="utf-8"))
     imported = set()  # (module, name), name "*" for a whole module
     for node in ast.walk(tree):
@@ -115,9 +130,8 @@ def test_oracles_import_no_path_they_check():
             module = (node.module or "").split(".")[-1]
             for alias in node.names:
                 imported |= {(module, alias.name)} if module not in {"", "ftk"} else {(alias.name, "*")}
-    allowed = {("semidirect", name) for name in ("mat_identity", "mat_mul", "mat_pow")}
     checked = {item for item in imported if item[0] in {"artin_schreier", "kummer", "semidirect"}}
-    assert checked <= allowed, f"oracles.py imports {sorted(checked - allowed)}"
+    assert checked == set(), f"oracles.py imports {sorted(checked)}"
 
 
 def _functions_named(tree, name, scope=()):
@@ -453,6 +467,30 @@ def _count_pow(monkeypatch):
 
     monkeypatch.setattr(_RingElem, "__pow__", counted)
     return calls
+
+
+def test_power_makes_no_product_by_one_and_no_last_squaring(monkeypatch):
+    # square and multiply from the low bit: x^2 is one squaring and x^128
+    # seven (3 and 9 when the product started from one and squared after
+    # the top bit); x^255 is seven squarings and seven products
+    F256 = field(2, 8)
+    x = F256.from_index(0x53)
+    calls = []
+    mul = FqElem.__mul__
+
+    def counted(a, b):
+        calls.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(FqElem, "__mul__", counted)
+    powers = {}
+    for n, count in ((0, 0), (1, 0), (2, 1), (128, 7), (255, 14)):
+        del calls[:]
+        powers[n] = x**n
+        assert len(calls) == count, n
+    monkeypatch.undo()
+    # x^2 and x^128 = x^(2^7) are Frobenius and its inverse, by their matrices
+    assert powers == {0: F256.one(), 1: x, 2: x.frobenius(), 128: x.pth_root(), 255: F256.one()}
 
 
 @pytest.mark.parametrize("p, e", [(2, 8), (3, 5), (2**31 - 1, 1)], ids=["F256", "F243", "Fp31"])

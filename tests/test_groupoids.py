@@ -393,13 +393,13 @@ class TestRigidify:
         assert r.mass() == 2 * g.mass()
 
     def test_conjugation_stability_enforced(self):
-        # a subgroup of Aut that is not conjugation stable must be refused
-        s3_like = action_groupoid(
-            FinGroup.cyclic(2), (0, 1), lambda g, x: (g + x) % 2
-        )
-        # hom(0,0) = {identity}; try a malformed "subgroup" at one object only
-        with pytest.raises(DomainError):
-            CentralAutSubgroup({0: frozenset({0})}).validate(s3_like)
+        # Z/4 acting on {0, 1} through Z/2: two isomorphic objects, each with
+        # Aut = {0, 2}.  H_0 = Aut(0) and H_1 = {id} are subgroups, but an
+        # arrow 0 -> 1 conjugates 2 in H_0 to 2, outside H_1
+        g = action_groupoid(FinGroup.cyclic(4), (0, 1), lambda a, x: (a + x) % 2)
+        assert g.hom(0, 0) == g.hom(1, 1) == (0, 2) and g.hom(0, 1)
+        with pytest.raises(DomainError, match="conjugation stability"):
+            rigidify(g, CentralAutSubgroup({0: frozenset({0, 2}), 1: frozenset({0})}))
 
     def test_subgroup_at_an_unlisted_object_is_refused(self):
         g = bg(FinGroup.cyclic(4))

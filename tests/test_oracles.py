@@ -19,13 +19,11 @@ from hypothesis import example, given, settings, strategies as st
 import schoolbook
 from ftk import oracles
 from ftk.errors import DomainError, FtkError
-from ftk.fields import field
+from ftk.fields import field, mat_identity, mat_pow
 from ftk.semidirect import (
     SemidirectGroup,
     TameFrame,
     enumerate_g_torsors,
-    mat_identity,
-    mat_pow,
     reduce_to_coprime,
 )
 from ftk.series import LaurentSeries as L

@@ -7,6 +7,7 @@ import pytest
 from ftk.errors import DomainError, NotInvertible, PrecisionExhausted
 from ftk.fields import MAX_TABLE_Q, field, test_ring as local_test_ring
 from ftk.parse import parse_series
+from ftk.semidirect import SemidirectGroup, TameFrame, ZPhiObject, phi_apply, vn_check
 from ftk.series import LaurentSeries as L, positive_rows
 
 
@@ -401,21 +402,35 @@ def field_tables(ring):
 
 @pytest.mark.parametrize("ring", [F2, field(3, 2), F256, field(2**31 - 1), R42], ids=repr)
 def test_series_arithmetic_builds_no_element(field_tables, from_digits_calls, ring):
-    # a series holds digit rows: sums, products, the Newton inverse and
-    # root, the positive part and u^p - u build no element and make no
-    # element sum, difference, negation or scaling; invert and nth_root_unit
-    # read one element, the leading coefficient that starts their Newton
+    # a series holds digit rows: sums, products, the three scalings, the
+    # Newton inverse and root, the positive part, u^p - u, the twist phi
+    # and the cocycle sum build no element from a row and make no element
+    # sum, difference, negation or scaling; invert and nth_root_unit read
+    # one element, the leading coefficient that starts their Newton
     rng = random.Random(29)
-    size = ring.base.q**ring.m
+    q, size = ring.base.q, ring.base.q**ring.m
 
     def window(val, prec, lead):
         tail = [ring.from_index(rng.randrange(size)) for _ in range(prec - val - 1)]
         return L.make(ring, val, prec, [lead] + tail)
 
-    one = ring.one()
-    a, b, u = window(-3, 20, one), window(-5, 17, ring.from_index(size - 1)), window(1, 24, one)
+    one, last = ring.one(), ring.from_index(size - 1)
+    a, b, u = window(-3, 20, one), window(-5, 17, last), window(1, 24, one)
+    twist = None
+    if 2 < q <= MAX_TABLE_Q:
+        # psi = 1 and xi of order n: the cocycle sum is n times the part of u
+        # at exponents divisible by n, so it vanishes on the others
+        n = next(d for d in range(2, q) if (q - 1) % d == 0)
+        twist = SemidirectGroup.make(ring.p, 1, n, [[1]]), TameFrame(ring.base, n, 1)
+        off = {e: ring.from_index(rng.randrange(size)) for e in range(-7, 24) if e % n}
+        obj = ZPhiObject((b,), (L.from_dict(ring, off, 24),))
     del from_digits_calls[:]
     a + b, a - b, -a, a * b, u.solve_positive()
+    a.scale(last), a.scale_int(-2), b.scale_substitute(last)
+    if twist:
+        phi_apply(*twist, (a,))
+        if ring.m == 1:  # the cocycle sum's values are read in the prime field
+            assert vn_check(*twist, obj) == (0,)
     if ring.p < 2**8:  # u^p dilates the window by p
         u.series_pth_power(), u.wp()
     if ring.m == 1:

@@ -426,6 +426,57 @@ def test_of_rows_and_make_normalise_alike(ring, val, length, misfit, data):
     assert result(lambda: L.make(ring, val, prec, coeffs)) == expected
 
 
+# -- the scalings -----------------------------------------------------------------
+
+
+def raised(fn):
+    """fn's (val, prec, coeffs), or the type and message of the FtkError it
+    raised."""
+    try:
+        s = fn()
+    except FtkError as exc:
+        return type(exc), str(exc)
+    return s.ring, s.val, s.prec, s.coeffs
+
+
+@st.composite
+def scalars(draw, ring):
+    """A scalar for a series over ring: a unit, a nilpotent (zero over a
+    field), a unit of small order (a divisor of q - 1 up to 60), an element
+    of the residue field, or an element of another field."""
+    q = ring.base.q
+    kind = draw(st.sampled_from(["unit", "nilpotent", "small order", "residue", "other ring"]))
+    nilpotent = q * draw(st.integers(0, _size(ring) // q - 1))
+    residue = ring.base.from_index(draw(st.integers(1, q - 1)))
+    if kind == "unit":
+        return ring.from_index(nilpotent + residue.index)
+    if kind == "nilpotent":
+        return ring.from_index(nilpotent)
+    if kind == "small order":
+        d = draw(st.sampled_from([d for d in range(1, 61) if (q - 1) % d == 0]))
+        return ring.from_field(residue ** ((q - 1) // d))
+    if kind == "residue":
+        return residue
+    other = field(7 if ring.p == 5 else 5)
+    return other.from_index(draw(st.integers(0, other.q - 1)))
+
+
+@given(
+    st.sampled_from(RINGS + TABLELESS).flatmap(lambda r: st.tuples(series(st.just(r)), scalars(r))),
+    st.integers(-40, 40),
+)
+@example((L.make(field(5), -2, 3, [field(5).from_int(k) for k in (1, 2, 3, 4, 1)]), field(7).from_int(3)), 3)
+@example((L.make(R52, -1, 3, [R52.x(), R52.one(), R52.zero(), R52.x()]), local_test_ring(5, 1, 3).x()), -1)
+def test_scalings_match_the_elementwise_loops(case, n):
+    # the row scalings against one element product per coefficient: the
+    # same window, or the same error; a scalar of another ring raises the
+    # element product's "mixed arithmetic"
+    a, c = case
+    assert raised(lambda: a.scale(c)) == raised(lambda: schoolbook.scale(a, c))
+    assert raised(lambda: a.scale_int(n)) == raised(lambda: schoolbook.scale_int(a, n))
+    assert raised(lambda: a.scale_substitute(c)) == raised(lambda: schoolbook.scale_substitute(a, c))
+
+
 # -- the Artin-Schreier witness --------------------------------------------------
 
 
