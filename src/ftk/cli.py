@@ -7,19 +7,23 @@ Exit codes: 0 success, 1 parse error, 2 domain violation, 3 brute-force
 oracle mismatch.  JSON output has sorted keys.  The census verbs (count-as,
 count-kummer, semidirect-enum) also take --format csv; CSV census columns
 are break, aut_order, multiplicity, class (in that order), rows sorted by
-(break, class id).  All output is newline-terminated UTF-8.  Each verb
+(break, class JSON text).  All output is newline-terminated UTF-8.  Each verb
 accepts only the flags it reads.  With --brute-force a census verb runs the
 oracle before it enumerates, so a size the oracle refuses costs no census.
 The JSON forms of count-as and count-kummer print the closed-form count
-and enumerate nothing (unless --brute-force asks for the check).  Every
-other census walks at most MAX_CENSUS classes (canonical vectors, for
-semidirect-enum), and a larger one is refused with exit 2 before it starts.
+and enumerate nothing (unless --brute-force asks for the check).  The
+count-kummer CSV streams its rows in census order from the (q_exp,
+unit_class) grid and holds none of them; count-as and semidirect-enum
+build their rows and sort them.  Every census walk, streamed or not,
+covers at most MAX_CENSUS classes (canonical vectors, for semidirect-enum),
+and a larger one is refused with exit 2 before it starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import random
@@ -31,18 +35,15 @@ from .artin_schreier import as_canonicalize, as_class_count, as_iso_witness, enu
 from .errors import DomainError, FtkError, OracleMismatch, ParseError
 from .fields import field
 from .groupoids import CentralAutSubgroup, FiniteGroupoid, groupoid_mass, rigidify
-from .kummer import (
-    enumerate_kummer_classes,
-    kummer_canonicalize,
-    kummer_class_count,
-    kummer_iso_witness,
-)
+from .kummer import kummer_canonicalize, kummer_class_count, kummer_class_texts, kummer_iso_witness
 from .parse import parse_series
 from .semidirect import SemidirectGroup, TameFrame, enumerate_g_torsors, reduce_to_coprime
 
 # the largest census walk a verb starts: count-kummer F_256, n = 255, with
 # 65025 classes, is the largest one the tests and the benchmark run
 MAX_CENSUS = 2**16
+# CSV census rows per write: 4096 count-kummer rows are about 240 kB
+CSV_BLOCK = 4096
 # glibc's mallopt parameter number for the mmap threshold, and its default
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD = 128 * 1024
@@ -78,11 +79,17 @@ def _emit(payload):
 
 
 def _emit_csv(rows):
-    """The census as CSV, from _census_rows."""
-    print("break,aut_order,multiplicity,class")
-    for brk, text, aut, _ in rows:
-        cls = text.replace('"', '""')
-        print(f'{brk},{aut},1,"{cls}"')
+    """The census as CSV: the header, then one line per row, in the order
+    given, from the row's first three fields (break, aut_order, class JSON
+    text); CSV_BLOCK lines per write."""
+    out = sys.stdout
+    out.write("break,aut_order,multiplicity,class\n")
+    rows = iter(rows)
+    while block := [
+        f'{row[0]},{row[1]},1,"' + row[2].replace('"', '""') + '"\n'
+        for row in itertools.islice(rows, CSV_BLOCK)
+    ]:
+        out.write("".join(block))
 
 
 def _check_census(size: int):
@@ -91,11 +98,11 @@ def _check_census(size: int):
 
 
 def _census_rows(entries):
-    """Census rows (break, class JSON text, aut_order, class) from
+    """Census rows (break, aut_order, class JSON text, class) from
     (class, break, aut_order) entries, sorted by (break, class JSON text).
     Every class has multiplicity 1."""
-    rows = [(brk, json.dumps(cls, sort_keys=True), aut, cls) for cls, brk, aut in entries]
-    rows.sort(key=lambda row: row[:2])
+    rows = [(brk, aut, json.dumps(cls, sort_keys=True), cls) for cls, brk, aut in entries]
+    rows.sort(key=lambda row: (row[0], row[2]))
     return rows
 
 
@@ -151,20 +158,23 @@ def _cmd_kummer_iso(args):
     return 0
 
 
-def _count_verb(args, payload, brute, count, enumerate_classes, row):
+def _count_verb(args, payload, brute, count, census):
     """Finish count-as or count-kummer: the closed-form count as JSON, or
-    the census as CSV.  With --brute-force the census is enumerated and its
-    size must equal the oracle's count."""
+    the census as CSV.  census() gives the CSV rows, (break, aut_order,
+    class JSON text, ...), in census order.  With --brute-force they are counted
+    first, and the count must equal the oracle's."""
     if args.format == "csv" or args.brute_force:
         _check_census(count)
-        classes = enumerate_classes()
-        count = len(classes)
+        rows = census()
+        if args.brute_force:
+            rows = list(rows)
+            count = len(rows)
     payload.update(count=count, brute_force=brute)
     if args.brute_force and brute != count:
         _emit(payload)
         raise OracleMismatch(f"structured {count} != oracle {brute}")
     if args.format == "csv":
-        _emit_csv(_census_rows(row(c) for c in classes))
+        _emit_csv(rows)
     else:
         _emit(payload)
     return 0
@@ -177,8 +187,7 @@ def _cmd_count_as(args):
     payload = {"p": spec.p, "q": spec.q, "max_break": m}
     return _count_verb(
         args, payload, brute, as_class_count(spec, m),
-        lambda: enumerate_as_classes(spec, m),
-        lambda c: (c.to_json(), c.break_ or 0, spec.p),
+        lambda: _census_rows((c.to_json(), c.break_ or 0, spec.p) for c in enumerate_as_classes(spec, m)),
     )
 
 
@@ -189,8 +198,7 @@ def _cmd_count_kummer(args):
     aut = math.gcd(n, spec.q - 1)
     return _count_verb(
         args, {"q": spec.q, "n": n}, brute, kummer_class_count(spec, n),
-        lambda: enumerate_kummer_classes(spec, n),
-        lambda c: (c.to_json(), 0, aut),
+        lambda: ((0, aut, text) for text in kummer_class_texts(spec, n)),
     )
 
 
@@ -229,7 +237,7 @@ def _cmd_semidirect_enum(args):
         "count": len(classes),
         "classes": [
             {"class": cls, "break": brk, "aut_order": aut, "multiplicity": 1}
-            for brk, _, aut, cls in rows
+            for brk, aut, _, cls in rows
         ],
         "brute_force": None,
     }

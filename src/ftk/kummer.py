@@ -79,7 +79,10 @@ def kummer_class_count(spec: FieldSpec, n: int) -> int:
 
 
 def enumerate_kummer_classes(spec: FieldSpec, n: int):
-    """All n * gcd(n, q-1) classes, ordered by (q_exp, unit_class)."""
+    """All n * gcd(n, q-1) classes, ordered numerically by (q_exp,
+    unit_class).  The CSV census lists the same classes in the order of
+    their JSON text, which ``kummer_class_texts`` gives; the two orders
+    part once n or gcd(n, q-1) passes 10 (q_exp 10 comes before 2)."""
     check_tame_order(spec.p, n)
     d = math.gcd(n, spec.q - 1)
     return [
@@ -87,3 +90,25 @@ def enumerate_kummer_classes(spec: FieldSpec, n: int):
         for q_exp in range(n)
         for uc in range(d)
     ]
+
+
+def kummer_class_texts(spec: FieldSpec, n: int):
+    """The JSON text ``{"n": N, "q_exp": A, "unit_class": C}`` of every
+    class, as ``json.dumps(cls.to_json(), sort_keys=True)`` writes it, in
+    sorted text order, built straight from the (A, C) grid.
+
+    Every text is a head ``{"n": N, "q_exp": A, "unit_class": `` followed
+    by a tail ``C}``.  Two heads share the prefix up to A and differ at or
+    before the comma that ends A: where one decimal is a prefix of the
+    other, a comma meets a digit, and a comma sorts below every digit.  So
+    no head is a prefix of another, and two texts compare as their heads
+    unless the heads are equal, then as their tails.  The texts in order
+    are therefore each sorted head followed by each sorted tail.  A brace
+    sorts above every digit, so the tail of 50 comes before that of 5.
+
+    The tame order is checked before the first text; the texts come lazily.
+    """
+    check_tame_order(spec.p, n)
+    heads = sorted(f'{{"n": {n}, "q_exp": {a}, "unit_class": ' for a in range(n))
+    tails = sorted(f"{c}}}" for c in range(math.gcd(n, spec.q - 1)))
+    return (head + tail for head in heads for tail in tails)

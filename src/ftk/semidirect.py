@@ -191,8 +191,13 @@ def vn_check(group: SemidirectGroup, frame: TameFrame, obj: ZPhiObject):
     by Horner, total <- u + phi(total) run n - 1 times from total = u: no
     power of psi or of xi is formed.
 
-    A non-constant sum signals a convention or precision fault and raises.
+    The sum is read in the prime field of the frame's field, so a witness
+    over any other ring is refused before any arithmetic.  A non-constant
+    sum signals a convention or precision fault and raises.
     """
+    for u in obj.u_vec:
+        if u.ring != frame.spec:
+            raise DomainError(f"witness over {u.ring!r}, frame over {frame.spec!r}")
     total = obj.u_vec
     for _ in range(frame.n - 1):
         total = tuple(a + b for a, b in zip(obj.u_vec, phi_apply(group, frame, total)))

@@ -70,6 +70,13 @@ multiplies a constant root of the residues in afterwards, which is wrong
 when the leading coefficients differ by a nilpotent 1-unit, so it is a
 reference over fields only.
 
+``count_kummer_csv`` is the stdout of ``count-kummer --format csv`` as
+``ftk.cli`` printed it before the rows were streamed from the (q_exp,
+unit_class) grid: ``enumerate_kummer_classes`` builds every ``KummerClass``
+in numeric order, ``census_rows`` writes each class's
+``json.dumps(..., sort_keys=True)`` text and sorts the rows by (break,
+text), and ``emit_csv`` prints them one ``print`` per row.
+
 ``QUATERNION_ROWS`` is the multiplication table of Q_8 that
 ``FinGroup.quaternion`` spelled out literally before it built the table
 from the relations i^2 = j^2 = k^2 = -1, ij = k, jk = i, ki = j.
@@ -97,12 +104,15 @@ series.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
 from ftk.artin_schreier import ASCanonical, prime_to_p_support
-from ftk.errors import DomainError, FtkError, NotInvertible, ParseError, PrecisionExhausted
+from ftk.errors import DomainError, FtkError, NotInvertible, ParseError, PrecisionExhausted, check_tame_order
 from ftk.fields import (
     FieldSpec,
     FqElem,
@@ -111,6 +121,7 @@ from ftk.fields import (
     canonical_wp_shift,
     mat_kernel_size,
 )
+from ftk.kummer import KummerClass
 from ftk.series import LaurentSeries, PartsDecomposition, default_prec
 
 
@@ -1161,6 +1172,40 @@ def kummer_iso_witness(b: LaurentSeries, b2: LaurentSeries, n: int):
     const_root = b.ring.from_field(table_nth_root(res2 * res.inverse(), n))
     ratio = _strip_to_one_unit(b2, i2, lead2) * _strip_to_one_unit(b, i, lead).invert()
     return ratio.nth_root_unit(n).scale(const_root).shift((i2 - i) // n)
+
+
+# -- the count-kummer CSV, enumerated, dumped, sorted and printed ---------------
+
+
+def enumerate_kummer_classes(spec, n: int):
+    check_tame_order(spec.p, n)
+    d = math.gcd(n, spec.q - 1)
+    return [
+        KummerClass(spec, n, q_exp, uc)
+        for q_exp in range(n)
+        for uc in range(d)
+    ]
+
+
+def census_rows(entries):
+    rows = [(brk, json.dumps(cls, sort_keys=True), aut, cls) for cls, brk, aut in entries]
+    rows.sort(key=lambda row: row[:2])
+    return rows
+
+
+def emit_csv(rows):
+    print("break,aut_order,multiplicity,class")
+    for brk, text, aut, _ in rows:
+        cls = text.replace('"', '""')
+        print(f'{brk},{aut},1,"{cls}"')
+
+
+def count_kummer_csv(spec, n: int) -> str:
+    aut = math.gcd(n, spec.q - 1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit_csv(census_rows((c.to_json(), 0, aut) for c in enumerate_kummer_classes(spec, n)))
+    return out.getvalue()
 
 
 # -- ind-points through slot dicts ----------------------------------------------

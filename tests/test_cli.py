@@ -1,22 +1,29 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ftk
+import schoolbook
 from ftk import cli
 from ftk.cli import build_parser, main
+from ftk.fields import field
 from ftk.groupoids import FinGroup, bg
+from ftk.kummer import KummerClass
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +129,100 @@ def test_count_kummer_csv_rows_in_class_text_order(capsys):
     assert texts == sorted(texts)
     q_exps = [json.loads(text)["q_exp"] for text in texts]
     assert q_exps.index(10) < q_exps.index(2)  # JSON text order, not numeric
+
+
+def cli_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def kummer_csv_argv(p, e, n, *extra):
+    return ["count-kummer", "--p", str(p), "--e", str(e), "--n", str(n), "--format", "csv", *extra]
+
+
+# fields whose q - 1 has many divisors, and a few primes
+KUMMER_FIELDS = [(2, 1), (2, 2), (2, 4), (2, 6), (2, 8), (2, 10), (3, 1), (3, 2), (3, 4), (5, 1),
+                 (5, 2), (7, 1), (7, 2), (11, 1), (13, 1), (31, 1)]
+
+
+@st.composite
+def admitted_kummer(draw):
+    """(p, e, n) with gcd(n, p) = 1 and n * gcd(n, q - 1) <= 4096.  n is a
+    divisor of q - 1 times a cofactor, so large unit-class counts come up,
+    then stepped down to the nearest admitted value."""
+    p, e = draw(st.sampled_from(KUMMER_FIELDS))
+    q = p**e
+    g = draw(st.sampled_from([d for d in range(1, q) if (q - 1) % d == 0]))
+    n = g * draw(st.integers(1, max(1, 4096 // (g * g))))
+    while n % p == 0 or n * math.gcd(n, q - 1) > 4096:
+        n -= 1
+    return p, e, n
+
+
+@settings(max_examples=60)
+@given(admitted_kummer())
+def test_kummer_csv_is_the_frozen_census(case):
+    p, e, n = case
+    assert cli_stdout(kummer_csv_argv(p, e, n)) == schoolbook.count_kummer_csv(field(p, e), n)
+
+
+def test_kummer_csv_of_the_largest_census_is_the_frozen_one():
+    assert cli_stdout(kummer_csv_argv(2, 8, 255)) == schoolbook.count_kummer_csv(field(2, 8), 255)
+
+
+@pytest.mark.parametrize("p, e, n", [(5, 1, 4), (7, 1, 12)])
+def test_kummer_csv_with_the_oracle_is_the_frozen_census(p, e, n):
+    stdout = cli_stdout(kummer_csv_argv(p, e, n, "--brute-force"))
+    assert stdout == schoolbook.count_kummer_csv(field(p, e), n)
+
+
+def test_kummer_csv_builds_no_class_and_no_json_text(monkeypatch):
+    calls = Counter()
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(json, "dumps", counting("json.dumps", json.dumps))
+    monkeypatch.setattr(KummerClass, "__post_init__", counting("KummerClass", KummerClass.__post_init__))
+    assert cli_stdout(kummer_csv_argv(2, 8, 255)).count("\n") == 65026
+    assert calls == Counter()
+    # the counters see the frozen path: one class and one text per row
+    schoolbook.count_kummer_csv(field(2, 2), 3)
+    assert calls == Counter({"json.dumps": 9, "KummerClass": 9})
+
+
+# count-kummer F_256 n = 255 as CSV to /dev/null; prints the peak RSS in
+# kB before and after the op, the field's tables built first
+KUMMER_CENSUS_PEAK = """
+import resource, sys
+from ftk.cli import main
+from ftk.fields import field
+field(2, 8)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert main(["count-kummer", "--p", "2", "--e", "8", "--n", "255", "--format", "csv"]) == 0
+sys.stdout.flush()
+print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in kB")
+def test_the_kummer_csv_census_holds_no_rows():
+    # holding every class, its text and the sorted rows raised the peak by
+    # about 36 MB; streamed, the rows leave it within a few MB
+    env = dict(os.environ, PYTHONPATH=str(Path(ftk.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", KUMMER_CENSUS_PEAK], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    before, after = map(int, done.stderr.split())
+    assert after - before < 12 * 1024
 
 
 @pytest.mark.parametrize(
@@ -432,7 +533,7 @@ def no_census(monkeypatch):
     def refuse(*args):
         raise Enumerated
 
-    for name in ("enumerate_as_classes", "enumerate_kummer_classes", "enumerate_g_torsors"):
+    for name in ("enumerate_as_classes", "kummer_class_texts", "enumerate_g_torsors"):
         monkeypatch.setattr(cli, name, refuse)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +9,7 @@ import schoolbook
 from ftk import semidirect
 from ftk.artin_schreier import as_class_count, elemab_canonicalize
 from ftk.errors import DomainError, FtkError
-from ftk.fields import FqElem, field, mat_identity, mat_pow
+from ftk.fields import FqElem, field, mat_identity, mat_pow, test_ring as local_test_ring
 from ftk.oracles import AffineMap, _Composition, _WindowCodec, semidirect_bruteforce
 from ftk.semidirect import (
     SemidirectGroup,
@@ -217,6 +218,17 @@ class TestVnCheck:
         g6 = SemidirectGroup.make(3, 1, 2, [[1]])
         with pytest.raises(FtkError):
             vn_check(g6, S3_FRAME, obj)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("ring", [local_test_ring(3, 1, 2), field(3, 2)], ids=["F_3[x]/(x^2)", "F_9"])
+    def test_a_witness_over_another_ring_is_refused(self, ring, n):
+        # the witness ring must be the frame's field: the constant 1 over
+        # F_3[x]/(x^2) reached FqElem-only methods and raised AttributeError
+        u = L.constant(ring.one(), 4)
+        obj = ZPhiObject((u,), (u,))
+        group = SemidirectGroup.make(3, 1, n, [[1]])
+        with pytest.raises(DomainError, match=re.escape(f"witness over {ring!r}, frame over F_3")):
+            vn_check(group, TameFrame(F3, n, 1), obj)
 
 
 class TestEnumeration:
