@@ -4,19 +4,24 @@ Verbs: as-canon, as-iso, kummer-canon, kummer-iso, count-as, count-kummer,
 semidirect-enum, mass, rigidify, check-colim, selftest.
 
 Exit codes: 0 success, 1 parse error, 2 domain violation, 3 brute-force
-oracle mismatch.  JSON output has sorted keys.  The census verbs (count-as,
-count-kummer, semidirect-enum) also take --format csv; CSV census columns
-are break, aut_order, multiplicity, class (in that order), rows sorted by
-(break, class JSON text).  All output is newline-terminated UTF-8.  Each verb
+oracle mismatch, 141 the reader closed the output pipe.  JSON output has
+sorted keys.  The census verbs (count-as, count-kummer, semidirect-enum)
+also take --format csv; CSV census columns are break, aut_order,
+multiplicity, class (in that order), rows sorted by (break, class JSON
+text).  All output is newline-terminated UTF-8.  Each verb
 accepts only the flags it reads.  With --brute-force a census verb runs the
 oracle before it enumerates, so a size the oracle refuses costs no census.
 The JSON forms of count-as and count-kummer print the closed-form count
 and enumerate nothing (unless --brute-force asks for the check).  The
 count-kummer CSV streams its rows in census order from the (q_exp,
 unit_class) grid and holds none of them; count-as and semidirect-enum
-build their rows and sort them.  Every census walk, streamed or not,
-covers at most MAX_CENSUS classes (canonical vectors, for semidirect-enum),
-and a larger one is refused with exit 2 before it starts.
+build their rows and sort them.  semidirect-enum builds only the classes
+it prints, generated from the per-slot kernels of the twist, and certifies
+each.  Every census, streamed or not, covers at most MAX_CENSUS classes,
+counted in closed form before any is built (for semidirect-enum, from the
+same slot kernels), and a larger one is refused with exit 2 before it
+starts.  A reader that closes the pipe early ends the verb quietly with
+exit 141, as a shell reports for coreutils killed by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import random
 import sys
 
@@ -37,7 +43,13 @@ from .fields import field
 from .groupoids import CentralAutSubgroup, FiniteGroupoid, groupoid_mass, rigidify
 from .kummer import kummer_canonicalize, kummer_class_count, kummer_class_texts, kummer_iso_witness
 from .parse import parse_series
-from .semidirect import SemidirectGroup, TameFrame, enumerate_g_torsors, reduce_to_coprime
+from .semidirect import (
+    SemidirectGroup,
+    TameFrame,
+    enumerate_g_torsors,
+    g_torsor_class_count,
+    reduce_to_coprime,
+)
 
 # the largest census walk a verb starts: count-kummer F_256, n = 255, with
 # 65025 classes, is the largest one the tests and the benchmark run
@@ -50,6 +62,8 @@ MMAP_THRESHOLD = 128 * 1024
 # the most trials check-colim runs: 10000 took 2.8 s on a 2-core host with
 # CPython 3.11, about 0.3 ms a trial
 MAX_TRIALS = 10**4
+# the exit code of a verb whose reader closed the pipe: 128 + SIGPIPE
+EXIT_BROKEN_PIPE = 141
 
 
 def _field_from_args(args):
@@ -226,7 +240,7 @@ def _cmd_semidirect_enum(args):
     frame = TameFrame(spec, n2, q2)
     bound = args.max_break
     brute = oracles.semidirect_bruteforce(group2, frame, bound) if args.brute_force else None
-    _check_census(as_class_count(spec, bound) ** group2.r)
+    _check_census(g_torsor_class_count(group2, frame, bound))
     classes = enumerate_g_torsors(group2, frame, bound)
     rows = _census_rows((c.class_id(), c.break_, c.aut_count) for c in classes)
     payload = {
@@ -430,6 +444,13 @@ def main(argv=None) -> int:
     except FtkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone: point stdout at the null device, so that the
+        # flush at exit writes what is left there and raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

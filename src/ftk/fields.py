@@ -38,7 +38,11 @@ element's Frobenius is (sum a_i x^i)^p = sum a_i^p x^(ip), below x^m, with
 each a_i^p from the field's matrix.  The other square F_p matrices of the
 library, such as the action psi of C_n on (Z/p)^r in ``semidirect`` and
 its oracle, are tuples of rows in the same convention, and ``mat_mul``
-applies each row of its left factor through ``_apply_rows``.
+applies each row of its left factor through ``_apply_rows``.  So is
+``mul_matrix(a)``, the matrix of x -> a x.  ``mat_kernel`` is the one F_p
+Gaussian elimination of the library: it returns a basis of the relations
+among a list of digit rows, for a square matrix the kernel of
+``_apply_rows``.
 
 Every element is its digit row ``coords``: the m*e coordinates of
 sum a_i x^i in F_p, x-major, the digit of x^i g^j at index i*e + j (a
@@ -342,24 +346,42 @@ def mat_pow(a, n: int, p: int):
     return result
 
 
-def mat_kernel_size(m, p: int) -> int:
-    """|ker| of an r x r matrix over F_p, by Gaussian elimination."""
-    r = len(m)
-    rows = [list(row) for row in m]
+def mat_kernel(rows, p: int) -> list:
+    """A basis of the relations among ``rows``: the coordinate vectors x
+    with sum_i x[i] rows[i] = 0 over F_p.  For a square matrix that sum is
+    ``_apply_rows(rows, x, p)``.
+
+    One Gaussian elimination on the rows, each augmented by its unit
+    vector, so that every row stays the combination of the inputs its
+    right part records.  Forward elimination clears each pivot column
+    below its pivot; a later pivot row had a zero in every earlier column
+    without a pivot, so the rows past the rank end with a zero left part,
+    and their right parts are independent relations, as many as the
+    number of rows minus the rank.  For a square matrix that is the
+    dimension of both kernels."""
+    n = len(rows)
+    width = len(rows[0]) if n else 0
+    aug = [[x % p for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     rank = 0
-    for col in range(r):
-        piv = next((i for i in range(rank, r) if rows[i][col] % p), None)
+    for col in range(width):
+        piv = next((i for i in range(rank, n) if aug[i][col]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(r):
-            if i != rank and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = pow(aug[rank][col], -1, p)
+        top = aug[rank] = [(x * inv) % p for x in aug[rank]]
+        for i in range(rank + 1, n):
+            if f := aug[i][col]:
+                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], top)]
         rank += 1
-    return p ** (r - rank)
+    return [tuple(row[width:]) for row in aug[rank:]]
+
+
+def mul_matrix(a: "FqElem"):
+    """The e x e matrix over F_p of x -> a x on F_q, in the convention of
+    the Frobenius matrix: row i holds the coordinates of g^i a."""
+    spec = a.spec
+    return tuple((spec.from_index(spec.p**i) * a).coords for i in range(spec.e))
 
 
 # -- packed windows: Kronecker substitution ---------------------------

@@ -24,7 +24,13 @@ p does not divide n, (F_p)^r is the direct sum of ker(psi - 1) and
 im(psi - 1), N is n on the first summand and 0 on the second, and V(u0)
 lies in ker(psi - 1); so the h with a vanishing sum form one coset of
 im(psi - 1), which is one orbit of the residual action u ~ u + (psi - 1)h.
-The full proof is in ``enumerate_g_torsors``.
+
+On canonical vectors phi acts slot by slot: at a pole slot k it is
+c_k -> xi^-k psi c_k on F_q^r, and on the constant classes it is psi on
+their traces.  So the census generates the phi-fixed vectors as the
+product of one F_p-kernel per slot and the psi-fixed constants, and
+counts them in closed form (``g_torsor_class_count``) before building
+any.  The full proofs are in ``enumerate_g_torsors``.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .artin_schreier import elemab_canonicalize, elemab_enumerate
+from .artin_schreier import ASCanonical, as_class_count, elemab_canonicalize, prime_to_p_support
 from .errors import DomainError, FtkError
-from .fields import FieldSpec, mat_identity, mat_kernel_size, mat_pow
+from .fields import FieldSpec, mat_identity, mat_kernel, mat_pow, mul_matrix
 from .series import LaurentSeries, default_prec
 
 
@@ -148,20 +154,25 @@ class ZPhiObject:
     u_vec: tuple
 
     @staticmethod
-    def make(group, frame, b_vec, u_vec) -> "ZPhiObject":
-        target = phi_apply(group, frame, b_vec)
+    def make(group, frame, b_vec, u_vec, target=None) -> "ZPhiObject":
+        """Check the witness identity; ``target`` is phi(b) when the caller
+        has it."""
+        if target is None:
+            target = phi_apply(group, frame, b_vec)
         for u, b, d in zip(u_vec, b_vec, target):
             if not (u.wp() + b - d).is_zero():
                 raise DomainError("witness identity fails")
         return ZPhiObject(tuple(b_vec), tuple(u_vec))
 
 
-def zphi_solve(group: SemidirectGroup, frame: TameFrame, b_vec):
-    """All witness vectors u (a torsor under (F_p)^r), or None.
+def zphi_solve(group: SemidirectGroup, frame: TameFrame, b_vec, target=None):
+    """All witness vectors u (a torsor under (F_p)^r), or None; ``target``
+    is phi(b) when the caller has it, so that phi is applied once.
 
     Solvable exactly when the canonical form of b is phi-fixed.
     """
-    target = phi_apply(group, frame, b_vec)
+    if target is None:
+        target = phi_apply(group, frame, b_vec)
     from .artin_schreier import elemab_iso_witness
 
     u0 = elemab_iso_witness(b_vec, target)
@@ -234,16 +245,128 @@ class GTorsorClass:
         }
 
 
+def _twist_minus_one(psi, lam_rows, p: int):
+    """The rows of v -> lam psi v - v on F_q^r, one per digit of v.
+
+    A vector is its e r digits, component-major: digit a of component j
+    at index j e + a.  The row of that digit is lam g^a, the row a of
+    ``lam_rows = mul_matrix(lam)``, put in each component i with weight
+    psi[i][j], less the unit vector of the digit.  So the relations among
+    the rows (``mat_kernel``) are the v with lam psi v = v.  With e = 1 and
+    lam_rows = ((1,),) they are the v in F_p^r with psi v = v."""
+    r, e = len(psi), len(lam_rows)
+    rows = []
+    for j in range(r):
+        for a in range(e):
+            row = [psi[i][j] * x % p for i in range(r) for x in lam_rows[a]]
+            row[j * e + a] = (row[j * e + a] - 1) % p
+            rows.append(row)
+    return rows
+
+
+def _span(basis, p: int, width: int) -> list:
+    """Every F_p combination of the basis vectors, p^len(basis) of them."""
+    out = [(0,) * width]
+    for b in basis:
+        out = [tuple((x + c * y) % p for x, y in zip(v, b)) for v in out for c in range(p)]
+    return out
+
+
+def _fixed_bases(group: SemidirectGroup, frame: TameFrame, break_bound: int):
+    """(constants, slots): F_p bases of the phi-fixed canonical coordinates.
+
+    ``constants`` spans ker(psi - 1) in F_p^r, the trace vectors of the
+    fixed constant classes; ``slots`` pairs each k in S_m with a basis of
+    ker(xi^-k psi - 1) in the e r digits of F_q^r.  That matrix depends on
+    k mod n only, as xi^n = 1, so each residue is eliminated once."""
+    p, n, psi = group.p, frame.n, group.psi
+    constants = mat_kernel(_twist_minus_one(psi, ((1,),), p), p)
+    by_residue: dict = {}
+    slots = []
+    for k in prime_to_p_support(p, break_bound):
+        basis = by_residue.get(k % n)
+        if basis is None:
+            lam = frame.xi ** (n - k % n)  # xi^-k
+            basis = by_residue[k % n] = mat_kernel(_twist_minus_one(psi, mul_matrix(lam), p), p)
+        slots.append((k, basis))
+    return constants, slots
+
+
+def g_torsor_class_count(group: SemidirectGroup, frame: TameFrame, break_bound: int) -> int:
+    """The number of classes ``enumerate_g_torsors`` emits, in closed form
+    from the same slot kernels: |ker(psi - 1)| * prod_{k in S_m}
+    |ker(xi^-k psi - 1)|.  No class is built.  The break bound is refused
+    as ``as_class_count`` refuses it, so a huge bound costs nothing."""
+    as_class_count(frame.spec, break_bound)
+    if group.r == 0:
+        return 1
+    constants, slots = _fixed_bases(group, frame, break_bound)
+    return group.p ** (len(constants) + sum(len(basis) for _, basis in slots))
+
+
+def _trace(c) -> int:
+    """The absolute trace c + c^p + ... + c^(p^(e-1)), in F_p."""
+    total = x = c
+    for _ in range(c.spec.e - 1):
+        x = x.frobenius()
+        total = total + x
+    return total.as_int()
+
+
+def _fixed_vectors(group: SemidirectGroup, spec: FieldSpec, constants, slots):
+    """The phi-fixed canonical vectors of the bases of ``_fixed_bases``:
+    the product of the slot kernels' spans and the fixed constant classes."""
+    p, r, e = group.p, group.r, spec.e
+    rep_of = {_trace(c): c for c in spec.wp_transversal()}
+    const_vecs = [tuple(rep_of[t] for t in v) for v in _span(constants, p, r)]
+    keys = [k for k, basis in slots if basis]
+    values = [
+        [[spec.from_digits(v[j * e : (j + 1) * e]) for j in range(r)] for v in _span(basis, p, e * r)]
+        for _, basis in slots
+        if basis
+    ]
+    for chosen in itertools.product(*values):
+        supports = [
+            tuple((k, c[j]) for k, c in zip(keys, chosen) if not c[j].is_zero()) for j in range(r)
+        ]
+        for consts in const_vecs:
+            yield tuple(ASCanonical(spec, support, c0) for support, c0 in zip(supports, consts))
+
+
 def enumerate_g_torsors(group: SemidirectGroup, frame: TameFrame, break_bound: int):
     """Classes of G-torsors marked with the given tame frame, wild break
     at most break_bound (in the frame variable s).
 
-    Walks the canonical H-cover vectors b that phi fixes and emits one
-    class for each: the witness is the first solution of ``zphi_solve``, in
-    its sort order, whose twisted cocycle sum vanishes, and aut_count =
-    |ker(psi - 1)|.
+    Generates the canonical H-cover vectors b that phi fixes from the slot
+    kernels of ``_fixed_bases`` and emits one class for each: the witness
+    is the first solution of ``zphi_solve``, in its sort order, whose
+    twisted cocycle sum vanishes, and aut_count = |ker(psi - 1)|.  No
+    other candidate is built, so the cost follows the number of classes.
 
-    Theorem: a phi-fixed b carries exactly one class.  Write
+    Theorem A: phi acts slot by slot on canonical vectors.  Write the
+    components of a canonical b as b_i = sum_{k in S_m} c_{i,k} s^-k +
+    c_{i,0}, and c_k = (c_{i,k})_i in F_q^r.  Then
+
+        phi(b)_i = sum_j psi_ij b_j(xi s)
+                 = sum_k xi^-k (psi c_k)_i s^-k + (psi c_0)_i.
+
+    Its poles sit at the slots k, prime to p, where canonicalisation moves
+    nothing (a chain starts only at an exponent divisible by p), and it
+    has no positive part.  So the canonical form of phi(b) has the slot
+    vector xi^-k psi c_k at each k, and at t^0 the transversal
+    representative of psi c_0.  A representative is fixed by its absolute
+    trace, and Tr is F_p-linear while psi has entries in F_p, so that
+    representative has trace vector psi Tr(c_0).
+
+    Corollary: b is phi-fixed exactly when c_k lies in ker(xi^-k psi - 1)
+    for every k in S_m and Tr(c_0) lies in ker(psi - 1) on F_p^r.  The
+    conditions are on disjoint coordinates, so the fixed set is the
+    product of the slot kernels and the psi-fixed constant classes, and
+    its size is |ker(psi - 1)| * prod_k |ker(xi^-k psi - 1)|
+    (``g_torsor_class_count``).  Each slot kernel is F_q-linear; on the
+    e r digits its map is psi (x) M(xi^-k) - 1, M(a) = ``mul_matrix(a)``.
+
+    Theorem B: a phi-fixed b carries exactly one class.  Write
     V(u) = sum_{j<n} psi^j u(xi^j s) and N = sum_{j<n} psi^j; the
     witnesses are u0 + h, h in (F_p)^r.
 
@@ -260,37 +383,35 @@ def enumerate_g_torsors(group: SemidirectGroup, frame: TameFrame, break_bound: i
        coset of im(psi - 1), which is one orbit of the residual action
        u ~ u + (psi - 1)h.  Its stabiliser is ker(psi - 1).
 
-    A phi-fixed b without a good witness is therefore a fault, and raises
-    FtkError.
+    Every emitted class is still certified: b is built as series at
+    ``default_prec(break_bound)``, phi(b) is formed once, its canonical
+    form must be b's, the witness must satisfy u^p - u = phi(b) - b and
+    its cocycle sum must vanish.  A generated vector that fails, or a
+    phi-fixed b without a good witness, is a fault and raises FtkError.
     """
     if frame.n > 1 and math.gcd(frame.q_exp, frame.n) != 1:
         raise DomainError("apply reduce_to_coprime first")
     prec = default_prec(break_bound)
-    spec = frame.spec
-    p = group.p
     if group.r == 0:
         return [
             GTorsorClass(group, frame, ZPhiObject((), ()), (), 1)
         ]
-    psi_minus_1 = tuple(
-        tuple((group.psi[i][j] - (1 if i == j else 0)) % p for j in range(group.r))
-        for i in range(group.r)
-    )
-    aut = mat_kernel_size(psi_minus_1, p)
+    constants, slots = _fixed_bases(group, frame, break_bound)
+    aut = group.p ** len(constants)
 
-    def classes_at(canon_vec):
+    def certified(canon_vec):
         b_vec = tuple(c.to_series(prec) for c in canon_vec)
-        if elemab_canonicalize(phi_apply(group, frame, b_vec)) != canon_vec:
-            return []
-        for u_vec in zphi_solve(group, frame, b_vec) or ():
-            obj = ZPhiObject(b_vec, u_vec)
-            if not any(vn_check(group, frame, obj)):
-                return [GTorsorClass(group, frame, obj, canon_vec, aut)]
+        target = phi_apply(group, frame, b_vec)
+        if elemab_canonicalize(target) != canon_vec:
+            raise FtkError("a generated cover vector is not phi-fixed")
+        for u_vec in zphi_solve(group, frame, b_vec, target) or ():
+            if not any(vn_check(group, frame, ZPhiObject(b_vec, u_vec))):
+                obj = ZPhiObject.make(group, frame, b_vec, u_vec, target)
+                return GTorsorClass(group, frame, obj, canon_vec, aut)
         raise FtkError("a phi-fixed cover vector has no twist witness with a vanishing cocycle sum")
 
     from .parallel import parallel_map
 
-    chunks = parallel_map(classes_at, elemab_enumerate(spec, group.r, break_bound))
-    out = [cls for chunk in chunks for cls in chunk]
+    out = parallel_map(certified, _fixed_vectors(group, frame.spec, constants, slots))
     out.sort(key=lambda c: (c.break_, tuple(x.sort_key() for x in c.canonical_b)))
     return out

@@ -112,9 +112,13 @@ def _semidirect():
         # psi^n is not the identity
         ["semidirect-enum", "--p", "5", "--r", "1", "--n", "2", "--psi", "[2]",
          "--q-exp", "1", "--max-break", "1"],
-        # more canonical vectors than the census walks
+        # 2187^2 canonical vectors, more than the census once walked, but
+        # 81 classes: admitted since the bound counts classes
         ["semidirect-enum", "--p", "3", "--e", "2", "--r", "2", "--n", "2",
          "--psi", "[[-1,0],[0,-1]]", "--q-exp", "1", "--max-break", "4"],
+        # 81^3 classes, more than the census emits
+        ["semidirect-enum", "--p", "3", "--e", "2", "--r", "2", "--n", "2",
+         "--psi", "[[-1,0],[0,-1]]", "--q-exp", "1", "--max-break", "7"],
     ]
     return cases
 

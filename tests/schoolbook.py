@@ -119,7 +119,7 @@ from ftk.fields import (
     _monic_poly_from_index,
     _poly_mod,
     canonical_wp_shift,
-    mat_kernel_size,
+    mat_kernel,
 )
 from ftk.kummer import KummerClass
 from ftk.series import LaurentSeries, PartsDecomposition, default_prec
@@ -1091,7 +1091,7 @@ def enumerate_g_torsors(group, frame, break_bound: int, prec: int = None):
         tuple((group.psi[i][j] - (1 if i == j else 0)) % p for j in range(group.r))
         for i in range(group.r)
     )
-    aut = mat_kernel_size(psi_minus_1, p)
+    aut = p ** len(mat_kernel(psi_minus_1, p))
     shifts = set()
     for h in itertools.product(range(p), repeat=group.r):
         shifts.add(

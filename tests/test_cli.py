@@ -24,6 +24,8 @@ from ftk.cli import build_parser, main
 from ftk.fields import field
 from ftk.groupoids import FinGroup, bg
 from ftk.kummer import KummerClass
+from ftk.semidirect import SemidirectGroup, TameFrame
+from test_semidirect import slot_class_count
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +225,23 @@ def test_the_kummer_csv_census_holds_no_rows():
     assert done.returncode == 0, done.stderr
     before, after = map(int, done.stderr.split())
     assert after - before < 12 * 1024
+
+
+def test_a_closed_pipe_ends_the_census_quietly():
+    # as in `ftk count-kummer ... --format csv | head -c 100`: the reader
+    # goes after a few bytes.  That printed "error: [Errno 32] Broken pipe"
+    # and exited 2; now nothing is printed and the exit code is 128 + SIGPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(ftk.__file__).parents[1]))
+    argv = ["count-kummer", "--p", "2", "--e", "8", "--n", "255", "--format", "csv"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "ftk.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.read(100).startswith(b"break,aut_order,multiplicity,class\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert err == b""
+    assert code == cli.EXIT_BROKEN_PIPE == 141
 
 
 @pytest.mark.parametrize(
@@ -571,13 +590,16 @@ def test_json_count_is_the_closed_form(capsys, no_census, argv, stdout):
     assert capsys.readouterr().out == stdout
 
 
+# semidirect-enum is bounded by its class count, not by its candidate
+# space: S_3/F_3 at m = 31 has 11 odd prime-to-3 slots, 3^11 classes, and
+# A_4/F_4 at m = 25 has 9 slots prime to 6, 4^9 classes
 CENSUS_REFUSED = [
     ("count-as", "--p", "2", "--e", "8", "--max-break", "3", "--format", "csv"),
     ("count-kummer", "--p", "2", "--e", "9", "--n", "511", "--format", "csv"),
     ("semidirect-enum", "--p", "3", "--r", "1", "--n", "2", "--psi", "[-1]",
-     "--q-exp", "1", "--max-break", "14"),
+     "--q-exp", "1", "--max-break", "31"),
     ("semidirect-enum", "--p", "2", "--e", "2", "--r", "2", "--n", "3", "--psi",
-     "[[0,1],[1,1]]", "--q-exp", "1", "--max-break", "10", "--format", "csv"),
+     "[[0,1],[1,1]]", "--q-exp", "1", "--max-break", "25", "--format", "csv"),
 ]
 
 
@@ -604,6 +626,27 @@ CENSUS_ADMITTED = [
 def test_census_bound_admits_the_largest_walks(no_census, argv):
     with pytest.raises(Enumerated):
         main(list(argv))
+
+
+@pytest.mark.parametrize(
+    "p, e, r, n, psi, m",
+    [
+        (3, 1, 1, 2, [[-1]], 14),  # 3^11 candidate vectors, 3^5 classes
+        (2, 2, 2, 3, [[0, 1], [1, 1]], 10),  # 2^22 candidate vectors, 4^3 classes
+    ],
+    ids=["S_3/F_3 m=14", "A_4/F_4 m=10"],
+)
+def test_census_bound_admits_by_the_class_count(capsys, p, e, r, n, psi, m):
+    # both were refused while the bound counted every candidate vector
+    code, out = run_cli(
+        capsys, "semidirect-enum", "--p", str(p), "--e", str(e), "--r", str(r), "--n", str(n),
+        "--psi", json.dumps(psi), "--q-exp", "1", "--max-break", str(m),
+    )
+    assert code == 0
+    group = SemidirectGroup.make(p, r, n, psi)
+    count = slot_class_count(group, TameFrame(field(p, e), n, 1), m)
+    payload = json.loads(out)
+    assert payload["count"] == len(payload["classes"]) == count
 
 
 @pytest.mark.parametrize(

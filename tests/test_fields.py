@@ -1,5 +1,6 @@
 import ast
 import gc
+import itertools
 import math
 import random
 import time
@@ -23,8 +24,11 @@ from ftk.fields import (
     _RingElem,
     _field_tables,
     _is_prime,
+    _apply_rows,
     canonical_nth_root,
     field,
+    mat_kernel,
+    mul_matrix,
     nth_power_class,
     test_ring as local_test_ring,
 )
@@ -442,6 +446,36 @@ def test_element_maps_match_powering(p, e):
         assert a.pth_root() == schoolbook.fq_pth_root(a)
         if not a.is_zero():
             assert a.inverse() == schoolbook.fq_inverse(a)
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 4), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_mat_kernel_is_every_relation_among_the_rows(p, n, width, rng):
+    # the basis spans exactly the x with sum_i x[i] rows[i] = 0, counted by
+    # walking all of F_p^n; entries past p and below 0 are read mod p
+    rows = [[rng.randrange(-p, 2 * p) for _ in range(width)] for _ in range(n)]
+    basis = mat_kernel(rows, p)
+
+    def combine(x):
+        return tuple(sum(c * row[k] for c, row in zip(x, rows)) % p for k in range(width))
+
+    zero = (0,) * width
+    for x in basis:
+        assert len(x) == n and combine(x) == zero
+    relations = sum(combine(x) == zero for x in itertools.product(range(p), repeat=n))
+    assert relations == p ** len(basis)
+    # independent: no nonzero combination of the basis vanishes
+    combos = {tuple(sum(c * v[i] for c, v in zip(cs, basis)) % p for i in range(n))
+              for cs in itertools.product(range(p), repeat=len(basis))}
+    assert len(combos) == p ** len(basis)
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 3), (3, 2), (5, 2)])
+def test_mul_matrix_applies_the_product(p, e):
+    spec = field(p, e)
+    for a in spec.elements():
+        m = mul_matrix(a)
+        for x in spec.elements():
+            assert _apply_rows(m, x.coords, p) == (x * a).coords
 
 
 @pytest.mark.parametrize("p, e", [(2**31 - 1, 1), (2, 20), (3, 13)], ids=["Fp31", "F2^20", "F3^13"])

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import schoolbook
 from ftk import semidirect
-from ftk.artin_schreier import as_class_count, elemab_canonicalize
+from ftk.artin_schreier import ASCanonical, as_class_count, elemab_canonicalize
 from ftk.errors import DomainError, FtkError
 from ftk.fields import FqElem, field, mat_identity, mat_pow, test_ring as local_test_ring
 from ftk.oracles import AffineMap, _Composition, _WindowCodec, semidirect_bruteforce
@@ -16,6 +16,7 @@ from ftk.semidirect import (
     TameFrame,
     ZPhiObject,
     enumerate_g_torsors,
+    g_torsor_class_count,
     mat_vec_series,
     phi_apply,
     reduce_to_coprime,
@@ -323,6 +324,91 @@ def _reduced(p, e, r, n, psi, q_exp, m):
 @example(_reduced(2, 2, 2, 3, [[0, 1], [1, 1]], 1, 1))  # A_4 over F_4
 def test_census_matches_the_shift_quotient_reference(case):
     assert _census(enumerate_g_torsors(*case)) == _census(schoolbook.enumerate_g_torsors(*case))
+
+
+def slot_class_count(group, frame, m):
+    """|ker(psi - 1)| * prod_{k in S_m} #{v in F_q^r : xi^-k psi v = v}, by
+    walking F_p^r and, per slot, F_q^r with element arithmetic."""
+    spec, p, r, psi = frame.spec, group.p, group.r, group.psi
+
+    def twisted(lam, v):
+        return tuple(lam * sum((v[j] * psi[i][j] for j in range(r)), spec.zero()) for i in range(r))
+
+    count = sum(
+        all(sum(psi[i][j] * h[j] for j in range(r)) % p == h[i] for i in range(r))
+        for h in itertools.product(range(p), repeat=r)
+    )
+    xi_inv = frame.xi.inverse()
+    for k in range(1, m + 1):
+        if k % p:
+            lam = xi_inv**k
+            count *= sum(twisted(lam, v) == v for v in itertools.product(spec.elements(), repeat=r))
+    return count
+
+
+@settings(max_examples=30)
+@given(census_systems())
+@example(_reduced(3, 1, 1, 2, [[-1]], 1, 3))  # S_3 over F_3
+@example(_reduced(5, 1, 1, 4, [[2]], 2, 1))  # Z/5 x| C_4, reduced to n = 2
+@example(_reduced(2, 2, 2, 3, [[0, 1], [1, 1]], 1, 3))  # A_4 over F_4
+@example(_reduced(3, 1, 1, 2, [[1]], 1, 7))  # Z/6 over F_3: the even slots 2, 4
+def test_census_size_is_the_slot_count(case):
+    count = slot_class_count(*case)
+    assert len(enumerate_g_torsors(*case)) == count
+    assert g_torsor_class_count(*case) == count
+
+
+def test_closed_form_count_builds_no_class():
+    # 11 odd prime-to-3 slots up to 31: 3^11 classes, past MAX_CENSUS
+    assert g_torsor_class_count(S3_GROUP, S3_FRAME, 31) == slot_class_count(S3_GROUP, S3_FRAME, 31) == 3**11
+
+
+def test_closed_form_count_refuses_a_huge_break_bound():
+    # as as_class_count does: a bound whose window passes 2^4096 classes
+    with pytest.raises(DomainError, match="2\\^4096"):
+        g_torsor_class_count(S3_GROUP, S3_FRAME, 10**9)
+    with pytest.raises(DomainError, match="break bound must be >= 0"):
+        g_torsor_class_count(SemidirectGroup.make(3, 0, 2, []), S3_FRAME, -1)
+
+
+def test_census_applies_phi_once_per_class_and_step(monkeypatch):
+    # S_3 over F_3 at m = 7: 27 classes, n = 2.  Each class forms phi(b)
+    # once, for its fixed check and its witness, and vn_check one Horner
+    # step; the candidate walk made 783 calls
+    calls = [0]
+    real = semidirect.phi_apply
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(semidirect, "phi_apply", counted)
+    classes = enumerate_g_torsors(S3_GROUP, S3_FRAME, 7)
+    assert len(classes) == 27
+    assert calls[0] <= 27 * S3_FRAME.n
+
+
+def test_census_builds_series_for_emitted_classes_only(monkeypatch):
+    # the candidate walk built series for all 729 canonical vectors of
+    # S_3 over F_3 at m = 7; only the 27 emitted ones are built now
+    calls = [0]
+    real = ASCanonical.to_series
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(ASCanonical, "to_series", counted)
+    assert len(enumerate_g_torsors(S3_GROUP, S3_FRAME, 7)) == 27
+    assert calls[0] == 27
+
+
+def test_a_generated_vector_that_phi_moves_raises(monkeypatch):
+    # the certificate re-checks the slot algebra on series: a generated
+    # vector whose phi-image has another canonical form is a fault
+    monkeypatch.setattr(semidirect, "elemab_canonicalize", lambda vec: ())
+    with pytest.raises(FtkError, match="not phi-fixed"):
+        enumerate_g_torsors(S3_GROUP, S3_FRAME, 1)
 
 
 def test_census_checks_one_witness_per_good_vector(monkeypatch):
