@@ -16,12 +16,14 @@ and enumerate nothing (unless --brute-force asks for the check).  The
 count-kummer CSV streams its rows in census order from the (q_exp,
 unit_class) grid and holds none of them; count-as and semidirect-enum
 build their rows and sort them.  semidirect-enum builds only the classes
-it prints, generated from the per-slot kernels of the twist, and certifies
-each.  Every census, streamed or not, covers at most MAX_CENSUS classes,
-counted in closed form before any is built (for semidirect-enum, from the
-same slot kernels), and a larger one is refused with exit 2 before it
-starts.  A reader that closes the pipe early ends the verb quietly with
-exit 141, as a shell reports for coreutils killed by SIGPIPE.
+it prints, generated from the per-slot kernels of the twist, and prints
+each with witness 0 after one exact check that the twist fixes its cover
+vector on the polar window.  Every census, streamed or not, covers at
+most MAX_CENSUS classes, counted in closed form before any is built (for
+semidirect-enum, from the same slot kernels), and a larger one is
+refused with exit 2 before it starts.  A reader that closes the pipe
+early ends the verb quietly with exit 141, as a shell reports for
+coreutils killed by SIGPIPE.
 """
 
 from __future__ import annotations

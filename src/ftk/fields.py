@@ -41,8 +41,7 @@ its oracle, are tuples of rows in the same convention, and ``mat_mul``
 applies each row of its left factor through ``_apply_rows``.  So is
 ``mul_matrix(a)``, the matrix of x -> a x.  ``mat_kernel`` is the one F_p
 Gaussian elimination of the library: it returns a basis of the relations
-among a list of digit rows, for a square matrix the kernel of
-``_apply_rows``.
+among a list of digit rows, the kernel of x -> ``_apply_rows(rows, x)``.
 
 Every element is its digit row ``coords``: the m*e coordinates of
 sum a_i x^i in F_p, x-major, the digit of x^i g^j at index i*e + j (a
@@ -316,8 +315,9 @@ def _frobenius_rows(base: "FieldSpec", k: int):
 
 
 def _apply_rows(rows, coords, p):
-    """The coordinates of sum_i coords[i] * rows[i], mod p."""
-    out = [0] * len(coords)
+    """The coordinates of sum_i coords[i] * rows[i], mod p: a vector as
+    wide as the rows, whatever their number."""
+    out = [0] * (len(rows[0]) if rows else 0)
     for c, row in zip(coords, rows):
         if c:
             for j, r in enumerate(row):
@@ -348,8 +348,7 @@ def mat_pow(a, n: int, p: int):
 
 def mat_kernel(rows, p: int) -> list:
     """A basis of the relations among ``rows``: the coordinate vectors x
-    with sum_i x[i] rows[i] = 0 over F_p.  For a square matrix that sum is
-    ``_apply_rows(rows, x, p)``.
+    with sum_i x[i] rows[i] = 0 over F_p, the sum ``_apply_rows(rows, x, p)``.
 
     One Gaussian elimination on the rows, each augmented by its unit
     vector, so that every row stays the combination of the inputs its

@@ -30,7 +30,10 @@ c_k -> xi^-k psi c_k on F_q^r, and on the constant classes it is psi on
 their traces.  So the census generates the phi-fixed vectors as the
 product of one F_p-kernel per slot and the psi-fixed constants, and
 counts them in closed form (``g_torsor_class_count``) before building
-any.  The full proofs are in ``enumerate_g_torsors``.
+any.  Such a b is fixed by phi on the nose, not only up to
+Artin-Schreier equivalence, so u = 0 is a witness with a vanishing
+cocycle sum, and the census emits (b, 0) for each.  The full proofs are
+in ``enumerate_g_torsors``.
 """
 
 from __future__ import annotations
@@ -39,10 +42,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .artin_schreier import ASCanonical, as_class_count, elemab_canonicalize, prime_to_p_support
+from .artin_schreier import ASCanonical, as_class_count, prime_to_p_support
 from .errors import DomainError, FtkError
 from .fields import FieldSpec, mat_identity, mat_kernel, mat_pow, mul_matrix
-from .series import LaurentSeries, default_prec
+from .series import LaurentSeries
 
 
 # -- F_p matrices on vectors of series ------------------------------------
@@ -81,7 +84,7 @@ class SemidirectGroup:
         psi = tuple(tuple(x % p for x in row) for row in psi)
         if len(psi) != r or any(len(row) != r for row in psi):
             raise DomainError("psi must be r x r")
-        if r and mat_pow(psi, n, p) != mat_identity(r):
+        if mat_pow(psi, n, p) != mat_identity(r):
             raise DomainError("psi^n must be the identity")
         return SemidirectGroup(p, r, n, psi)
 
@@ -131,7 +134,7 @@ def reduce_to_coprime(group: SemidirectGroup, q_exp: int):
     if d <= 1:
         return group.n, q_exp, group
     n2 = group.n // d
-    psi2 = mat_pow(group.psi, d, group.p) if group.r else group.psi
+    psi2 = mat_pow(group.psi, d, group.p)
     return n2, q_exp // d, SemidirectGroup.make(group.p, group.r, n2, psi2)
 
 
@@ -154,28 +157,23 @@ class ZPhiObject:
     u_vec: tuple
 
     @staticmethod
-    def make(group, frame, b_vec, u_vec, target=None) -> "ZPhiObject":
-        """Check the witness identity; ``target`` is phi(b) when the caller
-        has it."""
-        if target is None:
-            target = phi_apply(group, frame, b_vec)
+    def make(group, frame, b_vec, u_vec) -> "ZPhiObject":
+        """Check the witness identity."""
+        target = phi_apply(group, frame, b_vec)
         for u, b, d in zip(u_vec, b_vec, target):
             if not (u.wp() + b - d).is_zero():
                 raise DomainError("witness identity fails")
         return ZPhiObject(tuple(b_vec), tuple(u_vec))
 
 
-def zphi_solve(group: SemidirectGroup, frame: TameFrame, b_vec, target=None):
-    """All witness vectors u (a torsor under (F_p)^r), or None; ``target``
-    is phi(b) when the caller has it, so that phi is applied once.
+def zphi_solve(group: SemidirectGroup, frame: TameFrame, b_vec):
+    """All witness vectors u (a torsor under (F_p)^r), or None.
 
     Solvable exactly when the canonical form of b is phi-fixed.
     """
-    if target is None:
-        target = phi_apply(group, frame, b_vec)
     from .artin_schreier import elemab_iso_witness
 
-    u0 = elemab_iso_witness(b_vec, target)
+    u0 = elemab_iso_witness(b_vec, phi_apply(group, frame, b_vec))
     if u0 is None:
         return None
     ring = b_vec[0].ring
@@ -298,8 +296,6 @@ def g_torsor_class_count(group: SemidirectGroup, frame: TameFrame, break_bound: 
     |ker(xi^-k psi - 1)|.  No class is built.  The break bound is refused
     as ``as_class_count`` refuses it, so a huge bound costs nothing."""
     as_class_count(frame.spec, break_bound)
-    if group.r == 0:
-        return 1
     constants, slots = _fixed_bases(group, frame, break_bound)
     return group.p ** (len(constants) + sum(len(basis) for _, basis in slots))
 
@@ -338,10 +334,9 @@ def enumerate_g_torsors(group: SemidirectGroup, frame: TameFrame, break_bound: i
     at most break_bound (in the frame variable s).
 
     Generates the canonical H-cover vectors b that phi fixes from the slot
-    kernels of ``_fixed_bases`` and emits one class for each: the witness
-    is the first solution of ``zphi_solve``, in its sort order, whose
-    twisted cocycle sum vanishes, and aut_count = |ker(psi - 1)|.  No
-    other candidate is built, so the cost follows the number of classes.
+    kernels of ``_fixed_bases`` and emits one class for each: (b, 0), with
+    aut_count = |ker(psi - 1)|.  No other candidate is built and no
+    witness is searched for, so the cost follows the number of classes.
 
     Theorem A: phi acts slot by slot on canonical vectors.  Write the
     components of a canonical b as b_i = sum_{k in S_m} c_{i,k} s^-k +
@@ -383,32 +378,34 @@ def enumerate_g_torsors(group: SemidirectGroup, frame: TameFrame, break_bound: i
        coset of im(psi - 1), which is one orbit of the residual action
        u ~ u + (psi - 1)h.  Its stabiliser is ker(psi - 1).
 
-    Every emitted class is still certified: b is built as series at
-    ``default_prec(break_bound)``, phi(b) is formed once, its canonical
-    form must be b's, the witness must satisfy u^p - u = phi(b) - b and
-    its cocycle sum must vanish.  A generated vector that fails, or a
-    phi-fixed b without a good witness, is a fault and raises FtkError.
+    Corollary C: a generated b satisfies phi(b) = b as series, not only
+    up to Artin-Schreier equivalence, so u = 0 is a witness of its class.
+    By Theorem A, phi(b) has the slot vector xi^-k psi c_k at each k and
+    the constant vector psi c_0.
+    1. The slot part is fixed by construction: c_k lies in
+       ker(xi^-k psi - 1), so xi^-k psi c_k = c_k.
+    2. ``wp_transversal()`` is an F_p-line in F_q, so psi c_0, an F_p
+       combination of representatives, is a vector of representatives.
+       Its trace vector is psi Tr(c_0) = Tr(c_0), and a representative is
+       fixed by its trace, so psi c_0 = c_0.
+    3. So u = 0 solves u^p - u = phi(b) - b = 0, and its cocycle sum is
+       V(0) = 0: (b, 0) is the class of Theorem B.
+
+    Every emitted class is still certified by one exact check: b lives on
+    the exponents [-m, 0], and neither s -> xi s nor an F_p matrix moves
+    an exponent, so phi(b) = b holds on the polar window
+    ``to_series(1)`` exactly when it holds as series.  A generated vector
+    that fails it is a fault and raises FtkError.
     """
-    if frame.n > 1 and math.gcd(frame.q_exp, frame.n) != 1:
-        raise DomainError("apply reduce_to_coprime first")
-    prec = default_prec(break_bound)
-    if group.r == 0:
-        return [
-            GTorsorClass(group, frame, ZPhiObject((), ()), (), 1)
-        ]
     constants, slots = _fixed_bases(group, frame, break_bound)
     aut = group.p ** len(constants)
+    zeros = (LaurentSeries.zero(frame.spec, 1),) * group.r
 
     def certified(canon_vec):
-        b_vec = tuple(c.to_series(prec) for c in canon_vec)
-        target = phi_apply(group, frame, b_vec)
-        if elemab_canonicalize(target) != canon_vec:
+        b_vec = tuple(c.to_series(1) for c in canon_vec)
+        if phi_apply(group, frame, b_vec) != b_vec:
             raise FtkError("a generated cover vector is not phi-fixed")
-        for u_vec in zphi_solve(group, frame, b_vec, target) or ():
-            if not any(vn_check(group, frame, ZPhiObject(b_vec, u_vec))):
-                obj = ZPhiObject.make(group, frame, b_vec, u_vec, target)
-                return GTorsorClass(group, frame, obj, canon_vec, aut)
-        raise FtkError("a phi-fixed cover vector has no twist witness with a vanishing cocycle sum")
+        return GTorsorClass(group, frame, ZPhiObject(b_vec, zeros), canon_vec, aut)
 
     from .parallel import parallel_map
 

@@ -28,6 +28,7 @@ from ftk.fields import (
     canonical_nth_root,
     field,
     mat_kernel,
+    mat_mul,
     mul_matrix,
     nth_power_class,
     test_ring as local_test_ring,
@@ -476,6 +477,35 @@ def test_mul_matrix_applies_the_product(p, e):
         m = mul_matrix(a)
         for x in spec.elements():
             assert _apply_rows(m, x.coords, p) == (x * a).coords
+
+
+def test_apply_rows_is_as_wide_as_the_rows():
+    # sum_i coords[i] rows[i] by hand, for row lists that are not square
+    rows = [[1, 2, 0], [2, 2, 1]]
+    assert _apply_rows([[1], [1]], (1, 1), 2) == (0,)
+    assert _apply_rows([[1], [1]], (1, 1), 3) == (2,)
+    assert _apply_rows(rows, (2, 1), 3) == ((2 * 1 + 2) % 3, (2 * 2 + 2) % 3, 1)
+    assert _apply_rows([], (), 3) == ()
+    # a 1 x 2 times a 2 x 3 matrix is 1 x 3
+    assert mat_mul(((1, 1),), rows, 3) == ((0, 1, 1),)
+
+
+def test_wp_transversal_is_an_f_p_line(monkeypatch):
+    # the premise of Corollary C in ftk.semidirect: the p representatives
+    # are closed under addition, so an F_p combination of them is one.
+    # Every field with q <= 2^14 and p <= 127, each table built uncached,
+    # so that they are not all held at once
+    monkeypatch.setattr(fields_mod, "_field_tables", _field_tables.__wrapped__)
+    count = 0
+    for p in filter(_is_prime, range(2, 128)):
+        e = 1
+        while p**e <= MAX_TABLE_Q:
+            reps = field(p, e).wp_transversal()
+            assert len(set(reps)) == p
+            assert {a + b for a in reps for b in reps} == set(reps), (p, e)
+            count += 1
+            e += 1
+    assert count == 92
 
 
 @pytest.mark.parametrize("p, e", [(2**31 - 1, 1), (2, 20), (3, 13)], ids=["Fp31", "F2^20", "F3^13"])

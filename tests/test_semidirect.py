@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import schoolbook
-from ftk import semidirect
+from ftk import artin_schreier, semidirect
 from ftk.artin_schreier import ASCanonical, as_class_count, elemab_canonicalize
 from ftk.errors import DomainError, FtkError
 from ftk.fields import FqElem, field, mat_identity, mat_pow, test_ring as local_test_ring
@@ -371,60 +371,63 @@ def test_closed_form_count_refuses_a_huge_break_bound():
         g_torsor_class_count(SemidirectGroup.make(3, 0, 2, []), S3_FRAME, -1)
 
 
-def test_census_applies_phi_once_per_class_and_step(monkeypatch):
-    # S_3 over F_3 at m = 7: 27 classes, n = 2.  Each class forms phi(b)
-    # once, for its fixed check and its witness, and vn_check one Horner
-    # step; the candidate walk made 783 calls
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Wrap owner.name so that each call adds one to the returned [count]."""
     calls = [0]
-    real = semidirect.phi_apply
+    real = getattr(owner, name)
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(semidirect, "phi_apply", counted)
-    classes = enumerate_g_torsors(S3_GROUP, S3_FRAME, 7)
-    assert len(classes) == 27
-    assert calls[0] <= 27 * S3_FRAME.n
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_census_applies_phi_once_per_class_and_step(monkeypatch):
+    # S_3 over F_3 at m = 7: 27 classes.  Each class forms phi(b) once, for
+    # its fixed check; the witness search made 54 calls, the candidate
+    # walk 783
+    calls = _count_calls(monkeypatch, semidirect, "phi_apply")
+    assert len(enumerate_g_torsors(S3_GROUP, S3_FRAME, 7)) == 27
+    assert calls[0] == 27
 
 
 def test_census_builds_series_for_emitted_classes_only(monkeypatch):
     # the candidate walk built series for all 729 canonical vectors of
     # S_3 over F_3 at m = 7; only the 27 emitted ones are built now
-    calls = [0]
-    real = ASCanonical.to_series
-
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(ASCanonical, "to_series", counted)
+    calls = _count_calls(monkeypatch, ASCanonical, "to_series")
     assert len(enumerate_g_torsors(S3_GROUP, S3_FRAME, 7)) == 27
     assert calls[0] == 27
 
 
 def test_a_generated_vector_that_phi_moves_raises(monkeypatch):
     # the certificate re-checks the slot algebra on series: a generated
-    # vector whose phi-image has another canonical form is a fault
-    monkeypatch.setattr(semidirect, "elemab_canonicalize", lambda vec: ())
+    # vector that phi moves is a fault, not a class with witness 0
+    real = semidirect.phi_apply
+
+    def moved(group, frame, b_vec):
+        return tuple(b + L.constant(b.ring.one(), b.prec) for b in real(group, frame, b_vec))
+
+    monkeypatch.setattr(semidirect, "phi_apply", moved)
     with pytest.raises(FtkError, match="not phi-fixed"):
         enumerate_g_torsors(S3_GROUP, S3_FRAME, 1)
 
 
 def test_census_checks_one_witness_per_good_vector(monkeypatch):
-    # S_3 over F_3 at m = 7 has 27 phi-fixed canonical vectors, each with
-    # 3 witnesses; checking every witness made 81 vn_check calls
-    calls = [0]
-    real = semidirect.vn_check
-
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(semidirect, "vn_check", counted)
+    # S_3 over F_3 at m = 7: every phi-fixed vector is fixed on the nose,
+    # so its witness is 0 and nothing searches for one; the search made
+    # 27 zphi_solve and 27 vn_check calls
+    counts = [
+        _count_calls(monkeypatch, semidirect, "zphi_solve"),
+        _count_calls(monkeypatch, semidirect, "vn_check"),
+        _count_calls(monkeypatch, ZPhiObject, "make"),
+        _count_calls(monkeypatch, artin_schreier, "elemab_canonicalize"),
+    ]
     classes = enumerate_g_torsors(S3_GROUP, S3_FRAME, 7)
     assert len(classes) == 27
-    assert calls[0] <= 27
+    assert [c[0] for c in counts] == [0, 0, 0, 0]
+    assert {str(u) for c in classes for u in c.zphi.u_vec} == {"0"}
 
 
 def test_census_scalings_make_few_field_products(monkeypatch):
@@ -442,11 +445,3 @@ def test_census_scalings_make_few_field_products(monkeypatch):
     monkeypatch.setattr(FqElem, "__rmul__", counted)
     assert len(enumerate_g_torsors(S3_GROUP, S3_FRAME, 7)) == 27
     assert calls[0] < 20000
-
-
-def test_phi_fixed_vector_without_a_good_witness_raises(monkeypatch):
-    # the theorem says every phi-fixed vector has a good witness; a broken
-    # cocycle check must surface as an error, not as a missing class
-    monkeypatch.setattr(semidirect, "vn_check", lambda group, frame, obj: (1,))
-    with pytest.raises(FtkError, match="no twist witness"):
-        enumerate_g_torsors(S3_GROUP, S3_FRAME, 1)

@@ -23,9 +23,11 @@ import ftk
 
 ALLOWED = {
     "artin_schreier.as_moduli_point": "public API: the README's moduli points",
+    "artin_schreier.elemab_canonicalize": "benchmark-named: span artin_schreier.elemab_canonicalize",
     "artin_schreier.elemab_enumerate": "benchmark-named: span artin_schreier.elemab_enumerate",
     "fields.FieldSpec.gen": "public API: the generator g of the series grammar",
     "parse.parse_field_elem": "benchmark-named: span parse.parse_field_elem",
+    "semidirect.zphi_solve": "benchmark-named: span semidirect.zphi_solve",
     "series.LaurentSeries.split_parts": "benchmark-named: span series.split_parts",
     "oracles.as_window_witness_exists": "test oracle: the AS witness by window search",
     "oracles.kummer_window_witness_exists": "test oracle: the Kummer witness by window search",
