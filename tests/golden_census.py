@@ -50,6 +50,9 @@ def _count_as():
             argv = ["count-as", *_field(p, e), "--max-break", str(m)]
             cases += [argv, argv + ["--format", "csv"]]
         cases += [["count-as", *_field(p, e), "--max-break", str(m), "--brute-force"] for m in brute]
+    # the benchmark's largest count-as censuses
+    for p, e, m in ((2, 1, 16), (2, 2, 8)):
+        cases.append(["count-as", *_field(p, e), "--max-break", str(m), "--format", "csv"])
     return cases
 
 
@@ -74,9 +77,10 @@ def _count_kummer():
 
 
 # (p, e, r, n, psi, q_exp, break bounds, bounds also run with --brute-force);
-# CSV runs at bounds up to 1, where the walk is cheap
+# every bound runs in JSON and in CSV.  S_3/F_3 adds no class at m = 8, 9
+# and 10, and adds some at 11 and 14
 SEMIDIRECT = [
-    (3, 1, 1, 2, "[-1]", 1, (0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2)),  # S_3/F_3
+    (3, 1, 1, 2, "[-1]", 1, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14), (0, 1, 2)),  # S_3/F_3
     (3, 2, 1, 2, "[-1]", 1, (0, 1, 2, 3), (0, 1)),  # S_3/F_9
     (5, 1, 1, 4, "[2]", 1, (0, 1, 2, 3), (0, 1)),  # Z/5 x| C_4
     (5, 1, 1, 4, "[2]", 2, (0, 1, 2), ()),
@@ -105,8 +109,7 @@ def _semidirect():
                 "--psi", psi, "--q-exp", str(q_exp)]
         for m in bounds:
             cases.append(head + ["--max-break", str(m)])
-            if m <= 1:
-                cases.append(head + ["--max-break", str(m), "--format", "csv"])
+            cases.append(head + ["--max-break", str(m), "--format", "csv"])
         cases += [head + ["--max-break", str(m), "--brute-force"] for m in brute]
     cases += [
         # psi^n is not the identity
@@ -116,6 +119,8 @@ def _semidirect():
         # 81 classes: admitted since the bound counts classes
         ["semidirect-enum", "--p", "3", "--e", "2", "--r", "2", "--n", "2",
          "--psi", "[[-1,0],[0,-1]]", "--q-exp", "1", "--max-break", "4"],
+        ["semidirect-enum", "--p", "3", "--e", "2", "--r", "2", "--n", "2",
+         "--psi", "[[-1,0],[0,-1]]", "--q-exp", "1", "--max-break", "4", "--format", "csv"],
         # 81^3 classes, more than the census emits
         ["semidirect-enum", "--p", "3", "--e", "2", "--r", "2", "--n", "2",
          "--psi", "[[-1,0],[0,-1]]", "--q-exp", "1", "--max-break", "7"],
