@@ -44,11 +44,13 @@ reachable because coefficient p-th roots exist over a perfect field.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 from dataclasses import dataclass
 
-from .errors import DomainError, PrecisionExhausted, check_break_bound
-from .fields import FieldSpec, FqElem, canonical_wp_shift
+from .errors import DomainError, PrecisionExhausted, check_break_bound, check_census
+from .fields import FieldSpec, FqElem, canonical_wp_shift, mat_identity
 from .series import LaurentSeries, positive_rows
 
 
@@ -145,12 +147,6 @@ class ASCanonical:
         if not self.constant_class.is_zero():
             d[0] = self.constant_class
         return LaurentSeries.from_dict(self.spec, d, prec)
-
-    def sort_key(self):
-        return (
-            tuple((s, c.index) for s, c in self.support),
-            self.constant_class.index,
-        )
 
     def to_json(self) -> dict:
         return {
@@ -303,24 +299,118 @@ def as_class_count(spec: FieldSpec, m: int) -> int:
     return spec.p * spec.q**slots
 
 
-def enumerate_as_classes(spec: FieldSpec, m: int):
-    """Every canonical form with support in S_m, in deterministic order.
-
-    There are p * q^|S_m| of them: q choices per slot times the p
-    transversal classes.
-    """
-    check_break_bound(m)
-    slots = prime_to_p_support(spec.p, m)
-    transversal = spec.wp_transversal()
-    out = []
-    for values in itertools.product(range(spec.q), repeat=len(slots)):
-        support = tuple(
-            (s, spec.from_index(v)) for s, v in zip(slots, values) if v
-        )
-        for rep in transversal:
-            out.append(ASCanonical(spec, support, rep))
-    out.sort(key=ASCanonical.sort_key)
+def _span(basis, p: int, width: int) -> list:
+    """Every F_p combination of the basis vectors, p^len(basis) of them,
+    the zero vector first."""
+    out = [(0,) * width]
+    for b in basis:
+        out = [tuple((x + c * y) % p for x, y in zip(v, b)) for v in out for c in range(p)]
     return out
+
+
+def _trace(c) -> int:
+    """The absolute trace c + c^p + ... + c^(p^(e-1)), in F_p."""
+    total = x = c
+    for _ in range(c.spec.e - 1):
+        x = x.frobenius()
+        total = total + x
+    return total.as_int()
+
+
+def census_rows(spec: FieldSpec, r: int, constants, slots):
+    """The census rows (break, aut_order, text, choice) of the rank-r
+    canonical vectors whose constant classes have a trace vector in the
+    F_p-span of ``constants`` (vectors of F_p^r) and whose vector at each
+    slot k of ``slots``, pairs (k, basis) for k in S_m ascending, lies in
+    the span of ``basis`` (the e r digits of F_q^r, digit a of component j
+    at index j e + a).  count-as passes the full bases, the semidirect
+    census the kernels of its twist.
+
+    - text is ``json.dumps(c.to_json(), sort_keys=True)`` of each
+      component c, joined by ", ", written from pieces made once per slot
+      value: no class object and no json.dumps call per row.
+    - aut_order is p^len(constants): the shifts h in F_p^r that the twist
+      fixes, so p for count-as.
+    - choice holds one option (pieces, k, vector) per coordinate: k = 0
+      for the constants, then each slot of S_break in key-text order.
+      ``canonical_vector`` reads it.
+
+    The rows come in CSV order, by (break, text), lazily; the class count
+    p^(len(constants) + the sum of the slot dimensions) is refused past
+    MAX_CENSUS at the call, before any row.
+
+    Proof of the order.  Breaks come in numeric order, and the classes of
+    break j are those whose slot j is nonzero, with slots in S_j only.  A
+    component text is ``{"constant_class": C, "p": P, "q": Q, "support":
+    {"k": V, ...}}`` with C and V quoted and the keys in text order
+    ("1" < "11" < "3").
+
+    - r = 1.  Texts that differ in C compare as the quoted C's, which end
+      in a quote, so neither is a prefix of the other.  With equal C they
+      agree up to the support, which is read slot by slot in key-text
+      order.  At the first slot k where two supports differ, either both
+      hold k, and compare as the quoted values, or one holds it and the
+      other goes on to a later key or ends.  The holder's next characters
+      are ``"k"``; the other's are a longer key (a quote sorts below every
+      digit, so "1" < "11") or a key that sorts after k, or ``}``, which
+      sorts above the quote and the comma.  So absent sorts last, and the
+      texts of a break are the plain product, in this order, of the
+      constants by quoted text and of each slot's nonzero values by
+      quoted text, then absent (slot j takes nonzero values only).
+    - r >= 2.  No complete JSON object is a proper prefix of another, so
+      the joined texts compare as (T_1, ..., T_r), component-major.  The
+      bases couple the components, so no product gives this order, and
+      the texts of one break are sorted; no sort spans the census.
+    """
+    p, e = spec.p, spec.e
+    check_census(p ** (len(constants) + sum(len(basis) for _, basis in slots)))
+    aut, quote = p ** len(constants), functools.cache(lambda c: json.dumps(str(c)))
+    rep_of = {_trace(c): c for c in spec.wp_transversal()}
+    consts = sorted(
+        (tuple(f'{{"constant_class": {quote(c)}, "p": {p}, "q": {spec.q}, "support": {{' for c in vec), 0, vec)
+        for vec in (tuple(rep_of[t] for t in v) for v in _span(constants, p, r))
+    )
+    options = {}  # k -> (its nonzero options in text order, its zero option)
+    for k, basis in slots:
+        vecs = [tuple(spec.from_digits(v[j * e : (j + 1) * e]) for j in range(r)) for v in _span(basis, p, e * r)]
+        zero, *rest = [(tuple("" if c.is_zero() else f'"{k}": {quote(c)}' for c in vec), k, vec) for vec in vecs]
+        options[k] = sorted(rest), zero
+
+    def rows_at(j):
+        keys = sorted((k for k in options if k <= j), key=str)
+        factors = [consts] + [options[k][0] + ([] if k == j else [options[k][1]]) for k in keys]
+        for choice in itertools.product(*factors):
+            text = ", ".join(
+                head + ", ".join([o[0][i] for o in choice[1:] if o[0][i]]) + "}}"
+                for i, head in enumerate(choice[0][0])
+            )
+            yield j, aut, text, choice
+
+    breaks = [0] + [k for k, (nonzero, _) in options.items() if nonzero]
+    return (row for j in breaks for row in (rows_at(j) if r == 1 else sorted(rows_at(j), key=lambda row: row[2])))
+
+
+def canonical_vector(spec: FieldSpec, choice) -> tuple:
+    """The components of a ``census_rows`` choice, as ASCanonical forms."""
+    return tuple(
+        ASCanonical(spec, tuple(sorted((k, v[i]) for _, k, v in choice[1:] if not v[i].is_zero())), c)
+        for i, c in enumerate(choice[0][2])
+    )
+
+
+def as_census(spec: FieldSpec, m: int):
+    """The count-as census: ``census_rows`` of rank 1 with the full bases,
+    F_p at the constants and F_q at every slot of S_m, so p * q^|S_m|
+    rows (the census of G = Z/p with the trivial twist)."""
+    as_class_count(spec, m)
+    full = mat_identity(spec.e)
+    return census_rows(spec, 1, mat_identity(1), [(k, full) for k in prime_to_p_support(spec.p, m)])
+
+
+def enumerate_as_classes(spec: FieldSpec, m: int):
+    """Every canonical form with support in S_m, p * q^|S_m| of them, in
+    the order of the count-as CSV (``as_census``)."""
+    return [canonical_vector(spec, choice)[0] for *_, choice in as_census(spec, m)]
 
 
 # -- elementary abelian (Z/pZ)^r, componentwise ------------------------

@@ -12,16 +12,19 @@ text).  All output is newline-terminated UTF-8.  Each verb
 accepts only the flags it reads.  With --brute-force a census verb runs the
 oracle before it enumerates, so a size the oracle refuses costs no census.
 The JSON forms of count-as and count-kummer print the closed-form count
-and enumerate nothing (unless --brute-force asks for the check).  The
-count-kummer CSV streams its rows in census order from the (q_exp,
-unit_class) grid and holds none of them; count-as and semidirect-enum
-build their rows and sort them.  semidirect-enum builds only the classes
-it prints, generated from the per-slot kernels of the twist, and prints
-each with witness 0 after one exact check that the twist fixes its cover
-vector on the polar window.  Every census, streamed or not, covers at
-most MAX_CENSUS classes, counted in closed form before any is built (for
-semidirect-enum, from the same slot kernels), and a larger one is
-refused with exit 2 before it starts.  A reader that closes the pipe
+and enumerate nothing (unless --brute-force asks for the check).  All
+three census CSVs stream their rows in class-text order and hold none of
+them: count-kummer from the (q_exp, unit_class) grid, count-as and
+semidirect-enum from one generator, ``artin_schreier.census_rows``, that
+writes each class text from per-slot pieces (count-as is its census with
+the trivial twist).  semidirect-enum builds only the classes it prints,
+generated from the per-slot kernels of the twist, and prints each with
+witness 0 after one exact check that the twist fixes its cover vector on
+the polar window; its JSON splices the same texts into the payload.
+Every census covers at most errors.MAX_CENSUS classes, counted in closed
+form before any is built (for semidirect-enum, from the same slot
+kernels): the library refuses a larger one, and the verb exits 2 before
+it starts.  A reader that closes the pipe
 early ends the verb quietly with exit 141, as a shell reports for
 coreutils killed by SIGPIPE.
 """
@@ -39,23 +42,14 @@ import sys
 
 from . import oracles
 from .acceptance import run_all
-from .artin_schreier import as_canonicalize, as_class_count, as_iso_witness, enumerate_as_classes
+from .artin_schreier import as_canonicalize, as_census, as_class_count, as_iso_witness
 from .errors import DomainError, FtkError, OracleMismatch, ParseError
 from .fields import field
 from .groupoids import CentralAutSubgroup, FiniteGroupoid, groupoid_mass, rigidify
 from .kummer import kummer_canonicalize, kummer_class_count, kummer_class_texts, kummer_iso_witness
 from .parse import parse_series
-from .semidirect import (
-    SemidirectGroup,
-    TameFrame,
-    enumerate_g_torsors,
-    g_torsor_class_count,
-    reduce_to_coprime,
-)
+from .semidirect import SemidirectGroup, TameFrame, g_torsor_census, reduce_to_coprime
 
-# the largest census walk a verb starts: count-kummer F_256, n = 255, with
-# 65025 classes, is the largest one the tests and the benchmark run
-MAX_CENSUS = 2**16
 # CSV census rows per write: 4096 count-kummer rows are about 240 kB
 CSV_BLOCK = 4096
 # glibc's mallopt parameter number for the mmap threshold, and its default
@@ -94,6 +88,18 @@ def _emit(payload):
     print(json.dumps(payload, sort_keys=True))
 
 
+def _emit_census_json(payload, rows):
+    """The payload as _emit prints it, with "classes" listing the rows'
+    (break, aut_order, class JSON text) in row order.  The texts are
+    spliced in, not parsed: json.dumps writes a list of dicts as "[" then
+    each dict's sorted items "key": value joined by ", ", then "]"."""
+    classes = ", ".join(
+        f'{{"aut_order": {aut}, "break": {brk}, "class": {text}, "multiplicity": 1}}' for brk, aut, text, *_ in rows
+    )
+    head, tail = json.dumps({**payload, "classes": []}, sort_keys=True).split('"classes": []')
+    print(f'{head}"classes": [{classes}]{tail}')
+
+
 def _emit_csv(rows):
     """The census as CSV: the header, then one line per row, in the order
     given, from the row's first three fields (break, aut_order, class JSON
@@ -106,20 +112,6 @@ def _emit_csv(rows):
         for row in itertools.islice(rows, CSV_BLOCK)
     ]:
         out.write("".join(block))
-
-
-def _check_census(size: int):
-    if size > MAX_CENSUS:
-        raise DomainError(f"census scale exceeded: more than {MAX_CENSUS} classes to walk")
-
-
-def _census_rows(entries):
-    """Census rows (break, aut_order, class JSON text, class) from
-    (class, break, aut_order) entries, sorted by (break, class JSON text).
-    Every class has multiplicity 1."""
-    rows = [(brk, aut, json.dumps(cls, sort_keys=True), cls) for cls, brk, aut in entries]
-    rows.sort(key=lambda row: (row[0], row[2]))
-    return rows
 
 
 def _load_json(path: str):
@@ -177,10 +169,10 @@ def _cmd_kummer_iso(args):
 def _count_verb(args, payload, brute, count, census):
     """Finish count-as or count-kummer: the closed-form count as JSON, or
     the census as CSV.  census() gives the CSV rows, (break, aut_order,
-    class JSON text, ...), in census order.  With --brute-force they are counted
-    first, and the count must equal the oracle's."""
+    class JSON text, ...), in census order, and refuses a census past its
+    bound before the first.  With --brute-force they are counted first,
+    and the count must equal the oracle's."""
     if args.format == "csv" or args.brute_force:
-        _check_census(count)
         rows = census()
         if args.brute_force:
             rows = list(rows)
@@ -201,10 +193,7 @@ def _cmd_count_as(args):
     m = args.max_break
     brute = oracles.as_bruteforce_class_count(spec, m) if args.brute_force else None
     payload = {"p": spec.p, "q": spec.q, "max_break": m}
-    return _count_verb(
-        args, payload, brute, as_class_count(spec, m),
-        lambda: _census_rows((c.to_json(), c.break_ or 0, spec.p) for c in enumerate_as_classes(spec, m)),
-    )
+    return _count_verb(args, payload, brute, as_class_count(spec, m), lambda: as_census(spec, m))
 
 
 def _cmd_count_kummer(args):
@@ -242,31 +231,27 @@ def _cmd_semidirect_enum(args):
     frame = TameFrame(spec, n2, q2)
     bound = args.max_break
     brute = oracles.semidirect_bruteforce(group2, frame, bound) if args.brute_force else None
-    _check_census(g_torsor_class_count(group2, frame, bound))
-    classes = enumerate_g_torsors(group2, frame, bound)
-    rows = _census_rows((c.class_id(), c.break_, c.aut_count) for c in classes)
+    rows = g_torsor_census(group2, frame, bound)
+    if args.format == "csv" and not args.brute_force:
+        _emit_csv(rows)
+        return 0
+    rows = list(rows)
     payload = {
         "group": group.to_json(),
         "q_exp": args.q_exp,
         "reduced": {"n": n2, "q_exp": q2},
         "max_break": bound,
-        "count": len(classes),
-        "classes": [
-            {"class": cls, "break": brk, "aut_order": aut, "multiplicity": 1}
-            for brk, aut, _, cls in rows
-        ],
-        "brute_force": None,
+        "count": len(rows),
+        "brute_force": None if brute is None else {"count": brute[0], "aut_orders": brute[1]},
     }
-    if args.brute_force:
-        count, auts = brute
-        payload["brute_force"] = {"count": count, "aut_orders": auts}
-        if (count, auts) != (len(classes), sorted(c.aut_count for c in classes)):
-            _emit(payload)
-            raise OracleMismatch("semidirect enumeration disagrees with oracle")
+    # every class has aut order |ker(psi - 1)|, so the rows' list is sorted
+    if brute is not None and brute != (len(rows), [row[1] for row in rows]):
+        _emit_census_json(payload, rows)
+        raise OracleMismatch("semidirect enumeration disagrees with oracle")
     if args.format == "csv":
         _emit_csv(rows)
     else:
-        _emit(payload)
+        _emit_census_json(payload, rows)
     return 0
 
 

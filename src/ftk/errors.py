@@ -7,6 +7,10 @@ checks below are shared by the structured paths and the oracles, so a bad
 argument gets one message whichever path meets it first.
 """
 
+# the most classes a census lists: count-as F_2 at m = 30, with 65536
+# classes, is the largest one the tests run
+MAX_CENSUS = 2**16
+
 
 class FtkError(Exception):
     pass
@@ -46,3 +50,9 @@ def check_tame_order(p: int, n: int):
         raise DomainError("n must be >= 1")
     if n % p == 0:
         raise DomainError(f"n = {n} is divisible by the characteristic")
+
+
+def check_census(count: int):
+    """Refuse a census of more than MAX_CENSUS classes, before any is built."""
+    if count > MAX_CENSUS:
+        raise DomainError(f"census scale exceeded: more than {MAX_CENSUS} classes to walk")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, check_tame_order
+from .errors import DomainError, check_census, check_tame_order
 from .fields import FieldSpec, nth_power_class
 from .series import LaurentSeries
 
@@ -106,9 +106,10 @@ def kummer_class_texts(spec: FieldSpec, n: int):
     are therefore each sorted head followed by each sorted tail.  A brace
     sorts above every digit, so the tail of 50 comes before that of 5.
 
-    The tame order is checked before the first text; the texts come lazily.
+    The tame order and the census bound are checked before the first
+    text; the texts come lazily.
     """
-    check_tame_order(spec.p, n)
+    check_census(kummer_class_count(spec, n))
     heads = sorted(f'{{"n": {n}, "q_exp": {a}, "unit_class": ' for a in range(n))
     tails = sorted(f"{c}}}" for c in range(math.gcd(n, spec.q - 1)))
     return (head + tail for head in heads for tail in tails)

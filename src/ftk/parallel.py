@@ -1,9 +1,8 @@
-"""The map that enumeration runs its per-break work through.
+"""A serial map, kept as a named seam for the benchmark.
 
-It is serial: the work is pure Python, so threads under the GIL bought no
-speed.  The module stays as the one named seam around that work, which the
+No ftk code calls it since the census verbs stream one generator.  The
 benchmark's tracer (`benchmark/spans.py`, imported by `benchmark/worker.py`)
-wraps to time and size it.
+still wraps it by name, so it stays until the benchmark drops that span.
 """
 
 

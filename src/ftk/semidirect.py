@@ -28,12 +28,12 @@ im(psi - 1), which is one orbit of the residual action u ~ u + (psi - 1)h.
 On canonical vectors phi acts slot by slot: at a pole slot k it is
 c_k -> xi^-k psi c_k on F_q^r, and on the constant classes it is psi on
 their traces.  So the census generates the phi-fixed vectors as the
-product of one F_p-kernel per slot and the psi-fixed constants, and
-counts them in closed form (``g_torsor_class_count``) before building
-any.  Such a b is fixed by phi on the nose, not only up to
-Artin-Schreier equivalence, so u = 0 is a witness with a vanishing
-cocycle sum, and the census emits (b, 0) for each.  The full proofs are
-in ``enumerate_g_torsors``.
+product of one F_p-kernel per slot and the psi-fixed constants, through
+the census generator ``artin_schreier.census_rows`` that count-as also
+uses, and counts them in closed form before building any.  Such a b is
+fixed by phi on the nose, not only up to Artin-Schreier equivalence, so
+u = 0 is a witness with a vanishing cocycle sum, and the census emits
+(b, 0) for each.  The full proofs are in ``g_torsor_census``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .artin_schreier import ASCanonical, as_class_count, prime_to_p_support
+from .artin_schreier import as_class_count, canonical_vector, census_rows, prime_to_p_support
 from .errors import DomainError, FtkError
 from .fields import FieldSpec, mat_identity, mat_kernel, mat_pow, mul_matrix
 from .series import LaurentSeries
@@ -262,14 +262,6 @@ def _twist_minus_one(psi, lam_rows, p: int):
     return rows
 
 
-def _span(basis, p: int, width: int) -> list:
-    """Every F_p combination of the basis vectors, p^len(basis) of them."""
-    out = [(0,) * width]
-    for b in basis:
-        out = [tuple((x + c * y) % p for x, y in zip(v, b)) for v in out for c in range(p)]
-    return out
-
-
 def _fixed_bases(group: SemidirectGroup, frame: TameFrame, break_bound: int):
     """(constants, slots): F_p bases of the phi-fixed canonical coordinates.
 
@@ -291,7 +283,7 @@ def _fixed_bases(group: SemidirectGroup, frame: TameFrame, break_bound: int):
 
 
 def g_torsor_class_count(group: SemidirectGroup, frame: TameFrame, break_bound: int) -> int:
-    """The number of classes ``enumerate_g_torsors`` emits, in closed form
+    """The number of classes ``g_torsor_census`` emits, in closed form
     from the same slot kernels: |ker(psi - 1)| * prod_{k in S_m}
     |ker(xi^-k psi - 1)|.  No class is built.  The break bound is refused
     as ``as_class_count`` refuses it, so a huge bound costs nothing."""
@@ -300,43 +292,21 @@ def g_torsor_class_count(group: SemidirectGroup, frame: TameFrame, break_bound: 
     return group.p ** (len(constants) + sum(len(basis) for _, basis in slots))
 
 
-def _trace(c) -> int:
-    """The absolute trace c + c^p + ... + c^(p^(e-1)), in F_p."""
-    total = x = c
-    for _ in range(c.spec.e - 1):
-        x = x.frobenius()
-        total = total + x
-    return total.as_int()
+def g_torsor_census(group: SemidirectGroup, frame: TameFrame, break_bound: int):
+    """The census rows (break, aut_order, text, choice, b) of the classes
+    of G-torsors marked with the given tame frame, wild break at most
+    break_bound (in the frame variable s), in CSV order.
 
-
-def _fixed_vectors(group: SemidirectGroup, spec: FieldSpec, constants, slots):
-    """The phi-fixed canonical vectors of the bases of ``_fixed_bases``:
-    the product of the slot kernels' spans and the fixed constant classes."""
-    p, r, e = group.p, group.r, spec.e
-    rep_of = {_trace(c): c for c in spec.wp_transversal()}
-    const_vecs = [tuple(rep_of[t] for t in v) for v in _span(constants, p, r)]
-    keys = [k for k, basis in slots if basis]
-    values = [
-        [[spec.from_digits(v[j * e : (j + 1) * e]) for j in range(r)] for v in _span(basis, p, e * r)]
-        for _, basis in slots
-        if basis
-    ]
-    for chosen in itertools.product(*values):
-        supports = [
-            tuple((k, c[j]) for k, c in zip(keys, chosen) if not c[j].is_zero()) for j in range(r)
-        ]
-        for consts in const_vecs:
-            yield tuple(ASCanonical(spec, support, c0) for support, c0 in zip(supports, consts))
-
-
-def enumerate_g_torsors(group: SemidirectGroup, frame: TameFrame, break_bound: int):
-    """Classes of G-torsors marked with the given tame frame, wild break
-    at most break_bound (in the frame variable s).
-
-    Generates the canonical H-cover vectors b that phi fixes from the slot
-    kernels of ``_fixed_bases`` and emits one class for each: (b, 0), with
-    aut_count = |ker(psi - 1)|.  No other candidate is built and no
-    witness is searched for, so the cost follows the number of classes.
+    The canonical H-cover vectors b that phi fixes come from
+    ``census_rows`` on the slot kernels of ``_fixed_bases``, and each
+    gives one class: (b, 0), with aut_order = |ker(psi - 1)|.  text is the
+    class id ``{"b": [T_1, ...], "u": ["0", ...]}`` as ``json.dumps``
+    writes it; it sorts as the components' texts T_i, so the rows keep
+    the order of ``census_rows``.  b is the cover vector as series on the
+    polar window, and choice its slot values.  No other candidate is
+    built and no witness is searched for, so the cost follows the number
+    of classes.  The break bound and the class count are refused at the
+    call; the rows come lazily.
 
     Theorem A: phi acts slot by slot on canonical vectors.  Write the
     components of a canonical b as b_i = sum_{k in S_m} c_{i,k} s^-k +
@@ -391,24 +361,31 @@ def enumerate_g_torsors(group: SemidirectGroup, frame: TameFrame, break_bound: i
     3. So u = 0 solves u^p - u = phi(b) - b = 0, and its cocycle sum is
        V(0) = 0: (b, 0) is the class of Theorem B.
 
-    Every emitted class is still certified by one exact check: b lives on
-    the exponents [-m, 0], and neither s -> xi s nor an F_p matrix moves
-    an exponent, so phi(b) = b holds on the polar window
-    ``to_series(1)`` exactly when it holds as series.  A generated vector
-    that fails it is a fault and raises FtkError.
+    Every emitted class is still certified by one exact check, on the b
+    built from the same slot values as its text: b lives on the exponents
+    [-m, 0], and neither s -> xi s nor an F_p matrix moves an exponent, so
+    phi(b) = b holds on the polar window (precision 1) exactly when it
+    holds as series.  A generated vector that fails it is a fault and
+    raises FtkError.
     """
-    constants, slots = _fixed_bases(group, frame, break_bound)
-    aut = group.p ** len(constants)
-    zeros = (LaurentSeries.zero(frame.spec, 1),) * group.r
+    spec, r = frame.spec, group.r
+    as_class_count(spec, break_bound)
+    rows = census_rows(spec, r, *_fixed_bases(group, frame, break_bound))
+    zeros = ", ".join(['"0"'] * r)
 
-    def certified(canon_vec):
-        b_vec = tuple(c.to_series(1) for c in canon_vec)
+    def certified(brk, aut, text, choice):
+        b_vec = tuple(LaurentSeries.from_dict(spec, {-k: v[i] for _, k, v in choice}, 1) for i in range(r))
         if phi_apply(group, frame, b_vec) != b_vec:
             raise FtkError("a generated cover vector is not phi-fixed")
-        return GTorsorClass(group, frame, ZPhiObject(b_vec, zeros), canon_vec, aut)
+        return brk, aut, f'{{"b": [{text}], "u": [{zeros}]}}', choice, b_vec
 
-    from .parallel import parallel_map
+    return (certified(*row) for row in rows)
 
-    out = parallel_map(certified, _fixed_vectors(group, frame.spec, constants, slots))
-    out.sort(key=lambda c: (c.break_, tuple(x.sort_key() for x in c.canonical_b)))
-    return out
+
+def enumerate_g_torsors(group: SemidirectGroup, frame: TameFrame, break_bound: int):
+    """The classes of ``g_torsor_census``, in its order, as objects."""
+    zeros = (LaurentSeries.zero(frame.spec, 1),) * group.r
+    return [
+        GTorsorClass(group, frame, ZPhiObject(b_vec, zeros), canonical_vector(frame.spec, choice), aut)
+        for _, aut, _, choice, b_vec in g_torsor_census(group, frame, break_bound)
+    ]

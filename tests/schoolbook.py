@@ -76,6 +76,15 @@ unit_class) grid: ``enumerate_kummer_classes`` builds every ``KummerClass``
 in numeric order, ``census_rows`` writes each class's
 ``json.dumps(..., sort_keys=True)`` text and sorts the rows by (break,
 text), and ``emit_csv`` prints them one ``print`` per row.
+``count_as_csv`` and ``semidirect_enum_stdout`` are the stdout of
+``count-as --format csv`` and of ``semidirect-enum`` (JSON or CSV) the
+same way, as ``ftk.cli`` printed them before both censuses streamed from
+one generator in class-text order: ``enumerate_as_classes`` is the
+product of every slot value and constant class sorted by (support
+indices, constant index), ``elemab_enumerate`` its r-fold product, and
+the semidirect classes come from ``enumerate_g_torsors`` below, which
+walks that product.  So no reference here goes through
+``ftk.artin_schreier.census_rows``.
 
 ``QUATERNION_ROWS`` is the multiplication table of Q_8 that
 ``FinGroup.quaternion`` spelled out literally before it built the table
@@ -112,7 +121,15 @@ import math
 from dataclasses import dataclass
 
 from ftk.artin_schreier import ASCanonical, prime_to_p_support
-from ftk.errors import DomainError, FtkError, NotInvertible, ParseError, PrecisionExhausted, check_tame_order
+from ftk.errors import (
+    DomainError,
+    FtkError,
+    NotInvertible,
+    ParseError,
+    PrecisionExhausted,
+    check_break_bound,
+    check_tame_order,
+)
 from ftk.fields import (
     FieldSpec,
     FqElem,
@@ -664,7 +681,7 @@ def semidirect_bruteforce(group, frame, break_bound: int):
 
 
 def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
-    from ftk.artin_schreier import as_canonicalize, enumerate_as_classes
+    from ftk.artin_schreier import as_canonicalize
     from ftk.fields import mat_identity, mat_pow
     from ftk.semidirect import mat_vec_series
 
@@ -1070,7 +1087,7 @@ def enumerate_g_torsors(group, frame, break_bound: int, prec: int = None):
     """The census with the shift quotient: every solution is checked, the
     good ones are quotiented by u ~ u + (psi - 1)h, and the classes are
     sorted by (break, canonical vector, witness)."""
-    from ftk.artin_schreier import elemab_canonicalize, elemab_enumerate
+    from ftk.artin_schreier import elemab_canonicalize
     from ftk.semidirect import (
         GTorsorClass,
         ZPhiObject,
@@ -1133,7 +1150,7 @@ def enumerate_g_torsors(group, frame, break_bound: int, prec: int = None):
         return tuple((u.val, tuple(c.index for c in u.coeffs)) for u in obj.u_vec)
 
     out = [cls for canon in elemab_enumerate(spec, group.r, break_bound) for cls in classes_at(canon)]
-    out.sort(key=lambda c: (c.break_, tuple(x.sort_key() for x in c.canonical_b), witness_key(c.zphi)))
+    out.sort(key=lambda c: (c.break_, tuple(map(_as_sort_key, c.canonical_b)), witness_key(c.zphi)))
     return out
 
 
@@ -1205,6 +1222,65 @@ def count_kummer_csv(spec, n: int) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         emit_csv(census_rows((c.to_json(), 0, aut) for c in enumerate_kummer_classes(spec, n)))
+    return out.getvalue()
+
+
+# -- the count-as and semidirect-enum stdout, enumerated, dumped, sorted -------
+
+
+def enumerate_as_classes(spec, m: int):
+    check_break_bound(m)
+    slots = prime_to_p_support(spec.p, m)
+    transversal = spec.wp_transversal()
+    out = []
+    for values in itertools.product(range(spec.q), repeat=len(slots)):
+        support = tuple((s, spec.from_index(v)) for s, v in zip(slots, values) if v)
+        for rep in transversal:
+            out.append(ASCanonical(spec, support, rep))
+    out.sort(key=_as_sort_key)
+    return out
+
+
+def _as_sort_key(c):
+    """The order ``ASCanonical.sort_key`` gave: support indices, then the
+    constant's index."""
+    return tuple((s, x.index) for s, x in c.support), c.constant_class.index
+
+
+def elemab_enumerate(spec, r: int, m: int):
+    return list(itertools.product(enumerate_as_classes(spec, m), repeat=r))
+
+
+def count_as_csv(spec, m: int) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit_csv(census_rows((c.to_json(), c.break_ or 0, spec.p) for c in enumerate_as_classes(spec, m)))
+    return out.getvalue()
+
+
+def semidirect_enum_stdout(group, frame, m: int, fmt: str) -> str:
+    """The stdout of semidirect-enum on a reduced (group, frame), whose
+    --n and --q-exp are the frame's."""
+    classes = enumerate_g_torsors(group, frame, m)
+    rows = census_rows((c.class_id(), c.break_, c.aut_count) for c in classes)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if fmt == "csv":
+            emit_csv(rows)
+        else:
+            payload = {
+                "group": group.to_json(),
+                "q_exp": frame.q_exp,
+                "reduced": {"n": frame.n, "q_exp": frame.q_exp},
+                "max_break": m,
+                "count": len(classes),
+                "classes": [
+                    {"class": cls, "break": brk, "aut_order": aut, "multiplicity": 1}
+                    for brk, _, aut, cls in rows
+                ],
+                "brute_force": None,
+            }
+            print(json.dumps(payload, sort_keys=True))
     return out.getvalue()
 
 

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -213,11 +215,19 @@ class TestEnumeration:
             with pytest.raises(DomainError):
                 as_class_count(F2, m)
 
+    def test_census_past_its_bound_is_refused_at_once(self):
+        # 2 * 2^40 classes: the product walk was still running after 10 s
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="^census scale exceeded: more than 65536 classes to walk$"):
+            enumerate_as_classes(F2, 80)
+        assert time.perf_counter() - start < 1
+
     def test_deterministic_order(self):
+        # the order of the count-as CSV: by (break, class JSON text)
         a = enumerate_as_classes(F3, 2)
         b = enumerate_as_classes(F3, 2)
         assert a == b
-        assert a == sorted(a, key=ASCanonical.sort_key)
+        assert a == sorted(a, key=lambda c: (c.break_ or 0, json.dumps(c.to_json(), sort_keys=True)))
 
 
 class TestElemAb:

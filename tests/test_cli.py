@@ -15,17 +15,18 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ftk
 import schoolbook
-from ftk import cli
+from ftk import artin_schreier, cli, semidirect
+from ftk.artin_schreier import ASCanonical, as_class_count
 from ftk.cli import build_parser, main
 from ftk.fields import field
 from ftk.groupoids import FinGroup, bg
 from ftk.kummer import KummerClass
-from ftk.semidirect import SemidirectGroup, TameFrame
-from test_semidirect import slot_class_count
+from ftk.semidirect import GTorsorClass, SemidirectGroup, TameFrame
+from test_semidirect import census_systems, reduced_system, slot_class_count
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +40,15 @@ def validate(verb, payload):
         resources.files("ftk") / "schemas" / f"{verb}.schema.json"
     ).read_text()
     jsonschema.validate(payload, json.loads(schema_text))
+
+
+# the census generators, under each name the census verbs look them up by:
+# count-as and semidirect-enum both walk artin_schreier.census_rows
+CENSUS_GENERATORS = [
+    (artin_schreier, "census_rows"),
+    (semidirect, "census_rows"),
+    (cli, "kummer_class_texts"),
+]
 
 
 def test_as_canon(capsys):
@@ -180,6 +190,101 @@ def test_kummer_csv_with_the_oracle_is_the_frozen_census(p, e, n):
     assert stdout == schoolbook.count_kummer_csv(field(p, e), n)
 
 
+def count_as_argv(p, e, m, *extra):
+    return ["count-as", "--p", str(p), "--e", str(e), "--max-break", str(m), "--format", "csv", *extra]
+
+
+AS_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1)]
+
+
+@st.composite
+def admitted_as(draw):
+    """(p, e, m) with at most 4096 classes: m drawn, then stepped down to
+    the nearest admitted value."""
+    p, e = draw(st.sampled_from(AS_FIELDS))
+    m = draw(st.integers(0, 24))
+    while as_class_count(field(p, e), m) > 4096:
+        m -= 1
+    return p, e, m
+
+
+@settings(max_examples=40)
+@given(admitted_as())
+@example((2, 1, 16))  # the benchmark's sizes
+@example((2, 2, 8))
+def test_count_as_csv_is_the_frozen_census(case):
+    p, e, m = case
+    assert cli_stdout(count_as_argv(p, e, m)) == schoolbook.count_as_csv(field(p, e), m)
+
+
+@pytest.mark.parametrize("p, e, m", [(2, 1, 2), (3, 1, 2), (2, 2, 1)])
+def test_count_as_csv_with_the_oracle_is_the_frozen_census(p, e, m):
+    stdout = cli_stdout(count_as_argv(p, e, m, "--brute-force"))
+    assert stdout == schoolbook.count_as_csv(field(p, e), m)
+
+
+def semidirect_argv(group, frame, m, *extra):
+    spec = frame.spec
+    return [
+        "semidirect-enum", "--p", str(spec.p), "--e", str(spec.e), "--r", str(group.r),
+        "--n", str(frame.n), "--psi", json.dumps([list(row) for row in group.psi]),
+        "--q-exp", str(frame.q_exp), "--max-break", str(m), *extra,
+    ]
+
+
+@settings(max_examples=30)
+@given(census_systems())
+@example(reduced_system(3, 1, 1, 2, [[-1]], 1, 3))  # S_3 over F_3
+@example(reduced_system(2, 2, 2, 3, [[0, 1], [1, 1]], 1, 1))  # A_4 over F_4
+@example(reduced_system(3, 1, 2, 2, [[0, 1], [1, 0]], 1, 1))  # r = 2, coupled components
+def test_semidirect_stdout_is_the_frozen_census(case):
+    for fmt in ("json", "csv"):
+        assert cli_stdout(semidirect_argv(*case, "--format", fmt)) == schoolbook.semidirect_enum_stdout(*case, fmt)
+
+
+S3_CSV = semidirect_argv(SemidirectGroup.make(3, 1, 2, [[-1]]), TameFrame(field(3), 2, 1), 14, "--format", "csv")
+F9_RANK_2_CSV = semidirect_argv(
+    SemidirectGroup.make(3, 2, 2, [[-1, 0], [0, -1]]), TameFrame(field(3, 2), 2, 1), 4, "--format", "csv"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, rows, q",
+    [
+        (count_as_argv(2, 1, 16), 512, 2),
+        (count_as_argv(2, 2, 8), 512, 4),
+        (S3_CSV, 243, 3),
+        (F9_RANK_2_CSV, 81, 9),
+    ],
+    ids=["count-as F_2 m=16", "count-as F_4 m=8", "S_3/F_3 m=14", "(Z/3)^2 x| C_2/F_9 m=4"],
+)
+def test_census_csv_builds_no_class_and_no_json_text_per_row(monkeypatch, argv, rows, q):
+    calls = Counter()
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(json, "dumps", counting("json.dumps", json.dumps))
+    monkeypatch.setattr(ASCanonical, "__post_init__", counting("ASCanonical", ASCanonical.__post_init__))
+    monkeypatch.setattr(GTorsorClass, "__init__", counting("GTorsorClass", GTorsorClass.__init__))
+    assert cli_stdout(argv).count("\n") == rows + 1
+    # json.dumps quotes each field element once, whatever the row count
+    assert calls["ASCanonical"] == calls["GTorsorClass"] == 0
+    assert calls["json.dumps"] <= q
+    # the counters see the frozen path, one class and one text per row,
+    # and the object view, one class per row
+    calls.clear()
+    schoolbook.count_as_csv(field(2), 3)
+    assert calls == Counter({"json.dumps": 8, "ASCanonical": 8})
+    calls.clear()
+    ftk.enumerate_g_torsors(SemidirectGroup.make(3, 1, 2, [[-1]]), TameFrame(field(3), 2, 1), 7)
+    assert calls["ASCanonical"] == calls["GTorsorClass"] == 27
+
+
 def test_kummer_csv_builds_no_class_and_no_json_text(monkeypatch):
     calls = Counter()
 
@@ -227,6 +332,37 @@ def test_the_kummer_csv_census_holds_no_rows():
     assert after - before < 12 * 1024
 
 
+# count-as F_2 m = 30, 65536 classes, as CSV to /dev/null; prints the peak
+# RSS in kB before and after the op, and the op's wall time in seconds
+AS_CENSUS_PEAK = """
+import resource, sys, time
+from ftk.cli import main
+from ftk.fields import field
+field(2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+assert main(["count-as", "--p", "2", "--max-break", "30", "--format", "csv"]) == 0
+sys.stdout.flush()
+wall = time.perf_counter() - start
+print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, wall, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in kB")
+def test_the_largest_count_as_csv_census_streams():
+    # building, dumping and sorting every class raised the peak by about
+    # 173 MB and took 2.0 s; streamed, the rows leave it within a few MB
+    env = dict(os.environ, PYTHONPATH=str(Path(ftk.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", AS_CENSUS_PEAK], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    before, after, wall = done.stderr.split()
+    assert int(after) - int(before) < 32 * 1024
+    assert float(wall) < 1
+
+
 def test_a_closed_pipe_ends_the_census_quietly():
     # as in `ftk count-kummer ... --format csv | head -c 100`: the reader
     # goes after a few bytes.  That printed "error: [Errno 32] Broken pipe"
@@ -253,10 +389,11 @@ def test_a_closed_pipe_ends_the_census_quietly():
     ids=["count-as", "count-kummer"],
 )
 def test_json_count_builds_no_census_rows(capsys, monkeypatch, argv, count):
-    def refuse(entries):
+    def refuse(*args):
         raise AssertionError("census rows built for JSON output")
 
-    monkeypatch.setattr(cli, "_census_rows", refuse)
+    for owner, name in CENSUS_GENERATORS:
+        monkeypatch.setattr(owner, name, refuse)
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["count"] == count
@@ -525,6 +662,20 @@ def test_oracle_mismatch_exit_code(capsys, monkeypatch):
     assert code == 3
 
 
+def test_semidirect_oracle_mismatch_prints_the_census(capsys, monkeypatch):
+    # the JSON payload with the listed classes and the oracle's answer,
+    # whatever the format, then exit 3
+    monkeypatch.setattr(cli.oracles, "semidirect_bruteforce", lambda group, frame, m: (99, [1] * 99))
+    code = main(["semidirect-enum", "--p", "3", "--r", "1", "--n", "2", "--psi", "[-1]", "--q-exp", "1",
+                 "--max-break", "4", "--brute-force", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 3
+    payload = json.loads(captured.out)
+    assert payload["brute_force"] == {"count": 99, "aut_orders": [1] * 99}
+    assert payload["count"] == len(payload["classes"]) == 3
+    assert captured.err == "oracle mismatch: semidirect enumeration disagrees with oracle\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -547,13 +698,18 @@ class Enumerated(Exception):
 
 @pytest.fixture
 def no_census(monkeypatch):
-    """Make every census enumerator raise Enumerated."""
+    """Make every census generator raise Enumerated once its call returns:
+    the call checks the census bound, and no row is walked."""
 
-    def refuse(*args):
-        raise Enumerated
+    def refusing(real):
+        def refuse(*args):
+            real(*args)
+            raise Enumerated
 
-    for name in ("enumerate_as_classes", "kummer_class_texts", "enumerate_g_torsors"):
-        monkeypatch.setattr(cli, name, refuse)
+        return refuse
+
+    for owner, name in CENSUS_GENERATORS:
+        monkeypatch.setattr(owner, name, refusing(getattr(owner, name)))
 
 
 @pytest.mark.parametrize(

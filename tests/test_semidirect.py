@@ -1,13 +1,15 @@
 import itertools
+import json
 import random
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import schoolbook
 from ftk import artin_schreier, semidirect
-from ftk.artin_schreier import ASCanonical, as_class_count, elemab_canonicalize
+from ftk.artin_schreier import as_class_count, elemab_canonicalize
 from ftk.errors import DomainError, FtkError
 from ftk.fields import FqElem, field, mat_identity, mat_pow, test_ring as local_test_ring
 from ftk.oracles import AffineMap, _Composition, _WindowCodec, semidirect_bruteforce
@@ -309,21 +311,23 @@ def census_systems(draw):
 
 
 def _census(classes):
-    return [(c.class_id(), c.break_, c.aut_count) for c in classes]
+    """(break, class JSON text, aut order) of each class, in its order."""
+    return [(c.break_, json.dumps(c.class_id(), sort_keys=True), c.aut_count) for c in classes]
 
 
-def _reduced(p, e, r, n, psi, q_exp, m):
+def reduced_system(p, e, r, n, psi, q_exp, m):
     n2, q2, group = reduce_to_coprime(SemidirectGroup.make(p, r, n, psi), q_exp)
     return group, TameFrame(field(p, e), n2, q2), m
 
 
 @settings(max_examples=30)
 @given(census_systems())
-@example(_reduced(3, 1, 1, 2, [[-1]], 1, 3))  # S_3 over F_3
-@example(_reduced(5, 1, 1, 4, [[2]], 2, 1))  # Z/5 x| C_4, reduced to n = 2
-@example(_reduced(2, 2, 2, 3, [[0, 1], [1, 1]], 1, 1))  # A_4 over F_4
+@example(reduced_system(3, 1, 1, 2, [[-1]], 1, 3))  # S_3 over F_3
+@example(reduced_system(5, 1, 1, 4, [[2]], 2, 1))  # Z/5 x| C_4, reduced to n = 2
+@example(reduced_system(2, 2, 2, 3, [[0, 1], [1, 1]], 1, 1))  # A_4 over F_4
 def test_census_matches_the_shift_quotient_reference(case):
-    assert _census(enumerate_g_torsors(*case)) == _census(schoolbook.enumerate_g_torsors(*case))
+    # the same classes, and listed in the CSV order, by (break, text)
+    assert _census(enumerate_g_torsors(*case)) == sorted(_census(schoolbook.enumerate_g_torsors(*case)))
 
 
 def slot_class_count(group, frame, m):
@@ -348,10 +352,10 @@ def slot_class_count(group, frame, m):
 
 @settings(max_examples=30)
 @given(census_systems())
-@example(_reduced(3, 1, 1, 2, [[-1]], 1, 3))  # S_3 over F_3
-@example(_reduced(5, 1, 1, 4, [[2]], 2, 1))  # Z/5 x| C_4, reduced to n = 2
-@example(_reduced(2, 2, 2, 3, [[0, 1], [1, 1]], 1, 3))  # A_4 over F_4
-@example(_reduced(3, 1, 1, 2, [[1]], 1, 7))  # Z/6 over F_3: the even slots 2, 4
+@example(reduced_system(3, 1, 1, 2, [[-1]], 1, 3))  # S_3 over F_3
+@example(reduced_system(5, 1, 1, 4, [[2]], 2, 1))  # Z/5 x| C_4, reduced to n = 2
+@example(reduced_system(2, 2, 2, 3, [[0, 1], [1, 1]], 1, 3))  # A_4 over F_4
+@example(reduced_system(3, 1, 1, 2, [[1]], 1, 7))  # Z/6 over F_3: the even slots 2, 4
 def test_census_size_is_the_slot_count(case):
     count = slot_class_count(*case)
     assert len(enumerate_g_torsors(*case)) == count
@@ -369,6 +373,24 @@ def test_closed_form_count_refuses_a_huge_break_bound():
         g_torsor_class_count(S3_GROUP, S3_FRAME, 10**9)
     with pytest.raises(DomainError, match="break bound must be >= 0"):
         g_torsor_class_count(SemidirectGroup.make(3, 0, 2, []), S3_FRAME, -1)
+
+
+def test_count_as_is_the_census_of_the_trivial_twist():
+    # Z/3 with C_1 over F_9 at m = 3: the semidirect rows are the count-as
+    # rows, each class text wrapped as the b of a witness-0 class
+    spec = field(3, 2)
+    rows = [(brk, aut, f'{{"b": [{text}], "u": ["0"]}}') for brk, aut, text, _ in artin_schreier.as_census(spec, 3)]
+    census = semidirect.g_torsor_census(SemidirectGroup.make(3, 1, 1, [[1]]), TameFrame(spec, 1, 0), 3)
+    assert len(rows) == 243
+    assert [row[:3] for row in census] == rows
+
+
+def test_census_past_its_bound_is_refused_at_once():
+    # 3^67 classes at m = 200: the census was still running after 10 s
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^census scale exceeded: more than 65536 classes to walk$"):
+        enumerate_g_torsors(S3_GROUP, S3_FRAME, 200)
+    assert time.perf_counter() - start < 1
 
 
 def _count_calls(monkeypatch, owner, name) -> list:
@@ -395,8 +417,9 @@ def test_census_applies_phi_once_per_class_and_step(monkeypatch):
 
 def test_census_builds_series_for_emitted_classes_only(monkeypatch):
     # the candidate walk built series for all 729 canonical vectors of
-    # S_3 over F_3 at m = 7; only the 27 emitted ones are built now
-    calls = _count_calls(monkeypatch, ASCanonical, "to_series")
+    # S_3 over F_3 at m = 7; only the 27 emitted ones are built now, each
+    # once, from its slot values
+    calls = _count_calls(monkeypatch, L, "from_dict")
     assert len(enumerate_g_torsors(S3_GROUP, S3_FRAME, 7)) == 27
     assert calls[0] == 27
 
