@@ -308,15 +308,6 @@ def _span(basis, p: int, width: int) -> list:
     return out
 
 
-def _trace(c) -> int:
-    """The absolute trace c + c^p + ... + c^(p^(e-1)), in F_p."""
-    total = x = c
-    for _ in range(c.spec.e - 1):
-        x = x.frobenius()
-        total = total + x
-    return total.as_int()
-
-
 def census_rows(spec: FieldSpec, r: int, constants, slots):
     """The census rows (break, aut_order, text, choice) of the rank-r
     canonical vectors whose constant classes have a trace vector in the
@@ -365,7 +356,7 @@ def census_rows(spec: FieldSpec, r: int, constants, slots):
     p, e = spec.p, spec.e
     check_census(p ** (len(constants) + sum(len(basis) for _, basis in slots)))
     aut, quote = p ** len(constants), functools.cache(lambda c: json.dumps(str(c)))
-    rep_of = {_trace(c): c for c in spec.wp_transversal()}
+    rep_of = {spec.trace(c): c for c in spec.wp_transversal()}
     consts = sorted(
         (tuple(f'{{"constant_class": {quote(c)}, "p": {p}, "q": {spec.q}, "support": {{' for c in vec), 0, vec)
         for vec in (tuple(rep_of[t] for t in v) for v in _span(constants, p, r))

@@ -26,6 +26,14 @@ O(q) field operations by ``_field_tables`` for q <= MAX_TABLE_Q = 2^14
   that image are exactly the fibres of Tr, and the index-smallest element
   of c's fibre is the lex-smallest element of c's coset.  Tr is F_p-linear,
   so it is read per element from the traces of the basis g^0 .. g^(e-1).
+  ``FieldSpec.trace`` is that sum, sum_i c_i Tr(g^i) mod p, each Tr(g^i)
+  summed once per spec from the constant digits of the Frobenius matrices
+  of x -> x^(p^k), k < e; it needs no table, so it works in every field.
+
+Every power in the library, of an element, a polynomial mod the modulus,
+an F_p matrix, a series or a packed window, is one ``power(x, n, mul)``:
+square and multiply from the low bit, each caller handing it its product
+and keeping its own n = 0 case.
 
 Frobenius, p-th roots and inverses need no table, so they work in every
 field that ``field`` accepts.  Frobenius x -> x^p is F_p-linear:
@@ -171,6 +179,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def power(x, n: int, mul):
+    """x^n for n >= 1, ``mul`` the product: square and multiply from the low
+    bit, so there is no product by one and no squaring past the last bit
+    (Knuth, TAOCP vol. 2, 4.6.3).  A caller keeps its own n = 0 case."""
+    if n < 1:
+        raise DomainError(f"power needs an exponent n >= 1, got n = {n}")
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if not n:
+            return result
+        x = mul(x, x)
+
+
 # -- polynomial helpers over F_p (tuples, constant coefficient first) --
 
 
@@ -262,14 +286,8 @@ def _poly_inverse_mod(a, f, p):
 
 
 def _poly_powmod(a, n: int, f, p):
-    """a^n mod f for monic f, by square and multiply."""
-    result, base = (1,), _poly_mod(a, f, p)
-    while n:
-        if n & 1:
-            result = _poly_mod(_poly_mul(result, base, p), f, p)
-        base = _poly_mod(_poly_mul(base, base, p), f, p)
-        n >>= 1
-    return result
+    """a^n mod f for monic f and n >= 1."""
+    return power(_poly_mod(a, f, p), n, lambda x, y: _poly_mod(_poly_mul(x, y, p), f, p))
 
 
 def _poly_is_irreducible(f, p: int) -> bool:
@@ -314,6 +332,13 @@ def _frobenius_rows(base: "FieldSpec", k: int):
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _basis_traces(spec: "FieldSpec") -> tuple:
+    """Tr(g^i) for i = 0 .. e-1: the sum over k < e of the constant digit of
+    (g^i)^(p^k), row i of the k-th Frobenius matrix."""
+    return tuple(sum(_frobenius_rows(spec, k)[i][0] for k in range(spec.e)) % spec.p for i in range(spec.e))
+
+
 def _apply_rows(rows, coords, p):
     """The coordinates of sum_i coords[i] * rows[i], mod p: a vector as
     wide as the rows, whatever their number."""
@@ -338,12 +363,8 @@ def mat_mul(a, b, p: int):
 
 
 def mat_pow(a, n: int, p: int):
-    result = mat_identity(len(a))
-    for bit in bin(n)[2:]:
-        result = mat_mul(result, result, p)
-        if bit == "1":
-            result = mat_mul(result, a, p)
-    return result
+    """a^n for n >= 0: the identity for n = 0."""
+    return power(a, n, lambda x, y: mat_mul(x, y, p)) if n else mat_identity(len(a))
 
 
 def mat_kernel(rows, p: int) -> list:
@@ -533,18 +554,9 @@ class _RingElem:
         return type(self)(self.spec, tuple((a * n) % p for a in self.coords))
 
     def __pow__(self, n: int):
-        """Square and multiply from the top bit down, starting at self: no
-        product by one and no squaring past the last bit."""
         if n < 0:
             return self.inverse() ** (-n)
-        if n == 0:
-            return self.spec.one()
-        result = self
-        for bit in bin(n)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return power(self, n, type(self).__mul__) if n else self.spec.one()
 
     def __repr__(self):
         return f"{self} in {self.spec!r}"
@@ -767,6 +779,10 @@ class FieldSpec(_RingSpec):
         """The digit row of x^(p^k), x of digit row ``row``."""
         return row if self.e == 1 else _apply_rows(_frobenius_rows(self, k), row, self.p)
 
+    def trace(self, c: FqElem) -> int:
+        """The absolute trace of c, in 0 .. p-1: sum_i c_i Tr(g^i) mod p."""
+        return sum(x * t for x, t in zip(c.coords, _basis_traces(self))) % self.p
+
     # -- cached structure tables ------------------------------------
 
     @property
@@ -828,7 +844,7 @@ def _prime_factors(n: int):
 def _field_tables(spec: FieldSpec):
     """(generator, dlog, wp preimages, transversal, powers) of F_q, built
     from one walk of the generator's powers; see the module docstring."""
-    p, e, q = spec.p, spec.e, spec.q
+    p, q = spec.p, spec.q
     if q > MAX_TABLE_Q:
         raise DomainError(f"field tables are limited to q <= {MAX_TABLE_Q}, got q = {q}")
     order = q - 1
@@ -845,24 +861,14 @@ def _field_tables(spec: FieldSpec):
     def frobenius(u):
         return u if u.is_zero() else powers[p * dlog[u.coords] % order]
 
-    def trace(u):
-        total = x = u
-        for _ in range(e - 1):
-            x = frobenius(x)
-            total = total + x
-        return total.coords[0]
-
     elems = spec.elements()
     preimages: dict = {}
     for u in elems:
         preimages.setdefault((frobenius(u) - u).coords, []).append(u)
-    # Tr is F_p-linear: Tr(u) = sum_i u_i Tr(g^i)
-    basis_traces = [trace(spec.from_index(p**i)) for i in range(e)]
     transversal = {}
     first: dict = {}  # trace value -> index-smallest element with that trace
     for u in elems:
-        tr = sum(c * t for c, t in zip(u.coords, basis_traces)) % p
-        transversal[u.coords] = first.setdefault(tr, u)
+        transversal[u.coords] = first.setdefault(spec.trace(u), u)
     return generator, dlog, {k: tuple(v) for k, v in preimages.items()}, transversal, powers
 
 

@@ -32,7 +32,7 @@ of the run.
 ``parse_series`` builds no field element.  A coefficient is a digit row, a
 list of its e coordinates in g^0 .. g^(e-1) as plain integers: a summand
 c g^k adds c at digit k when k < e, and c times the digits of g^k mod the
-modulus otherwise (square and multiply on digit rows).  A term's sign is
+modulus otherwise (``fields.power`` on digit rows).  A term's sign is
 carried into its summands, and the rows of a repeated exponent are summed
 digit by digit, so a text is read with integer additions only.  Each
 exponent's row is reduced mod p once; zero rows are dropped, the window
@@ -46,7 +46,7 @@ from __future__ import annotations
 import re
 
 from .errors import DomainError, ParseError, PrecisionExhausted
-from .fields import FieldSpec, FqElem
+from .fields import FieldSpec, FqElem, power
 from .series import LaurentSeries, default_prec
 
 # one match per token: a run of digits or one other non-space character
@@ -120,17 +120,13 @@ def _integer(text: str, toks: list, i: int):
 
 
 def _g_power(spec: FieldSpec, k: int) -> tuple:
-    """The digit row of g^k: square and multiply on digit rows, after
-    reducing k mod q - 1 (g^(q-1) = 1)."""
+    """The digit row of g^k, a power of digit rows after reducing k mod
+    q - 1 (g^(q-1) = 1)."""
     k %= spec.q - 1
     zeros = (0,) * (spec.e - 2)
-    power, base = (1, 0) + zeros, (0, 1) + zeros
-    while k:
-        if k & 1:
-            power = spec.digit_product([power], [base], 1)[0]
-        base = spec.digit_product([base], [base], 1)[0]
-        k >>= 1
-    return power
+    if not k:
+        return (1, 0) + zeros
+    return power((0, 1) + zeros, k, lambda a, b: spec.digit_product([a], [b], 1)[0])
 
 
 def _g_monomial(text: str, toks: list, i: int, spec: FieldSpec, row: list, c: int) -> int:

@@ -282,16 +282,6 @@ def _fixed_bases(group: SemidirectGroup, frame: TameFrame, break_bound: int):
     return constants, slots
 
 
-def g_torsor_class_count(group: SemidirectGroup, frame: TameFrame, break_bound: int) -> int:
-    """The number of classes ``g_torsor_census`` emits, in closed form
-    from the same slot kernels: |ker(psi - 1)| * prod_{k in S_m}
-    |ker(xi^-k psi - 1)|.  No class is built.  The break bound is refused
-    as ``as_class_count`` refuses it, so a huge bound costs nothing."""
-    as_class_count(frame.spec, break_bound)
-    constants, slots = _fixed_bases(group, frame, break_bound)
-    return group.p ** (len(constants) + sum(len(basis) for _, basis in slots))
-
-
 def g_torsor_census(group: SemidirectGroup, frame: TameFrame, break_bound: int):
     """The census rows (break, aut_order, text, choice, b) of the classes
     of G-torsors marked with the given tame frame, wild break at most
@@ -327,9 +317,10 @@ def g_torsor_census(group: SemidirectGroup, frame: TameFrame, break_bound: int):
     for every k in S_m and Tr(c_0) lies in ker(psi - 1) on F_p^r.  The
     conditions are on disjoint coordinates, so the fixed set is the
     product of the slot kernels and the psi-fixed constant classes, and
-    its size is |ker(psi - 1)| * prod_k |ker(xi^-k psi - 1)|
-    (``g_torsor_class_count``).  Each slot kernel is F_q-linear; on the
-    e r digits its map is psi (x) M(xi^-k) - 1, M(a) = ``mul_matrix(a)``.
+    its size is |ker(psi - 1)| * prod_k |ker(xi^-k psi - 1)|, the count
+    that ``census_rows`` refuses past MAX_CENSUS.  Each slot kernel is
+    F_q-linear; on the e r digits its map is psi (x) M(xi^-k) - 1,
+    M(a) = ``mul_matrix(a)``.
 
     Theorem B: a phi-fixed b carries exactly one class.  Write
     V(u) = sum_{j<n} psi^j u(xi^j s) and N = sum_{j<n} psi^j; the

@@ -72,7 +72,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NotInvertible, PrecisionExhausted
-from .fields import FqElem, canonical_nth_root
+from .fields import FqElem, canonical_nth_root, power
 
 
 @dataclass(frozen=True)
@@ -237,15 +237,7 @@ class LaurentSeries:
             return self.invert() ** (-n)
         if n == 0:
             return LaurentSeries.constant(self.ring.one(), max(self.prec, 1))
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, LaurentSeries.__mul__)
 
     def invert(self) -> "LaurentSeries":
         """Multiplicative inverse to the attainable precision.
@@ -506,14 +498,9 @@ def positive_rows(ring, val: int, rows, negated: bool = False) -> list:
 
 def _power(k, x: int, e: int, size: int) -> int:
     """x^e mod t^size for a packed window x of kernel k, e >= 0."""
-    result = None
-    while e:
-        if e & 1:
-            result = x if result is None else k.mul(result, x, size)
-        e >>= 1
-        if e:
-            x = k.mul(x, x, size)
-    return 1 if result is None else result  # 1: digit 1 in slot 0 of block 0
+    if not e:
+        return 1  # digit 1 in slot 0 of block 0
+    return power(x, e, lambda a, b: k.mul(a, b, size))
 
 
 def _inverse_root(k, a: int, x0, n: int, size: int) -> int:

@@ -24,6 +24,13 @@ coefficient, and for the substitution t -> xi t one power of xi per
 coefficient by square and multiply.  ``nth_root_unit`` scales through
 ``scale``, so the reference shares no code with the row scalings.
 
+``series_pow`` is ``LaurentSeries.__pow__`` and ``trace`` the absolute
+trace of ``ftk.artin_schreier`` as they were before both moved into
+``ftk.fields``, the first onto ``power`` and the second onto
+``FieldSpec.trace``: the series square and multiply through the library
+product, whose tree of products decides the window of the result over a
+test ring, and e - 1 Frobenius steps per element.
+
 ``fq_inverse``, ``fq_frobenius`` and ``fq_pth_root`` are the powers
 a^(q-2), a^p and a^(p^(e-1)) that ``FqElem`` computed by square and
 multiply before it applied the F_p-linear Frobenius and ran extended
@@ -308,6 +315,31 @@ def power(a: LaurentSeries, n: int) -> LaurentSeries:
         if n:
             base = mul(base, base)
     return result
+
+
+def series_pow(self, n: int) -> LaurentSeries:
+    if n < 0:
+        return self.invert() ** (-n)
+    if n == 0:
+        return LaurentSeries.constant(self.ring.one(), max(self.prec, 1))
+    result = None
+    base = self
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def trace(c) -> int:
+    """The absolute trace c + c^p + ... + c^(p^(e-1)), in F_p."""
+    total = x = c
+    for _ in range(c.spec.e - 1):
+        x = x.frobenius()
+        total = total + x
+    return total.as_int()
 
 
 def invert_unit_led(ring, coeffs):

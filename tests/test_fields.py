@@ -1,4 +1,5 @@
 import ast
+import functools
 import gc
 import itertools
 import math
@@ -12,6 +13,7 @@ from hypothesis import given, strategies as st
 
 import ftk
 import ftk.oracles
+import ftk.series
 import schoolbook
 from ftk.artin_schreier import as_canonicalize
 from ftk.errors import DomainError, NotInvertible
@@ -25,10 +27,14 @@ from ftk.fields import (
     _field_tables,
     _is_prime,
     _apply_rows,
+    _poly_mod,
+    _poly_mul,
+    _poly_powmod,
     canonical_nth_root,
     field,
     mat_kernel,
     mat_mul,
+    mat_pow,
     mul_matrix,
     nth_power_class,
     test_ring as local_test_ring,
@@ -105,6 +111,32 @@ def test_only_series_builds_series_from_rows():
             assert builds == [], f"{path.name} calls the LaurentSeries constructor at lines {builds}"
         if path.name not in {"series.py", "artin_schreier.py"}:
             assert reads == [], f"{path.name} reads series rows at lines {reads}"
+
+
+def test_only_power_squares_and_multiplies():
+    # one square and multiply in the library: no function but fields.power
+    # halves an exponent (>>= 1) or walks the bits of bin(n)
+    found = []
+    for path in sorted(Path(ftk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (path.name, fn.name) == ("fields.py", "power"):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.AugAssign)
+                    and isinstance(node.op, ast.RShift)
+                    and isinstance(node.value, ast.Constant)
+                    and node.value.value == 1
+                ):
+                    found.append(f"{path.name}:{node.lineno} {fn.name} halves an exponent")
+                if isinstance(node, (ast.For, ast.comprehension)) and any(
+                    isinstance(call, ast.Call) and _name(call.func) == "bin" for call in ast.walk(node.iter)
+                ):
+                    found.append(f"{path.name}:{node.iter.lineno} {fn.name} loops over bin(...)")
+    assert found == []
 
 
 def test_series_arithmetic_reads_no_elements():
@@ -555,6 +587,62 @@ def test_power_makes_no_product_by_one_and_no_last_squaring(monkeypatch):
     monkeypatch.undo()
     # x^2 and x^128 = x^(2^7) are Frobenius and its inverse, by their matrices
     assert powers == {0: F256.one(), 1: x, 2: x.frobenius(), 128: x.pth_root(), 255: F256.one()}
+
+
+def test_power_refuses_an_exponent_below_one():
+    # a right-to-left loop never ends on a negative n (-1 >> 1 == -1);
+    # mat_pow(a, -1, p) used to return a, and mat_pow(a, -2, p) a^2
+    a = ((0, 1), (1, 1))
+    for n in (-1, -2):
+        with pytest.raises(DomainError, match=f"got n = {n}"):
+            mat_pow(a, n, 2)
+    assert mat_pow(a, 0, 2) == ((1, 0), (0, 1))
+    for n in (0, -1, -2):
+        with pytest.raises(DomainError, match=f"n >= 1, got n = {n}"):
+            fields_mod.power(a, n, lambda x, y: mat_mul(x, y, 2))
+
+
+@given(st.integers(1, 40), st.randoms(use_true_random=False))
+def test_power_is_the_left_fold_of_its_factors(n, rng):
+    # each caller of fields.power against n factors multiplied in turn
+    F81, R = field(3, 4), local_test_ring(2, 2, 3)
+    p, f = F81.p, F81.modulus
+    k = R.kernel(6)
+    x = F81.from_index(rng.randrange(F81.q))
+    y = R.from_index(rng.randrange(R.base.q**R.m))
+    a = tuple(tuple(rng.randrange(5) for _ in range(3)) for _ in range(3))
+    poly = _poly_mod([rng.randrange(p) for _ in range(4)], f, p)
+    window = k.pack([R.from_index(rng.randrange(R.base.q**R.m)).coords for _ in range(6)])
+    cases = [
+        (x, FqElem.__mul__, x**n),
+        (y, type(y).__mul__, y**n),
+        (a, lambda u, v: mat_mul(u, v, 5), mat_pow(a, n, 5)),
+        (poly, lambda u, v: _poly_mod(_poly_mul(u, v, p), f, p), _poly_powmod(poly, n, f, p)),
+        (window, lambda u, v: k.mul(u, v, 6), ftk.series._power(k, window, n, 6)),
+    ]
+    for base, mul, by_caller in cases:
+        fold = functools.reduce(mul, [base] * n)
+        assert fields_mod.power(base, n, mul) == fold
+        assert by_caller == fold
+
+
+def test_trace_matches_the_frobenius_sum():
+    # every element of every field with q <= 2^10, and 200 random elements
+    # of two fields that have no tables
+    count = 0
+    for p in filter(_is_prime, range(2, 2**10)):
+        e = 1
+        while p**e <= 2**10:
+            elems = field(p, e).elements()
+            assert [c.spec.trace(c) for c in elems] == [schoolbook.trace(c) for c in elems], (p, e)
+            count += 1
+            e += 1
+    assert count == 198
+    rng = random.Random(20)
+    for spec in (field(2, 20), field(3, 13)):
+        assert spec.q > MAX_TABLE_Q
+        for c in (spec.from_index(rng.randrange(spec.q)) for _ in range(200)):
+            assert spec.trace(c) == schoolbook.trace(c)
 
 
 @pytest.mark.parametrize("p, e", [(2, 8), (3, 5), (2**31 - 1, 1)], ids=["F256", "F243", "Fp31"])

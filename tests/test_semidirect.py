@@ -18,7 +18,7 @@ from ftk.semidirect import (
     TameFrame,
     ZPhiObject,
     enumerate_g_torsors,
-    g_torsor_class_count,
+    g_torsor_census,
     mat_vec_series,
     phi_apply,
     reduce_to_coprime,
@@ -357,22 +357,23 @@ def slot_class_count(group, frame, m):
 @example(reduced_system(2, 2, 2, 3, [[0, 1], [1, 1]], 1, 3))  # A_4 over F_4
 @example(reduced_system(3, 1, 1, 2, [[1]], 1, 7))  # Z/6 over F_3: the even slots 2, 4
 def test_census_size_is_the_slot_count(case):
-    count = slot_class_count(*case)
-    assert len(enumerate_g_torsors(*case)) == count
-    assert g_torsor_class_count(*case) == count
+    assert len(enumerate_g_torsors(*case)) == slot_class_count(*case)
 
 
 def test_closed_form_count_builds_no_class():
-    # 11 odd prime-to-3 slots up to 31: 3^11 classes, past MAX_CENSUS
-    assert g_torsor_class_count(S3_GROUP, S3_FRAME, 31) == slot_class_count(S3_GROUP, S3_FRAME, 31) == 3**11
+    # 11 odd prime-to-3 slots up to 31: 3^11 classes, past MAX_CENSUS, so
+    # the census refuses at the call, before its first row
+    assert slot_class_count(S3_GROUP, S3_FRAME, 31) == 3**11
+    with pytest.raises(DomainError, match="census scale exceeded"):
+        g_torsor_census(S3_GROUP, S3_FRAME, 31)
 
 
 def test_closed_form_count_refuses_a_huge_break_bound():
     # as as_class_count does: a bound whose window passes 2^4096 classes
     with pytest.raises(DomainError, match="2\\^4096"):
-        g_torsor_class_count(S3_GROUP, S3_FRAME, 10**9)
+        g_torsor_census(S3_GROUP, S3_FRAME, 10**9)
     with pytest.raises(DomainError, match="break bound must be >= 0"):
-        g_torsor_class_count(SemidirectGroup.make(3, 0, 2, []), S3_FRAME, -1)
+        g_torsor_census(SemidirectGroup.make(3, 0, 2, []), S3_FRAME, -1)
 
 
 def test_count_as_is_the_census_of_the_trivial_twist():

@@ -44,6 +44,7 @@ RINGS = FIELDS + TEST_RINGS
 WIDE = RINGS + [field(2**31 - 1)]
 
 R52 = local_test_ring(5, 1, 2)
+R23 = local_test_ring(2, 1, 3)
 
 
 def outcome(fn):
@@ -263,6 +264,26 @@ def test_invert_matches_schoolbook(a):
 @example(L.from_dict(R52, {-9: R52.x().scale(3), 0: R52.one()}, 53), 4)
 def test_nth_root_unit_matches_schoolbook(a, n):
     assert outcome(lambda: a.nth_root_unit(n)) == outcome(lambda: schoolbook.nth_root_unit(a, n))
+
+
+@given(st.one_of(unit_led(), series()), st.integers(1, 12))
+# x^2 t^-1 + 1 + x t^2 + O(t^3) over F_2[x]/(x^3): from the top bit down,
+# a^6 = (a^2 a)^2 certifies nothing; from the low bit it is 1 + O(t^2)
+@example(L.from_dict(R23, {-1: R23.x() * R23.x(), 0: R23.one(), 2: R23.x()}, 3), 6)
+# x^2 t^-1 + (1+x^2) + (1+x^2) t + (1+x+x^2) t^2 + O(t^4): O(t^1) against O(t^3)
+@example(L.make(R23, -1, 4, [R23.from_index(i) for i in (4, 5, 5, 7, 0)]), 6)
+def test_power_keeps_the_frozen_product_tree(a, n):
+    # over a test ring with a nilpotent head the order of the products
+    # decides the window of the result, so it must stay the frozen loop's,
+    # and so must the exception when a product certifies nothing
+    def window(fn):
+        try:
+            s = fn()
+        except FtkError as exc:
+            return type(exc)
+        return s.val, s.prec, s.rows
+
+    assert window(lambda: a**n) == window(lambda: schoolbook.series_pow(a, n))
 
 
 @st.composite

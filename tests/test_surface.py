@@ -29,7 +29,6 @@ ALLOWED = {
     "parse.parse_field_elem": "benchmark-named: span parse.parse_field_elem",
     "parallel.parallel_map": "benchmark-named: span parallel.parallel_map (the census no longer calls it)",
     "semidirect.GTorsorClass.class_id": "public API: the id of an enumerate_g_torsors class, as the census prints it",
-    "semidirect.g_torsor_class_count": "public API: the closed-form size of the semidirect census",
     "semidirect.zphi_solve": "benchmark-named: span semidirect.zphi_solve",
     "series.LaurentSeries.split_parts": "benchmark-named: span series.split_parts",
     "oracles.as_window_witness_exists": "test oracle: the AS witness by window search",
