@@ -8,6 +8,11 @@ composable pairs of hom-sets (_composable, _table), and every constructor,
 FinGroup.from_table included, validates the axioms.  Everything here is a
 verification harness, so constructors refuse inputs beyond 64 objects,
 4096 arrows or 5,000,000 composable triples (groups of order 171 or more).
+
+Quotient groups are rigidifications: for H normal in G, B(G/H) is
+rigidify(B G, H), whose arrows are the cosets of H, and quotient_functor
+is the projection B G -> B(G/H).  Normality is rigidify's conjugation-
+stability check.
 """
 
 from __future__ import annotations
@@ -95,50 +100,27 @@ class FinGroup:
     def mul(self, a, b):
         return self.table[(a, b)]
 
-    def inv(self, a):
-        return next(b for b in self.elements if self.mul(a, b) == self.identity)
-
     def subgroup_closure(self, gens):
+        """The subgroup generated by gens, in the order of elements.
+
+        Products alone close it: an element x of a finite group has finite
+        order d, so x^-1 = x^(d-1) is a product of copies of x (the
+        identity when d = 1).  The products of generators, with the
+        identity, therefore hold every inverse and form the subgroup.
+        DomainError for a generator that is not an element."""
+        gens = list(gens)
+        if any(g not in self.elements for g in gens):
+            raise DomainError("generator is not an element of the group")
         seen = {self.identity}
         frontier = [self.identity]
-        gens = list(gens)
         while frontier:
             x = frontier.pop()
             for g in gens:
-                for y in (self.mul(x, g), self.mul(x, self.inv(g))):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
+                y = self.mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
         return tuple(e for e in self.elements if e in seen)
-
-    def is_normal(self, sub) -> bool:
-        subset = set(sub)
-        return all(
-            self.mul(self.mul(g, h), self.inv(g)) in subset
-            for g in self.elements
-            for h in sub
-        )
-
-    def quotient(self, sub):
-        """(quotient group, projection dict) for a normal subgroup."""
-        if not self.is_normal(sub):
-            raise DomainError("subgroup is not normal")
-        subset = list(sub)
-        coset_of = {}
-        cosets = []
-        for a in self.elements:
-            if a in coset_of:
-                continue
-            coset = tuple(sorted((self.mul(a, h) for h in subset), key=str))
-            for x in coset:
-                coset_of[x] = coset
-            cosets.append(coset)
-        mul = {}
-        for ca in cosets:
-            for cb in cosets:
-                mul[(ca, cb)] = coset_of[self.mul(ca[0], cb[0])]
-        quot = FinGroup.from_table(cosets, mul, coset_of[self.identity])
-        return quot, coset_of
 
     @staticmethod
     def cyclic(k: int) -> "FinGroup":
@@ -480,16 +462,18 @@ class GroupoidFunctor:
 
 
 def quotient_functor(group: FinGroup, sub) -> GroupoidFunctor:
-    """B G -> B(G/H) induced by the projection, for H normal in G."""
-    quot, proj = group.quotient(sub)
-    src, dst = bg(group), bg(quot)
-    fun = GroupoidFunctor(
-        src,
-        dst,
-        {"*": "*"},
-        {("*", "*", a): proj[a] for a in group.elements},
-    )
-    return fun.validate()
+    """B G -> B(G/H) = rigidify(B G, H), sending each element a to the
+    arrow that contains it: the orbit H a, which is the coset a H.
+
+    rigidify refuses an H that is not a normal subgroup of G: "subgroup not
+    contained in Aut" for a label outside G, "subgroup not closed" or
+    "subgroup misses the identity" for a subset that is not a subgroup, and
+    "conjugation stability fails" for a subgroup that is not normal."""
+    src = bg(group)
+    dst = rigidify(src, CentralAutSubgroup({"*": frozenset(sub)}))
+    coset_of = {a: coset for coset in dst.hom("*", "*") for a in coset}
+    arrows = {("*", "*", a): coset_of[a] for a in group.elements}
+    return GroupoidFunctor(src, dst, {"*": "*"}, arrows).validate()
 
 
 def groupoid_fiber_product(F: GroupoidFunctor, K: GroupoidFunctor) -> FiniteGroupoid:

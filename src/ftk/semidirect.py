@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .artin_schreier import as_class_count, canonical_vector, census_rows, prime_to_p_support
 from .errors import DomainError, FtkError
@@ -109,16 +110,17 @@ class TameFrame:
         if (self.spec.q - 1) % self.n:
             raise DomainError(f"F_{self.spec.q} lacks the n-th roots of unity")
 
-    @property
+    # computed once per frame, at first use: phi_apply reads xi per vector
+    @cached_property
     def zeta(self):
         """Canonical primitive n-th root of unity (a power of the generator)."""
         return self.spec.generator ** ((self.spec.q - 1) // self.n)
 
-    @property
+    @cached_property
     def beta(self) -> int:
         return pow(self.q_exp, -1, self.n) if self.n > 1 else 0
 
-    @property
+    @cached_property
     def xi(self):
         return self.zeta**self.beta
 

@@ -97,6 +97,13 @@ walks that product.  So no reference here goes through
 ``FinGroup.quaternion`` spelled out literally before it built the table
 from the relations i^2 = j^2 = k^2 = -1, ij = k, jk = i, ki = j.
 
+``subgroup_closure`` is ``FinGroup.subgroup_closure`` as it was before it
+closed under products alone: each step multiplies by every generator and
+by its inverse, found by ``group_inverse``, the search of the old
+``FinGroup.inv``.  ``group_quotient`` is the old ``FinGroup.quotient``,
+which built the cosets of a normal subgroup and their group itself, with
+its own normality test, before B(G/H) became ``rigidify(bg(G), H)``.
+
 ``IndPoint`` is the point of the colimit of the level charts A^(S_m) as
 ``ftk.groupoids`` had it before a point became a prefix of slot rows
 (``ftk.artin_schreier`` holds it now):
@@ -280,6 +287,50 @@ QUATERNION_ROWS = {
     "k": ("k", "-k", "j", "-j", "-i", "i", "-1", "1"),
     "-k": ("-k", "k", "-j", "j", "i", "-i", "1", "-1"),
 }
+
+
+def group_inverse(group, a):
+    return next(b for b in group.elements if group.mul(a, b) == group.identity)
+
+
+def subgroup_closure(group, gens):
+    seen = {group.identity}
+    frontier = [group.identity]
+    gens = list(gens)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            for y in (group.mul(x, g), group.mul(x, group_inverse(group, g))):
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return tuple(e for e in group.elements if e in seen)
+
+
+def group_quotient(group, sub):
+    """(quotient group, projection dict) for a normal subgroup."""
+    if not all(
+        group.mul(group.mul(g, h), group_inverse(group, g)) in set(sub)
+        for g in group.elements
+        for h in sub
+    ):
+        raise DomainError("subgroup is not normal")
+    subset = list(sub)
+    coset_of = {}
+    cosets = []
+    for a in group.elements:
+        if a in coset_of:
+            continue
+        coset = tuple(sorted((group.mul(a, h) for h in subset), key=str))
+        for x in coset:
+            coset_of[x] = coset
+        cosets.append(coset)
+    mul = {}
+    for ca in cosets:
+        for cb in cosets:
+            mul[(ca, cb)] = coset_of[group.mul(ca[0], cb[0])]
+    quot = type(group).from_table(cosets, mul, coset_of[group.identity])
+    return quot, coset_of
 
 
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -165,11 +166,17 @@ Z3 = {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}
 LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
 
 
+def symmetric_group_3():
+    """S_3 as the permutations of three points, composed right to left."""
+    perms = tuple(itertools.permutations(range(3)))
+    return FinGroup.from_table(perms, {(a, b): tuple(a[i] for i in b) for a in perms for b in perms}, (0, 1, 2))
+
+
 class TestFinGroup:
     def test_cyclic(self):
         z6 = FinGroup.cyclic(6)
         assert len(z6.elements) == 6
-        assert z6.inv(2) == 4
+        assert bg(z6).inverse("*", "*", 2) == 4
 
     def test_quaternion(self):
         q8 = FinGroup.quaternion()
@@ -185,13 +192,46 @@ class TestFinGroup:
         }
 
     def test_quotient(self):
+        # B(G/H) is the rigidification, its arrows are the cosets the group
+        # quotient labelled its elements by, and each element goes to its
+        # own coset
+        for grp, sub, cosets in [
+            (FinGroup.cyclic(4), (0, 2), [(0, 2), (1, 3)]),
+            (FinGroup.quaternion(), ("1", "-1"), [("-1", "1"), ("-i", "i"), ("-j", "j"), ("-k", "k")]),
+        ]:
+            fun = quotient_functor(grp, grp.subgroup_closure(sub))
+            assert fun.dst == rigidify(bg(grp), CentralAutSubgroup({"*": frozenset(sub)}))
+            assert list(fun.dst.hom("*", "*")) == cosets
+            assert fun.arrow_map == {("*", "*", a): c for c in cosets for a in c}
+            quot, proj = schoolbook.group_quotient(grp, sub)
+            assert fun.dst == bg(quot)
+            assert fun.arrow_map == {("*", "*", a): c for a, c in proj.items()}
+
+    def test_quotient_by_the_alternating_group(self):
+        s3 = symmetric_group_3()
+        fun = quotient_functor(s3, s3.subgroup_closure([(1, 2, 0)]))
+        z2 = fun.dst
+        assert z2.arrow_count() == 2 and z2.mass() == Fraction(1, 2)
+        odd = next(a for a in z2.hom("*", "*") if a != z2.identities["*"])
+        assert z2.comp("*", "*", "*", odd, odd) == z2.identities["*"]
+
+    def test_quotient_refuses_a_subgroup_that_is_not_normal(self):
+        # <(1 2)> is a subgroup of S_3, but (1 3)(1 2)(1 3) = (2 3)
+        s3 = symmetric_group_3()
+        with pytest.raises(DomainError, match="conjugation stability"):
+            quotient_functor(s3, s3.subgroup_closure([(1, 0, 2)]))
+
+    def test_quotient_refuses_a_subset_that_is_not_a_subgroup(self):
+        # {1, i} is not closed: i i = -1
+        with pytest.raises(DomainError, match="not closed"):
+            quotient_functor(FinGroup.quaternion(), ("1", "i"))
+
+    def test_generators_outside_the_group_are_refused(self):
         z4 = FinGroup.cyclic(4)
-        quot, proj = z4.quotient(z4.subgroup_closure([2]))
-        assert len(quot.elements) == 2
-        assert proj[0] == proj[2]
-        with pytest.raises(DomainError):
-            # {1, i} is not closed under conjugation (j i j^{-1} = -i)
-            FinGroup.quaternion().quotient(("1", "i"))
+        with pytest.raises(DomainError, match="not an element"):
+            z4.subgroup_closure([7])
+        with pytest.raises(DomainError, match="not contained in Aut"):
+            quotient_functor(z4, [0, 7])
 
     def test_subgroup_closure(self):
         q8 = FinGroup.quaternion()
@@ -323,6 +363,43 @@ GROUP_POOL = [
     FinGroup.cyclic(1), FinGroup.cyclic(2), FinGroup.cyclic(3), FinGroup.cyclic(4),
     FinGroup.direct_product(FinGroup.cyclic(2), FinGroup.cyclic(2)), FinGroup.quaternion(),
 ]
+
+# the groups of criterion 08 and of its random central pairs, and S_3
+CLOSURE_POOL = [
+    FinGroup.cyclic(2), FinGroup.cyclic(3), FinGroup.cyclic(4), FinGroup.cyclic(6), FinGroup.cyclic(9),
+    FinGroup.direct_product(FinGroup.cyclic(2), FinGroup.cyclic(2)), FinGroup.quaternion(), symmetric_group_3(),
+]
+
+
+@st.composite
+def generated_subgroups(draw):
+    """(group, generators): a group of CLOSURE_POOL and up to four of its
+    elements."""
+    group = draw(st.sampled_from(CLOSURE_POOL))
+    return group, draw(st.lists(st.sampled_from(group.elements), max_size=4))
+
+
+class TestSubgroupsAndQuotients:
+    @given(generated_subgroups())
+    def test_closure_under_products_holds_the_inverses(self, case):
+        group, gens = case
+        assert group.subgroup_closure(gens) == schoolbook.subgroup_closure(group, gens)
+
+    @given(generated_subgroups())
+    def test_quotient_by_a_normal_closure(self, case):
+        group, gens = case
+        sub = group.subgroup_closure(gens)
+        try:
+            quot, proj = schoolbook.group_quotient(group, sub)
+        except DomainError:
+            with pytest.raises(DomainError, match="conjugation stability"):
+                quotient_functor(group, sub)
+            return
+        fun = quotient_functor(group, sub).validate()
+        assert fun.dst.arrow_count() == len(group.elements) // len(sub)
+        assert fun.dst.mass() == Fraction(len(sub), len(group.elements))
+        assert fun.dst == bg(quot)
+        assert fun.arrow_map == {("*", "*", a): c for a, c in proj.items()}
 
 
 @st.composite

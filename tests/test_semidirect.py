@@ -60,6 +60,15 @@ class TestGroupAndFrame:
         assert (fr.beta * 3) % 4 == 1
         assert fr.xi == fr.zeta**fr.beta
 
+    def test_frame_constants_are_computed_once_at_first_use(self):
+        fr = TameFrame(field(3, 2), 4, 3)
+        assert fr.xi is fr.xi and fr.zeta is fr.zeta
+        # a frame over a field without tables is built, and refused when
+        # its root of unity is first read
+        big = TameFrame(field(2, 15), 7, 1)
+        with pytest.raises(DomainError, match="field tables are limited"):
+            big.xi
+
     def test_reduce_examples(self):
         g4 = SemidirectGroup.make(3, 1, 4, [[-1]])
         n2, q2, g2 = reduce_to_coprime(g4, 2)
