@@ -14,13 +14,14 @@ oracle before it enumerates, so a size the oracle refuses costs no census.
 The JSON forms of count-as and count-kummer print the closed-form count
 and enumerate nothing (unless --brute-force asks for the check).  All
 three census CSVs stream their rows in class-text order and hold none of
-them: count-kummer from the (q_exp, unit_class) grid, count-as and
-semidirect-enum from one generator, ``artin_schreier.census_rows``, that
-writes each class text from per-slot pieces (count-as is its census with
-the trivial twist).  semidirect-enum builds only the classes it prints,
-generated from the per-slot kernels of the twist, and prints each with
-witness 0 after one exact check that the twist fixes its cover vector on
-the polar window; its JSON splices the same texts into the payload.
+them: count-kummer from the (q_exp, unit_class) grid, one write per q_exp
+head, count-as and semidirect-enum from one generator,
+``artin_schreier.census_rows``, that writes each class text from per-slot
+pieces (count-as is its census with the trivial twist).  semidirect-enum
+builds only the classes it prints, generated from the per-slot kernels of
+the twist, and prints each with witness 0 after one exact check that the
+twist fixes its cover vector on the polar window; its JSON splices the
+same texts into the payload.
 Every census covers at most errors.MAX_CENSUS classes, counted in closed
 form before any is built (for semidirect-enum, from the same slot
 kernels): the library refuses a larger one, and the verb exits 2 before
@@ -35,7 +36,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import random
 import sys
@@ -46,11 +46,13 @@ from .artin_schreier import as_canonicalize, as_census, as_class_count, as_iso_w
 from .errors import DomainError, FtkError, OracleMismatch, ParseError
 from .fields import field
 from .groupoids import CentralAutSubgroup, FiniteGroupoid, groupoid_mass, rigidify
-from .kummer import kummer_canonicalize, kummer_class_count, kummer_class_texts, kummer_iso_witness
+from .kummer import kummer_canonicalize, kummer_class_count, kummer_class_grid, kummer_iso_witness
 from .parse import parse_series
 from .semidirect import SemidirectGroup, TameFrame, g_torsor_census, reduce_to_coprime
 
-# CSV census rows per write: 4096 count-kummer rows are about 240 kB
+CSV_HEADER = "break,aut_order,multiplicity,class\n"
+# CSV census rows per write of _emit_csv: 4096 rows of count-as F_2 m = 30
+# are about 750 kB
 CSV_BLOCK = 4096
 # glibc's mallopt parameter number for the mmap threshold, and its default
 M_MMAP_THRESHOLD = -3
@@ -100,18 +102,33 @@ def _emit_census_json(payload, rows):
     print(f'{head}"classes": [{classes}]{tail}')
 
 
+def _csv_lines(rows) -> str:
+    """The CSV lines of rows (break, aut_order, class JSON text, ...), from
+    each row's first three fields: the class text is quoted, its quotes
+    doubled."""
+    return "".join([f'{row[0]},{row[1]},1,"' + row[2].replace('"', '""') + '"\n' for row in rows])
+
+
 def _emit_csv(rows):
     """The census as CSV: the header, then one line per row, in the order
-    given, from the row's first three fields (break, aut_order, class JSON
-    text); CSV_BLOCK lines per write."""
+    given; CSV_BLOCK lines per write."""
     out = sys.stdout
-    out.write("break,aut_order,multiplicity,class\n")
+    out.write(CSV_HEADER)
     rows = iter(rows)
-    while block := [
-        f'{row[0]},{row[1]},1,"' + row[2].replace('"', '""') + '"\n'
-        for row in itertools.islice(rows, CSV_BLOCK)
-    ]:
-        out.write("".join(block))
+    while block := _csv_lines(itertools.islice(rows, CSV_BLOCK)):
+        out.write(block)
+
+
+def _emit_csv_grid(brk, aut, heads, tails):
+    """The census as CSV whose class texts are each head followed by each
+    tail, in the order given, all with the same break and aut_order: the
+    header, then one write per head.  A tail holds no quote, so a head's
+    line up to its tail, as _csv_lines quotes it, joins its tails."""
+    out = sys.stdout
+    out.write(CSV_HEADER)
+    for head in heads:
+        start = _csv_lines([(brk, aut, head)])[:-2]  # less the closing '"\n'
+        out.write(start + ('"\n' + start).join(tails) + '"\n')
 
 
 def _load_json(path: str):
@@ -166,23 +183,17 @@ def _cmd_kummer_iso(args):
     return 0
 
 
-def _count_verb(args, payload, brute, count, census):
-    """Finish count-as or count-kummer: the closed-form count as JSON, or
-    the census as CSV.  census() gives the CSV rows, (break, aut_order,
-    class JSON text, ...), in census order, and refuses a census past its
-    bound before the first.  With --brute-force they are counted first,
-    and the count must equal the oracle's."""
-    if args.format == "csv" or args.brute_force:
-        rows = census()
-        if args.brute_force:
-            rows = list(rows)
-            count = len(rows)
+def _count_verb(args, payload, brute, count, write_csv):
+    """Finish count-as or count-kummer: the count as JSON, or the census
+    as CSV by write_csv().  count is the closed form or, with
+    --brute-force, the number of classes the verb's census holds, which
+    must equal the oracle's."""
     payload.update(count=count, brute_force=brute)
     if args.brute_force and brute != count:
         _emit(payload)
         raise OracleMismatch(f"structured {count} != oracle {brute}")
     if args.format == "csv":
-        _emit_csv(rows)
+        write_csv()
     else:
         _emit(payload)
     return 0
@@ -192,19 +203,27 @@ def _cmd_count_as(args):
     spec = _field_from_args(args)
     m = args.max_break
     brute = oracles.as_bruteforce_class_count(spec, m) if args.brute_force else None
+    count = as_class_count(spec, m)
+    if args.format == "csv" or args.brute_force:
+        rows = as_census(spec, m)
+        if args.brute_force:
+            rows = list(rows)
+            count = len(rows)
     payload = {"p": spec.p, "q": spec.q, "max_break": m}
-    return _count_verb(args, payload, brute, as_class_count(spec, m), lambda: as_census(spec, m))
+    return _count_verb(args, payload, brute, count, lambda: _emit_csv(rows))
 
 
 def _cmd_count_kummer(args):
     spec = _field_from_args(args)
     n = args.n
     brute = oracles.kummer_bruteforce_class_count(spec, n) if args.brute_force else None
-    aut = math.gcd(n, spec.q - 1)
-    return _count_verb(
-        args, {"q": spec.q, "n": n}, brute, kummer_class_count(spec, n),
-        lambda: ((0, aut, text) for text in kummer_class_texts(spec, n)),
-    )
+    count = kummer_class_count(spec, n)
+    if args.format == "csv" or args.brute_force:
+        heads, tails = kummer_class_grid(spec, n)
+        count = len(heads) * len(tails)
+    payload = {"q": spec.q, "n": n}
+    # every class has break 0 and aut order gcd(n, q - 1), one per tail
+    return _count_verb(args, payload, brute, count, lambda: _emit_csv_grid(0, len(tails), heads, tails))
 
 
 def _parse_psi(text: str, r: int):

@@ -73,7 +73,8 @@ def kummer_iso_witness(b: LaurentSeries, b2: LaurentSeries, n: int):
 
 def kummer_class_count(spec: FieldSpec, n: int) -> int:
     """n * gcd(n, q-1), the number of classes enumerate_kummer_classes
-    lists, in closed form."""
+    lists and the census grid ``kummer_class_grid`` spans, in closed
+    form."""
     check_tame_order(spec.p, n)
     return n * math.gcd(n, spec.q - 1)
 
@@ -81,7 +82,7 @@ def kummer_class_count(spec: FieldSpec, n: int) -> int:
 def enumerate_kummer_classes(spec: FieldSpec, n: int):
     """All n * gcd(n, q-1) classes, ordered numerically by (q_exp,
     unit_class).  The CSV census lists the same classes in the order of
-    their JSON text, which ``kummer_class_texts`` gives; the two orders
+    their JSON text, which ``kummer_class_grid`` gives; the two orders
     part once n or gcd(n, q-1) passes 10 (q_exp 10 comes before 2)."""
     check_tame_order(spec.p, n)
     d = math.gcd(n, spec.q - 1)
@@ -92,10 +93,10 @@ def enumerate_kummer_classes(spec: FieldSpec, n: int):
     ]
 
 
-def kummer_class_texts(spec: FieldSpec, n: int):
-    """The JSON text ``{"n": N, "q_exp": A, "unit_class": C}`` of every
-    class, as ``json.dumps(cls.to_json(), sort_keys=True)`` writes it, in
-    sorted text order, built straight from the (A, C) grid.
+def kummer_class_grid(spec: FieldSpec, n: int):
+    """(heads, tails): the JSON texts ``{"n": N, "q_exp": A, "unit_class": C}``
+    of every class, as ``json.dumps(cls.to_json(), sort_keys=True)`` writes
+    them, in sorted text order, are each head followed by each tail.
 
     Every text is a head ``{"n": N, "q_exp": A, "unit_class": `` followed
     by a tail ``C}``.  Two heads share the prefix up to A and differ at or
@@ -103,13 +104,14 @@ def kummer_class_texts(spec: FieldSpec, n: int):
     other, a comma meets a digit, and a comma sorts below every digit.  So
     no head is a prefix of another, and two texts compare as their heads
     unless the heads are equal, then as their tails.  The texts in order
-    are therefore each sorted head followed by each sorted tail.  A brace
-    sorts above every digit, so the tail of 50 comes before that of 5.
+    are therefore each sorted head followed by each sorted tail: ``heads``
+    and ``tails`` are sorted lists.  A brace sorts above every digit, so
+    the tail of 50 comes before that of 5.
 
-    The tame order and the census bound are checked before the first
-    text; the texts come lazily.
+    The tame order and the census bound are checked before either list is
+    built.
     """
     check_census(kummer_class_count(spec, n))
     heads = sorted(f'{{"n": {n}, "q_exp": {a}, "unit_class": ' for a in range(n))
     tails = sorted(f"{c}}}" for c in range(math.gcd(n, spec.q - 1)))
-    return (head + tail for head in heads for tail in tails)
+    return heads, tails

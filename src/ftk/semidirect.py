@@ -110,7 +110,8 @@ class TameFrame:
         if (self.spec.q - 1) % self.n:
             raise DomainError(f"F_{self.spec.q} lacks the n-th roots of unity")
 
-    # computed once per frame, at first use: phi_apply reads xi per vector
+    # computed once per frame, at first use: phi_apply reads the powers of
+    # xi per vector
     @cached_property
     def zeta(self):
         """Canonical primitive n-th root of unity (a power of the generator)."""
@@ -123,6 +124,15 @@ class TameFrame:
     @cached_property
     def xi(self):
         return self.zeta**self.beta
+
+    @cached_property
+    def xi_powers(self) -> tuple:
+        """(1, xi, ..., xi^(n-1)), from one walk: xi has order n, so
+        xi^k = xi_powers[k % n] for every integer k."""
+        powers = [self.spec.one()]
+        for _ in range(self.n - 1):
+            powers.append(powers[-1] * self.xi)
+        return tuple(powers)
 
 
 def reduce_to_coprime(group: SemidirectGroup, q_exp: int):
@@ -147,7 +157,7 @@ def phi_apply(group: SemidirectGroup, frame: TameFrame, b_vec):
     """Class-level action of the twist: psi . (b with s -> xi s)."""
     if len(b_vec) != group.r:
         raise DomainError("vector rank mismatch")
-    substituted = tuple(b.scale_substitute(frame.xi) for b in b_vec)
+    substituted = tuple(b.scale_substitute(frame.xi_powers) for b in b_vec)
     return mat_vec_series(group.psi, substituted, group.p)
 
 
@@ -278,7 +288,7 @@ def _fixed_bases(group: SemidirectGroup, frame: TameFrame, break_bound: int):
     for k in prime_to_p_support(p, break_bound):
         basis = by_residue.get(k % n)
         if basis is None:
-            lam = frame.xi ** (n - k % n)  # xi^-k
+            lam = frame.xi_powers[-k % n]  # xi^-k
             basis = by_residue[k % n] = mat_kernel(_twist_minus_one(psi, mul_matrix(lam), p), p)
         slots.append((k, basis))
     return constants, slots

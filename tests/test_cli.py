@@ -47,7 +47,7 @@ def validate(verb, payload):
 CENSUS_GENERATORS = [
     (artin_schreier, "census_rows"),
     (semidirect, "census_rows"),
-    (cli, "kummer_class_texts"),
+    (cli, "kummer_class_grid"),
 ]
 
 
@@ -302,6 +302,54 @@ def test_kummer_csv_builds_no_class_and_no_json_text(monkeypatch):
     # the counters see the frozen path: one class and one text per row
     schoolbook.count_kummer_csv(field(2, 2), 3)
     assert calls == Counter({"json.dumps": 9, "KummerClass": 9})
+
+
+class CountingWriter(io.StringIO):
+    """A stdout that keeps each write's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_kummer_csv_is_written_one_q_exp_head_at_a_time():
+    # the header, then the 255 lines of each q_exp in one write: the rows
+    # were written 4096 to a write, each formatted and quoted on its own
+    out = CountingWriter()
+    with contextlib.redirect_stdout(out):
+        assert main(kummer_csv_argv(2, 8, 255)) == 0
+    header, *blocks = out.writes
+    assert header == "break,aut_order,multiplicity,class\n"
+    assert len(blocks) <= 255
+    for block in blocks:
+        lines = block.splitlines()
+        assert len(lines) == 255
+        assert len({line.split("unit_class")[0] for line in lines}) == 1
+    assert out.getvalue() == schoolbook.count_kummer_csv(field(2, 8), 255)
+
+
+class Sized:
+    """Stands for a list of which only the length may be read."""
+
+    def __init__(self, items):
+        self.size = len(items)
+
+    def __len__(self):
+        return self.size
+
+
+def test_kummer_oracle_check_counts_the_grid_without_its_texts(capsys, monkeypatch):
+    # with --brute-force the structured count is (heads) x (tails); the
+    # verb walked all n * gcd(n, q - 1) texts into a list to count them
+    grid = cli.kummer_class_grid
+    monkeypatch.setattr(cli, "kummer_class_grid", lambda *args: tuple(map(Sized, grid(*args))))
+    code, out = run_cli(capsys, "count-kummer", "--p", "7", "--n", "12", "--brute-force")
+    assert code == 0
+    assert out == '{"brute_force": 72, "count": 72, "n": 12, "q": 7}\n'
 
 
 # count-kummer F_256 n = 255 as CSV to /dev/null; prints the peak RSS in

@@ -62,7 +62,8 @@ class TestGroupAndFrame:
 
     def test_frame_constants_are_computed_once_at_first_use(self):
         fr = TameFrame(field(3, 2), 4, 3)
-        assert fr.xi is fr.xi and fr.zeta is fr.zeta
+        assert fr.xi is fr.xi and fr.zeta is fr.zeta and fr.xi_powers is fr.xi_powers
+        assert fr.xi_powers == tuple(fr.xi**k for k in range(4))
         # a frame over a field without tables is built, and refused when
         # its root of unity is first read
         big = TameFrame(field(2, 15), 7, 1)
@@ -423,6 +424,18 @@ def test_census_applies_phi_once_per_class_and_step(monkeypatch):
     calls = _count_calls(monkeypatch, semidirect, "phi_apply")
     assert len(enumerate_g_torsors(S3_GROUP, S3_FRAME, 7)) == 27
     assert calls[0] == 27
+
+
+@pytest.mark.parametrize("m, classes", [(7, 27), (14, 243)])
+def test_census_forms_the_powers_of_xi_once_per_frame(monkeypatch, m, classes):
+    # a new frame forms zeta and xi, one power each, and walks the cycle of
+    # xi once; each series reads its powers off the cycle.  Each class's
+    # phi(b) formed xi^val for its scaling: 488 powers at m = 14.  A first
+    # census fills the process's own caches
+    enumerate_g_torsors(S3_GROUP, TameFrame(F3, 2, 1), 1)
+    calls = _count_calls(monkeypatch, FqElem, "__pow__")
+    assert len(enumerate_g_torsors(S3_GROUP, TameFrame(F3, 2, 1), m)) == classes
+    assert calls[0] == 2
 
 
 def test_census_builds_series_for_emitted_classes_only(monkeypatch):

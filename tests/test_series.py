@@ -298,6 +298,23 @@ class TestScaleSubstitute:
         with pytest.raises(DomainError):
             L.constant(F5.one(), 4).scale_substitute(F5.zero())
 
+    def test_the_cycle_of_powers_scales_as_its_generator(self):
+        # a frame passes (1, xi, ..., xi^(d-1)) in place of xi: windows
+        # shorter and longer than d, valuations of both signs, and a test
+        # ring scaled by the cycle of a root of unity of its residue field
+        rng = random.Random(47)
+        F9, F4 = field(3, 2), field(2, 2)
+        cases = [(TameFrame(F5, 4, 1), F5, 5), (TameFrame(F9, 8, 3), F9, 9), (TameFrame(F4, 3, 1), R42, 16)]
+        for frame, ring, size in cases:
+            xi, cycle = frame.xi, frame.xi_powers
+            assert L.zero(ring, 3).scale_substitute(cycle) == L.zero(ring, 3)
+            for _ in range(40):
+                lo = rng.randrange(-7, 4)
+                prec = rng.randrange(max(lo, 0) + 1, lo + 15)
+                coeffs = {e: ring.from_index(rng.randrange(1, size)) for e in range(lo, prec) if rng.random() < 0.6}
+                a = L.from_dict(ring, coeffs, prec)
+                assert a.scale_substitute(cycle) == a.scale_substitute(xi)
+
 
 class TestNthRootUnit:
     def test_trivial(self):
