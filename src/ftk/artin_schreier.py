@@ -50,7 +50,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DomainError, PrecisionExhausted, check_break_bound, check_census
-from .fields import FieldSpec, FqElem, canonical_wp_shift, mat_identity
+from .fields import FieldSpec, FqElem, _trace_rep, canonical_wp_shift, mat_identity
 from .series import LaurentSeries, positive_rows
 
 
@@ -356,10 +356,9 @@ def census_rows(spec: FieldSpec, r: int, constants, slots):
     p, e = spec.p, spec.e
     check_census(p ** (len(constants) + sum(len(basis) for _, basis in slots)))
     aut, quote = p ** len(constants), functools.cache(lambda c: json.dumps(str(c)))
-    rep_of = {spec.trace(c): c for c in spec.wp_transversal()}
     consts = sorted(
         (tuple(f'{{"constant_class": {quote(c)}, "p": {p}, "q": {spec.q}, "support": {{' for c in vec), 0, vec)
-        for vec in (tuple(rep_of[t] for t in v) for v in _span(constants, p, r))
+        for vec in (tuple(_trace_rep(spec, t) for t in v) for v in _span(constants, p, r))
     )
     options = {}  # k -> (its nonzero options in text order, its zero option)
     for k, basis in slots:

@@ -8,27 +8,30 @@ found by testing each candidate in turn with Ben-Or's irreducibility
 test.  For e = 1 nothing depends on the modulus.  A degree above
 MAX_DEGREE = 64, and a p >= MAX_PRIME = 2^64, raise DomainError before
 the search and the primality test (deterministic Miller-Rabin) start.  A
-FieldSpec caches the tables the rest of the library relies on, built in
-O(q) field operations by ``_field_tables`` for q <= MAX_TABLE_Q = 2^14
-(larger fields raise DomainError before anything is allocated):
+FieldSpec caches the tables the Kummer side relies on, built in O(q)
+field operations by ``_field_tables`` for q <= MAX_TABLE_Q = 2^14 (larger
+fields raise DomainError before anything is allocated):
 
 - the generator h: the first element in enumeration order with
   h^((q-1)/l) != 1 for every prime l dividing q-1, i.e. the smallest
   primitive element;
 - the powers h^0 .. h^(q-2), from one walk of q-2 multiplications, and
-  the discrete logs, read off that walk;
-- the preimages of u -> u^p - u, with u^p read from the walk: for
-  u = h^k, u^p = h^(pk mod q-1);
-- the coset transversal: the representative of c is the element of
-  smallest index whose absolute trace Tr(u) = u + u^p + ... + u^(p^(e-1))
-  equals Tr(c).  By additive Hilbert 90 the image of u -> u^p - u is
-  ker Tr (Lidl-Niederreiter, Finite Fields, Thm 2.25), so the cosets of
-  that image are exactly the fibres of Tr, and the index-smallest element
-  of c's fibre is the lex-smallest element of c's coset.  Tr is F_p-linear,
-  so it is read per element from the traces of the basis g^0 .. g^(e-1).
-  ``FieldSpec.trace`` is that sum, sum_i c_i Tr(g^i) mod p, each Tr(g^i)
-  summed once per spec from the constant digits of the Frobenius matrices
-  of x -> x^(p^k), k < e; it needs no table, so it works in every field.
+  the discrete logs, read off that walk.
+
+The Artin-Schreier side needs no table, so it works in every field.  By
+additive Hilbert 90 the image of u -> u^p - u is ker Tr, Tr(u) = u + u^p
++ ... + u^(p^(e-1)) the absolute trace (Lidl-Niederreiter, Finite
+Fields, Thm 2.25), so the cosets of that image are the fibres of Tr, and
+both facts the library reads from them are F_p-linear:
+
+- the trace: ``FieldSpec.trace`` is sum_i c_i T_i mod p, T_i = Tr(g^i)
+  the i-th power sum of the roots of the modulus, from Newton's
+  identities on its coefficients (``_basis_traces``);
+- the transversal: the representative of c is (Tr(c)/T_j) g^j for the
+  first j with T_j != 0 (``_trace_rep``, with the proof that it is the
+  lex-smallest element of c's coset), and the smallest w with
+  w^p - w = rep - c is one cached e x e matrix over F_p applied to c
+  (``_wp_section``).
 
 Every power in the library, of an element, a polynomial mod the modulus,
 an F_p matrix, a series or a packed window, is one ``power(x, n, mul)``:
@@ -145,7 +148,7 @@ from itertools import starmap
 
 from .errors import DomainError, NotInvertible
 
-# largest field whose tables are built: q = 2^14 takes about 0.6 s and 13 MB
+# largest field whose tables are built: q = 2^14 takes about 0.25 s and 5 MB
 # on a 2-core x86-64 host under CPython 3.11
 MAX_TABLE_Q = 2**14
 # largest extension degree: the modulus search for F_{2^64} takes about
@@ -334,9 +337,59 @@ def _frobenius_rows(base: "FieldSpec", k: int):
 
 @lru_cache(maxsize=None)
 def _basis_traces(spec: "FieldSpec") -> tuple:
-    """Tr(g^i) for i = 0 .. e-1: the sum over k < e of the constant digit of
-    (g^i)^(p^k), row i of the k-th Frobenius matrix."""
-    return tuple(sum(_frobenius_rows(spec, k)[i][0] for k in range(spec.e)) % spec.p for i in range(spec.e))
+    """T_i = Tr(g^i) for i = 0 .. e-1.  The conjugates of g are the roots of
+    the modulus x^e + a_(e-1) x^(e-1) + ... + a_0, so T_i is their i-th
+    power sum: T_0 = e, and Newton's identities give
+    T_i = -(i a_(e-i) + sum_{k=1}^{i-1} a_(e-k) T_(i-k)) for 1 <= i < e."""
+    p, e, a = spec.p, spec.e, spec.modulus
+    traces = [e % p]
+    for i in range(1, e):
+        traces.append(-(i * a[e - i] + sum(a[e - k] * traces[i - k] for k in range(1, i))) % p)
+    return tuple(traces)
+
+
+def _trace_rep(spec: "FieldSpec", t: int) -> "FqElem":
+    """The transversal representative of trace t: (t/T_j) g^j, j the first
+    index with T_j != 0 (Tr is onto F_p, so there is one).  It is the
+    lex-smallest element of the fibre of t: an index reads the digits base
+    p, the highest nonzero digit deciding, and the digits below j meet only
+    T_i = 0.  So an element of trace t != 0 has a nonzero digit at j or
+    above, and of those below p^(j+1) the smallest has digit t/T_j at j and
+    zeros below."""
+    p, e, traces = spec.p, spec.e, _basis_traces(spec)
+    j = next(i for i, tj in enumerate(traces) if tj)
+    return spec.from_digits((0,) * j + (t * pow(traces[j], -1, p) % p,) + (0,) * (e - 1 - j))
+
+
+@lru_cache(maxsize=None)
+def _wp_section(spec: "FieldSpec") -> tuple:
+    """The e x e matrix over F_p whose row a holds the digits of w_a, the
+    solution of w^p - w = rep(g^a) - g^a with digit 0 equal to 0.
+
+    u -> u^p - u is F - 1, F the Frobenius matrix: F_p-linear with kernel
+    F_p = <g^0> and image ker Tr.  So the rows (F - 1) g^i, i = 1 .. e-1,
+    are independent and span ker Tr, which holds each target
+    t_a = g^a - rep(g^a): Tr t_a = T_a - (T_a/T_j) T_j = 0.
+    ``mat_kernel`` of those rows followed by the targets, in that order,
+    picks every pivot among the first e - 1 rows.  Before each column, a
+    target row is its input minus multiples of the pivot rows, so it is a
+    combination of the pivot rows and the first rows not yet pivots; it
+    and those rows are zero in every earlier column, and the pivot rows
+    are in echelon form there, so the pivot rows take coefficient 0, and
+    the target is zero in this column whenever those first rows are.  So no target is swapped or becomes a pivot,
+    the rank is e - 1, and the relations are the targets in order, each
+    with coefficient 1 on itself and 0 on the others: x with
+    sum_i x_i (F - 1) g^i = -t_a, so w_a = sum_i x_i g^i.
+
+    rep is linear, so w = sum_a c_a w_a solves w^p - w = rep(c) - c with
+    digit 0 equal to 0.  The solutions are w + F_p, and adding k in F_p
+    moves only digit 0, the least significant: w is the smallest."""
+    p, e = spec.p, spec.e
+    unit = [spec.from_index(p**i).coords for i in range(e)]
+    first = [spec.sub_rows(spec.frobenius_row(g_i), g_i) for g_i in unit[1:]]
+    reps = [_trace_rep(spec, t).coords for t in _basis_traces(spec)]
+    relations = mat_kernel(first + [spec.sub_rows(g_a, r) for g_a, r in zip(unit, reps)], p)
+    return tuple((0,) + x[: e - 1] for x in relations)
 
 
 def _apply_rows(rows, coords, p):
@@ -795,17 +848,10 @@ class FieldSpec(_RingSpec):
             raise DomainError("dlog of 0")
         return _field_tables(self)[1][a.coords]
 
-    def wp_preimages(self, c: FqElem):
-        """All u with u^p - u = c (a list of size 0 or p)."""
-        return list(_field_tables(self)[2].get(c.coords, ()))
-
     def wp_transversal_rep(self, c: FqElem) -> FqElem:
-        """Lex-smallest representative of c's coset mod the image of u -> u^p - u."""
-        return _field_tables(self)[3][c.coords]
-
-    def wp_transversal(self) -> list:
-        """The p coset representatives mod the image of u -> u^p - u, by index."""
-        return list(dict.fromkeys(_field_tables(self)[3].values()))
+        """Lex-smallest representative of c's coset mod the image of u -> u^p - u,
+        the element ``_trace_rep`` of c's trace."""
+        return _trace_rep(self, self.trace(c))
 
     def __repr__(self):
         return f"F_{self.q}" if self.e > 1 else f"F_{self.p}"
@@ -842,9 +888,9 @@ def _prime_factors(n: int):
 
 @lru_cache(maxsize=None)
 def _field_tables(spec: FieldSpec):
-    """(generator, dlog, wp preimages, transversal, powers) of F_q, built
-    from one walk of the generator's powers; see the module docstring."""
-    p, q = spec.p, spec.q
+    """(generator, dlog, powers) of F_q, built from one walk of the
+    generator's powers; see the module docstring."""
+    q = spec.q
     if q > MAX_TABLE_Q:
         raise DomainError(f"field tables are limited to q <= {MAX_TABLE_Q}, got q = {q}")
     order = q - 1
@@ -856,20 +902,7 @@ def _field_tables(spec: FieldSpec):
     powers = [one]
     for _ in range(order - 1):
         powers.append(powers[-1] * generator)
-    dlog = {x.coords: k for k, x in enumerate(powers)}
-
-    def frobenius(u):
-        return u if u.is_zero() else powers[p * dlog[u.coords] % order]
-
-    elems = spec.elements()
-    preimages: dict = {}
-    for u in elems:
-        preimages.setdefault((frobenius(u) - u).coords, []).append(u)
-    transversal = {}
-    first: dict = {}  # trace value -> index-smallest element with that trace
-    for u in elems:
-        transversal[u.coords] = first.setdefault(spec.trace(u), u)
-    return generator, dlog, {k: tuple(v) for k, v in preimages.items()}, transversal, powers
+    return generator, {x.coords: k for k, x in enumerate(powers)}, powers
 
 
 # -- spec-level operations ------------------------------------------
@@ -908,18 +941,15 @@ def canonical_nth_root(c: FqElem, n: int) -> FqElem:
         raise DomainError(f"{c} is not an n-th power for n = {n}")
     step = order // d
     k0 = log // d * pow(n // d, -1, step)
-    powers = _field_tables(spec)[4]
+    powers = _field_tables(spec)[2]
     return min((powers[(k0 + j * step) % order] for j in range(d)), key=lambda r: r.index)
 
 
 def canonical_wp_shift(c: FqElem):
     """(rep, w): the transversal representative of c and the smallest w with
-    w^p - w = rep - c, rep - c formed on digit rows."""
+    w^p - w = rep - c, the matrix ``_wp_section`` applied to c."""
     spec = c.spec
-    rep = spec.wp_transversal_rep(c)
-    sols = spec.wp_preimages(spec.from_digits(spec.sub_rows(rep.coords, c.coords)))
-    w = min(sols, key=lambda u: u.index)
-    return rep, w
+    return spec.wp_transversal_rep(c), spec.from_digits(_apply_rows(_wp_section(spec), c.coords, spec.p))
 
 
 # -- test rings F_q[x]/(x^m) -----------------------------------------

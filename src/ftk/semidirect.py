@@ -357,10 +357,11 @@ def g_torsor_census(group: SemidirectGroup, frame: TameFrame, break_bound: int):
     the constant vector psi c_0.
     1. The slot part is fixed by construction: c_k lies in
        ker(xi^-k psi - 1), so xi^-k psi c_k = c_k.
-    2. ``wp_transversal()`` is an F_p-line in F_q, so psi c_0, an F_p
-       combination of representatives, is a vector of representatives.
-       Its trace vector is psi Tr(c_0) = Tr(c_0), and a representative is
-       fixed by its trace, so psi c_0 = c_0.
+    2. The representatives are the F_p-multiples (t/T_j) g^j of one
+       element (``fields._trace_rep``), so psi c_0, an F_p combination of
+       representatives, is a vector of representatives.  Its trace
+       vector is psi Tr(c_0) = Tr(c_0), and a representative is fixed by
+       its trace, so psi c_0 = c_0.
     3. So u = 0 solves u^p - u = phi(b) - b = 0, and its cocycle sum is
        V(0) = 0: (b, 0) is the class of Theorem B.
 

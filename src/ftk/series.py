@@ -34,15 +34,12 @@ and ``unit_ord`` reads each row's residue digits.
 
 The scalings run on rows too.  ``scale(a)`` is one ``digit_product`` of
 the window against the one-row window of a, and ``scale_int(n)`` is
-``scale`` by the ring's n.  ``scale_substitute(xi)``, a(t) -> a(xi t),
-multiplies the row at exponent e by xi^e.  The powers xi^val,
-xi^(val+1), ... come from one walk, the only elements it builds, which
-stops when it returns to xi^val (then xi^d = 1, d its length) or covers
-the window; given the cycle (1, xi, ..., xi^(d-1)) instead of xi, it
-builds none and reads them off the cycle from xi^(val mod d).  The rows
-whose exponents agree mod d are scaled in one product.  A scalar of
-another ring is refused with the element product's "mixed arithmetic"
-error.
+``scale`` by the ring's n.  ``scale_substitute(cycle)``, a(t) -> a(xi t),
+multiplies the row at exponent e by xi^e.  It takes xi as its cycle
+(1, xi, ..., xi^(d-1)), builds no element and reads the powers off the
+cycle from xi^(val mod d); the rows whose exponents agree mod d are
+scaled in one product.  A cycle of another ring is refused with the
+element product's "mixed arithmetic" error.
 
 One Newton.  Inverses and Hensel roots of unit-led windows are one Newton
 iteration on the packed window, ``_inverse_root``, which doubles the window,
@@ -74,7 +71,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NotInvertible, PrecisionExhausted
-from .fields import FqElem, canonical_nth_root, power
+from .fields import canonical_nth_root, power
 
 
 @dataclass(frozen=True)
@@ -319,39 +316,20 @@ class LaurentSeries:
         """The Artin-Schreier operator u -> u^p - u."""
         return self.series_pth_power() - self
 
-    def scale_substitute(self, xi) -> "LaurentSeries":
+    def scale_substitute(self, cycle) -> "LaurentSeries":
         """a(t) -> a(xi * t): coefficient at exponent i picks up xi^i.
 
-        xi is a nonzero scalar, or the tuple (1, xi, ..., xi^(d-1)) of the
-        powers of an xi with xi^d = 1, as ``TameFrame.xi_powers`` holds
-        them: a caller scaling many series by one xi walks its powers once,
+        xi comes as its cycle (1, xi, ..., xi^(d-1)), xi^d = 1, as
+        ``TameFrame.xi_powers`` holds it (every unit of a finite ring has
+        one): a caller scaling many series by one xi walks its powers once,
         and each series reads xi^val, xi^(val+1), ... off the cycle."""
-        if isinstance(xi, tuple):
-            # xi^d = 1 makes every power a unit: there is nothing to refuse
-            if self.is_zero():
-                return self
-            d = len(xi)
-            powers = [xi[(self.val + k) % d] for k in range(min(d, len(self.rows)))]
-            if powers[0].spec is not self.ring:
-                powers = [self.ring.from_field(f) for f in powers]
-        else:
-            if xi.is_zero():
-                raise DomainError("substitution scalar must be nonzero")
-            if isinstance(xi, FqElem):
-                xi = self.ring.from_field(xi)
-            if self.is_zero():
-                return self
-            xi.inverse()  # refuses a nilpotent xi, whatever the window
-            # xi^val, xi^(val+1), ... from one walk, until it repeats
-            # (xi^d = 1) or covers the window
-            powers = [xi**self.val]
-            while len(powers) < len(self.rows):
-                nxt = powers[-1] * xi
-                if nxt == powers[0]:
-                    break
-                powers.append(nxt)
+        if self.is_zero():
+            return self
+        d = len(cycle)
+        powers = [cycle[(self.val + k) % d] for k in range(min(d, len(self.rows)))]
+        if powers[0].spec is not self.ring:
+            powers = [self.ring.from_field(f) for f in powers]
         # slot i takes power i mod d
-        d = len(powers)
         out = list(self.rows)
         for k, f in enumerate(powers):
             out[k::d] = self._scaled(self.rows[k::d], f)

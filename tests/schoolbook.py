@@ -12,7 +12,11 @@ library no longer lists the roots; the Kummer automorphism tests read this
 scan), and ``field_tables`` is the O(q^2) build of a field's tables that
 ``ftk.fields._field_tables`` replaced by one walk of the generator's
 powers: it walks each candidate generator's full order and scans the whole
-coset of every element for the transversal.  ``smallest_irreducible``
+coset of every element for the transversal.  The library has kept only
+its generator, discrete logs and powers; the preimages of u -> u^p - u
+and the transversal stay here as the reference for the rules
+``FieldSpec.wp_transversal_rep`` and ``canonical_wp_shift`` read from the
+trace.  ``smallest_irreducible``
 is the modulus search ``ftk.fields`` ran before it tested irreducibility
 by Ben-Or's test: the same enumeration, with trial division by every
 monic polynomial of degree at most e/2.  ``is_prime`` is the trial
@@ -21,7 +25,10 @@ division ``ftk.fields`` tested primality with before Miller-Rabin.
 ``scale``, ``scale_int`` and ``scale_substitute`` are the scalings of
 ``LaurentSeries`` before they ran on digit rows: one element product per
 coefficient, and for the substitution t -> xi t one power of xi per
-coefficient by square and multiply.  ``nth_root_unit`` scales through
+coefficient by square and multiply.  The library substitution takes xi as
+its cycle (1, xi, ..., xi^(d-1)); ``Cycle`` is that cycle for any unit,
+each power raised when it is read, so a unit of large order costs no
+walk.  ``nth_root_unit`` scales through
 ``scale``, so the reference shares no code with the row scalings.
 
 ``series_pow`` is ``LaurentSeries.__pow__`` and ``trace`` the absolute
@@ -29,7 +36,10 @@ trace of ``ftk.artin_schreier`` as they were before both moved into
 ``ftk.fields``, the first onto ``power`` and the second onto
 ``FieldSpec.trace``: the series square and multiply through the library
 product, whose tree of products decides the window of the result over a
-test ring, and e - 1 Frobenius steps per element.
+test ring, and e - 1 Frobenius steps per element.  ``frobenius_traces``
+is ``ftk.fields._basis_traces`` before it read the traces of the basis
+from Newton's identities: the constant digit of (g^i)^(p^k), summed over
+the Frobenius matrices of x -> x^(p^k), k < e.
 
 ``fq_inverse``, ``fq_frobenius`` and ``fq_pth_root`` are the powers
 a^(q-2), a^p and a^(p^(e-1)) that ``FqElem`` computed by square and
@@ -42,7 +52,8 @@ then) so that it shares no code with the element maps it is checked with.
 The oracle references are the bodies ``ftk.oracles`` had before each
 oracle computed its loop invariants once per call: ``u.wp()`` and
 ``u**n`` once per (object, witness) pair, ``scale_substitute`` on every
-composition (also by 1) and on every cover vector.  They keep their own
+composition (also by 1) and on every cover vector, now handed the
+``Cycle`` of its scalar.  They keep their own
 copies of the union-find class ``_UnionFind`` and of ``SplitMap``, the
 two-component frame map, both as ``ftk.oracles`` had them before every
 oracle quotiented through ``_quotient`` and every frame map became a
@@ -63,9 +74,11 @@ The ``ring_*`` sums act on digit rows, the layout of both element kinds.
 were before sums moved to slices; they add and negate elements through the
 functions above.  ``canonicalize_with_witness`` and ``as_iso_witness`` are
 the Artin-Schreier witness before it was assembled in one coefficient
-list: a negated series and two full-window series sums.  ``scan_series``
-and ``scan_field_elem`` are the parser before it tokenised its text: a
-character scanner that skips whitespace before every look.
+list: a negated series and two full-window series sums, with the
+constant's representative and smallest shift read from ``field_tables``.
+``scan_series`` and ``scan_field_elem`` are the parser before it
+tokenised its text: a character scanner that skips whitespace before
+every look.
 
 ``enumerate_g_torsors`` (with ``_const_offsets``) is the semidirect census
 before it emitted one class per phi-fixed cover vector: it checks the
@@ -128,6 +141,7 @@ series.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -147,9 +161,10 @@ from ftk.errors import (
 from ftk.fields import (
     FieldSpec,
     FqElem,
+    _frobenius_rows,
     _monic_poly_from_index,
+    _prime_factors,
     _poly_mod,
-    canonical_wp_shift,
     mat_kernel,
 )
 from ftk.kummer import KummerClass
@@ -196,9 +211,11 @@ class SplitMap:
         return tuple(sorted((a, f.key()) for a, f in self.parts.items()))
 
 
+@functools.cache
 def field_tables(spec):
     """(generator, dlog, wp preimages, transversal, powers), as
-    ``ftk.fields._field_tables`` returns them."""
+    ``ftk.fields._field_tables`` returned them before it kept only the
+    generator, dlog and powers."""
     elems = spec.elements()
     one = spec.one()
     # smallest primitive element
@@ -393,6 +410,13 @@ def trace(c) -> int:
     return total.as_int()
 
 
+def frobenius_traces(spec) -> tuple:
+    """Tr(g^i) for i = 0 .. e-1: the sum over k < e of the constant digit of
+    (g^i)^(p^k), row i of the k-th Frobenius matrix."""
+    rows = [_frobenius_rows.__wrapped__(spec, k) for k in range(spec.e)]
+    return tuple(sum(m[i][0] for m in rows) % spec.p for i in range(spec.e))
+
+
 def invert_unit_led(ring, coeffs):
     """Inverse of sum coeffs[k] t^k with coeffs[0] a unit, same length."""
     c0_inv = coeffs[0].inverse()
@@ -470,6 +494,30 @@ def scale(a: LaurentSeries, elem) -> LaurentSeries:
 
 def scale_int(a: LaurentSeries, n: int) -> LaurentSeries:
     return scale(a, a.ring.from_int(n))
+
+
+class Cycle:
+    """The cycle (1, xi, ..., xi^(d-1)) of a unit xi of a field or test
+    ring, d its order, as ``LaurentSeries.scale_substitute`` reads it: a
+    length and an index in [0, d), each power raised when it is read.  d divides
+    the order of the unit group, (q - 1) q^(m - 1); each prime factor is
+    divided out while the power stays 1."""
+
+    def __init__(self, xi):
+        self.xi, one = xi, xi.spec.one()
+        q, m = xi.spec.base.q, xi.spec.m
+        self.order = (q - 1) * q ** (m - 1)
+        for ell in _prime_factors(self.order):
+            while self.order % ell == 0 and xi ** (self.order // ell) == one:
+                self.order //= ell
+
+    def __len__(self):
+        return self.order
+
+    def __getitem__(self, k):
+        if not 0 <= k < self.order:
+            raise IndexError(k)
+        return self.xi**k
 
 
 def scale_substitute(a: LaurentSeries, xi) -> LaurentSeries:
@@ -690,7 +738,8 @@ def affine_then(f, g, p: int):
 
     m = mat_mul(f.matrix, g.matrix, p)
     mixed = mat_vec_series(f.matrix, g.trans, p)
-    subbed = tuple(c.scale_substitute(g.lam) for c in f.trans)
+    cycle = Cycle(g.lam)
+    subbed = tuple(c.scale_substitute(cycle) for c in f.trans)
     trans = tuple(a + b for a, b in zip(mixed, subbed))
     return AffineMap(f.src, g.dst, m, trans, f.lam * g.lam)
 
@@ -730,7 +779,7 @@ def semidirect_bruteforce(group, frame, break_bound: int):
 
     pairs = []
     for b_vec in itertools.product(window, repeat=r):
-        sigma_b = [s.scale_substitute(xi) for s in b_vec]
+        sigma_b = [s.scale_substitute(Cycle(xi)) for s in b_vec]
         per_component = []
         for i in range(r):
             rhs = sigma_b[i]
@@ -781,7 +830,8 @@ def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
     one = spec.one()
 
     def subst(vec, lam):
-        return tuple(v.scale_substitute(lam) for v in vec)
+        cycle = Cycle(lam)
+        return tuple(v.scale_substitute(cycle) for v in vec)
 
     def minus_mat_vec(m, vec):
         return tuple(v.scale_int(-1) for v in mat_vec_series(m, vec, p))
@@ -993,7 +1043,9 @@ def canonicalize_with_witness(b: LaurentSeries):
     if witness_terms:
         u_total = series_add(u_total, LaurentSeries.from_dict(spec, witness_terms, b.prec))
     # constant to its transversal representative
-    rep, w = canonical_wp_shift(parts.constant)
+    _, _, preimages, transversal, _ = field_tables(spec)
+    rep = transversal[parts.constant.coords]
+    w = min(preimages[fq_sub(rep, parts.constant).coords], key=lambda u: u.index)
     if not w.is_zero():
         u_total = series_add(u_total, LaurentSeries.constant(w, b.prec))
     canon = ASCanonical(
@@ -1314,7 +1366,7 @@ def count_kummer_csv(spec, n: int) -> str:
 def enumerate_as_classes(spec, m: int):
     check_break_bound(m)
     slots = prime_to_p_support(spec.p, m)
-    transversal = spec.wp_transversal()
+    transversal = list(dict.fromkeys(field_tables(spec)[3].values()))
     out = []
     for values in itertools.product(range(spec.q), repeat=len(slots)):
         support = tuple((s, spec.from_index(v)) for s, v in zip(slots, values) if v)

@@ -896,11 +896,12 @@ def test_malformed_argument_is_one_error_line(capsys, argv, message):
 
 
 def test_field_tables_bound_exit_code(capsys):
-    # F_32768 is past the table bound; count-kummer needs no tables
-    code = main(["as-canon", "--p", "2", "--e", "15", "--series", "t^-1 + 1"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == "error: field tables are limited to q <= 16384, got q = 32768\n"
+    # F_32768 is past the table bound: as-canon and count-kummer need no
+    # tables, kummer-canon still does
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "as-canon", "--p", "2", "--e", "15", "--series", "t^-1 + 1")
+    assert time.perf_counter() - t0 < 1
+    assert code == 0 and out == '{"constant_class": "1", "p": 2, "q": 32768, "support": {"1": "1"}}\n'
     code, out = run_cli(capsys, "count-kummer", "--p", "2", "--e", "15", "--n", "7")
     assert code == 0
     assert json.loads(out)["count"] == 49
@@ -909,36 +910,95 @@ def test_field_tables_bound_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("count-as", "--p", "2", "--e", "30", "--max-break", "0", "--format", "csv"),
-        ("semidirect-enum", "--p", "2", "--e", "30", "--r", "1", "--n", "1", "--psi", "[1]", "--q-exp", "1",
+        ("kummer-canon", "--p", "2", "--e", "15", "--n", "7", "--series", "t^-1 + 1"),
+        ("semidirect-enum", "--p", "2", "--e", "15", "--r", "1", "--n", "7", "--psi", "[1]", "--q-exp", "1",
          "--max-break", "0"),
+    ],
+    ids=["kummer-canon", "semidirect-enum"],
+)
+def test_the_kummer_side_still_needs_the_tables(capsys, argv):
+    # the discrete logs and the generator (the frame's root of unity) are
+    # still tables, refused past q = 2^14
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: field tables are limited to q <= 16384, got q = 32768\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (
+            ("count-as", "--p", "2", "--e", "30", "--max-break", "0", "--format", "csv"),
+            'break,aut_order,multiplicity,class\n'
+            '0,2,1,"{""constant_class"": ""0"", ""p"": 2, ""q"": 1073741824, ""support"": {}}"\n'
+            '0,2,1,"{""constant_class"": ""g^29"", ""p"": 2, ""q"": 1073741824, ""support"": {}}"\n',
+        ),
+        (
+            ("semidirect-enum", "--p", "2", "--e", "30", "--r", "1", "--n", "1", "--psi", "[1]", "--q-exp", "1",
+             "--max-break", "0"),
+            '{"brute_force": null, "classes": [{"aut_order": 2, "break": 0, "class": {"b": [{"constant_class": "0", '
+            '"p": 2, "q": 1073741824, "support": {}}], "u": ["0"]}, "multiplicity": 1}, {"aut_order": 2, "break": 0, '
+            '"class": {"b": [{"constant_class": "g^29", "p": 2, "q": 1073741824, "support": {}}], "u": ["0"]}, '
+            '"multiplicity": 1}], "count": 2, "group": {"n": 1, "p": 2, "psi": [[1]], "r": 1}, "max_break": 0, '
+            '"q_exp": 1, "reduced": {"n": 1, "q_exp": 1}}\n',
+        ),
     ],
     ids=["count-as", "semidirect-enum"],
 )
-def test_enumeration_past_the_table_bound_fails_fast(capsys, argv):
+def test_enumeration_past_the_table_bound_answers_fast(capsys, argv, stdout):
     # both listed all 2^30 elements of F_(2^30) for the transversal before
-    # the table bound was checked, and ran past a 20 s timeout
+    # the table bound was checked, and ran past a 20 s timeout; the two
+    # constant classes now come from the trace, 0 and the representative
+    # g^29 of trace 1
     t0 = time.perf_counter()
-    code = main(list(argv))
+    code, out = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 1
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == "error: field tables are limited to q <= 16384, got q = 1073741824\n"
+    assert code == 0 and out == stdout
 
 
 def test_large_characteristic_fails_fast(capsys):
     # p = 10^18 + 3 is prime and passes the primality test at once; trial
-    # division never finished it
+    # division never finished it.  The constant class is the trace, so the
+    # prime field answers without tables
     t0 = time.perf_counter()
-    code = main(["as-canon", "--p", "1000000000000000003", "--series", "t^-1"])
+    code, out = run_cli(capsys, "as-canon", "--p", "1000000000000000003", "--series", "t^-1+5")
     assert time.perf_counter() - t0 < 1
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == "error: field tables are limited to q <= 16384, got q = 1000000000000000003\n"
+    p = 1000000000000000003
+    assert code == 0 and out == f'{{"constant_class": "5", "p": {p}, "q": {p}, "support": {{"1": "1"}}}}\n'
     code = main(["count-kummer", "--p", str(2**64 + 13), "--n", "2"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: characteristic is limited to p < 2^64, got a 65-bit p\n"
+
+
+@pytest.mark.parametrize("p, e", [(2, 20), (65537, 1), (3, 30), (2, 64)], ids=["F2^20", "F65537", "F3^30", "F2^64"])
+def test_artin_schreier_verbs_need_no_tables(capsys, monkeypatch, p, e):
+    # with the tables made to raise: a canonical form with a constant (and
+    # a p-th-power pole for p = 2, 3), an isomorphic pair (they differ by a positive
+    # part), a pair that is not, and the count at break 0
+    def refuse(spec):
+        raise AssertionError(f"the tables of {spec!r} were built")
+
+    monkeypatch.setattr("ftk.fields._field_tables", refuse)
+    field_args = ("--p", str(p), "--e", str(e))
+    runs = [
+        ("as-canon", *field_args, "--series", "t^-4+t^-3+t^2+1"),
+        ("as-iso", *field_args, "--series", "t^-3+t^-1+1", "--series2", "t^-3+t^-1+1+t"),
+        ("as-iso", *field_args, "--series", "t^-3+t^-1", "--series2", "t^-3"),
+        ("count-as", *field_args, "--max-break", "0"),
+    ]
+    outs = []
+    for argv in runs:
+        t0 = time.perf_counter()
+        code, out = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1, argv
+        assert code == 0, argv
+        outs.append(json.loads(out))
+    # Tr(1) = e mod p, so 1 is its own class exactly when p does not divide e
+    assert outs[0]["q"] == p**e and outs[0]["constant_class"] == ("1" if e % p else "0")
+    assert outs[1]["isomorphic"] and not outs[2]["isomorphic"]
+    assert outs[3]["count"] == p
 
 
 def test_field_degree_bound_exit_code(capsys, monkeypatch):

@@ -24,13 +24,16 @@ from ftk.fields import (
     FieldSpec,
     FqElem,
     _RingElem,
+    _basis_traces,
     _field_tables,
     _is_prime,
+    _trace_rep,
     _apply_rows,
     _poly_mod,
     _poly_mul,
     _poly_powmod,
     canonical_nth_root,
+    canonical_wp_shift,
     field,
     mat_kernel,
     mat_mul,
@@ -318,26 +321,33 @@ def test_perfectness_roundtrip(p, e):
         assert a.pth_root().frobenius() == a
 
 
+def _is_smallest_wp_shift(c):
+    # w^p - w = rep - c, and w is the smallest of the p solutions w + F_p
+    spec = c.spec
+    rep, w = canonical_wp_shift(c)
+    shifts = [w + spec.from_int(k) for k in range(spec.p)]
+    return w.frobenius() - w == rep - c and min(shifts, key=lambda u: u.index) == w
+
+
 def test_as_residue_solve_examples():
     F2 = field(2)
-    assert sorted(u.index for u in F2.wp_preimages(F2.zero())) == [0, 1]
-    assert F2.wp_preimages(F2.one()) == []
+    assert canonical_wp_shift(F2.zero()) == (F2.zero(), F2.zero())
+    assert canonical_wp_shift(F2.one()) == (F2.one(), F2.zero())
     F4 = field(2, 2)
-    sols = F4.wp_preimages(F4.one())
-    assert len(sols) == 2
-    for u in sols:
-        assert u * u - u == F4.one()
+    rep, w = canonical_wp_shift(F4.one())
+    assert rep.is_zero() and w * w - w == F4.one() and w.index == 2
+    assert all(_is_smallest_wp_shift(c) for c in F4.elements())
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_residue_solve_sizes(p, e):
+    # p representatives, each the shift target of q/p elements
     spec = field(p, e)
-    with_solutions = 0
+    reps = []
     for c in spec.elements():
-        sols = spec.wp_preimages(c)
-        assert len(sols) in (0, p)
-        with_solutions += bool(sols)
-    assert with_solutions == spec.q // p
+        assert _is_smallest_wp_shift(c)
+        reps.append(canonical_wp_shift(c)[0])
+    assert sorted(reps.count(r) for r in set(reps)) == [spec.q // p] * p
 
 
 def test_nth_power_class_examples():
@@ -406,7 +416,7 @@ def test_roots_of_unity_match_the_scan(p, e):
     # canonical_nth_root reads the n-th roots of unity from the power table:
     # they are the d = gcd(n, q-1) powers h^(j (q-1)/d) of the generator h
     spec = field(p, e)
-    order, powers = spec.q - 1, _field_tables(spec)[4]
+    order, powers = spec.q - 1, _field_tables(spec)[2]
     for n in range(1, 13):
         d = math.gcd(n, order)
         from_table = sorted((powers[j * (order // d)] for j in range(d)), key=lambda a: a.index)
@@ -425,14 +435,21 @@ def _prime_power_list(limit):
 
 @pytest.mark.parametrize("p, e", _prime_power_list(512))
 def test_tables_match_the_schoolbook_build(p, e):
-    # generator, dlog, wp preimages, transversal and powers, all equal
+    # generator, dlog and powers equal; the transversal and the smallest
+    # wp preimage, which the library reads from the trace, equal the
+    # reference's tables on every element
     spec = field(p, e)
-    assert _field_tables(spec) == schoolbook.field_tables(spec)
+    generator, dlog, preimages, transversal, powers = schoolbook.field_tables(spec)
+    assert _field_tables(spec) == (generator, dlog, powers)
+    for c in spec.elements():
+        rep, w = canonical_wp_shift(c)
+        assert rep == spec.wp_transversal_rep(c) == transversal[c.coords]
+        assert w == min(preimages[(rep - c).coords], key=lambda u: u.index)
 
 
 @pytest.mark.parametrize("p, e", [(2, 8), (3, 5), (2, 10)], ids=["F256", "F243", "F1024"])
 def test_table_build_is_linear_in_q(monkeypatch, p, e):
-    # the schoolbook build spends about q^2/p additions on the transversal
+    # the schoolbook build spends about q^2/p additions on its transversal
     spec = field(p, e)
     counts = {"mul": 0, "add": 0}
 
@@ -502,6 +519,24 @@ def test_mat_kernel_is_every_relation_among_the_rows(p, n, width, rng):
     assert len(combos) == p ** len(basis)
 
 
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 4), st.integers(0, 2), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_mat_kernel_gives_one_relation_per_row_in_the_span(p, k, slack, later, rng):
+    # the contract _wp_section relies on: k independent rows first, then
+    # rows in their span; the relations come back one per later row, in
+    # order, with coefficient 1 on that row and 0 on the other later rows.
+    # The first rows are independent: on k random columns, the identity
+    width = k + slack
+    cols = rng.sample(range(width), k)
+    first = [[int(i == cols.index(c)) if c in cols else rng.randrange(p) for c in range(width)] for i in range(k)]
+    span = [[rng.randrange(p) for _ in range(k)] for _ in range(later)]
+    rows = first + [list(_apply_rows(first, cs, p)) if k else [0] * width for cs in span]
+    relations = mat_kernel(rows, p)
+    assert len(relations) == later
+    for a, x in enumerate(relations):
+        assert x[k:] == tuple(int(b == a) for b in range(later))
+        assert all(sum(c * row[i] for c, row in zip(x, rows)) % p == 0 for i in range(width))
+
+
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 3), (3, 2), (5, 2)])
 def test_mul_matrix_applies_the_product(p, e):
     spec = field(p, e)
@@ -524,17 +559,22 @@ def test_apply_rows_is_as_wide_as_the_rows():
 
 def test_wp_transversal_is_an_f_p_line(monkeypatch):
     # the premise of Corollary C in ftk.semidirect: the p representatives
-    # are closed under addition, so an F_p combination of them is one.
-    # Every field with q <= 2^14 and p <= 127, each table built uncached,
-    # so that they are not all held at once
-    monkeypatch.setattr(fields_mod, "_field_tables", _field_tables.__wrapped__)
+    # are the multiples of one element, so an F_p combination of them is
+    # one.  Every field with q <= 2^14 and p <= 127, with the tables made
+    # to raise: the representative of trace t is t times that of trace 1,
+    # which has trace 1 and is its own representative
+    def refuse(spec):
+        raise AssertionError(f"the tables of {spec!r} were built")
+
+    monkeypatch.setattr(fields_mod, "_field_tables", refuse)
     count = 0
     for p in filter(_is_prime, range(2, 128)):
         e = 1
         while p**e <= MAX_TABLE_Q:
-            reps = field(p, e).wp_transversal()
-            assert len(set(reps)) == p
-            assert {a + b for a in reps for b in reps} == set(reps), (p, e)
+            spec = field(p, e)
+            unit = _trace_rep(spec, 1)
+            assert spec.trace(unit) == 1 and spec.wp_transversal_rep(unit) == unit, (p, e)
+            assert all(_trace_rep(spec, t) == unit * t for t in range(p)), (p, e)
             count += 1
             e += 1
     assert count == 92
@@ -643,6 +683,14 @@ def test_trace_matches_the_frobenius_sum():
         assert spec.q > MAX_TABLE_Q
         for c in (spec.from_index(rng.randrange(spec.q)) for _ in range(200)):
             assert spec.trace(c) == schoolbook.trace(c)
+
+
+@pytest.mark.parametrize("p, top", [(2, 40), (3, 24), (5, 12), (7, 8), (65537, 3)])
+def test_basis_traces_match_the_frobenius_sums(p, top):
+    # Newton's identities on the modulus against the constant digits of
+    # the Frobenius matrices, for every e <= top
+    for e in range(1, top + 1):
+        assert _basis_traces(field(p, e)) == schoolbook.frobenius_traces(field(p, e)), e
 
 
 @pytest.mark.parametrize("p, e", [(2, 8), (3, 5), (2**31 - 1, 1)], ids=["F256", "F243", "Fp31"])

@@ -491,11 +491,14 @@ def scalars(draw, ring):
 def test_scalings_match_the_elementwise_loops(case, n):
     # the row scalings against one element product per coefficient: the
     # same window, or the same error; a scalar of another ring raises the
-    # element product's "mixed arithmetic"
+    # element product's "mixed arithmetic".  The substitution takes a
+    # unit's cycle, and returns a zero series as it is, whatever the cycle
     a, c = case
     assert raised(lambda: a.scale(c)) == raised(lambda: schoolbook.scale(a, c))
     assert raised(lambda: a.scale_int(n)) == raised(lambda: schoolbook.scale_int(a, n))
-    assert raised(lambda: a.scale_substitute(c)) == raised(lambda: schoolbook.scale_substitute(a, c))
+    if c.is_unit():
+        want = raised(lambda: a) if a.is_zero() else raised(lambda: schoolbook.scale_substitute(a, c))
+        assert raised(lambda: a.scale_substitute(schoolbook.Cycle(c))) == want
 
 
 # -- the Artin-Schreier witness --------------------------------------------------
