@@ -53,6 +53,11 @@ def _count_as():
     # the benchmark's largest count-as censuses
     for p, e, m in ((2, 1, 16), (2, 2, 8)):
         cases.append(["count-as", *_field(p, e), "--max-break", str(m), "--format", "csv"])
+    # breaks with more classes than one CSV write holds (F_2 at m = 24 and
+    # 30), and keys whose text order is not their numeric order (F_3 at
+    # m = 12: "1" < "10" < "11" < "2")
+    for p, e, m in ((2, 1, 24), (2, 1, 30), (3, 1, 12)):
+        cases.append(["count-as", *_field(p, e), "--max-break", str(m), "--format", "csv"])
     return cases
 
 
