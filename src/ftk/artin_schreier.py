@@ -308,6 +308,76 @@ def _span(basis, p: int, width: int) -> list:
     return out
 
 
+def census_grid(spec: FieldSpec, r: int, constants, slots):
+    """(heads, options): the census of ``census_rows`` as a grid, before
+    any class text is joined.
+
+    - heads lists the constant options in text order, p^len(constants)
+      of them: their number is the aut_order of every class.
+    - options maps each slot k of ``slots`` to its nonzero options in
+      text order and its zero option.
+
+    An option is (pieces, k, vector), k = 0 for a head.  vector is the
+    value in F_q^r, the constant classes for a head.  pieces holds its
+    text per component: a head ``{"constant_class": C, "p": P, "q": Q,
+    "support": {``, or a slot piece ``"k": V`` ("" where the component
+    is zero).  Each field element is quoted once.  ``grid_breaks`` gives
+    the slot factors of each break.  The class count is refused past
+    MAX_CENSUS at the call, before any option is built."""
+    p, e = spec.p, spec.e
+    check_census(p ** (len(constants) + sum(len(basis) for _, basis in slots)))
+    quote = functools.cache(lambda c: json.dumps(str(c)))
+    heads = sorted(
+        (tuple(f'{{"constant_class": {quote(c)}, "p": {p}, "q": {spec.q}, "support": {{' for c in vec), 0, vec)
+        for vec in (tuple(_trace_rep(spec, t) for t in v) for v in _span(constants, p, r))
+    )
+    options = {}
+    for k, basis in slots:
+        vecs = [tuple(spec.from_digits(v[j * e : (j + 1) * e]) for j in range(r)) for v in _span(basis, p, e * r)]
+        zero, *rest = [(tuple("" if c.is_zero() else f'"{k}": {quote(c)}' for c in vec), k, vec) for vec in vecs]
+        options[k] = sorted(rest), zero
+    return heads, options
+
+
+def grid_breaks(options):
+    """(j, factors) for each break j in numeric order: 0, then each slot
+    with a nonzero option.  options maps each slot k to (its nonzero
+    options, its zero option), as ``census_grid`` gives them or any map
+    of them.  factors lists the slots k <= j in key-text order ("1" <
+    "11" < "3"), each as its nonzero options, then its zero option unless
+    k = j: the classes of break j have slot j nonzero."""
+    for j in [0] + [k for k, (nonzero, _) in options.items() if nonzero]:
+        keys = sorted((k for k in options if k <= j), key=str)
+        yield j, [options[k][0] + ([] if k == j else [options[k][1]]) for k in keys]
+
+
+def joined_tails(factors):
+    """The tails of rank-1 class texts: for each choice of one piece per
+    factor, in product order, the nonempty pieces joined by ", " and
+    closed by ``}}``.  A factor lists its pieces, "" (absent) last if at
+    all.
+
+    Built back to front from [``}}``], the tails of no factor.  A piece o
+    goes before every tail t of the factors after it, as o + ", " + t,
+    or o + ``}}`` for the empty tail ``}}``, which is last when present;
+    the absent piece takes those tails unchanged.  Each piece's run of
+    tails is one C-level map of o + ", " onto the list."""
+    tails = ["}}"]
+    for pieces in reversed(factors):
+        closed = tails[-1] == "}}"
+        rest = tails[:-1] if closed else tails
+        out = []
+        for piece in pieces:
+            if not piece:
+                out += tails
+                continue
+            out += map((piece + ", ").__add__, rest)
+            if closed:
+                out.append(piece + "}}")
+        tails = out
+    return tails
+
+
 def census_rows(spec: FieldSpec, r: int, constants, slots):
     """The census rows (break, aut_order, text, choice) of the rank-r
     canonical vectors whose constant classes have a trace vector in the
@@ -318,8 +388,8 @@ def census_rows(spec: FieldSpec, r: int, constants, slots):
     census the kernels of its twist.
 
     - text is ``json.dumps(c.to_json(), sort_keys=True)`` of each
-      component c, joined by ", ", written from pieces made once per slot
-      value: no class object and no json.dumps call per row.
+      component c, joined by ", ", written from the pieces of
+      ``census_grid``: no class object and no json.dumps call per row.
     - aut_order is p^len(constants): the shifts h in F_p^r that the twist
       fixes, so p for count-as.
     - choice holds one option (pieces, k, vector) per coordinate: k = 0
@@ -328,7 +398,9 @@ def census_rows(spec: FieldSpec, r: int, constants, slots):
 
     The rows come in CSV order, by (break, text), lazily; the class count
     p^(len(constants) + the sum of the slot dimensions) is refused past
-    MAX_CENSUS at the call, before any row.
+    MAX_CENSUS at the call, before any row.  At rank 1 each text is a
+    head followed by a tail of ``joined_tails``, which is also how the
+    count-as CSV is written, so the rank-1 texts have one source.
 
     Proof of the order.  Breaks come in numeric order, and the classes of
     break j are those whose slot j is nonzero, with slots in S_j only.  A
@@ -348,36 +420,43 @@ def census_rows(spec: FieldSpec, r: int, constants, slots):
       texts of a break are the plain product, in this order, of the
       constants by quoted text and of each slot's nonzero values by
       quoted text, then absent (slot j takes nonzero values only).
+      These are the heads and the factors of ``grid_breaks``.
+    - The grid.  ``joined_tails`` lists the product of the slot factors
+      in product order.  By induction from the back: if the tails of the
+      later factors are in product order, with the empty one last when
+      present, then each piece in turn followed by each of them is again
+      in product order, and the absent piece, last, leaves them as they
+      are.  So the texts of break j are each head followed by each tail.
+      Product order is lexicographic, so splitting the factors into
+      leading and trailing ones keeps it: each choice of the leading
+      pieces in product order, its nonempty pieces joined by ", ",
+      followed by each trailing tail, after ", " unless that tail is the
+      closing ``}}`` or the leading pieces are all absent.  The count-as
+      CSV writes a large break that way.
     - r >= 2.  No complete JSON object is a proper prefix of another, so
       the joined texts compare as (T_1, ..., T_r), component-major.  The
       bases couple the components, so no product gives this order, and
       the texts of one break are sorted; no sort spans the census.
     """
-    p, e = spec.p, spec.e
-    check_census(p ** (len(constants) + sum(len(basis) for _, basis in slots)))
-    aut, quote = p ** len(constants), functools.cache(lambda c: json.dumps(str(c)))
-    consts = sorted(
-        (tuple(f'{{"constant_class": {quote(c)}, "p": {p}, "q": {spec.q}, "support": {{' for c in vec), 0, vec)
-        for vec in (tuple(_trace_rep(spec, t) for t in v) for v in _span(constants, p, r))
-    )
-    options = {}  # k -> (its nonzero options in text order, its zero option)
-    for k, basis in slots:
-        vecs = [tuple(spec.from_digits(v[j * e : (j + 1) * e]) for j in range(r)) for v in _span(basis, p, e * r)]
-        zero, *rest = [(tuple("" if c.is_zero() else f'"{k}": {quote(c)}' for c in vec), k, vec) for vec in vecs]
-        options[k] = sorted(rest), zero
+    heads, options = census_grid(spec, r, constants, slots)
+    aut = len(heads)
 
-    def rows_at(j):
-        keys = sorted((k for k in options if k <= j), key=str)
-        factors = [consts] + [options[k][0] + ([] if k == j else [options[k][1]]) for k in keys]
-        for choice in itertools.product(*factors):
-            text = ", ".join(
+    def rows_at(j, factors):
+        choices = itertools.product(heads, *factors)
+        if r == 1:
+            tails = joined_tails([[o[0][0] for o in f] for f in factors])
+            texts = (head[0][0] + tail for head in heads for tail in tails)
+            return zip(itertools.repeat(j), itertools.repeat(aut), texts, choices)
+        rows = [
+            (j, aut, ", ".join(
                 head + ", ".join([o[0][i] for o in choice[1:] if o[0][i]]) + "}}"
                 for i, head in enumerate(choice[0][0])
-            )
-            yield j, aut, text, choice
+            ), choice)
+            for choice in choices
+        ]
+        return sorted(rows, key=lambda row: row[2])
 
-    breaks = [0] + [k for k, (nonzero, _) in options.items() if nonzero]
-    return (row for j in breaks for row in (rows_at(j) if r == 1 else sorted(rows_at(j), key=lambda row: row[2])))
+    return (row for j, factors in grid_breaks(options) for row in rows_at(j, factors))
 
 
 def canonical_vector(spec: FieldSpec, choice) -> tuple:
@@ -388,13 +467,25 @@ def canonical_vector(spec: FieldSpec, choice) -> tuple:
     )
 
 
-def as_census(spec: FieldSpec, m: int):
-    """The count-as census: ``census_rows`` of rank 1 with the full bases,
-    F_p at the constants and F_q at every slot of S_m, so p * q^|S_m|
-    rows (the census of G = Z/p with the trivial twist)."""
+def _as_bases(spec: FieldSpec, m: int):
+    """The count-as bases: F_p at the constants and F_q at every slot of
+    S_m, after the break bound and the class count are checked."""
     as_class_count(spec, m)
     full = mat_identity(spec.e)
-    return census_rows(spec, 1, mat_identity(1), [(k, full) for k in prime_to_p_support(spec.p, m)])
+    return mat_identity(1), [(k, full) for k in prime_to_p_support(spec.p, m)]
+
+
+def as_class_grid(spec: FieldSpec, m: int):
+    """The count-as census as the grid ``census_grid`` of rank 1 with the
+    full bases, p * q^|S_m| classes (the census of G = Z/p with the
+    trivial twist), from which the CSV is written."""
+    return census_grid(spec, 1, *_as_bases(spec, m))
+
+
+def as_census(spec: FieldSpec, m: int):
+    """The rows of the count-as census: ``census_rows`` on the bases of
+    ``as_class_grid``."""
+    return census_rows(spec, 1, *_as_bases(spec, m))
 
 
 def enumerate_as_classes(spec: FieldSpec, m: int):

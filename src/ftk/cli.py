@@ -14,10 +14,14 @@ oracle before it enumerates, so a size the oracle refuses costs no census.
 The JSON forms of count-as and count-kummer print the closed-form count
 and enumerate nothing (unless --brute-force asks for the check).  All
 three census CSVs stream their rows in class-text order and hold none of
-them: count-kummer from the (q_exp, unit_class) grid, one write per q_exp
-head, count-as and semidirect-enum from one generator,
-``artin_schreier.census_rows``, that writes each class text from per-slot
-pieces (count-as is its census with the trivial twist).  semidirect-enum
+them.  count-kummer and count-as write grids, each head's line joined
+over a run of tails with no work per row: count-kummer its (q_exp,
+unit_class) grid, one write per q_exp head, and count-as, per break, the
+constant heads of ``artin_schreier.as_class_grid`` times the joined
+products of its slot pieces (``joined_tails``), at most CSV_BLOCK lines
+per write.  semidirect-enum writes the rows of
+``artin_schreier.census_rows``, whose class texts come from the same
+grid (count-as is its census with the trivial twist).  semidirect-enum
 builds only the classes it prints, generated from the per-slot kernels of
 the twist, and prints each with witness 0 after one exact check that the
 twist fixes its cover vector on the polar window; its JSON splices the
@@ -36,13 +40,14 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import random
 import sys
 
 from . import oracles
 from .acceptance import run_all
-from .artin_schreier import as_canonicalize, as_census, as_class_count, as_iso_witness
+from .artin_schreier import as_canonicalize, as_class_count, as_class_grid, as_iso_witness, grid_breaks, joined_tails
 from .errors import DomainError, FtkError, OracleMismatch, ParseError
 from .fields import field
 from .groupoids import CentralAutSubgroup, FiniteGroupoid, groupoid_mass, rigidify
@@ -51,7 +56,7 @@ from .parse import parse_series
 from .semidirect import SemidirectGroup, TameFrame, g_torsor_census, reduce_to_coprime
 
 CSV_HEADER = "break,aut_order,multiplicity,class\n"
-# CSV census rows per write of _emit_csv: 4096 rows of count-as F_2 m = 30
+# the most CSV census rows in one write: 4096 rows of count-as F_2 m = 30
 # are about 750 kB
 CSV_BLOCK = 4096
 # glibc's mallopt parameter number for the mmap threshold, and its default
@@ -102,11 +107,16 @@ def _emit_census_json(payload, rows):
     print(f'{head}"classes": [{classes}]{tail}')
 
 
+def _csv_text(text: str) -> str:
+    """text as a quoted CSV field holds it: each quote doubled."""
+    return text.replace('"', '""')
+
+
 def _csv_lines(rows) -> str:
     """The CSV lines of rows (break, aut_order, class JSON text, ...), from
     each row's first three fields: the class text is quoted, its quotes
     doubled."""
-    return "".join([f'{row[0]},{row[1]},1,"' + row[2].replace('"', '""') + '"\n' for row in rows])
+    return "".join([f'{row[0]},{row[1]},1,"' + _csv_text(row[2]) + '"\n' for row in rows])
 
 
 def _emit_csv(rows):
@@ -119,16 +129,53 @@ def _emit_csv(rows):
         out.write(block)
 
 
+def _write_runs(out, start, tails):
+    """The line start + tail + '"' for each tail, in order, CSV_BLOCK
+    lines per write: each write is one C-level join."""
+    sep = '"\n' + start
+    for i in range(0, len(tails), CSV_BLOCK):
+        out.write(start + sep.join(tails[i : i + CSV_BLOCK]) + '"\n')
+
+
 def _emit_csv_grid(brk, aut, heads, tails):
     """The census as CSV whose class texts are each head followed by each
     tail, in the order given, all with the same break and aut_order: the
-    header, then one write per head.  A tail holds no quote, so a head's
-    line up to its tail, as _csv_lines quotes it, joins its tails."""
+    header, then one write per head and run of CSV_BLOCK tails.  A tail
+    holds no quote."""
     out = sys.stdout
     out.write(CSV_HEADER)
     for head in heads:
-        start = _csv_lines([(brk, aut, head)])[:-2]  # less the closing '"\n'
-        out.write(start + ('"\n' + start).join(tails) + '"\n')
+        _write_runs(out, f'{brk},{aut},1,"' + _csv_text(head), tails)
+
+
+def _emit_as_grid(heads, options):
+    """The count-as census as CSV from its rank-1 ``census_grid``: the
+    header, then for each break of ``grid_breaks`` each head followed by
+    each tail of ``joined_tails``, in the order ``census_rows`` proves.
+    Every class has aut_order p, the number of heads.
+
+    The pieces are CSV-escaped once per slot value, and a quote is one
+    character, so the escaped pieces join to the escaped text.  A break's
+    trailing factors are the most, the last always among them, whose
+    tails fill at most CSV_BLOCK lines; the leading ones are walked in
+    Python, each choice's nonempty pieces joined into the lines' start.
+    After such a start each trailing tail but the closing ``}}`` opens
+    with ", "."""
+    out = sys.stdout
+    out.write(CSV_HEADER)
+    aut, heads = len(heads), [_csv_text(o[0][0]) for o in heads]
+    options = {k: ([_csv_text(o[0][0]) for o in nonzero], "") for k, (nonzero, _) in options.items()}
+    for j, factors in grid_breaks(options):
+        cut, size = len(factors), 1
+        while cut and (cut == len(factors) or size * len(factors[cut - 1]) <= CSV_BLOCK):
+            cut -= 1
+            size *= len(factors[cut])
+        tails = joined_tails(factors[cut:])
+        after = [t if t == "}}" else ", " + t for t in tails] if cut else tails
+        for head in heads:
+            for lead in itertools.product(*factors[:cut]):
+                pre = ", ".join(filter(None, lead))
+                _write_runs(out, f'{j},{aut},1,"{head}{pre}', after if pre else tails)
 
 
 def _load_json(path: str):
@@ -205,12 +252,10 @@ def _cmd_count_as(args):
     brute = oracles.as_bruteforce_class_count(spec, m) if args.brute_force else None
     count = as_class_count(spec, m)
     if args.format == "csv" or args.brute_force:
-        rows = as_census(spec, m)
-        if args.brute_force:
-            rows = list(rows)
-            count = len(rows)
+        heads, options = as_class_grid(spec, m)
+        count = len(heads) * sum(math.prod(map(len, factors)) for _, factors in grid_breaks(options))
     payload = {"p": spec.p, "q": spec.q, "max_break": m}
-    return _count_verb(args, payload, brute, count, lambda: _emit_csv(rows))
+    return _count_verb(args, payload, brute, count, lambda: _emit_as_grid(heads, options))
 
 
 def _cmd_count_kummer(args):

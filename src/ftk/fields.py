@@ -311,10 +311,13 @@ def _poly_is_irreducible(f, p: int) -> bool:
 
 
 def _smallest_irreducible(p: int, e: int):
-    # the first p indices are the binomials x^e + c; when 4 | e and
-    # p = 3 mod 4 none of them is irreducible (Lidl and Niederreiter,
-    # Finite Fields, Thm 3.75), so the search starts after them
-    start = p if e % 4 == 0 and p % 4 == 3 else 0
+    # the first p indices are the binomials x^e + c.  For e >= 2, x^e - a
+    # is irreducible over F_p only when every prime factor of e divides
+    # the order of a, a divisor of p - 1, and p = 1 mod 4 when 4 | e
+    # (Lidl and Niederreiter, Finite Fields, Thm 3.75); when either fails
+    # the search starts after them
+    skip = any((p - 1) % ell for ell in _prime_factors(e)) or (e % 4 == 0 and p % 4 == 3)
+    start = p if skip else 0
     for idx in range(start, p**e):
         f = _monic_poly_from_index(idx, e, p)
         if _poly_is_irreducible(f, p):

@@ -29,8 +29,9 @@ On canonical vectors phi acts slot by slot: at a pole slot k it is
 c_k -> xi^-k psi c_k on F_q^r, and on the constant classes it is psi on
 their traces.  So the census generates the phi-fixed vectors as the
 product of one F_p-kernel per slot and the psi-fixed constants, through
-the census generator ``artin_schreier.census_rows`` that count-as also
-uses, and counts them in closed form before building any.  Such a b is
+the census generator ``artin_schreier.census_rows``, whose grid of text
+pieces (``census_grid``) the count-as CSV is also written from, and
+counts them in closed form before building any.  Such a b is
 fixed by phi on the nose, not only up to Artin-Schreier equivalence, so
 u = 0 is a witness with a vanishing cocycle sum, and the census emits
 (b, 0) for each.  The full proofs are in ``g_torsor_census``.

@@ -19,7 +19,9 @@ and the transversal stay here as the reference for the rules
 trace.  ``smallest_irreducible``
 is the modulus search ``ftk.fields`` ran before it tested irreducibility
 by Ben-Or's test: the same enumeration, with trial division by every
-monic polynomial of degree at most e/2.  ``is_prime`` is the trial
+monic polynomial of degree at most e/2.  ``full_modulus_search`` is the
+search as it ran before it skipped the binomials x^e + c that no prime
+factor rule admits: Ben-Or's test on every index from 0.  ``is_prime`` is the trial
 division ``ftk.fields`` tested primality with before Miller-Rabin.
 
 ``scale``, ``scale_int`` and ``scale_substitute`` are the scalings of
@@ -164,6 +166,7 @@ from ftk.fields import (
     _frobenius_rows,
     _monic_poly_from_index,
     _prime_factors,
+    _poly_is_irreducible,
     _poly_mod,
     mat_kernel,
 )
@@ -272,6 +275,14 @@ def smallest_irreducible(p: int, e: int):
     for idx in range(p**e):
         f = _monic_poly_from_index(idx, e, p)
         if poly_is_irreducible(f, p):
+            return f
+    raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def full_modulus_search(p: int, e: int):
+    for idx in range(p**e):
+        f = _monic_poly_from_index(idx, e, p)
+        if _poly_is_irreducible(f, p):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable
 

@@ -43,10 +43,12 @@ def validate(verb, payload):
 
 
 # the census generators, under each name the census verbs look them up by:
-# count-as and semidirect-enum both walk artin_schreier.census_rows
+# count-as writes the grid of artin_schreier.as_class_grid, semidirect-enum
+# walks artin_schreier.census_rows, and count-kummer writes its own grid
 CENSUS_GENERATORS = [
     (artin_schreier, "census_rows"),
     (semidirect, "census_rows"),
+    (cli, "as_class_grid"),
     (cli, "kummer_class_grid"),
 ]
 
@@ -223,6 +225,68 @@ def test_count_as_csv_with_the_oracle_is_the_frozen_census(p, e, m):
     assert stdout == schoolbook.count_as_csv(field(p, e), m)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [count_as_argv(2, 1, 16), count_as_argv(2, 2, 8), count_as_argv(3, 1, 12), count_as_argv(2, 1, 28),
+     count_as_argv(2, 1, 2, "--brute-force")],
+    ids=["F_2 m=16", "F_4 m=8", "F_3 m=12", "F_2 m=28", "F_2 m=2 with the oracle"],
+)
+def test_count_as_csv_quotes_no_row_on_its_own(monkeypatch, argv):
+    # the rows were each joined and then quoted by _csv_lines; the grid
+    # quotes each piece once and joins whole lines
+    want = cli_stdout(argv)
+
+    def refuse(rows):
+        raise AssertionError("a count-as row was quoted on its own")
+
+    monkeypatch.setattr(cli, "_csv_lines", refuse)
+    assert cli_stdout(argv) == want
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+@pytest.mark.parametrize("p, e, m", [(2, 1, 9), (3, 1, 5), (2, 2, 4), (5, 1, 2)])
+def test_count_as_csv_in_small_blocks_is_the_frozen_census(monkeypatch, block, p, e, m):
+    # a block smaller than a break's tails, or than one slot's values,
+    # splits the break into leading and trailing factors
+    monkeypatch.setattr(cli, "CSV_BLOCK", block)
+    out = CountingWriter()
+    with contextlib.redirect_stdout(out):
+        assert main(count_as_argv(p, e, m)) == 0
+    assert out.getvalue() == schoolbook.count_as_csv(field(p, e), m)
+    assert max(text.count("\n") for text in out.writes) <= block
+
+
+class LineCounter:
+    """A stdout that keeps only the number of lines of each write."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, text):
+        self.lines.append(text.count("\n"))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_the_largest_count_as_csv_is_written_a_block_at_a_time(monkeypatch):
+    # break 29 has 2^14 tails per constant: its leading slots "1" and "11"
+    # are walked, and each write joins the 4096 tails of the rest, the
+    # most tails joined at once.  The header, one write per constant for
+    # break 0 and for each of the 13 breaks 1 .. 25, two for break 27 and
+    # four for break 29: 41 writes
+    joined, real = [], cli.joined_tails
+    monkeypatch.setattr(cli, "joined_tails", lambda factors: joined.append(len(tails := real(factors))) or tails)
+    out = LineCounter()
+    with contextlib.redirect_stdout(out):
+        assert main(count_as_argv(2, 1, 30)) == 0
+    assert sum(out.lines) == 65537
+    assert max(out.lines) <= cli.CSV_BLOCK == 4096
+    assert len(out.lines) == 1 + 2 * (1 + 13 + 2 + 4)
+    assert max(joined) == 4096 and len(joined) == 16
+
+
 def semidirect_argv(group, frame, m, *extra):
     spec = frame.spec
     return [
@@ -396,10 +460,8 @@ print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, wall, file=sys
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in kB")
-def test_the_largest_count_as_csv_census_streams():
-    # building, dumping and sorting every class raised the peak by about
-    # 173 MB and took 2.0 s; streamed, the rows leave it within a few MB
+def as_census_peak():
+    """(peak RSS rise in kB, wall time in s) of AS_CENSUS_PEAK's op."""
     env = dict(os.environ, PYTHONPATH=str(Path(ftk.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", AS_CENSUS_PEAK], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
@@ -407,8 +469,26 @@ def test_the_largest_count_as_csv_census_streams():
     )
     assert done.returncode == 0, done.stderr
     before, after, wall = done.stderr.split()
-    assert int(after) - int(before) < 32 * 1024
-    assert float(wall) < 1
+    return int(after) - int(before), float(wall)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in kB")
+def test_the_largest_count_as_csv_census_streams():
+    # building, dumping and sorting every class raised the peak by about
+    # 173 MB and took 2.0 s; streamed, the rows leave it within a few MB
+    rise, wall = as_census_peak()
+    assert rise < 32 * 1024
+    assert wall < 1
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in kB")
+def test_the_largest_count_as_csv_census_is_written_from_its_grid():
+    # row by row the op took 0.2-0.34 s and lifted the peak by about 3 MB;
+    # from the grid it takes about 0.03 s and lifts it by about 4 MB, a
+    # block of tails and its write
+    rise, wall = as_census_peak()
+    assert rise < 8 * 1024
+    assert wall < 0.15
 
 
 def test_a_closed_pipe_ends_the_census_quietly():

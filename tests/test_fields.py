@@ -893,6 +893,27 @@ def test_modulus_search_skips_the_reducible_binomials(p, e):
     assert modulus[1:-1] != (0,) * (e - 1) and fields_mod._poly_is_irreducible(modulus, p)
 
 
+def test_modulus_search_skips_only_reducible_binomials():
+    # the search starts after the binomials x^e + c when a prime factor of
+    # e does not divide p - 1, or when 4 | e and p = 3 mod 4; it picks the
+    # modulus of the search that tests every index from 0
+    cases = [(p, e) for p in range(2, 32) if _is_prime(p) for e in range(1, 5) if p**e <= 40000]
+    assert len(cases) == 39
+    for p, e in cases:
+        assert fields_mod._smallest_irreducible(p, e) == schoolbook.full_modulus_search(p, e), (p, e)
+
+
+@pytest.mark.parametrize("p", [65537, 1000037])
+def test_cubic_modulus_over_p_2_mod_3_is_found_at_once(p):
+    # p = 2 mod 3, so 3 does not divide p - 1 and no x^3 + c is
+    # irreducible: field(65537, 3) took 4.1 s while the search tested them,
+    # and field(1000037, 3) did not finish in 20 s
+    t0 = time.perf_counter()
+    spec = field.__wrapped__(p, 3)
+    assert time.perf_counter() - t0 < 1
+    assert spec.modulus[1:-1] != (0, 0) and fields_mod._poly_is_irreducible(spec.modulus, p)
+
+
 @given(st.integers(0, 10**5))
 def test_primality_matches_trial_division(n):
     assert _is_prime(n) == schoolbook.is_prime(n)
