@@ -398,9 +398,7 @@ def census_rows(spec: FieldSpec, r: int, constants, slots):
 
     The rows come in CSV order, by (break, text), lazily; the class count
     p^(len(constants) + the sum of the slot dimensions) is refused past
-    MAX_CENSUS at the call, before any row.  At rank 1 each text is a
-    head followed by a tail of ``joined_tails``, which is also how the
-    count-as CSV is written, so the rank-1 texts have one source.
+    MAX_CENSUS at the call, before any row.
 
     Proof of the order.  Breaks come in numeric order, and the classes of
     break j are those whose slot j is nonzero, with slots in S_j only.  A
@@ -426,13 +424,8 @@ def census_rows(spec: FieldSpec, r: int, constants, slots):
       later factors are in product order, with the empty one last when
       present, then each piece in turn followed by each of them is again
       in product order, and the absent piece, last, leaves them as they
-      are.  So the texts of break j are each head followed by each tail.
-      Product order is lexicographic, so splitting the factors into
-      leading and trailing ones keeps it: each choice of the leading
-      pieces in product order, its nonempty pieces joined by ", ",
-      followed by each trailing tail, after ", " unless that tail is the
-      closing ``}}`` or the leading pieces are all absent.  The count-as
-      CSV writes a large break that way.
+      are.  So the texts of break j are each head followed by each tail,
+      which is how the count-as CSV writes them.
     - r >= 2.  No complete JSON object is a proper prefix of another, so
       the joined texts compare as (T_1, ..., T_r), component-major.  The
       bases couple the components, so no product gives this order, and
@@ -442,21 +435,18 @@ def census_rows(spec: FieldSpec, r: int, constants, slots):
     aut = len(heads)
 
     def rows_at(j, factors):
-        choices = itertools.product(heads, *factors)
-        if r == 1:
-            tails = joined_tails([[o[0][0] for o in f] for f in factors])
-            texts = (head[0][0] + tail for head in heads for tail in tails)
-            return zip(itertools.repeat(j), itertools.repeat(aut), texts, choices)
-        rows = [
-            (j, aut, ", ".join(
+        for choice in itertools.product(heads, *factors):
+            text = ", ".join(
                 head + ", ".join([o[0][i] for o in choice[1:] if o[0][i]]) + "}}"
                 for i, head in enumerate(choice[0][0])
-            ), choice)
-            for choice in choices
-        ]
-        return sorted(rows, key=lambda row: row[2])
+            )
+            yield j, aut, text, choice
 
-    return (row for j, factors in grid_breaks(options) for row in rows_at(j, factors))
+    return (
+        row
+        for j, factors in grid_breaks(options)
+        for row in (rows_at(j, factors) if r == 1 else sorted(rows_at(j, factors), key=lambda row: row[2]))
+    )
 
 
 def canonical_vector(spec: FieldSpec, choice) -> tuple:
@@ -490,7 +480,7 @@ def as_census(spec: FieldSpec, m: int):
 
 def enumerate_as_classes(spec: FieldSpec, m: int):
     """Every canonical form with support in S_m, p * q^|S_m| of them, in
-    the order of the count-as CSV (``as_census``)."""
+    the order of ``census_rows``, which is that of the count-as CSV."""
     return [canonical_vector(spec, choice)[0] for *_, choice in as_census(spec, m)]
 
 

@@ -20,8 +20,8 @@ unit_class) grid, one write per q_exp head, and count-as, per break, the
 constant heads of ``artin_schreier.as_class_grid`` times the joined
 products of its slot pieces (``joined_tails``), at most CSV_BLOCK lines
 per write.  semidirect-enum writes the rows of
-``artin_schreier.census_rows``, whose class texts come from the same
-grid (count-as is its census with the trivial twist).  semidirect-enum
+``artin_schreier.census_rows``, whose class texts are joined from the
+same pieces (count-as is its census with the trivial twist).  semidirect-enum
 builds only the classes it prints, generated from the per-slot kernels of
 the twist, and prints each with witness 0 after one exact check that the
 twist fixes its cover vector on the polar window; its JSON splices the
@@ -151,31 +151,19 @@ def _emit_csv_grid(brk, aut, heads, tails):
 def _emit_as_grid(heads, options):
     """The count-as census as CSV from its rank-1 ``census_grid``: the
     header, then for each break of ``grid_breaks`` each head followed by
-    each tail of ``joined_tails``, in the order ``census_rows`` proves.
-    Every class has aut_order p, the number of heads.
-
-    The pieces are CSV-escaped once per slot value, and a quote is one
-    character, so the escaped pieces join to the escaped text.  A break's
-    trailing factors are the most, the last always among them, whose
-    tails fill at most CSV_BLOCK lines; the leading ones are walked in
-    Python, each choice's nonempty pieces joined into the lines' start.
-    After such a start each trailing tail but the closing ``}}`` opens
-    with ", "."""
+    each tail of ``joined_tails``, in the order ``census_rows`` proves,
+    CSV_BLOCK lines per write.  Every class has aut_order p, the number
+    of heads.  The pieces are CSV-escaped once per slot value, and a
+    quote is one character, so the escaped pieces join to the escaped
+    text."""
     out = sys.stdout
     out.write(CSV_HEADER)
     aut, heads = len(heads), [_csv_text(o[0][0]) for o in heads]
     options = {k: ([_csv_text(o[0][0]) for o in nonzero], "") for k, (nonzero, _) in options.items()}
     for j, factors in grid_breaks(options):
-        cut, size = len(factors), 1
-        while cut and (cut == len(factors) or size * len(factors[cut - 1]) <= CSV_BLOCK):
-            cut -= 1
-            size *= len(factors[cut])
-        tails = joined_tails(factors[cut:])
-        after = [t if t == "}}" else ", " + t for t in tails] if cut else tails
+        tails = joined_tails(factors)
         for head in heads:
-            for lead in itertools.product(*factors[:cut]):
-                pre = ", ".join(filter(None, lead))
-                _write_runs(out, f'{j},{aut},1,"{head}{pre}', after if pre else tails)
+            _write_runs(out, f'{j},{aut},1,"{head}', tails)
 
 
 def _load_json(path: str):

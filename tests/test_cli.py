@@ -247,7 +247,7 @@ def test_count_as_csv_quotes_no_row_on_its_own(monkeypatch, argv):
 @pytest.mark.parametrize("p, e, m", [(2, 1, 9), (3, 1, 5), (2, 2, 4), (5, 1, 2)])
 def test_count_as_csv_in_small_blocks_is_the_frozen_census(monkeypatch, block, p, e, m):
     # a block smaller than a break's tails, or than one slot's values,
-    # splits the break into leading and trailing factors
+    # cuts each head's lines of the break into several writes
     monkeypatch.setattr(cli, "CSV_BLOCK", block)
     out = CountingWriter()
     with contextlib.redirect_stdout(out):
@@ -271,11 +271,9 @@ class LineCounter:
 
 
 def test_the_largest_count_as_csv_is_written_a_block_at_a_time(monkeypatch):
-    # break 29 has 2^14 tails per constant: its leading slots "1" and "11"
-    # are walked, and each write joins the 4096 tails of the rest, the
-    # most tails joined at once.  The header, one write per constant for
-    # break 0 and for each of the 13 breaks 1 .. 25, two for break 27 and
-    # four for break 29: 41 writes
+    # the tails of each break are joined once, 2^14 of them for break 29.
+    # The header, one write per constant for break 0 and for each of the
+    # 13 breaks 1 .. 25, two for break 27 and four for break 29: 41 writes
     joined, real = [], cli.joined_tails
     monkeypatch.setattr(cli, "joined_tails", lambda factors: joined.append(len(tails := real(factors))) or tails)
     out = LineCounter()
@@ -284,7 +282,7 @@ def test_the_largest_count_as_csv_is_written_a_block_at_a_time(monkeypatch):
     assert sum(out.lines) == 65537
     assert max(out.lines) <= cli.CSV_BLOCK == 4096
     assert len(out.lines) == 1 + 2 * (1 + 13 + 2 + 4)
-    assert max(joined) == 4096 and len(joined) == 16
+    assert max(joined) == 2**14 and len(joined) == 16
 
 
 def semidirect_argv(group, frame, m, *extra):
@@ -460,8 +458,13 @@ print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, wall, file=sys
 """
 
 
-def as_census_peak():
-    """(peak RSS rise in kB, wall time in s) of AS_CENSUS_PEAK's op."""
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in kB")
+def test_the_largest_count_as_csv_census_streams():
+    # building, dumping and sorting every class raised the peak by about
+    # 173 MB and took 2.0 s; streamed, the rows leave it within a few MB.
+    # Row by row the op took 0.2-0.34 s and lifted the peak by about 3 MB;
+    # from the grid it takes about 0.05 s and lifts it by about 6 MB, the
+    # 2^14 tails of break 29 and a block of them joined for a write
     env = dict(os.environ, PYTHONPATH=str(Path(ftk.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", AS_CENSUS_PEAK], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
@@ -469,26 +472,10 @@ def as_census_peak():
     )
     assert done.returncode == 0, done.stderr
     before, after, wall = done.stderr.split()
-    return int(after) - int(before), float(wall)
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in kB")
-def test_the_largest_count_as_csv_census_streams():
-    # building, dumping and sorting every class raised the peak by about
-    # 173 MB and took 2.0 s; streamed, the rows leave it within a few MB
-    rise, wall = as_census_peak()
-    assert rise < 32 * 1024
-    assert wall < 1
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in kB")
-def test_the_largest_count_as_csv_census_is_written_from_its_grid():
-    # row by row the op took 0.2-0.34 s and lifted the peak by about 3 MB;
-    # from the grid it takes about 0.03 s and lifts it by about 4 MB, a
-    # block of tails and its write
-    rise, wall = as_census_peak()
-    assert rise < 8 * 1024
-    assert wall < 0.15
+    assert int(after) - int(before) < 32 * 1024
+    assert float(wall) < 1
+    assert int(after) - int(before) < 8 * 1024
+    assert float(wall) < 0.15
 
 
 def test_a_closed_pipe_ends_the_census_quietly():
