@@ -463,7 +463,7 @@ def test_the_largest_count_as_csv_census_streams():
     # building, dumping and sorting every class raised the peak by about
     # 173 MB and took 2.0 s; streamed, the rows leave it within a few MB.
     # Row by row the op took 0.2-0.34 s and lifted the peak by about 3 MB;
-    # from the grid it takes about 0.05 s and lifts it by about 6 MB, the
+    # from the grid it takes about 0.03 s and lifts it by about 7 MB, the
     # 2^14 tails of break 29 and a block of them joined for a write
     env = dict(os.environ, PYTHONPATH=str(Path(ftk.__file__).parents[1]))
     done = subprocess.run(
