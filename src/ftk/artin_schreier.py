@@ -345,7 +345,10 @@ def grid_breaks(options):
     options, its zero option), as ``census_grid`` gives them or any map
     of them.  factors lists the slots k <= j in key-text order ("1" <
     "11" < "3"), each as its nonzero options, then its zero option unless
-    k = j: the classes of break j have slot j nonzero."""
+    k = j: the classes of break j have slot j nonzero.  At rank 1 each
+    break is one census block (j, aut_order, heads, tails): its classes
+    are each head followed by each tail of ``joined_tails`` of the
+    factors' pieces."""
     for j in [0] + [k for k, (nonzero, _) in options.items() if nonzero]:
         keys = sorted((k for k in options if k <= j), key=str)
         yield j, [options[k][0] + ([] if k == j else [options[k][1]]) for k in keys]
@@ -398,7 +401,11 @@ def census_rows(spec: FieldSpec, r: int, constants, slots):
 
     The rows come in CSV order, by (break, text), lazily; the class count
     p^(len(constants) + the sum of the slot dimensions) is refused past
-    MAX_CENSUS at the call, before any row.
+    MAX_CENSUS at the call, before any row.  The CLI writes a census as
+    blocks (break, aut_order, heads, tails), whose classes are each head
+    followed by each tail: a row of semidirect-enum, built from one of
+    these, is a block of one class, and at rank 1 the rows of a break are
+    one block, the heads and the joined tails of ``grid_breaks``.
 
     Proof of the order.  Breaks come in numeric order, and the classes of
     break j are those whose slot j is nonzero, with slots in S_j only.  A
@@ -466,15 +473,27 @@ def _as_bases(spec: FieldSpec, m: int):
 
 
 def as_class_grid(spec: FieldSpec, m: int):
-    """The count-as census as the grid ``census_grid`` of rank 1 with the
-    full bases, p * q^|S_m| classes (the census of G = Z/p with the
-    trivial twist), from which the CSV is written."""
-    return census_grid(spec, 1, *_as_bases(spec, m))
+    """(heads, breaks): the count-as census, p * q^|S_m| classes (the
+    census of G = Z/p with the trivial twist), as text pieces.
+
+    - heads lists the constant heads of ``census_grid`` in text order;
+      their number p is the aut_order of every class.
+    - breaks yields (j, factors) for each break j, as ``grid_breaks``
+      does, each factor the piece texts of one slot, "" (absent) last.
+
+    The classes of break j are each head followed by each tail of
+    ``joined_tails(factors)``, in CSV order, as ``census_rows`` proves: a
+    census block (break, aut_order, heads, tails) per break.  The grid is
+    built, and a census past MAX_CENSUS refused, at the call; the breaks
+    come lazily."""
+    heads, options = census_grid(spec, 1, *_as_bases(spec, m))
+    pieces = {k: ([o[0][0] for o in nonzero], "") for k, (nonzero, _) in options.items()}
+    return [o[0][0] for o in heads], grid_breaks(pieces)
 
 
 def as_census(spec: FieldSpec, m: int):
     """The rows of the count-as census: ``census_rows`` on the bases of
-    ``as_class_grid``."""
+    ``as_class_grid``, F_p at the constants and F_q at every slot."""
     return census_rows(spec, 1, *_as_bases(spec, m))
 
 

@@ -12,20 +12,22 @@ text).  All output is newline-terminated UTF-8.  Each verb
 accepts only the flags it reads.  With --brute-force a census verb runs the
 oracle before it enumerates, so a size the oracle refuses costs no census.
 The JSON forms of count-as and count-kummer print the closed-form count
-and enumerate nothing (unless --brute-force asks for the check).  All
-three census CSVs stream their rows in class-text order and hold none of
-them.  count-kummer and count-as write grids, each head's line joined
-over a run of tails with no work per row: count-kummer its (q_exp,
-unit_class) grid, one write per q_exp head, and count-as, per break, the
-constant heads of ``artin_schreier.as_class_grid`` times the joined
-products of its slot pieces (``joined_tails``), at most CSV_BLOCK lines
-per write.  semidirect-enum writes the rows of
-``artin_schreier.census_rows``, whose class texts are joined from the
-same pieces (count-as is its census with the trivial twist).  semidirect-enum
-builds only the classes it prints, generated from the per-slot kernels of
-the twist, and prints each with witness 0 after one exact check that the
-twist fixes its cover vector on the polar window; its JSON splices the
-same texts into the payload.
+and enumerate nothing (unless --brute-force asks for the check).
+Every census verb hands the writer blocks (break, aut_order, heads,
+tails), whose classes are each head followed by each tail, in that
+order, all with that break and aut_order: count-kummer one block, its
+(q_exp, unit_class) grid from ``kummer_class_grid``; count-as one per
+break, the constant heads of ``artin_schreier.as_class_grid`` and the
+joined products of the break's slot pieces (``joined_tails``); and
+semidirect-enum one per row of ``semidirect.g_torsor_census``, its class
+text the one head and "" the one tail.  One writer, ``_emit_csv``,
+writes each head's line joined over a run of at most CSV_BLOCK tails per
+write, and no census verb holds its census: semidirect-enum's JSON
+splices the same texts into the payload, CSV_BLOCK classes per write,
+and lists its rows only for --brute-force.  semidirect-enum builds only
+the classes it prints, generated from the per-slot kernels of the twist,
+and prints each with witness 0 after one exact check that the twist
+fixes its cover vector on the polar window.
 Every census covers at most errors.MAX_CENSUS classes, counted in closed
 form before any is built (for semidirect-enum, from the same slot
 kernels): the library refuses a larger one, and the verb exits 2 before
@@ -40,14 +42,13 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import random
 import sys
 
 from . import oracles
 from .acceptance import run_all
-from .artin_schreier import as_canonicalize, as_class_count, as_class_grid, as_iso_witness, grid_breaks, joined_tails
+from .artin_schreier import as_canonicalize, as_class_count, as_class_grid, as_iso_witness, joined_tails
 from .errors import DomainError, FtkError, OracleMismatch, ParseError
 from .fields import field
 from .groupoids import CentralAutSubgroup, FiniteGroupoid, groupoid_mass, rigidify
@@ -97,14 +98,22 @@ def _emit(payload):
 
 def _emit_census_json(payload, rows):
     """The payload as _emit prints it, with "classes" listing the rows'
-    (break, aut_order, class JSON text) in row order.  The texts are
-    spliced in, not parsed: json.dumps writes a list of dicts as "[" then
-    each dict's sorted items "key": value joined by ", ", then "]"."""
-    classes = ", ".join(
-        f'{{"aut_order": {aut}, "break": {brk}, "class": {text}, "multiplicity": 1}}' for brk, aut, text, *_ in rows
-    )
-    head, tail = json.dumps({**payload, "classes": []}, sort_keys=True).split('"classes": []')
-    print(f'{head}"classes": [{classes}]{tail}')
+    (break, aut_order, class JSON text) in row order and "count" their
+    number, CSV_BLOCK classes per write.  The texts are spliced in, not
+    parsed: json.dumps writes a list of dicts as "[" then each dict's
+    sorted items "key": value joined by ", ", then "]".  "count" sorts
+    right after "classes", so it is written once they are."""
+    out = sys.stdout
+    head, tail = json.dumps({**payload, "classes": 0, "count": 0}, sort_keys=True).split('"classes": 0, "count": 0')
+    out.write(head + '"classes": [')
+    rows, count = iter(rows), 0
+    while block := [
+        f'{{"aut_order": {aut}, "break": {brk}, "class": {text}, "multiplicity": 1}}'
+        for brk, aut, text, *_ in itertools.islice(rows, CSV_BLOCK)
+    ]:
+        out.write((", " if count else "") + ", ".join(block))
+        count += len(block)
+    out.write(f'], "count": {count}{tail}\n')
 
 
 def _csv_text(text: str) -> str:
@@ -112,58 +121,21 @@ def _csv_text(text: str) -> str:
     return text.replace('"', '""')
 
 
-def _csv_lines(rows) -> str:
-    """The CSV lines of rows (break, aut_order, class JSON text, ...), from
-    each row's first three fields: the class text is quoted, its quotes
-    doubled."""
-    return "".join([f'{row[0]},{row[1]},1,"' + _csv_text(row[2]) + '"\n' for row in rows])
-
-
-def _emit_csv(rows):
-    """The census as CSV: the header, then one line per row, in the order
-    given; CSV_BLOCK lines per write."""
+def _emit_csv(blocks):
+    """The census as CSV from its blocks (break, aut_order, heads, tails),
+    whose classes are each head followed by each tail: the header, then
+    for each block and head one write per run of at most CSV_BLOCK tails,
+    each one C-level join.  The heads are CSV-escaped here and the tails
+    come escaped; a quote is one character, so the escaped pieces join to
+    the escaped text."""
     out = sys.stdout
     out.write(CSV_HEADER)
-    rows = iter(rows)
-    while block := _csv_lines(itertools.islice(rows, CSV_BLOCK)):
-        out.write(block)
-
-
-def _write_runs(out, start, tails):
-    """The line start + tail + '"' for each tail, in order, CSV_BLOCK
-    lines per write: each write is one C-level join."""
-    sep = '"\n' + start
-    for i in range(0, len(tails), CSV_BLOCK):
-        out.write(start + sep.join(tails[i : i + CSV_BLOCK]) + '"\n')
-
-
-def _emit_csv_grid(brk, aut, heads, tails):
-    """The census as CSV whose class texts are each head followed by each
-    tail, in the order given, all with the same break and aut_order: the
-    header, then one write per head and run of CSV_BLOCK tails.  A tail
-    holds no quote."""
-    out = sys.stdout
-    out.write(CSV_HEADER)
-    for head in heads:
-        _write_runs(out, f'{brk},{aut},1,"' + _csv_text(head), tails)
-
-
-def _emit_as_grid(heads, options):
-    """The count-as census as CSV from its rank-1 ``census_grid``: the
-    header, then for each break of ``grid_breaks`` each head followed by
-    each tail of ``joined_tails``, in the order ``census_rows`` proves,
-    CSV_BLOCK lines per write.  Every class has aut_order p, the number
-    of heads.  The pieces are CSV-escaped once per slot value, and a
-    quote is one character, so the escaped pieces join to the escaped
-    text."""
-    out = sys.stdout
-    out.write(CSV_HEADER)
-    aut, heads = len(heads), [_csv_text(o[0][0]) for o in heads]
-    options = {k: ([_csv_text(o[0][0]) for o in nonzero], "") for k, (nonzero, _) in options.items()}
-    for j, factors in grid_breaks(options):
-        tails = joined_tails(factors)
+    for brk, aut, heads, tails in blocks:
         for head in heads:
-            _write_runs(out, f'{j},{aut},1,"{head}', tails)
+            start = f'{brk},{aut},1,"' + _csv_text(head)
+            sep = '"\n' + start
+            for i in range(0, len(tails), CSV_BLOCK):
+                out.write(start + sep.join(tails[i : i + CSV_BLOCK]) + '"\n')
 
 
 def _load_json(path: str):
@@ -218,45 +190,57 @@ def _cmd_kummer_iso(args):
     return 0
 
 
-def _count_verb(args, payload, brute, count, write_csv):
+def _count_verb(args, payload, brute, count, blocks):
     """Finish count-as or count-kummer: the count as JSON, or the census
-    as CSV by write_csv().  count is the closed form or, with
-    --brute-force, the number of classes the verb's census holds, which
-    must equal the oracle's."""
+    as CSV from blocks(), whose call builds the grid and refuses a census
+    past MAX_CENSUS.  count is the closed form or, with --brute-force, the
+    number of classes the blocks span, read from their sizes, which must
+    equal the oracle's."""
+    census = blocks() if args.format == "csv" or args.brute_force else ()
+    if args.brute_force:
+        census = list(census)
+        count = sum(len(heads) * len(tails) for *_, heads, tails in census)
     payload.update(count=count, brute_force=brute)
     if args.brute_force and brute != count:
         _emit(payload)
         raise OracleMismatch(f"structured {count} != oracle {brute}")
     if args.format == "csv":
-        write_csv()
+        _emit_csv(census)
     else:
         _emit(payload)
     return 0
+
+
+def _as_blocks(spec, m):
+    """The count-as blocks, one per break: the heads of ``as_class_grid``
+    and the joined products of the break's slot pieces, each piece
+    CSV-escaped once per break.  Every class has aut_order p, the number
+    of heads."""
+    heads, breaks = as_class_grid(spec, m)
+    return ((j, len(heads), heads, joined_tails([list(map(_csv_text, f)) for f in factors])) for j, factors in breaks)
+
+
+def _kummer_blocks(spec, n):
+    """The one count-kummer block: every class has break 0 and aut order
+    gcd(n, q - 1), one per tail."""
+    heads, tails = kummer_class_grid(spec, n)
+    return [(0, len(tails), heads, tails)]
 
 
 def _cmd_count_as(args):
     spec = _field_from_args(args)
     m = args.max_break
     brute = oracles.as_bruteforce_class_count(spec, m) if args.brute_force else None
-    count = as_class_count(spec, m)
-    if args.format == "csv" or args.brute_force:
-        heads, options = as_class_grid(spec, m)
-        count = len(heads) * sum(math.prod(map(len, factors)) for _, factors in grid_breaks(options))
     payload = {"p": spec.p, "q": spec.q, "max_break": m}
-    return _count_verb(args, payload, brute, count, lambda: _emit_as_grid(heads, options))
+    return _count_verb(args, payload, brute, as_class_count(spec, m), lambda: _as_blocks(spec, m))
 
 
 def _cmd_count_kummer(args):
     spec = _field_from_args(args)
     n = args.n
     brute = oracles.kummer_bruteforce_class_count(spec, n) if args.brute_force else None
-    count = kummer_class_count(spec, n)
-    if args.format == "csv" or args.brute_force:
-        heads, tails = kummer_class_grid(spec, n)
-        count = len(heads) * len(tails)
     payload = {"q": spec.q, "n": n}
-    # every class has break 0 and aut order gcd(n, q - 1), one per tail
-    return _count_verb(args, payload, brute, count, lambda: _emit_csv_grid(0, len(tails), heads, tails))
+    return _count_verb(args, payload, brute, kummer_class_count(spec, n), lambda: _kummer_blocks(spec, n))
 
 
 def _parse_psi(text: str, r: int):
@@ -284,24 +268,21 @@ def _cmd_semidirect_enum(args):
     bound = args.max_break
     brute = oracles.semidirect_bruteforce(group2, frame, bound) if args.brute_force else None
     rows = g_torsor_census(group2, frame, bound)
-    if args.format == "csv" and not args.brute_force:
-        _emit_csv(rows)
-        return 0
-    rows = list(rows)
     payload = {
         "group": group.to_json(),
         "q_exp": args.q_exp,
         "reduced": {"n": n2, "q_exp": q2},
         "max_break": bound,
-        "count": len(rows),
         "brute_force": None if brute is None else {"count": brute[0], "aut_orders": brute[1]},
     }
-    # every class has aut order |ker(psi - 1)|, so the rows' list is sorted
-    if brute is not None and brute != (len(rows), [row[1] for row in rows]):
-        _emit_census_json(payload, rows)
-        raise OracleMismatch("semidirect enumeration disagrees with oracle")
+    if brute is not None:
+        # every class has aut order |ker(psi - 1)|, so the rows' list is sorted
+        rows = list(rows)
+        if brute != (len(rows), [row[1] for row in rows]):
+            _emit_census_json(payload, rows)
+            raise OracleMismatch("semidirect enumeration disagrees with oracle")
     if args.format == "csv":
-        _emit_csv(rows)
+        _emit_csv((brk, aut, (text,), ("",)) for brk, aut, text, *_ in rows)
     else:
         _emit_census_json(payload, rows)
     return 0

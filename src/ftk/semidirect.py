@@ -29,9 +29,9 @@ On canonical vectors phi acts slot by slot: at a pole slot k it is
 c_k -> xi^-k psi c_k on F_q^r, and on the constant classes it is psi on
 their traces.  So the census generates the phi-fixed vectors as the
 product of one F_p-kernel per slot and the psi-fixed constants, through
-the census generator ``artin_schreier.census_rows``, whose grid of text
-pieces (``census_grid``) the count-as CSV is also written from, and
-counts them in closed form before building any.  Such a b is
+the census generator ``artin_schreier.census_rows``, whose text pieces
+the count-as CSV is also written from (``as_class_grid``), and counts
+them in closed form before building any.  Such a b is
 fixed by phi on the nose, not only up to Artin-Schreier equivalence, so
 u = 0 is a witness with a vanishing cocycle sum, and the census emits
 (b, 0) for each.  The full proofs are in ``g_torsor_census``.
@@ -53,7 +53,7 @@ from .series import LaurentSeries
 # -- F_p matrices on vectors of series ------------------------------------
 
 
-def mat_vec_series(m, vec, p: int):
+def mat_vec_series(m, vec):
     """Apply an F_p matrix to a vector of series."""
     out = []
     for i in range(len(m)):
@@ -159,7 +159,7 @@ def phi_apply(group: SemidirectGroup, frame: TameFrame, b_vec):
     if len(b_vec) != group.r:
         raise DomainError("vector rank mismatch")
     substituted = tuple(b.scale_substitute(frame.xi_powers) for b in b_vec)
-    return mat_vec_series(group.psi, substituted, group.p)
+    return mat_vec_series(group.psi, substituted)
 
 
 @dataclass(frozen=True)
@@ -281,15 +281,18 @@ def _fixed_bases(group: SemidirectGroup, frame: TameFrame, break_bound: int):
     ``constants`` spans ker(psi - 1) in F_p^r, the trace vectors of the
     fixed constant classes; ``slots`` pairs each k in S_m with a basis of
     ker(xi^-k psi - 1) in the e r digits of F_q^r.  That matrix depends on
-    k mod n only, as xi^n = 1, so each residue is eliminated once."""
-    p, n, psi = group.p, frame.n, group.psi
+    k mod n only, as xi^n = 1, so each residue is eliminated once.  The
+    powers of xi are read first, whatever m, so a frame whose root of
+    unity needs field tables past their bound is refused here, at the
+    census's call, even at m = 0, where S_m has no slot."""
+    p, n, psi, xi = group.p, frame.n, group.psi, frame.xi_powers
     constants = mat_kernel(_twist_minus_one(psi, ((1,),), p), p)
     by_residue: dict = {}
     slots = []
     for k in prime_to_p_support(p, break_bound):
         basis = by_residue.get(k % n)
         if basis is None:
-            lam = frame.xi_powers[-k % n]  # xi^-k
+            lam = xi[-k % n]  # xi^-k
             basis = by_residue[k % n] = mat_kernel(_twist_minus_one(psi, mul_matrix(lam), p), p)
         slots.append((k, basis))
     return constants, slots
@@ -308,7 +311,8 @@ def g_torsor_census(group: SemidirectGroup, frame: TameFrame, break_bound: int):
     the order of ``census_rows``.  b is the cover vector as series on the
     polar window, and choice its slot values.  No other candidate is
     built and no witness is searched for, so the cost follows the number
-    of classes.  The break bound and the class count are refused at the
+    of classes.  The break bound, the class count and a frame whose
+    powers of xi need field tables past their bound are refused at the
     call; the rows come lazily.
 
     Theorem A: phi acts slot by slot on canonical vectors.  Write the

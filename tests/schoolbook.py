@@ -748,7 +748,7 @@ def affine_then(f, g, p: int):
     from ftk.semidirect import mat_vec_series
 
     m = mat_mul(f.matrix, g.matrix, p)
-    mixed = mat_vec_series(f.matrix, g.trans, p)
+    mixed = mat_vec_series(f.matrix, g.trans)
     cycle = Cycle(g.lam)
     subbed = tuple(c.scale_substitute(cycle) for c in f.trans)
     trans = tuple(a + b for a, b in zip(mixed, subbed))
@@ -845,7 +845,7 @@ def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
         return tuple(v.scale_substitute(cycle) for v in vec)
 
     def minus_mat_vec(m, vec):
-        return tuple(v.scale_int(-1) for v in mat_vec_series(m, vec, p))
+        return tuple(v.scale_int(-1) for v in mat_vec_series(m, vec))
 
     def crossing_rhs(b_src, b_dst):
         tau = subst(b_src, zeta4)
@@ -861,7 +861,7 @@ def double_frame_bruteforce(group, spec, break_bound: int, prec: int = None):
         b1 = reps[v1]
         target_cls = tuple(
             as_canonicalize(x)
-            for x in mat_vec_series(group.psi, subst(b1, zeta4), p)
+            for x in mat_vec_series(group.psi, subst(b1, zeta4))
         )
         if target_cls not in reps:
             continue

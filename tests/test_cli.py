@@ -232,15 +232,18 @@ def test_count_as_csv_with_the_oracle_is_the_frozen_census(p, e, m):
     ids=["F_2 m=16", "F_4 m=8", "F_3 m=12", "F_2 m=28", "F_2 m=2 with the oracle"],
 )
 def test_count_as_csv_quotes_no_row_on_its_own(monkeypatch, argv):
-    # the rows were each joined and then quoted by _csv_lines; the grid
-    # quotes each piece once and joins whole lines
+    # the writer escapes each head of a break once and the verb each slot
+    # piece once per break: no call escapes a row, and their number
+    # follows the grid, not the rows
     want = cli_stdout(argv)
-
-    def refuse(rows):
-        raise AssertionError("a count-as row was quoted on its own")
-
-    monkeypatch.setattr(cli, "_csv_lines", refuse)
+    p, e, m = (int(argv[i]) for i in (2, 4, 6))
+    heads, breaks = artin_schreier.as_class_grid(field(p, e), m)
+    breaks = [factors for _, factors in breaks]
+    calls, real = [], cli._csv_text
+    monkeypatch.setattr(cli, "_csv_text", lambda text: calls.append(text) or real(text))
     assert cli_stdout(argv) == want
+    assert set(calls) <= set(heads).union(*(f for factors in breaks for f in factors))
+    assert len(calls) <= sum(len(heads) + sum(map(len, factors)) for factors in breaks)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
@@ -302,6 +305,46 @@ def semidirect_argv(group, frame, m, *extra):
 def test_semidirect_stdout_is_the_frozen_census(case):
     for fmt in ("json", "csv"):
         assert cli_stdout(semidirect_argv(*case, "--format", fmt)) == schoolbook.semidirect_enum_stdout(*case, fmt)
+
+
+# each verb's CSV through the one writer, with a block smaller than a
+# head's run of tails, than a break and than the census
+ONE_WRITER_CSV = [
+    kummer_csv_argv(2, 4, 15),
+    count_as_argv(3, 1, 5),
+    semidirect_argv(SemidirectGroup.make(3, 1, 2, [[-1]]), TameFrame(field(3), 2, 1), 7, "--format", "csv"),
+    semidirect_argv(
+        SemidirectGroup.make(2, 2, 3, [[0, 1], [1, 1]]), TameFrame(field(2, 2), 3, 1), 2, "--format", "csv"
+    ),
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+@pytest.mark.parametrize(
+    "argv", ONE_WRITER_CSV, ids=["count-kummer F_16 n=15", "count-as F_3 m=5", "S_3/F_3 m=7", "A_4/F_4 m=2"]
+)
+def test_every_census_csv_is_written_a_block_at_a_time(monkeypatch, block, argv):
+    want = cli_stdout(argv)
+    monkeypatch.setattr(cli, "CSV_BLOCK", block)
+    out = CountingWriter()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    assert out.getvalue() == want
+    assert max(text.count("\n") for text in out.writes) <= block
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+def test_semidirect_json_is_written_a_block_of_classes_at_a_time(monkeypatch, block):
+    # the classes are streamed, and "count" is written after them
+    argv = semidirect_argv(SemidirectGroup.make(3, 1, 2, [[-1]]), TameFrame(field(3), 2, 1), 7)
+    want = cli_stdout(argv)
+    monkeypatch.setattr(cli, "CSV_BLOCK", block)
+    out = CountingWriter()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == want
+    assert max(text.count('"multiplicity"') for text in out.writes) <= block
+    assert len(out.writes) == 2 + math.ceil(27 / block)
 
 
 S3_CSV = semidirect_argv(SemidirectGroup.make(3, 1, 2, [[-1]]), TameFrame(field(3), 2, 1), 14, "--format", "csv")
@@ -414,21 +457,31 @@ def test_kummer_oracle_check_counts_the_grid_without_its_texts(capsys, monkeypat
     assert out == '{"brute_force": 72, "count": 72, "n": 12, "q": 7}\n'
 
 
-# count-kummer F_256 n = 255 as CSV to /dev/null; prints the peak RSS in
-# kB before and after the op, the field's tables built first
-KUMMER_CENSUS_PEAK = """
-import resource, sys
-from ftk.cli import main
-from ftk.fields import field
-field(2, 8)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-assert main(["count-kummer", "--p", "2", "--e", "8", "--n", "255", "--format", "csv"]) == 0
-sys.stdout.flush()
-print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+# the peak RSS of the running process in kB, for the snippets below:
+# VmHWM, which exec resets.  ru_maxrss would keep the peak of the process
+# that forked it, pytest's, and hide any census that peaks lower.
+PEAK_KB = """
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in kB")
+# count-kummer F_256 n = 255 as CSV to /dev/null; prints the peak RSS in
+# kB before and after the op, the field's tables built first
+KUMMER_CENSUS_PEAK = PEAK_KB + """
+import sys
+from ftk.cli import main
+from ftk.fields import field
+field(2, 8)
+before = peak_kb()
+assert main(["count-kummer", "--p", "2", "--e", "8", "--n", "255", "--format", "csv"]) == 0
+sys.stdout.flush()
+print(before, peak_kb(), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_the_kummer_csv_census_holds_no_rows():
     # holding every class, its text and the sorted rows raised the peak by
     # about 36 MB; streamed, the rows leave it within a few MB
@@ -444,27 +497,25 @@ def test_the_kummer_csv_census_holds_no_rows():
 
 # count-as F_2 m = 30, 65536 classes, as CSV to /dev/null; prints the peak
 # RSS in kB before and after the op, and the op's wall time in seconds
-AS_CENSUS_PEAK = """
-import resource, sys, time
+AS_CENSUS_PEAK = PEAK_KB + """
+import sys, time
 from ftk.cli import main
 from ftk.fields import field
 field(2)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kb()
 start = time.perf_counter()
 assert main(["count-as", "--p", "2", "--max-break", "30", "--format", "csv"]) == 0
 sys.stdout.flush()
 wall = time.perf_counter() - start
-print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, wall, file=sys.stderr)
+print(before, peak_kb(), wall, file=sys.stderr)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in kB")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_the_largest_count_as_csv_census_streams():
-    # building, dumping and sorting every class raised the peak by about
-    # 173 MB and took 2.0 s; streamed, the rows leave it within a few MB.
-    # Row by row the op took 0.2-0.34 s and lifted the peak by about 3 MB;
-    # from the grid it takes about 0.03 s and lifts it by about 7 MB, the
-    # 2^14 tails of break 29 and a block of them joined for a write
+    # from the grid the op takes about 0.03 s and lifts the peak by about
+    # 7 MB, the 2^14 tails of break 29 and a block of them joined for a
+    # write
     env = dict(os.environ, PYTHONPATH=str(Path(ftk.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", AS_CENSUS_PEAK], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
@@ -476,6 +527,36 @@ def test_the_largest_count_as_csv_census_streams():
     assert float(wall) < 1
     assert int(after) - int(before) < 8 * 1024
     assert float(wall) < 0.15
+
+
+# semidirect-enum S_3/F_3 m = 30, 59049 classes, as JSON to /dev/null;
+# prints the peak RSS in kB before and after the op
+SEMIDIRECT_JSON_PEAK = PEAK_KB + """
+import sys
+from ftk.cli import main
+from ftk.fields import field
+field(3)
+before = peak_kb()
+assert main(["semidirect-enum", "--p", "3", "--r", "1", "--n", "2", "--psi", "[-1]", "--q-exp", "1",
+             "--max-break", "30"]) == 0
+sys.stdout.flush()
+print(before, peak_kb(), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_the_largest_semidirect_json_census_streams():
+    # each row holds its slot choice and its cover vector as series: a
+    # list of the 59049 rows lifts the peak by about 90 MB, while a block
+    # of classes per write keeps it within a few MB
+    env = dict(os.environ, PYTHONPATH=str(Path(ftk.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", SEMIDIRECT_JSON_PEAK], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    before, after = map(int, done.stderr.split())
+    assert after - before < 24 * 1024
 
 
 def test_a_closed_pipe_ends_the_census_quietly():
@@ -980,12 +1061,15 @@ def test_field_tables_bound_exit_code(capsys):
         ("kummer-canon", "--p", "2", "--e", "15", "--n", "7", "--series", "t^-1 + 1"),
         ("semidirect-enum", "--p", "2", "--e", "15", "--r", "1", "--n", "7", "--psi", "[1]", "--q-exp", "1",
          "--max-break", "0"),
+        ("semidirect-enum", "--p", "2", "--e", "15", "--r", "1", "--n", "7", "--psi", "[1]", "--q-exp", "1",
+         "--max-break", "0", "--format", "csv"),
     ],
-    ids=["kummer-canon", "semidirect-enum"],
+    ids=["kummer-canon", "semidirect-enum", "semidirect-enum csv"],
 )
 def test_the_kummer_side_still_needs_the_tables(capsys, argv):
     # the discrete logs and the generator (the frame's root of unity) are
-    # still tables, refused past q = 2^14
+    # still tables, refused past q = 2^14, before any output: at m = 0 no
+    # slot reads the root, so the census reads it at its call
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -1156,8 +1240,8 @@ def test_retired_flag_is_refused(capsys, argv):
 # two count-kummer F_256 n = 255 censuses in one process, each read back
 # into rows as a caller parsing the CSV would; prints the peak RSS in kB
 # after each
-REPEATED_CENSUS = """
-import contextlib, csv, io, json, resource
+REPEATED_CENSUS = PEAK_KB + """
+import contextlib, csv, io, json
 from ftk.cli import main
 argv = ["count-kummer", "--p", "2", "--e", "8", "--n", "255", "--format", "csv"]
 for _ in range(2):
@@ -1168,7 +1252,7 @@ for _ in range(2):
     rows = [(int(b), int(a), int(m), json.loads(c)) for b, a, m, c in table[1:]]
     assert len(rows) == 65025
     del out, table, rows
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    print(peak_kb())
 """
 
 

@@ -116,6 +116,23 @@ def test_only_series_builds_series_from_rows():
             assert reads == [], f"{path.name} reads series rows at lines {reads}"
 
 
+def test_only_artin_schreier_reads_the_census_options():
+    # the option records of census_grid stay inside artin_schreier.py:
+    # every other module takes the census as rows or as text pieces
+    # (as_class_grid), so no other module names census_grid or grid_breaks
+    names = {"census_grid", "grid_breaks"}
+    for path in sorted(Path(ftk.__file__).parent.glob("*.py")):
+        if path.name == "artin_schreier.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [
+            node.lineno
+            for node in ast.walk(tree)
+            if _name(node) in names or isinstance(node, ast.ImportFrom) and names & {a.name for a in node.names}
+        ]
+        assert found == [], f"{path.name} names the census options at lines {found}"
+
+
 def test_only_power_squares_and_multiplies():
     # one square and multiply in the library: no function but fields.power
     # halves an exponent (>>= 1) or walks the bits of bin(n)

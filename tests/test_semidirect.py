@@ -210,7 +210,7 @@ class TestVnCheck:
                     structured = all(
                         v == 0 for v in vn_check(group, frame, obj)
                     )
-                    c_vec = mat_vec_series(psi_inv, u_vec, p)
+                    c_vec = mat_vec_series(psi_inv, u_vec)
                     assert all(e <= 0 for c in c_vec for e in c.support())
                     gamma = AffineMap(0, 0, psi_inv, tuple(codec.encode(c.truncate(1)) for c in c_vec), frame.xi.index)
                     (power,) = _Composition(codec, r).power((gamma,), frame.n)
